@@ -18,7 +18,7 @@ concurrent use is safe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -168,9 +168,24 @@ def frobenius(a: Element) -> float:
 
 
 def largest_singular_value(a: Element) -> float:
+    """Operator norm of the element: max over blocks of the largest singular value."""
     return max(
         float(np.linalg.svd(m, compute_uv=False)[0]) if m.size else 0.0 for m in a.blocks
     )
+
+
+def flatten(a: Element) -> np.ndarray:
+    """Coordinate vector of an element: each block row-major, block by block."""
+    return np.concatenate([m.ravel() for m in a.blocks])
+
+
+def unflatten(spec: AlgebraSpec, vec: np.ndarray) -> Element:
+    """The element whose coordinates are the leading spec.dim entries of vec."""
+    blocks, pos = [], 0
+    for n in spec.block_dims:
+        blocks.append(vec[pos : pos + n * n].reshape(n, n))
+        pos += n * n
+    return Element(spec, tuple(blocks))
 
 
 def allclose(a: Element, b: Element, tol: float = 1e-12) -> bool:
@@ -244,17 +259,17 @@ def spectrum(a: Element, tol: float = DEFAULT_TOL) -> SpectrumReport:
     return SpectrumReport(eigenvalues=tuple(clusters), nonzero=nonzero)
 
 
+def _block_ranks(a: Element, tol: float) -> tuple[int, ...]:
+    """Rank of each block, counting singular values above tol times the
+    largest singular value of the whole element."""
+    svals = [np.linalg.svd(m, compute_uv=False) for m in a.blocks]
+    thr = tol * max(float(s[0]) for s in svals)
+    return tuple(int(np.sum(s > thr)) for s in svals)
+
+
 def rank(a: Element, tol: float = DEFAULT_TOL) -> int:
     """Spectral rank; realized as the sum of the block matrix ranks."""
-    scale = largest_singular_value(a)
-    if scale == 0.0:
-        return 0
-    thr = tol * scale
-    total = 0
-    for m in a.blocks:
-        s = np.linalg.svd(m, compute_uv=False)
-        total += int(np.sum(s > thr))
-    return total
+    return sum(_block_ranks(a, tol))
 
 
 def riesz_projection(a: Element, value: complex, tol: float = DEFAULT_TOL) -> Element:
@@ -312,7 +327,6 @@ def separating_element(
     for x in family:
         if rank(x) != 1:
             raise NotRankOne("separating element needs rank-one inputs")
-    spec = b.spec
     rows = np.stack([np.concatenate([m.T.ravel() for m in x.blocks]) for x in family])
     s = np.linalg.svd(rows, compute_uv=False)
     if s[-1] <= tol * s[0]:
@@ -320,11 +334,7 @@ def separating_element(
     rhs = np.zeros(len(family), dtype=complex)
     rhs[0] = 1.0
     y_vec, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
-    blocks, pos = [], 0
-    for n in spec.block_dims:
-        blocks.append(y_vec[pos : pos + n * n].reshape(n, n))
-        pos += n * n
-    return Element(spec, tuple(blocks))
+    return unflatten(b.spec, y_vec)
 
 
 def minimal_ideal_index(q: Element, tol: float = DEFAULT_TOL) -> int:
@@ -347,6 +357,16 @@ def _check_rank_one_projection(p: Element, tol: float):
         raise NotAProjection(f"rank is {rank(p)}, need 1")
 
 
+def _shared_minimal_ideal(p: Element, q: Element, tol: float) -> int:
+    """Block index of the minimal ideal holding both rank-one projections."""
+    _check_rank_one_projection(p, tol)
+    _check_rank_one_projection(q, tol)
+    ip, iq = minimal_ideal_index(p, tol), minimal_ideal_index(q, tol)
+    if ip != iq:
+        raise DifferentMinimalIdeal(f"blocks {ip} and {iq}")
+    return ip
+
+
 def _idempotent_frame(m: np.ndarray):
     """Invertible matrix whose first column spans the image of the rank-one
     idempotent m and whose remaining columns span its kernel."""
@@ -361,15 +381,11 @@ def conjugate_projections(p: Element, q: Element, tol: float = DEFAULT_TOL) -> E
     same minimal ideal.  Raises DifferentMinimalIdeal across orthogonal ideals,
     where no such u exists.
     """
-    _check_rank_one_projection(p, tol)
-    _check_rank_one_projection(q, tol)
-    ip, iq = minimal_ideal_index(p, tol), minimal_ideal_index(q, tol)
-    if ip != iq:
-        raise DifferentMinimalIdeal(f"blocks {ip} and {iq}")
+    ip = _shared_minimal_ideal(p, q, tol)
     if all((x == y).all() for x, y in zip(p.blocks, q.blocks)):
         return p.spec.identity()
     frame_p = _idempotent_frame(p.blocks[ip])
-    frame_q = _idempotent_frame(q.blocks[iq])
+    frame_q = _idempotent_frame(q.blocks[ip])
     u_block = frame_q @ np.linalg.inv(frame_p)
     blocks = [np.eye(n, dtype=complex) for n in p.spec.block_dims]
     blocks[ip] = u_block
@@ -382,6 +398,33 @@ def _rank_one_factors(m: np.ndarray):
     v = u[:, 0]
     w_h = v.conj() @ m
     return v, w_h
+
+
+def _sampled_arc(
+    start: Element, end: Element, samples: int,
+    sample_at: Callable[[complex], Optional[Element]], seed: int, stuck: str,
+) -> list[Element]:
+    """Samples of an arc on linspace(0, 1, samples), endpoints exactly as given.
+
+    sample_at returns None on the exceptional set; such a sample is pushed
+    off the real axis by a seeded perturbation, at most _PERTURB_RETRIES times.
+    """
+    rng = np.random.default_rng(seed)
+    grid = np.linspace(0.0, 1.0, samples)
+    path = [start]
+    for s_idx in range(1, samples - 1):
+        t = grid[s_idx]
+        e = sample_at(t)
+        retries = 0
+        while e is None and retries < _PERTURB_RETRIES:
+            e = sample_at(t + 1j * (rng.uniform(0.05, 0.5) / samples))
+            retries += 1
+        if e is None:
+            raise PathDegenerate(f"sample {s_idx} {stuck}")
+        path.append(e)
+    if samples > 1:
+        path.append(end)
+    return path
 
 
 def projection_path(
@@ -401,14 +444,9 @@ def projection_path(
     """
     if samples < 1:
         raise ValueError("samples must be positive")
-    _check_rank_one_projection(p, tol)
-    _check_rank_one_projection(q, tol)
-    ip, iq = minimal_ideal_index(p, tol), minimal_ideal_index(q, tol)
-    if ip != iq:
-        raise DifferentMinimalIdeal(f"blocks {ip} and {iq}")
+    ip = _shared_minimal_ideal(p, q, tol)
     v_p, w_p = _rank_one_factors(p.blocks[ip])
     v_q, w_q = _rank_one_factors(q.blocks[ip])
-    rng = np.random.default_rng(seed)
     spec = p.spec
 
     def sample_at(t: complex) -> Element | None:
@@ -421,24 +459,7 @@ def projection_path(
         blocks[ip] = np.outer(v, w) / denom
         return Element(spec, tuple(blocks))
 
-    path: list[Element] = []
-    grid = np.linspace(0.0, 1.0, samples) if samples > 1 else np.array([0.0])
-    for s_idx, t in enumerate(grid):
-        if s_idx == 0:
-            path.append(p)
-            continue
-        if samples > 1 and s_idx == samples - 1:
-            path.append(q)
-            continue
-        e = sample_at(t)
-        retries = 0
-        while e is None and retries < _PERTURB_RETRIES:
-            e = sample_at(t + 1j * (rng.uniform(0.05, 0.5) / samples))
-            retries += 1
-        if e is None:
-            raise PathDegenerate(f"sample {s_idx} stuck on the exceptional set")
-        path.append(e)
-    return path
+    return _sampled_arc(p, q, samples, sample_at, seed, "stuck on the exceptional set")
 
 
 @dataclass(frozen=True, eq=False)
@@ -459,14 +480,6 @@ def left_ideal_isomorphism(p: Element, q: Element, tol: float = DEFAULT_TOL) -> 
     v = conjugate_projections(p, q, tol)
     v_inv = Element(v.spec, tuple(np.linalg.inv(m) for m in v.blocks))
     return LeftIdealIsomorphism(conjugator=v, inverse=v_inv, source=p, target=q)
-
-
-def _block_ranks(a: Element, tol: float) -> tuple[int, ...]:
-    scale = largest_singular_value(a)
-    if scale == 0.0:
-        return tuple(0 for _ in a.blocks)
-    thr = tol * scale
-    return tuple(int(np.sum(np.linalg.svd(m, compute_uv=False) > thr)) for m in a.blocks)
 
 
 def rank_preserving_path(
@@ -513,7 +526,6 @@ def rank_preserving_path(
         yb = (vhb[:r, :].conj().T) * np.sqrt(sb[:r])
         factors.append((xa, ya, xb, yb))
 
-    rng = np.random.default_rng(seed)
     spec = a.spec
 
     def sample_at(t: complex) -> Element | None:
@@ -532,21 +544,4 @@ def rank_preserving_path(
             return None
         return e
 
-    grid = np.linspace(0.0, 1.0, samples) if samples > 1 else np.array([0.0])
-    path: list[Element] = []
-    for s_idx, t in enumerate(grid):
-        if s_idx == 0:
-            path.append(a)
-            continue
-        if samples > 1 and s_idx == samples - 1:
-            path.append(b)
-            continue
-        e = sample_at(t)
-        retries = 0
-        while e is None and retries < _PERTURB_RETRIES:
-            e = sample_at(t + 1j * (rng.uniform(0.05, 0.5) / samples))
-            retries += 1
-        if e is None:
-            raise PathDegenerate(f"sample {s_idx} stuck at deficient rank")
-        path.append(e)
-    return path
+    return _sampled_arc(a, b, samples, sample_at, seed, "stuck at deficient rank")

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Every command reads JSON inputs, writes a single JSON report to stdout or to
-the --output path, and exits 0 on success, 1 on domain errors, 2 on parse or
-I/O errors.  Reports are deterministic for a fixed seed.
+the --output path, and exits 0 on success, 1 on domain or numerical errors,
+2 on parse or I/O errors.  Reports are deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -250,7 +250,7 @@ def run(config: CliConfig) -> tuple[int, dict]:
     try:
         report = _COMMANDS[config.command](config)
         return 0, report
-    except AlgebraError as exc:
+    except (AlgebraError, np.linalg.LinAlgError) as exc:
         return 1, {"error": type(exc).__name__, "detail": str(exc)}
     except (OSError, ValueError, KeyError, TypeError, IndexError) as exc:
         return 2, {"error": type(exc).__name__, "detail": str(exc)}

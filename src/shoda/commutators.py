@@ -21,22 +21,25 @@ after passing to the completed algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .algebra import (
     AlgebraSpec,
     Element,
+    commutator,
+    flatten,
     frobenius,
     minimal_ideal_index,
     multiply,
     trace,
+    unflatten,
 )
 from .completion import extension_to_matrix, matrix_to_extension
 from .errors import NotShodaComplete, NotTraceless, NumericalFailure
 from .norms import b_norm
-from .sampling import random_idempotent, random_rank_one_projection
+from .sampling import random_element, random_idempotent, random_rank_one_projection
 from .tensor import BElement, aj_zero, multiply_B
 
 
@@ -57,10 +60,6 @@ class CommutatorWitness:
     residual: float
 
 
-def _vec(x: Element) -> np.ndarray:
-    return np.concatenate([m.ravel() for m in x.blocks])
-
-
 def _span_dim(vectors: list[np.ndarray], tol: float) -> int:
     stacked = np.stack(vectors)
     s = np.linalg.svd(stacked, compute_uv=False)
@@ -72,27 +71,19 @@ def _span_dim(vectors: list[np.ndarray], tol: float) -> int:
 def _generated_ideal_dim(spec: AlgebraSpec, p: Element, tol: float) -> int:
     """Dimension of the two-sided ideal generated by p, computed as the span
     of basis * p * basis in two stages (left multiples first, rank-reduced)."""
-    left_multiples = [_vec(multiply(x, p)) for x in spec.basis()]
+    left_multiples = [flatten(multiply(x, p)) for x in spec.basis()]
     stacked = np.stack(left_multiples)
     u, s, vh = np.linalg.svd(stacked, full_matrices=False)
     keep = s > tol * s[0] if s[0] > 0 else np.zeros(len(s), dtype=bool)
     reduced = vh[keep]
-
-    def unvec(vec: np.ndarray) -> Element:
-        blocks, pos = [], 0
-        for n in spec.block_dims:
-            blocks.append(vec[pos : pos + n * n].reshape(n, n))
-            pos += n * n
-        return Element(spec, tuple(blocks))
-
     products = [
-        _vec(multiply(unvec(row), y)) for row in reduced for y in spec.basis()
+        flatten(multiply(unflatten(spec, row), y)) for row in reduced for y in spec.basis()
     ]
     return _span_dim(products, tol)
 
 
 def _corner_dim(spec: AlgebraSpec, p: Element, tol: float) -> int:
-    products = [_vec(multiply(multiply(p, x), p)) for x in spec.basis()]
+    products = [flatten(multiply(multiply(p, x), p)) for x in spec.basis()]
     return _span_dim(products, tol)
 
 
@@ -269,6 +260,32 @@ def _require_traceless(t: Element, tol: float):
         raise NotTraceless(f"trace is {trace(t)}")
 
 
+def _best_witness(
+    m: np.ndarray, seed_base: int, witness_of: Callable[..., CommutatorWitness], accept: float
+) -> CommutatorWitness:
+    """Decompose the matrix m with up to four pivot seeds, seed_base onward.
+
+    witness_of(fa, fb) lifts each attempt's factors into the caller's algebra
+    and scores them; the first witness with residual at most accept is
+    returned, otherwise the best one.  Ill-conditioned attempts are skipped.
+    """
+    best: Optional[CommutatorWitness] = None
+    for attempt in range(4):
+        rng = np.random.default_rng(seed_base + attempt)
+        try:
+            fa, fb = _decompose_matrix(m, rng)
+        except NumericalFailure:
+            continue
+        witness = witness_of(fa, fb)
+        if best is None or witness.residual < best.residual:
+            best = witness
+        if witness.residual <= accept:
+            return witness
+    if best is None:
+        raise NumericalFailure("all decomposition attempts were ill-conditioned")
+    return best
+
+
 def commutator_decompose(t: Element, tol: float = 1e-9) -> CommutatorWitness:
     """Constructive decomposition t = a b - b a inside a single-block algebra.
 
@@ -286,25 +303,12 @@ def commutator_decompose(t: Element, tol: float = 1e-9) -> CommutatorWitness:
     if scale == 0.0:
         zero = t.spec.zero()
         return CommutatorWitness(a=zero, b=zero, residual=0.0)
-    m = t.blocks[0]
-    best: Optional[CommutatorWitness] = None
-    for attempt in range(4):
-        rng = np.random.default_rng(1000 + attempt)
-        try:
-            fa, fb = _decompose_matrix(m, rng)
-        except NumericalFailure:
-            continue
-        a = Element(t.spec, (fa,))
-        b = Element(t.spec, (fb,))
-        residual = frobenius(t - (multiply(a, b) - multiply(b, a)))
-        witness = CommutatorWitness(a=a, b=b, residual=residual)
-        if best is None or residual < best.residual:
-            best = witness
-        if residual <= tol * max(1.0, scale):
-            return witness
-    if best is None:
-        raise NumericalFailure("all decomposition attempts were ill-conditioned")
-    return best
+
+    def witness_of(fa: np.ndarray, fb: np.ndarray) -> CommutatorWitness:
+        a, b = Element(t.spec, (fa,)), Element(t.spec, (fb,))
+        return CommutatorWitness(a=a, b=b, residual=frobenius(t - commutator(a, b)))
+
+    return _best_witness(t.blocks[0], 1000, witness_of, tol * max(1.0, scale))
 
 
 def decompose_in_completion(t: Element, tol: float = 1e-9) -> CommutatorWitness:
@@ -320,25 +324,14 @@ def decompose_in_completion(t: Element, tol: float = 1e-9) -> CommutatorWitness:
     if frobenius(t) == 0.0:
         zero = BElement(spec.zero(), aj_zero(spec))
         return CommutatorWitness(a=zero, b=zero, residual=0.0)
-    full = extension_to_matrix(embedded)
-    best: Optional[CommutatorWitness] = None
-    for attempt in range(4):
-        rng = np.random.default_rng(2000 + attempt)
-        try:
-            fa, fb = _decompose_matrix(full, rng)
-        except NumericalFailure:
-            continue
-        a = matrix_to_extension(spec, fa)
-        b = matrix_to_extension(spec, fb)
+
+    def witness_of(fa: np.ndarray, fb: np.ndarray) -> CommutatorWitness:
+        a, b = matrix_to_extension(spec, fa), matrix_to_extension(spec, fb)
         residual = b_norm(embedded - (multiply_B(a, b) - multiply_B(b, a))).total
-        witness = CommutatorWitness(a=a, b=b, residual=residual)
-        if best is None or residual < best.residual:
-            best = witness
-        if residual <= tol * max(1.0, frobenius(t)):
-            return witness
-    if best is None:
-        raise NumericalFailure("all decomposition attempts were ill-conditioned")
-    return best
+        return CommutatorWitness(a=a, b=b, residual=residual)
+
+    full = extension_to_matrix(embedded)
+    return _best_witness(full, 2000, witness_of, tol * max(1.0, frobenius(t)))
 
 
 def random_commutator_search(
@@ -350,13 +343,10 @@ def random_commutator_search(
     every commutator has zero trace in every block."""
     rng = np.random.default_rng(seed)
     spec = t.spec
-    t_vec = np.concatenate([m.ravel() for m in t.blocks])
+    t_vec = flatten(t)
     best = np.inf
     for _ in range(pairs):
-        a_blocks = [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for n in spec.block_dims]
-        b_blocks = [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for n in spec.block_dims]
-        comm = [ab @ bb - bb @ ab for ab, bb in zip(a_blocks, b_blocks)]
-        c_vec = np.concatenate([m.ravel() for m in comm])
+        c_vec = flatten(commutator(random_element(spec, rng), random_element(spec, rng)))
         denom = np.vdot(c_vec, c_vec).real
         coeff = np.vdot(c_vec, t_vec) / denom if denom > 0 else 0.0
         best = min(best, float(np.linalg.norm(t_vec - coeff * c_vec)))

@@ -16,12 +16,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Element
+from .algebra import AlgebraSpec, Element, flatten, unflatten
 from .errors import NumericalFailure
 from .structure import StructureConstantAlgebra, quotient, radical, wedderburn_identify
 from .tensor import AJElement, BElement, aj_pairs, aj_zero, multiply_B
 
 BasisLabel = tuple  # ("d", i, k, l) for block units, ("o", i, j, k, l) for tensor units
+
+# seeded random pairs checked against the witness on top of every basis pair
+_CHECK_PAIRS = 100
 
 
 def extension_basis_labels(spec: AlgebraSpec) -> list[BasisLabel]:
@@ -38,19 +41,9 @@ def extension_basis_labels(spec: AlgebraSpec) -> list[BasisLabel]:
     return labels
 
 
-def basis_element(spec: AlgebraSpec, label: BasisLabel) -> BElement:
-    if label[0] == "d":
-        _, i, k, l = label
-        return BElement(spec.matrix_unit(i, k, l), aj_zero(spec))
-    _, i, j, k, l = label
-    m = np.zeros((spec.block_dims[i], spec.block_dims[j]), dtype=complex)
-    m[k, l] = 1.0
-    return BElement(spec.zero(), AJElement(spec, {(i, j): m}))
-
-
 def extension_coordinates(x: BElement) -> np.ndarray:
     """Coordinate vector of an extension element in the basis order above."""
-    parts = [m.ravel() for m in x.a.blocks]
+    parts = [flatten(x.a)]
     for i, j in aj_pairs(x.spec):
         parts.append(x.u.coordinate(i, j).ravel())
     return np.concatenate(parts)
@@ -58,16 +51,13 @@ def extension_coordinates(x: BElement) -> np.ndarray:
 
 def extension_from_coordinates(spec: AlgebraSpec, vec: np.ndarray) -> BElement:
     vec = np.asarray(vec, dtype=complex)
-    blocks, pos = [], 0
-    for n in spec.block_dims:
-        blocks.append(vec[pos : pos + n * n].reshape(n, n))
-        pos += n * n
+    pos = spec.dim
     terms = {}
     for i, j in aj_pairs(spec):
         ni, nj = spec.block_dims[i], spec.block_dims[j]
         terms[(i, j)] = vec[pos : pos + ni * nj].reshape(ni, nj)
         pos += ni * nj
-    return BElement(Element(spec, tuple(blocks)), AJElement(spec, terms))
+    return BElement(unflatten(spec, vec), AJElement(spec, terms))
 
 
 def extension_to_matrix(x: BElement) -> np.ndarray:
@@ -102,9 +92,8 @@ def matrix_to_extension(spec: AlgebraSpec, mat: np.ndarray) -> BElement:
 
 def build_B(spec: AlgebraSpec) -> StructureConstantAlgebra:
     """Structure constants of the extension on matrix-unit and tensor-unit basis."""
-    labels = extension_basis_labels(spec)
-    elements = [basis_element(spec, lab) for lab in labels]
-    d = len(elements)
+    d = spec.matrix_size**2
+    elements = [extension_from_coordinates(spec, e) for e in np.eye(d)]
     table = np.zeros((d, d, d), dtype=complex)
     for a in range(d):
         for b in range(d):
@@ -142,9 +131,7 @@ class CompletionResult:
         return matrix_to_extension(self.spec, mat)
 
 
-def complete(
-    spec: AlgebraSpec, tol: float = 1e-9, seed: int = 42, check_pairs: int = 100
-) -> CompletionResult:
+def complete(spec: AlgebraSpec, tol: float = 1e-9, seed: int = 42) -> CompletionResult:
     """Run the whole pipeline: structure constants, radical, quotient,
     Wedderburn identification, and the verified full-matrix witness."""
     alg = build_B(spec)
@@ -157,12 +144,11 @@ def complete(
             f"extension of {spec.block_dims} reported radical dimension {radical_dim}"
         )
 
-    labels = extension_basis_labels(spec)
-    d = len(labels)
+    d = alg.dim
     size = spec.matrix_size
     images = np.zeros((d, size, size), dtype=complex)
-    for a, lab in enumerate(labels):
-        images[a] = extension_to_matrix(basis_element(spec, lab))
+    for a, e in enumerate(np.eye(d)):
+        images[a] = extension_to_matrix(extension_from_coordinates(spec, e))
 
     # homomorphism on every basis pair: table contraction against the images
     table_images = np.tensordot(alg.table, images, axes=([2], [0]))
@@ -171,7 +157,7 @@ def complete(
 
     rng = np.random.default_rng(seed)
     random_residual = 0.0
-    for _ in range(check_pairs):
+    for _ in range(_CHECK_PAIRS):
         x = rng.normal(size=d) + 1j * rng.normal(size=d)
         y = rng.normal(size=d) + 1j * rng.normal(size=d)
         lhs = np.tensordot(alg.product(x, y), images, axes=(0, 0))

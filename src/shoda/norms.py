@@ -15,16 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Element
+from .algebra import AlgebraSpec
+from .algebra import largest_singular_value as a_norm
 from .tensor import BElement, aj_zero, multiply_B
 from .sampling import random_aj, random_b, random_element
 
 A_NORM_MODEL = "max-block-operator-norm"
-
-
-def a_norm(x: Element) -> float:
-    """Operator norm of the element: max over blocks of the largest singular value."""
-    return max(float(np.linalg.svd(m, compute_uv=False)[0]) for m in x.blocks)
 
 
 def pair_nuclear_norm(m: np.ndarray) -> float:

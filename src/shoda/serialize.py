@@ -30,7 +30,10 @@ def flat_to_matrix(flat: Any, rows: int, cols: int) -> np.ndarray:
     if len(flat) != rows * cols:
         raise ValueError(f"expected {rows * cols} entries, got {len(flat)}")
     values = [complex(float(p[0]), float(p[1])) for p in flat]
-    return np.array(values, dtype=complex).reshape(rows, cols)
+    m = np.array(values, dtype=complex).reshape(rows, cols)
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
+    return m
 
 
 def spec_to_json(spec: AlgebraSpec) -> dict:
@@ -39,7 +42,12 @@ def spec_to_json(spec: AlgebraSpec) -> dict:
 def spec_from_json(data: Any) -> AlgebraSpec:
     if not isinstance(data, dict) or "blocks" not in data:
         raise ValueError('algebra spec JSON needs a "blocks" key')
-    return AlgebraSpec(tuple(int(n) for n in data["blocks"]))
+    dims = data["blocks"]
+    if not isinstance(dims, list) or not all(
+        isinstance(n, int) and not isinstance(n, bool) for n in dims
+    ):
+        raise ValueError(f"block sizes must be a list of integers, got {dims!r}")
+    return AlgebraSpec(tuple(dims))
 
 
 def element_to_json(x: Element) -> dict:
@@ -68,6 +76,8 @@ def aj_from_json(spec: AlgebraSpec, data: Any) -> AJElement:
     for key, flat in data["terms"].items():
         i_str, j_str = key.split(",")
         i, j = int(i_str) - 1, int(j_str) - 1
+        if not (0 <= i < spec.num_blocks and 0 <= j < spec.num_blocks):
+            raise ValueError(f"pair key {key!r} outside blocks 1..{spec.num_blocks}")
         terms[(i, j)] = flat_to_matrix(flat, spec.block_dims[i], spec.block_dims[j])
     return AJElement(spec, terms)
 

@@ -9,10 +9,11 @@ and Wedderburn identification of a semisimple table through its center.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
-from .algebra import AlgebraSpec
+from .algebra import AlgebraSpec, _cluster, flatten, multiply
 from .errors import IllConditioned, NonSquareComponent, NotAnIdeal, NotSemisimple
 
 _GAP_FACTOR = 1e3
@@ -73,24 +74,9 @@ class StructureConstantAlgebra:
 
 def block_algebra(spec: AlgebraSpec) -> StructureConstantAlgebra:
     """Structure constants of the block algebra itself on its matrix-unit basis."""
-    labels = [
-        (i, k, l)
-        for i, n in enumerate(spec.block_dims)
-        for k in range(n)
-        for l in range(n)
-    ]
-    index = {lab: a for a, lab in enumerate(labels)}
-    d = len(labels)
-    table = np.zeros((d, d, d), dtype=complex)
-    for a, (i, k, l) in enumerate(labels):
-        for b, (i2, k2, l2) in enumerate(labels):
-            if i == i2 and l == k2:
-                table[a, b, index[(i, k, l2)]] = 1.0
-    unit = np.zeros(d, dtype=complex)
-    for i, n in enumerate(spec.block_dims):
-        for k in range(n):
-            unit[index[(i, k, k)]] = 1.0
-    return StructureConstantAlgebra(table, unit)
+    basis = list(spec.basis())
+    table = np.array([[flatten(multiply(x, y)) for y in basis] for x in basis])
+    return StructureConstantAlgebra(table, flatten(spec.identity()))
 
 
 def _trace_form_gram(alg: StructureConstantAlgebra) -> np.ndarray:
@@ -201,9 +187,9 @@ def wedderburn_identify(
         lz = alg.left_matrix(z)
         eigs = np.linalg.eigvals(lz)
         scale = max(float(np.abs(eigs).max()), 1.0)
-        clusters = _cluster_eigs(eigs, 1e-6 * scale)
-        centers = [c for c, _ in clusters]
-        if len(centers) == 1 or _min_pairwise(centers) > 1e-3 * scale:
+        clusters = _cluster(eigs, 1e-6 * scale)
+        gaps = [abs(a - b) for (a, _), (b, _) in combinations(clusters, 2)]
+        if not gaps or min(gaps) > 1e-3 * scale:
             dims = sorted(cnt for _, cnt in clusters)
             for cnt in dims:
                 root = round(np.sqrt(cnt))
@@ -211,26 +197,3 @@ def wedderburn_identify(
                     raise NonSquareComponent(f"component dimension {cnt}")
             return dims
     raise NonSquareComponent("central eigenvalues stayed clustered across retries")
-
-
-def _cluster_eigs(values: np.ndarray, radius: float) -> list[tuple[complex, int]]:
-    remaining = sorted(values, key=lambda v: (v.real, v.imag))
-    clusters: list[list[complex]] = []
-    for v in remaining:
-        placed = False
-        for members in clusters:
-            if any(abs(v - m) <= radius for m in members):
-                members.append(v)
-                placed = True
-                break
-        if not placed:
-            clusters.append([v])
-    return [(complex(np.mean(ms)), len(ms)) for ms in clusters]
-
-
-def _min_pairwise(values: list[complex]) -> float:
-    best = np.inf
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            best = min(best, abs(values[i] - values[j]))
-    return float(best)

@@ -31,10 +31,6 @@ from .algebra import AlgebraSpec, Element, multiply
 from .errors import ShapeMismatch
 
 
-def _prune(terms: dict[tuple[int, int], np.ndarray]) -> dict[tuple[int, int], np.ndarray]:
-    return {key: m for key, m in terms.items() if np.any(m)}
-
-
 @dataclass(frozen=True, eq=False)
 class AJElement:
     """Off-diagonal tensor: coordinate matrices keyed by ordered block pairs.
@@ -161,18 +157,13 @@ def _full_coordinates(u: AJPrimeElement) -> dict[tuple[int, int], np.ndarray]:
     return coords
 
 
-def tensor_multiply(s: AJPrimeElement, t: AJPrimeElement) -> AJPrimeElement:
-    """Trace-pairing product on the socle-plus-tensor space.
+def _pair_contract(spec: AlgebraSpec, left: dict, right: dict) -> tuple[Element, AJElement]:
+    """Trace-pairing product of coordinate blocks keyed by block pairs.
 
-    In coordinates the pairing contracts inner block indices, so the (i, j)
-    output is the sum over m of left (i, m) times right (m, j); diagonal
-    outputs are collapsed into the socle part.
+    The pairing contracts inner block indices, so the (i, j) output is the
+    sum over m of left (i, m) times right (m, j); diagonal outputs are
+    collapsed into the algebra, off-diagonal ones form the tensor summand.
     """
-    if s.spec != t.spec:
-        raise ShapeMismatch("operands belong to different algebras")
-    spec = s.spec
-    left = _full_coordinates(s)
-    right = _full_coordinates(t)
     soc_blocks = [np.zeros((n, n), dtype=complex) for n in spec.block_dims]
     off: dict[tuple[int, int], np.ndarray] = {}
     for (i, m), lmat in left.items():
@@ -186,7 +177,14 @@ def tensor_multiply(s: AJPrimeElement, t: AJPrimeElement) -> AJPrimeElement:
                 off[(i, j)] = off[(i, j)] + prod
             else:
                 off[(i, j)] = prod
-    return AJPrimeElement(Element(spec, tuple(soc_blocks)), AJElement(spec, _prune(off)))
+    return Element(spec, tuple(soc_blocks)), AJElement(spec, off)
+
+
+def tensor_multiply(s: AJPrimeElement, t: AJPrimeElement) -> AJPrimeElement:
+    """Trace-pairing product on the socle-plus-tensor space."""
+    if s.spec != t.spec:
+        raise ShapeMismatch("operands belong to different algebras")
+    return AJPrimeElement(*_pair_contract(s.spec, _full_coordinates(s), _full_coordinates(t)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,10 +217,6 @@ class BElement:
         return BElement(complex(other) * self.a, complex(other) * self.u)
 
 
-def b_zero(spec: AlgebraSpec) -> BElement:
-    return BElement(spec.zero(), aj_zero(spec))
-
-
 def b_identity(spec: AlgebraSpec) -> BElement:
     return BElement(spec.identity(), aj_zero(spec))
 
@@ -241,26 +235,6 @@ def _right_action(u: AJElement, y: Element) -> AJElement:
     return AJElement(u.spec, {(i, j): m @ y.blocks[j] for (i, j), m in u.terms.items()})
 
 
-def _off_product(u: AJElement, v: AJElement) -> tuple[Element, AJElement]:
-    """Trace-pairing product of two off-diagonal tensors, split into its
-    socle summand (collapsed into the algebra) and off-diagonal summand."""
-    spec = u.spec
-    soc_blocks = [np.zeros((n, n), dtype=complex) for n in spec.block_dims]
-    off: dict[tuple[int, int], np.ndarray] = {}
-    for (i, m), umat in u.terms.items():
-        for (m2, j), vmat in v.terms.items():
-            if m != m2:
-                continue
-            prod = umat @ vmat
-            if i == j:
-                soc_blocks[i] = soc_blocks[i] + prod
-            elif (i, j) in off:
-                off[(i, j)] = off[(i, j)] + prod
-            else:
-                off[(i, j)] = prod
-    return Element(spec, tuple(soc_blocks)), AJElement(spec, _prune(off))
-
-
 def multiply_B(x: BElement, y: BElement) -> BElement:
     """Extension product (a, u)(b, v) = (ab + [uv]_diag, ub + av + [uv]_off).
 
@@ -270,7 +244,7 @@ def multiply_B(x: BElement, y: BElement) -> BElement:
     """
     if x.spec != y.spec:
         raise ShapeMismatch("operands belong to different algebras")
-    soc_overflow, off_overflow = _off_product(x.u, y.u)
+    soc_overflow, off_overflow = _pair_contract(x.spec, x.u.terms, y.u.terms)
     a_part = multiply(x.a, y.a) + soc_overflow
     u_part = _right_action(x.u, y.a) + _left_action(x.a, y.u) + off_overflow
     return BElement(a_part, u_part)

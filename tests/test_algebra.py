@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shoda.algebra
 from shoda import (
     AlgebraSpec,
     Element,
@@ -26,6 +27,7 @@ from shoda.errors import (
     NoSuchSpectralValue,
     NotRankOne,
     NotShodaComplete,
+    PathDegenerate,
     RankMismatch,
     ShapeMismatch,
     ZeroElement,
@@ -371,17 +373,24 @@ def test_projection_path_rejects_cross_block(spec23):
         projection_path(p1, p2, 10)
 
 
-def test_projection_path_dodges_exceptional_set():
-    # endpoints whose pencil trace vanishes at the midpoint: the sample at
-    # one half must be pushed off the real axis and stay a rank-one idempotent
+def test_projection_path_dodges_exceptional_set(monkeypatch):
+    # q = x y^T with y^T x = 1 is a rank-one idempotent; for this angle and
+    # shear (found by bisection) the pencil trace vanishes at t = 1/2, so the
+    # midpoint sample must be pushed off the real axis
+    theta, shear = 1.05, -1.15844016457873
+    x = np.array([np.cos(theta), np.sin(theta)])
+    y = x + shear * np.array([-np.sin(theta), np.cos(theta)])
     m2 = AlgebraSpec((2,))
     p = m2.matrix_unit(0, 0, 0)
-    q = Element(m2, (np.array([[1.0, 0.0], [-1.0, 0.0]], dtype=complex),))
-    assert frobenius(multiply(q, q) - q) == 0.0
+    q = Element(m2, (np.outer(x, y),))
+    assert frobenius(multiply(q, q) - q) < 1e-12
     arc = projection_path(p, q, 3)
     middle = arc[1]
     assert frobenius(multiply(middle, middle) - middle) < 1e-9
     assert rank(middle) == 1
+    monkeypatch.setattr(shoda.algebra, "_PERTURB_RETRIES", 0)
+    with pytest.raises(PathDegenerate):
+        projection_path(p, q, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +466,17 @@ def test_rank_path_rejects_rank_mismatch():
     b = m3.identity()
     with pytest.raises(RankMismatch):
         rank_preserving_path(a, b, 2, 10)
+
+
+def test_rank_path_dodges_deficient_rank(monkeypatch):
+    # the straight segment from a to -a passes through zero at t = 1/2
+    m3 = AlgebraSpec((3,))
+    a = m3.from_blocks([np.diag([1.0, 0.0, 0.0])])
+    arc = rank_preserving_path(a, -a, 1, 3)
+    assert rank(arc[1]) == 1
+    monkeypatch.setattr(shoda.algebra, "_PERTURB_RETRIES", 0)
+    with pytest.raises(PathDegenerate):
+        rank_preserving_path(a, -a, 1, 3)
 
 
 # ---------------------------------------------------------------------------

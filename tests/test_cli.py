@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+import shoda.cli
 from shoda.cli import CliConfig, main, run
 from shoda.serialize import dumps
 
@@ -221,3 +223,27 @@ def test_dump_table_flag(tmp_path, capsys):
     assert code == 0
     table = report["table"]
     assert len(table) == 4 and len(table[0]) == 4 and len(table[0][0]) == 4
+
+
+def test_non_finite_element_is_exit_two(tmp_path, spec4_file, capsys):
+    # NaN used to flow into the decomposition and exit 0 with a NaN residual
+    path = tmp_path / "nan.json"
+    flat = [[0.0, 0.0]] * 16
+    flat[1] = [float("nan"), 0.0]
+    path.write_text(json.dumps({"blocks": [flat]}))
+    for command in ("decompose", "rank"):
+        assert main([command, spec4_file, str(path)]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["error"] == "ValueError"
+
+
+def test_numerical_failure_is_exit_one(monkeypatch, spec23_file, witness_file):
+    # LinAlgError subclasses ValueError, but it is a numerical failure, not a
+    # parse error
+    def diverge(x, tol):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(shoda.cli, "rank", diverge)
+    code, report = run(CliConfig(command="rank", spec_path=spec23_file, element_path=witness_file))
+    assert code == 1
+    assert report["error"] == "LinAlgError"

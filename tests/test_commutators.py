@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import shoda.commutators
 from shoda import (
     AlgebraSpec,
     Element,
@@ -15,7 +16,7 @@ from shoda import (
 from shoda.algebra import allclose
 from shoda.commutators import certifies_non_commutator, random_commutator_search
 from shoda.completion import extension_to_matrix
-from shoda.errors import NotShodaComplete, NotTraceless
+from shoda.errors import NotShodaComplete, NotTraceless, NumericalFailure
 from shoda.norms import b_norm
 from shoda.sampling import random_traceless
 from shoda.tensor import BElement, aj_zero, multiply_B
@@ -196,3 +197,20 @@ def test_completion_closes_the_gap_for_small_specs():
 def test_decompose_in_completion_rejects_nonzero_trace(spec23):
     with pytest.raises(NotTraceless):
         decompose_in_completion(spec23.identity())
+
+
+def test_decomposers_raise_when_every_attempt_fails(monkeypatch, spec23):
+    # every seeded attempt fails: no best witness exists, so both decomposers
+    # must raise instead of returning an unchecked result
+    def always_ill_conditioned(m, rng, cond_limit=1e8):
+        raise NumericalFailure("zero-diagonal similarity is ill-conditioned")
+
+    monkeypatch.setattr(shoda.commutators, "_decompose_matrix", always_ill_conditioned)
+    m3 = AlgebraSpec((3,))
+    t = Element(m3, (np.diag([1.0, 2.0, -3.0]) + np.triu(np.ones((3, 3)), 1),))
+    message = "all decomposition attempts were ill-conditioned"
+    with pytest.raises(NumericalFailure, match=message):
+        commutator_decompose(t)
+    witness = Element(spec23, (3.0 * np.eye(2), -2.0 * np.eye(3)))
+    with pytest.raises(NumericalFailure, match=message):
+        decompose_in_completion(witness)

@@ -3,18 +3,21 @@ from itertools import combinations_with_replacement
 import numpy as np
 import pytest
 
+import shoda.completion
 from shoda import AlgebraSpec, complete, multiply
 from shoda.algebra import Element
 from shoda.completion import (
-    basis_element,
     extension_basis_labels,
     extension_coordinates,
     extension_from_coordinates,
     extension_to_matrix,
     matrix_to_extension,
 )
+from shoda.errors import NumericalFailure
 from shoda.sampling import random_element
-from shoda.tensor import b_allclose, multiply_B
+from shoda.tensor import BElement, aj_zero, b_allclose, multiply_B, tensor_unit
+
+from test_structure import upper_triangular_2x2
 
 
 def test_complete_two_by_three(spec23):
@@ -101,7 +104,10 @@ def test_witness_images_match_coordinates(spec23):
     result = complete(spec23)
     labels = extension_basis_labels(spec23)
     for a, lab in enumerate(labels):
-        elt = basis_element(spec23, lab)
+        if lab[0] == "d":
+            elt = BElement(spec23.matrix_unit(*lab[1:]), aj_zero(spec23))
+        else:
+            elt = BElement(spec23.zero(), tensor_unit(spec23, *lab[1:]))
         assert np.array_equal(result.witness_images[a], extension_to_matrix(elt))
 
 
@@ -171,3 +177,11 @@ def test_minimality_by_dimension_count():
             if count > 4:
                 break
         assert not feasible_smaller
+
+
+def test_complete_rejects_extension_with_radical(monkeypatch, spec23):
+    # wedderburn_identify only sees the quotient, so the radical check in
+    # complete() is the one that must catch a table with a nonzero radical
+    monkeypatch.setattr(shoda.completion, "build_B", lambda spec: upper_triangular_2x2())
+    with pytest.raises(NumericalFailure, match="radical dimension 1"):
+        complete(spec23)

@@ -67,3 +67,25 @@ def test_parse_errors_are_value_errors(spec23):
         element_from_json(spec23, {"blocks": [[[1, 0]]]})
     with pytest.raises(ValueError):
         flat_to_matrix([[1, 0]], 2, 2)
+
+
+@pytest.mark.parametrize("blocks", [[2.7, 1], [True, 2], "22", [[2]], [None]])
+def test_spec_rejects_non_integer_block_sizes(blocks):
+    with pytest.raises(ValueError):
+        spec_from_json({"blocks": blocks})
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_matrix_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError):
+        flat_to_matrix([[1.0, 0.0], [0.0, bad], [0.0, 0.0], [1.0, 0.0]], 2, 2)
+    with pytest.raises(ValueError):
+        flat_to_matrix([[bad, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]], 2, 2)
+
+
+# entry counts fit the shape that a wrapped negative index would give
+@pytest.mark.parametrize("key, entries", [("0,2", 9), ("2,0", 9), ("-1,2", 6), ("1,3", 6), ("3,1", 6)])
+def test_tensor_rejects_pair_keys_outside_the_blocks(spec23, key, entries):
+    flat = [[1.0, 0.0]] * entries
+    with pytest.raises(ValueError):
+        aj_from_json(spec23, {"terms": {key: flat}})
