@@ -325,7 +325,7 @@ def separating_element(
     """
     family = [b, *others]
     for x in family:
-        if rank(x) != 1:
+        if rank(x, tol) != 1:
             raise NotRankOne("separating element needs rank-one inputs")
     rows = np.stack([np.concatenate([m.T.ravel() for m in x.blocks]) for x in family])
     s = np.linalg.svd(rows, compute_uv=False)
@@ -339,7 +339,7 @@ def separating_element(
 
 def minimal_ideal_index(q: Element, tol: float = DEFAULT_TOL) -> int:
     """Block index of the unique minimal two-sided ideal containing a rank-one element."""
-    r = rank(q)
+    r = rank(q, tol)
     if r == 0:
         raise ZeroElement("zero element lies in every ideal")
     if r != 1:
@@ -353,8 +353,9 @@ def _check_rank_one_projection(p: Element, tol: float):
     res = frobenius(multiply(p, p) - p)
     if res > tol * (1.0 + frobenius(p)):
         raise NotAProjection(f"idempotency residual {res}")
-    if rank(p) != 1:
-        raise NotAProjection(f"rank is {rank(p)}, need 1")
+    r = rank(p, tol)
+    if r != 1:
+        raise NotAProjection(f"rank is {r}, need 1")
 
 
 def _shared_minimal_ideal(p: Element, q: Element, tol: float) -> int:
@@ -502,9 +503,9 @@ def rank_preserving_path(
     a._require_same_spec(b)
     if samples < 1:
         raise ValueError("samples must be positive")
-    if rank(a) != n or rank(b) != n:
-        raise RankMismatch(f"ranks {rank(a)}, {rank(b)}; expected {n}")
     ranks_a, ranks_b = _block_ranks(a, tol), _block_ranks(b, tol)
+    if sum(ranks_a) != n or sum(ranks_b) != n:
+        raise RankMismatch(f"ranks {sum(ranks_a)}, {sum(ranks_b)}; expected {n}")
     if ranks_a != ranks_b:
         if a.spec.num_blocks >= 2:
             raise NotShodaComplete(

@@ -302,7 +302,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         sys.stderr.write(serialize.dumps({"error": "ValueError", "detail": str(exc)}))
         return 2
     code, report = run(config)
-    text = serialize.dumps(report)
+    try:
+        text = serialize.dumps(report)
+    except ValueError as exc:  # a non-finite value is a numerical failure
+        code, text = 1, serialize.dumps({"error": "NumericalFailure", "detail": str(exc)})
     if config.output_path:
         try:
             with open(config.output_path, "w", encoding="utf-8") as handle:

@@ -6,8 +6,9 @@ evaluating the equivalent characterizations independently: minimality of the
 socle as a two-sided ideal, generation of the socle by one rank-one
 projection, full matrix corners p A p for sampled projections p, and
 connectivity of the rank-one idempotents.  The criteria are provably
-equivalent, so a disagreement between them is an implementation bug and
-raises rather than being reported.
+equivalent, so a disagreement between them means a numerical rank decision
+failed at the given tolerance; it raises NumericalFailure rather than being
+reported.
 
 Decomposition of a traceless matrix follows the classical constructive
 route: a similarity takes it to zero diagonal, after which divided
@@ -122,7 +123,7 @@ def is_shoda_complete(spec: AlgebraSpec, tol: float = 1e-9, seed: int = 42) -> S
 
     votes = {criterion_minimal, criterion_single, criterion_corner, criterion_connectivity}
     if len(votes) != 1:
-        raise RuntimeError(
+        raise NumericalFailure(
             "completeness criteria disagree: "
             f"minimal={criterion_minimal} single={criterion_single} "
             f"corner={criterion_corner} connectivity={criterion_connectivity}"
@@ -267,7 +268,8 @@ def _best_witness(
 
     witness_of(fa, fb) lifts each attempt's factors into the caller's algebra
     and scores them; the first witness with residual at most accept is
-    returned, otherwise the best one.  Ill-conditioned attempts are skipped.
+    returned.  Ill-conditioned attempts are skipped, and NumericalFailure is
+    raised when no attempt meets accept.
     """
     best: Optional[CommutatorWitness] = None
     for attempt in range(4):
@@ -283,7 +285,7 @@ def _best_witness(
             return witness
     if best is None:
         raise NumericalFailure("all decomposition attempts were ill-conditioned")
-    return best
+    raise NumericalFailure(f"best witness residual {best.residual} exceeds {accept}")
 
 
 def commutator_decompose(t: Element, tol: float = 1e-9) -> CommutatorWitness:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import AlgebraSpec, Element, flatten, unflatten
-from .errors import NumericalFailure
+from .errors import NumericalFailure, TooLarge
 from .structure import StructureConstantAlgebra, quotient, radical, wedderburn_identify
 from .tensor import AJElement, BElement, aj_pairs, aj_zero, multiply_B
 
@@ -25,6 +25,10 @@ BasisLabel = tuple  # ("d", i, k, l) for block units, ("o", i, j, k, l) for tens
 
 # seeded random pairs checked against the witness on top of every basis pair
 _CHECK_PAIRS = 100
+# seeded dense pairs on which multiply_B itself is checked against the matrix product
+_PRODUCT_PAIRS = 8
+# largest dense (d, d, d) complex table build_B allocates: N <= 16
+_TABLE_BYTES = 2**28
 
 
 def extension_basis_labels(spec: AlgebraSpec) -> list[BasisLabel]:
@@ -90,14 +94,43 @@ def matrix_to_extension(spec: AlgebraSpec, mat: np.ndarray) -> BElement:
     return BElement(Element(spec, tuple(blocks)), AJElement(spec, terms))
 
 
+def _label_positions(spec: AlgebraSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of each basis label's unit in the full-matrix picture."""
+    off = spec.offsets()
+    rows, cols = [], []
+    for label in extension_basis_labels(spec):
+        if label[0] == "d":
+            _, i, k, l = label
+            j = i
+        else:
+            _, i, j, k, l = label
+        rows.append(off[i] + k)
+        cols.append(off[j] + l)
+    return np.array(rows), np.array(cols)
+
+
 def build_B(spec: AlgebraSpec) -> StructureConstantAlgebra:
-    """Structure constants of the extension on matrix-unit and tensor-unit basis."""
-    d = spec.matrix_size**2
-    elements = [extension_from_coordinates(spec, e) for e in np.eye(d)]
+    """Structure constants of the extension on matrix-unit and tensor-unit basis.
+
+    Each basis element is one matrix unit E_pq of M_N, so the only nonzero
+    constants are E_pq E_qr = E_pr.  The table is dense, and a spec whose
+    table would exceed _TABLE_BYTES is refused before anything is allocated.
+    """
+    size = spec.matrix_size
+    d = size**2
+    nbytes = d**3 * np.dtype(complex).itemsize
+    if nbytes > _TABLE_BYTES:
+        raise TooLarge(
+            f"the extension table of {spec.block_dims} needs {nbytes} bytes, "
+            f"over the budget of {_TABLE_BYTES}"
+        )
+    row, col = _label_positions(spec)
+    pos = np.empty((size, size), dtype=np.intp)
+    pos[row, col] = np.arange(d)
+    a = np.repeat(np.arange(d), size)
+    r = np.tile(np.arange(size), d)
     table = np.zeros((d, d, d), dtype=complex)
-    for a in range(d):
-        for b in range(d):
-            table[a, b] = extension_coordinates(multiply_B(elements[a], elements[b]))
+    table[a, pos[col[a], r], pos[row[a], r]] = 1.0
     unit = extension_coordinates(BElement(spec.identity(), aj_zero(spec)))
     return StructureConstantAlgebra(table, unit)
 
@@ -164,6 +197,20 @@ def complete(spec: AlgebraSpec, tol: float = 1e-9, seed: int = 42) -> Completion
         rhs = np.tensordot(x, images, axes=(0, 0)) @ np.tensordot(y, images, axes=(0, 0))
         denom = 1.0 + np.linalg.norm(lhs)
         random_residual = max(random_residual, float(np.abs(lhs - rhs).max()) / denom)
+
+    # the table is not built from multiply_B, so the product is checked on its own
+    for _ in range(_PRODUCT_PAIRS):
+        x, y = (
+            extension_from_coordinates(spec, rng.normal(size=d) + 1j * rng.normal(size=d))
+            for _ in range(2)
+        )
+        lhs = extension_to_matrix(multiply_B(x, y))
+        rhs = extension_to_matrix(x) @ extension_to_matrix(y)
+        product_residual = float(np.abs(lhs - rhs).max()) / (1.0 + np.linalg.norm(lhs))
+        if product_residual > tol:
+            raise NumericalFailure(
+                f"multiply_B is off the matrix product by {product_residual}"
+            )
 
     return CompletionResult(
         spec=spec,

@@ -13,6 +13,10 @@ class ShapeMismatch(AlgebraError):
     """Operands belong to different block algebras."""
 
 
+class TooLarge(AlgebraError):
+    """The requested size would exceed a fixed memory budget."""
+
+
 class NumericalFailure(AlgebraError):
     """An eigensolver did not converge or a similarity became ill-conditioned."""
 

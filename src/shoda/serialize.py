@@ -92,7 +92,8 @@ def b_from_json(spec: AlgebraSpec, data: Any) -> BElement:
 
 
 def dumps(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """Strict JSON: a NaN or infinite value raises ValueError."""
+    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def load_json_file(path: str) -> Any:

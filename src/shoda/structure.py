@@ -8,15 +8,25 @@ and Wedderburn identification of a semisimple table through its center.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from .algebra import AlgebraSpec, _cluster, flatten, multiply
-from .errors import IllConditioned, NonSquareComponent, NotAnIdeal, NotSemisimple
+from .errors import (
+    IllConditioned,
+    NonSquareComponent,
+    NotAnIdeal,
+    NotSemisimple,
+    NumericalFailure,
+)
 
 _GAP_FACTOR = 1e3
+_CENTER_DRAWS = 4
+
+_log = logging.getLogger("shoda")
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,9 +59,6 @@ class StructureConstantAlgebra:
     def left_matrix(self, x: np.ndarray) -> np.ndarray:
         """Matrix of left multiplication by x on the coordinate space."""
         return np.tensordot(x, self.table, axes=(0, 0)).T
-
-    def right_matrix(self, x: np.ndarray) -> np.ndarray:
-        return np.tensordot(x, self.table, axes=(0, 1)).T
 
     def associativity_residual(self) -> float:
         """Worst deviation between the two association orders over all basis triples."""
@@ -151,17 +158,44 @@ def quotient(
     return StructureConstantAlgebra(table, unit)
 
 
-def _center_basis(alg: StructureConstantAlgebra, tol: float) -> np.ndarray:
+def _generators(alg: StructureConstantAlgebra, rng: np.random.Generator) -> np.ndarray:
+    """Two random elements; for a semisimple algebra over C their
+    centralizer is the centre."""
+    return rng.normal(size=(2, alg.dim)) + 1j * rng.normal(size=(2, alg.dim))
+
+
+def _commutator_maps(alg: StructureConstantAlgebra, xs: np.ndarray) -> np.ndarray:
+    """For each row x of xs, the matrix of z |-> z x - x z on coordinates."""
+    x_times = np.tensordot(xs, alg.table, axes=(1, 0))  # [g, b, c]: (x_g e_b)_c
+    times_x = np.tensordot(xs, alg.table, axes=(1, 1))  # [g, a, c]: (e_a x_g)_c
+    return np.transpose(times_x - x_times, (0, 2, 1))
+
+
+def _center_basis(
+    alg: StructureConstantAlgebra, tol: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Orthonormal basis of the centre, the centralizer of two random elements.
+
+    The candidate is accepted only when every vector commutes with every
+    basis element; otherwise the generators are redrawn, at most
+    _CENTER_DRAWS times in all.
+    """
     d = alg.dim
-    stacked = np.zeros((d * d, d), dtype=complex)
-    for b in range(d):
-        e = np.zeros(d, dtype=complex)
-        e[b] = 1.0
-        stacked[b * d : (b + 1) * d] = alg.left_matrix(e) - alg.right_matrix(e)
-    _, s, vh = np.linalg.svd(stacked, full_matrices=False)
-    thr = tol * max(s[0], 1.0)
-    n_null = int(np.sum(s <= thr))
-    return vh[d - n_null :].conj()
+    accept = tol * max(float(np.abs(alg.table).max()), 1.0)
+    for draw in range(_CENTER_DRAWS):
+        stacked = _commutator_maps(alg, _generators(alg, rng)).reshape(2 * d, d)
+        _, s, vh = np.linalg.svd(stacked, full_matrices=False)
+        thr = tol * max(s[0], 1.0)
+        n_null = int(np.sum(s <= thr))
+        center = vh[d - n_null :].conj()
+        residual = float(np.abs(_commutator_maps(alg, center)).max(initial=0.0))
+        if residual <= accept:
+            return center
+        _log.debug(
+            "centre draw %d: %d candidate vectors fail to commute (residual %.3g > %.3g)",
+            draw, n_null, residual, accept,
+        )
+    raise NumericalFailure(f"no verified centre after {_CENTER_DRAWS} draws of generators")
 
 
 def wedderburn_identify(
@@ -176,11 +210,11 @@ def wedderburn_identify(
     rad = radical(alg, tol)
     if rad.shape[0] > 0:
         raise NotSemisimple(f"radical has dimension {rad.shape[0]}")
-    center = _center_basis(alg, tol)
+    rng = np.random.default_rng(seed)
+    center = _center_basis(alg, tol, rng)
     m = center.shape[0]
     if m == 0:
         raise NotSemisimple("unital algebra must have a nonzero center")
-    rng = np.random.default_rng(seed)
     for _ in range(8):
         coeffs = rng.normal(size=m) + 1j * rng.normal(size=m)
         z = coeffs @ center

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from shoda import AlgebraSpec
+
+# the same examples on every run; select with --hypothesis-profile=ci
+settings.register_profile("ci", derandomize=True)
 
 
 def compositions(max_total: int, max_blocks: int | None = None) -> list[tuple[int, ...]]:

@@ -468,6 +468,15 @@ def test_rank_path_rejects_rank_mismatch():
         rank_preserving_path(a, b, 2, 10)
 
 
+def test_rank_path_uses_the_given_tol():
+    # at tol 1e-12 the singular value 1e-10 counts, so both endpoints have rank 2
+    m3 = AlgebraSpec((3,))
+    a = m3.from_blocks([np.diag([1.0, 1e-10, 0.0])])
+    arc = rank_preserving_path(a, a, 2, 5, tol=1e-12)
+    assert len(arc) == 5
+    assert all(rank(e, 1e-12) == 2 for e in arc)
+
+
 def test_rank_path_dodges_deficient_rank(monkeypatch):
     # the straight segment from a to -a passes through zero at t = 1/2
     m3 = AlgebraSpec((3,))

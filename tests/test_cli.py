@@ -1,7 +1,14 @@
+import contextlib
+import io
 import json
+import tempfile
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shoda.cli
 from shoda.cli import CliConfig, main, run
@@ -247,3 +254,113 @@ def test_numerical_failure_is_exit_one(monkeypatch, spec23_file, witness_file):
     code, report = run(CliConfig(command="rank", spec_path=spec23_file, element_path=witness_file))
     assert code == 1
     assert report["error"] == "LinAlgError"
+
+
+def _strict_json(text: str):
+    def reject(constant):
+        raise ValueError(f"non-strict JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_witness_over_tol_is_exit_one(tmp_path, capsys):
+    # an exactly traceless integer element whose best witness has a residual
+    # of about 1e-15: at --tol 1e-25 there is no checked certificate
+    spec = tmp_path / "spec3.json"
+    spec.write_text(json.dumps({"blocks": [3]}))
+    entries = [1, 2, 3, 4, 5, 6, 7, 8, -6]
+    element = tmp_path / "t.json"
+    element.write_text(json.dumps({"blocks": [[[v, 0] for v in entries]]}))
+    assert main(["decompose", str(spec), str(element), "--tol", "1e-25"]) == 1
+    captured = capsys.readouterr()
+    report = _strict_json(captured.out)
+    assert report["error"] == "NumericalFailure"
+    assert "Traceback" not in captured.err
+
+
+def test_non_finite_report_is_exit_one(monkeypatch, spec23_file, witness_file, capsys):
+    monkeypatch.setattr(shoda.cli, "rank", lambda x, tol: float("nan"))
+    assert main(["rank", spec23_file, witness_file]) == 1
+    report = _strict_json(capsys.readouterr().out)
+    assert report["error"] == "NumericalFailure"
+
+
+def test_spec_over_table_budget_is_exit_one(tmp_path, capsys):
+    spec = tmp_path / "big.json"
+    spec.write_text(json.dumps({"blocks": [40]}))
+    start = time.perf_counter()
+    code = main(["complete", str(spec)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert _strict_json(capsys.readouterr().out)["error"] == "TooLarge"
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the command line with JSON inputs
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_PAIR = st.lists(st.floats(-4, 4), min_size=2, max_size=2)
+
+
+@st.composite
+def _cli_case(draw):
+    """A command with JSON spec and element files.
+
+    Three inputs in four are well formed, so the numerical paths run too.
+    Block sizes stay small, except for complete, which refuses a table over
+    its budget before allocating it.
+    """
+
+    def junk() -> bool:
+        return draw(st.integers(0, 3)) == 0
+
+    command = draw(st.sampled_from(sorted(shoda.cli._COMMANDS)))
+    sizes = st.integers(-1, 3) if junk() else st.integers(1, 3)
+    dims = draw(st.lists(sizes, min_size=1, max_size=3).filter(lambda d: sum(d) <= 6))
+    if command == "complete" and junk():
+        dims = [draw(st.integers(17, 10**6))]
+    spec = draw(_JSON) if junk() else {"blocks": dims}
+    entry = _PAIR | _JSON if junk() else _PAIR
+    sizes = [n for n in dims if 0 < n <= 3]
+    blocks = [draw(st.lists(entry, min_size=n * n, max_size=n * n)) for n in sizes]
+    diagonal = [b[k * n + k] for n, b in zip(sizes, blocks) for k in range(n)]
+    if command == "decompose" and diagonal and entry is _PAIR:
+        # traceless, so that the decompositions run
+        diagonal[-1][0] -= sum(p[0] for p in diagonal)
+        diagonal[-1][1] -= sum(p[1] for p in diagonal)
+    element = draw(_JSON) if junk() else {"blocks": blocks}
+    if command == "path" and not junk():
+        element = {"p": element, "q": {"blocks": blocks}}
+    takes_element = command in ("decompose", "rank", "trace", "spectrum", "riesz") or (
+        command == "path" and draw(st.booleans())
+    )
+    flags = ["--tol", repr(draw(st.sampled_from([1e-9, 1e-25, 0.5]))), "--samples", "3"]
+    if command == "decompose" and draw(st.booleans()):
+        flags.append("--in-completion")
+    if command == "complete" and draw(st.booleans()):
+        flags.append("--dump-table")
+    return command, spec, takes_element, element, flags
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cli_case())
+def test_cli_fuzz_exit_codes_and_strict_json(case):
+    command, spec, takes_element, element, flags = case
+    with tempfile.TemporaryDirectory() as tmp:
+        spec_path = Path(tmp) / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        argv = [command, str(spec_path)]
+        if takes_element:
+            element_path = Path(tmp) / "element.json"
+            element_path.write_text(json.dumps(element))
+            argv.append(str(element_path))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv + flags)
+    assert code in (0, 1, 2)
+    report = _strict_json(out.getvalue())
+    assert ("error" in report) == (code != 0)

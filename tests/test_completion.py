@@ -13,7 +13,7 @@ from shoda.completion import (
     extension_to_matrix,
     matrix_to_extension,
 )
-from shoda.errors import NumericalFailure
+from shoda.errors import NumericalFailure, TooLarge
 from shoda.sampling import random_element
 from shoda.tensor import BElement, aj_zero, b_allclose, multiply_B, tensor_unit
 
@@ -185,3 +185,20 @@ def test_complete_rejects_extension_with_radical(monkeypatch, spec23):
     monkeypatch.setattr(shoda.completion, "build_B", lambda spec: upper_triangular_2x2())
     with pytest.raises(NumericalFailure, match="radical dimension 1"):
         complete(spec23)
+
+
+def test_complete_checks_multiply_B(monkeypatch, spec23):
+    # the table is built without multiply_B, so a wrong product must still
+    # be caught by complete()
+    def wrong_product(x, y):
+        return multiply_B(y, x)
+
+    monkeypatch.setattr(shoda.completion, "multiply_B", wrong_product)
+    with pytest.raises(NumericalFailure, match="multiply_B is off the matrix product"):
+        complete(spec23)
+
+
+def test_complete_refuses_table_over_budget():
+    # a dense table for N = 40 would need about 65 GB
+    with pytest.raises(TooLarge):
+        complete(AlgebraSpec((40,)))

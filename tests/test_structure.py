@@ -1,9 +1,13 @@
+import logging
+
 import numpy as np
 import pytest
 
-from shoda import AlgebraSpec, block_algebra, build_B, quotient, radical, wedderburn_identify
-from shoda.errors import NotAnIdeal, NotSemisimple
-from shoda.structure import StructureConstantAlgebra
+import shoda.structure
+from shoda import AlgebraSpec, block_algebra, build_B, multiply_B, quotient, radical, wedderburn_identify
+from shoda.completion import extension_coordinates, extension_from_coordinates
+from shoda.errors import NotAnIdeal, NotSemisimple, NumericalFailure
+from shoda.structure import StructureConstantAlgebra, _center_basis
 
 
 def upper_triangular_2x2() -> StructureConstantAlgebra:
@@ -36,6 +40,19 @@ def test_extension_dimension_two_plus_three():
     assert alg.dim == 25  # (2 + 3) squared
     assert alg.associativity_residual() == 0.0
     assert alg.unit_residual() == 0.0
+
+
+def reference_table(spec: AlgebraSpec) -> np.ndarray:
+    """The extension table from multiply_B over every pair of basis elements."""
+    d = spec.matrix_size**2
+    basis = [extension_from_coordinates(spec, e) for e in np.eye(d)]
+    return np.array([[extension_coordinates(multiply_B(x, y)) for y in basis] for x in basis])
+
+
+@pytest.mark.parametrize("dims", [(1,), (3,), (1, 1), (2, 3), (1, 1, 1), (2, 3, 3)])
+def test_extension_table_matches_multiply_B(dims):
+    spec = AlgebraSpec(dims)
+    assert np.array_equal(build_B(spec).table, reference_table(spec))
 
 
 def test_extension_table_is_integer_structured():
@@ -138,6 +155,29 @@ def test_wedderburn_of_base_block_algebra():
 
 def test_wedderburn_of_two_scalars():
     assert wedderburn_identify(block_algebra(AlgebraSpec((1, 1)))) == [1, 1]
+
+
+def test_center_of_extension_is_the_scalars():
+    alg = build_B(AlgebraSpec((2, 3)))
+    center = _center_basis(alg, 1e-9, np.random.default_rng(0))
+    assert center.shape == (1, 25)
+    # the centre of M_5 is spanned by the unit
+    assert abs(abs(np.vdot(center[0], alg.unit)) - np.linalg.norm(alg.unit)) < 1e-12
+
+
+def test_center_rejects_unverified_candidate(monkeypatch, caplog):
+    # negative control: the centralizer of the unit is the whole algebra, so
+    # this candidate must fail the check against every basis element and the
+    # algebra must not be identified from it
+    monkeypatch.setattr(
+        shoda.structure, "_generators", lambda alg, rng: np.stack([alg.unit, alg.unit])
+    )
+    alg = build_B(AlgebraSpec((2, 3)))
+    with caplog.at_level(logging.DEBUG, logger="shoda"):
+        with pytest.raises(NumericalFailure, match="no verified centre"):
+            wedderburn_identify(alg)
+    retries = [r for r in caplog.records if r.name == "shoda" and "centre draw" in r.message]
+    assert len(retries) == shoda.structure._CENTER_DRAWS
 
 
 def test_wedderburn_rejects_non_semisimple_input():
