@@ -126,10 +126,11 @@ def _cmd_decompose(config: CliConfig) -> dict:
         }
     if spec.num_blocks >= 2:
         traces = infeasibility_certificate(t)
+        certified = certifies_non_commutator(t, config.tol)
         return {
             "in_completion": False,
-            "decomposable_in_algebra": not certifies_non_commutator(t, config.tol),
-            "certified_non_commutator": certifies_non_commutator(t, config.tol),
+            "decomposable_in_algebra": not certified,
+            "certified_non_commutator": certified,
             "block_traces": [serialize.complex_to_pair(z) for z in traces],
             "note": "multi-block algebra; rerun with --in-completion for factors",
         }
@@ -267,6 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
     optional_element = {"path"}
     for name in _COMMANDS:
         cmd = sub.add_parser(name)
+        cmd.set_defaults(element_path=None, in_completion=False, dump_table=False)
         cmd.add_argument("spec_path", help="algebra spec JSON file")
         if name in needs_element:
             cmd.add_argument("element_path", help="element JSON file")
@@ -287,17 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = CliConfig(
-            command=args.command,
-            spec_path=args.spec_path,
-            element_path=getattr(args, "element_path", None),
-            tol=args.tol,
-            seed=args.seed,
-            samples=args.samples,
-            output_path=args.output_path,
-            in_completion=getattr(args, "in_completion", False),
-            dump_table=getattr(args, "dump_table", False),
-        )
+        config = CliConfig(**vars(args))
     except ValueError as exc:
         sys.stderr.write(serialize.dumps({"error": "ValueError", "detail": str(exc)}))
         return 2

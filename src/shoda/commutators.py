@@ -37,8 +37,8 @@ from .algebra import (
     trace,
     unflatten,
 )
-from .completion import extension_to_matrix, matrix_to_extension
-from .errors import NotShodaComplete, NotTraceless, NumericalFailure
+from .completion import _TABLE_BYTES, extension_to_matrix, matrix_to_extension
+from .errors import NotShodaComplete, NotTraceless, NumericalFailure, TooLarge
 from .norms import b_norm
 from .sampling import random_element, random_idempotent, random_rank_one_projection
 from .tensor import BElement, aj_zero, multiply_B
@@ -93,9 +93,18 @@ def is_shoda_complete(spec: AlgebraSpec, tol: float = 1e-9, seed: int = 42) -> S
 
     The witness, present when the verdict is negative, is the per-block
     scalar element with zero total trace but nonzero block traces, which the
-    per-block trace certificate shows cannot be a commutator.
+    per-block trace certificate shows cannot be a commutator.  A spec whose
+    checks would exceed the table budget raises TooLarge before allocating.
     """
     dim = spec.dim
+    # the largest allocation is the products stack of _generated_ideal_dim:
+    # dim vectors of length dim per row of the left ideal, at most max(n_i) rows
+    nbytes = max(spec.block_dims) * dim**2 * np.dtype(complex).itemsize
+    if nbytes > _TABLE_BYTES:
+        raise TooLarge(
+            f"the completeness checks of {spec.block_dims} need {nbytes} bytes, "
+            f"over the budget of {_TABLE_BYTES}"
+        )
     projections = spec.canonical_projections()
     ideal_dims = [_generated_ideal_dim(spec, p, tol) for p in projections]
     criterion_minimal = all(d == dim for d in ideal_dims)
@@ -248,11 +257,9 @@ def _decompose_matrix(
     sim_inv = np.linalg.inv(sim)
     flattened = sim @ m @ sim_inv
     a_diag = np.diag(np.arange(n, dtype=complex))
-    b = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                b[i, j] = flattened[i, j] / (i - j)
+    index = np.arange(n)
+    diff = index[:, None] - index[None, :]
+    b = np.divide(flattened, diff, out=np.zeros((n, n), dtype=complex), where=diff != 0)
     return sim_inv @ a_diag @ sim, sim_inv @ b @ sim
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .algebra import AlgebraSpec, Element, flatten, unflatten
 from .errors import NumericalFailure, TooLarge
 from .structure import StructureConstantAlgebra, quotient, radical, wedderburn_identify
-from .tensor import AJElement, BElement, aj_pairs, aj_zero, multiply_B
+from .tensor import AJElement, BElement, _full_coordinates, aj_pairs, aj_zero, multiply_B
 
 BasisLabel = tuple  # ("d", i, k, l) for block units, ("o", i, j, k, l) for tensor units
 
@@ -66,14 +66,11 @@ def extension_from_coordinates(spec: AlgebraSpec, vec: np.ndarray) -> BElement:
 
 def extension_to_matrix(x: BElement) -> np.ndarray:
     """Image of an extension element under the full-matrix identification."""
-    spec = x.spec
-    size = spec.matrix_size
-    off = spec.offsets()
+    size = x.spec.matrix_size
+    off = x.spec.offsets()
     out = np.zeros((size, size), dtype=complex)
-    for i, (o, n) in enumerate(zip(off, spec.block_dims)):
-        out[o : o + n, o : o + n] = x.a.blocks[i]
-    for (i, j), m in x.u.terms.items():
-        out[off[i] : off[i] + spec.block_dims[i], off[j] : off[j] + spec.block_dims[j]] = m
+    for (i, j), m in _full_coordinates(x.a, x.u).items():
+        out[off[i] : off[i] + m.shape[0], off[j] : off[j] + m.shape[1]] = m
     return out
 
 
@@ -156,9 +153,6 @@ class CompletionResult:
 
     def embed_matrix(self, a: Element) -> np.ndarray:
         return extension_to_matrix(self.embed(a))
-
-    def to_matrix(self, x: BElement) -> np.ndarray:
-        return extension_to_matrix(x)
 
     def from_matrix(self, mat: np.ndarray) -> BElement:
         return matrix_to_extension(self.spec, mat)

@@ -16,9 +16,11 @@ itself; collapsing them back into the algebra is the identity on coordinate
 matrices, placed in block i.  The extension pairs an algebra element with an
 off-diagonal tensor part and multiplies by
 
-    (x, u)(y, v) = (xy + collapse([uv]_diag), uy + xv + [uv]_off),
+    (x, u)(y, v) = (xy + collapse([uv]_diag), uy + xv + [uv]_off).
 
-which is the associative, unital product this module implements.
+Block i of x is the diagonal coordinate (i, i), so the algebra acts on
+tensors through the same pairing: both this product and the socle-plus-tensor
+product are one contraction over every ordered block pair, diagonal included.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Element, multiply
+from .algebra import AlgebraSpec, Element
 from .errors import ShapeMismatch
 
 
@@ -150,9 +152,10 @@ def split(u: AJPrimeElement) -> tuple[Element, AJElement]:
     return u.soc_part, u.off_part
 
 
-def _full_coordinates(u: AJPrimeElement) -> dict[tuple[int, int], np.ndarray]:
-    coords = dict(u.off_part.terms)
-    for i, m in enumerate(u.soc_part.blocks):
+def _full_coordinates(a: Element, u: AJElement) -> dict[tuple[int, int], np.ndarray]:
+    """Coordinate blocks of every ordered pair: block i of a at (i, i)."""
+    coords = dict(u.terms)
+    for i, m in enumerate(a.blocks):
         coords[(i, i)] = m
     return coords
 
@@ -184,7 +187,9 @@ def tensor_multiply(s: AJPrimeElement, t: AJPrimeElement) -> AJPrimeElement:
     """Trace-pairing product on the socle-plus-tensor space."""
     if s.spec != t.spec:
         raise ShapeMismatch("operands belong to different algebras")
-    return AJPrimeElement(*_pair_contract(s.spec, _full_coordinates(s), _full_coordinates(t)))
+    return AJPrimeElement(
+        *_pair_contract(s.spec, _full_coordinates(*split(s)), _full_coordinates(*split(t)))
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,27 +232,18 @@ def b_allclose(x: BElement, y: BElement, tol: float = 1e-12) -> bool:
     return allclose(x.a, y.a, tol) and aj_allclose(x.u, y.u, tol)
 
 
-def _left_action(x: Element, u: AJElement) -> AJElement:
-    return AJElement(u.spec, {(i, j): x.blocks[i] @ m for (i, j), m in u.terms.items()})
-
-
-def _right_action(u: AJElement, y: Element) -> AJElement:
-    return AJElement(u.spec, {(i, j): m @ y.blocks[j] for (i, j), m in u.terms.items()})
-
-
 def multiply_B(x: BElement, y: BElement) -> BElement:
     """Extension product (a, u)(b, v) = (ab + [uv]_diag, ub + av + [uv]_off).
 
-    The algebra acts on tensors through its blocks: a tensor coordinate for
-    the pair (i, j) is multiplied by block i from the left and block j from
-    the right.
+    The algebra parts enter the trace-pairing contraction as the diagonal
+    coordinates, so block i acts on a tensor coordinate for the pair (i, j)
+    from the left and block j from the right.
     """
     if x.spec != y.spec:
         raise ShapeMismatch("operands belong to different algebras")
-    soc_overflow, off_overflow = _pair_contract(x.spec, x.u.terms, y.u.terms)
-    a_part = multiply(x.a, y.a) + soc_overflow
-    u_part = _right_action(x.u, y.a) + _left_action(x.a, y.u) + off_overflow
-    return BElement(a_part, u_part)
+    return BElement(
+        *_pair_contract(x.spec, _full_coordinates(x.a, x.u), _full_coordinates(y.a, y.u))
+    )
 
 
 def psi(u: AJPrimeElement) -> BElement:

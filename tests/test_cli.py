@@ -295,8 +295,32 @@ def test_spec_over_table_budget_is_exit_one(tmp_path, capsys):
     assert _strict_json(capsys.readouterr().out)["error"] == "TooLarge"
 
 
+def test_completeness_checks_over_budget_are_exit_one(tmp_path, capsys):
+    spec = tmp_path / "big.json"
+    spec.write_text(json.dumps({"blocks": [1000000]}))
+    for command in ("info", "check"):
+        start = time.perf_counter()
+        code = main([command, str(spec)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert _strict_json(capsys.readouterr().out)["error"] == "TooLarge"
+
+
+@pytest.mark.parametrize("blocks", [[8], [4, 4], [5, 3], [16]])
+def test_completeness_checks_within_budget_succeed(tmp_path, blocks):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"blocks": blocks}))
+    for command in ("info", "check"):
+        code, report = run(CliConfig(command=command, spec_path=str(spec)))
+        assert code == 0
+        assert "error" not in report
+
+
 # ---------------------------------------------------------------------------
 # fuzzing the command line with JSON inputs
+
+# smallest single block each command refuses as over its memory budget
+_REFUSED_BLOCK = {"complete": 17, "info": 28, "check": 28}
 
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
@@ -311,8 +335,8 @@ def _cli_case(draw):
     """A command with JSON spec and element files.
 
     Three inputs in four are well formed, so the numerical paths run too.
-    Block sizes stay small, except for complete, which refuses a table over
-    its budget before allocating it.
+    Block sizes stay small, except for complete, info and check, which refuse
+    a size over their budget before allocating anything.
     """
 
     def junk() -> bool:
@@ -321,8 +345,8 @@ def _cli_case(draw):
     command = draw(st.sampled_from(sorted(shoda.cli._COMMANDS)))
     sizes = st.integers(-1, 3) if junk() else st.integers(1, 3)
     dims = draw(st.lists(sizes, min_size=1, max_size=3).filter(lambda d: sum(d) <= 6))
-    if command == "complete" and junk():
-        dims = [draw(st.integers(17, 10**6))]
+    if command in _REFUSED_BLOCK and junk():
+        dims = [draw(st.integers(_REFUSED_BLOCK[command], 10**6))]
     spec = draw(_JSON) if junk() else {"blocks": dims}
     entry = _PAIR | _JSON if junk() else _PAIR
     sizes = [n for n in dims if 0 < n <= 3]

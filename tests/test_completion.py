@@ -129,12 +129,14 @@ def test_matrix_round_trip(spec23):
     assert np.array_equal(extension_to_matrix(x), mat)
 
 
-def test_extension_product_matches_matrix_product(spec23):
+@pytest.mark.parametrize("dims", [(2, 3), (1, 1, 1), (2, 3, 3), (1, 2, 1, 3)])
+def test_extension_product_matches_matrix_product(dims):
+    spec = AlgebraSpec(dims)
     rng = np.random.default_rng(13)
     from shoda.sampling import random_b
 
     for _ in range(50):
-        x, y = random_b(spec23, rng), random_b(spec23, rng)
+        x, y = random_b(spec, rng), random_b(spec, rng)
         lhs = extension_to_matrix(multiply_B(x, y))
         rhs = extension_to_matrix(x) @ extension_to_matrix(y)
         assert np.abs(lhs - rhs).max() < 1e-10 * (1 + np.abs(lhs).max())

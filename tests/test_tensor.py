@@ -4,8 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shoda import AlgebraSpec, frobenius, multiply_B, psi, split, tensor_multiply
-from shoda.algebra import allclose
+from shoda.algebra import Element, allclose
+from shoda.completion import extension_coordinates
 from shoda.errors import ShapeMismatch
+from shoda.oracles import (
+    ElementaryTensorList,
+    _naive_b_coordinates,
+    _naive_b_multiply,
+    compress,
+    elementary_tensor,
+)
 from shoda.sampling import random_aj, random_aj_prime, random_b
 from shoda.tensor import (
     AJElement,
@@ -227,6 +235,35 @@ def test_extension_product_distributes(seed, dims):
     lhs = multiply_B(x, y + z)
     rhs = multiply_B(x, y) + multiply_B(x, z)
     assert b_norm(lhs - rhs).total < 1e-10 * (1 + b_norm(lhs).total)
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (1, 2, 1)])
+def test_extension_product_matches_naive_oracle_exactly(dims):
+    # integer operands with nonzero algebra parts keep the arithmetic exact,
+    # so the term-by-term oracle pins the algebra action on tensors bit for bit
+    spec = AlgebraSpec(dims)
+    rng = np.random.default_rng(21)
+
+    def integer_element():
+        return Element(
+            spec, tuple(rng.choice([-3, -2, -1, 1, 2, 3], size=(n, n)).astype(complex) for n in dims)
+        )
+
+    def operand():
+        a = integer_element()
+        terms = tuple(
+            elementary_tensor(integer_element(), i, j, integer_element())
+            for i, j in aj_pairs(spec)
+            for _ in range(2)
+        )
+        tensors = ElementaryTensorList(spec, terms)
+        return BElement(a, compress(tensors)), (a, tensors)
+
+    for _ in range(20):
+        (x, x_naive), (y, y_naive) = operand(), operand()
+        fast = extension_coordinates(multiply_B(x, y))
+        naive = _naive_b_coordinates(_naive_b_multiply(x_naive, y_naive, spec), spec)
+        assert np.array_equal(fast, naive)
 
 
 def test_extension_product_rejects_foreign_operands(spec23):
