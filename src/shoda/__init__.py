@@ -36,14 +36,13 @@ from .commutators import (
 from .completion import CompletionResult, build_B, complete
 from .norms import NormAudit, NormReport, a_norm, b_norm, isometry_check, pair_nuclear_norm, submultiplicativity_audit
 from .structure import StructureConstantAlgebra, block_algebra, quotient, radical, wedderburn_identify
-from .tensor import AJElement, AJPrimeElement, BElement, multiply_B, psi, split, tensor_multiply
+from .tensor import AJElement, BElement, multiply_B
 
 __all__ = [
     "AlgebraSpec",
     "Element",
     "SpectrumReport",
     "AJElement",
-    "AJPrimeElement",
     "BElement",
     "StructureConstantAlgebra",
     "CompletionResult",
@@ -64,10 +63,7 @@ __all__ = [
     "left_ideal_isomorphism",
     "rank_preserving_path",
     "frobenius",
-    "tensor_multiply",
-    "split",
     "multiply_B",
-    "psi",
     "build_B",
     "complete",
     "block_algebra",

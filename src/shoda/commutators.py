@@ -61,8 +61,7 @@ class CommutatorWitness:
     residual: float
 
 
-def _span_dim(vectors: list[np.ndarray], tol: float) -> int:
-    stacked = np.stack(vectors)
+def _span_dim(stacked: np.ndarray, tol: float) -> int:
     s = np.linalg.svd(stacked, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
@@ -77,15 +76,17 @@ def _generated_ideal_dim(spec: AlgebraSpec, p: Element, tol: float) -> int:
     u, s, vh = np.linalg.svd(stacked, full_matrices=False)
     keep = s > tol * s[0] if s[0] > 0 else np.zeros(len(s), dtype=bool)
     reduced = vh[keep]
-    products = [
-        flatten(multiply(unflatten(spec, row), y)) for row in reduced for y in spec.basis()
-    ]
+    # one preallocated stack: this is the largest allocation of the checks
+    products = np.empty((len(reduced) * spec.dim, spec.dim), dtype=complex)
+    for r, row in enumerate(reduced):
+        x = unflatten(spec, row)
+        for b, y in enumerate(spec.basis()):
+            products[r * spec.dim + b] = flatten(multiply(x, y))
     return _span_dim(products, tol)
 
 
 def _corner_dim(spec: AlgebraSpec, p: Element, tol: float) -> int:
-    products = [flatten(multiply(multiply(p, x), p)) for x in spec.basis()]
-    return _span_dim(products, tol)
+    return _span_dim(np.stack([flatten(multiply(multiply(p, x), p)) for x in spec.basis()]), tol)
 
 
 def is_shoda_complete(spec: AlgebraSpec, tol: float = 1e-9, seed: int = 42) -> ShodaReport:

@@ -16,12 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Element, flatten, unflatten
+from .algebra import AlgebraSpec, Element
 from .errors import NumericalFailure, TooLarge
 from .structure import StructureConstantAlgebra, quotient, radical, wedderburn_identify
 from .tensor import AJElement, BElement, _full_coordinates, aj_pairs, aj_zero, multiply_B
-
-BasisLabel = tuple  # ("d", i, k, l) for block units, ("o", i, j, k, l) for tensor units
 
 # seeded random pairs checked against the witness on top of every basis pair
 _CHECK_PAIRS = 100
@@ -31,37 +29,32 @@ _PRODUCT_PAIRS = 8
 _TABLE_BYTES = 2**28
 
 
-def extension_basis_labels(spec: AlgebraSpec) -> list[BasisLabel]:
-    """Basis order: block matrix units first, then off-diagonal tensor units."""
-    labels: list[BasisLabel] = []
-    for i, n in enumerate(spec.block_dims):
-        for k in range(n):
-            for l in range(n):
-                labels.append(("d", i, k, l))
-    for i, j in aj_pairs(spec):
-        for k in range(spec.block_dims[i]):
-            for l in range(spec.block_dims[j]):
-                labels.append(("o", i, j, k, l))
-    return labels
+def extension_positions(spec: AlgebraSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column in M_N of each basis element, in coordinate order.
+
+    The order is the one basis order of the extension: the block matrix
+    units block by block, then the tensor units pair by pair in aj_pairs
+    order, each block row-major.
+    """
+    size = spec.matrix_size
+    block = np.repeat(np.arange(spec.num_blocks), spec.block_dims)
+    bi, bj = block[:, None], block[None, :]
+    # diagonal blocks sort first, then the pairs (i, j) lexicographically;
+    # the stable sort keeps each block row-major
+    key = np.where(bi == bj, bi, spec.num_blocks * (1 + bi) + bj)
+    return np.divmod(np.argsort(key, axis=None, kind="stable"), size)
 
 
 def extension_coordinates(x: BElement) -> np.ndarray:
     """Coordinate vector of an extension element in the basis order above."""
-    parts = [flatten(x.a)]
-    for i, j in aj_pairs(x.spec):
-        parts.append(x.u.coordinate(i, j).ravel())
-    return np.concatenate(parts)
+    return extension_to_matrix(x)[extension_positions(x.spec)]
 
 
 def extension_from_coordinates(spec: AlgebraSpec, vec: np.ndarray) -> BElement:
-    vec = np.asarray(vec, dtype=complex)
-    pos = spec.dim
-    terms = {}
-    for i, j in aj_pairs(spec):
-        ni, nj = spec.block_dims[i], spec.block_dims[j]
-        terms[(i, j)] = vec[pos : pos + ni * nj].reshape(ni, nj)
-        pos += ni * nj
-    return BElement(unflatten(spec, vec), AJElement(spec, terms))
+    size = spec.matrix_size
+    mat = np.zeros((size, size), dtype=complex)
+    mat[extension_positions(spec)] = vec
+    return matrix_to_extension(spec, mat)
 
 
 def extension_to_matrix(x: BElement) -> np.ndarray:
@@ -91,21 +84,6 @@ def matrix_to_extension(spec: AlgebraSpec, mat: np.ndarray) -> BElement:
     return BElement(Element(spec, tuple(blocks)), AJElement(spec, terms))
 
 
-def _label_positions(spec: AlgebraSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column of each basis label's unit in the full-matrix picture."""
-    off = spec.offsets()
-    rows, cols = [], []
-    for label in extension_basis_labels(spec):
-        if label[0] == "d":
-            _, i, k, l = label
-            j = i
-        else:
-            _, i, j, k, l = label
-        rows.append(off[i] + k)
-        cols.append(off[j] + l)
-    return np.array(rows), np.array(cols)
-
-
 def build_B(spec: AlgebraSpec) -> StructureConstantAlgebra:
     """Structure constants of the extension on matrix-unit and tensor-unit basis.
 
@@ -121,7 +99,7 @@ def build_B(spec: AlgebraSpec) -> StructureConstantAlgebra:
             f"the extension table of {spec.block_dims} needs {nbytes} bytes, "
             f"over the budget of {_TABLE_BYTES}"
         )
-    row, col = _label_positions(spec)
+    row, col = extension_positions(spec)
     pos = np.empty((size, size), dtype=np.intp)
     pos[row, col] = np.arange(d)
     a = np.repeat(np.arange(d), size)
@@ -147,15 +125,9 @@ class CompletionResult:
     def matrix_size(self) -> int:
         return self.spec.matrix_size
 
-    def embed(self, a: Element) -> BElement:
-        """The embedding of the base algebra, a |-> (a, 0)."""
-        return BElement(a, aj_zero(self.spec))
-
     def embed_matrix(self, a: Element) -> np.ndarray:
-        return extension_to_matrix(self.embed(a))
-
-    def from_matrix(self, mat: np.ndarray) -> BElement:
-        return matrix_to_extension(self.spec, mat)
+        """Full-matrix image of the base algebra's embedding a |-> (a, 0)."""
+        return extension_to_matrix(BElement(a, aj_zero(self.spec)))
 
 
 def complete(spec: AlgebraSpec, tol: float = 1e-9, seed: int = 42) -> CompletionResult:
@@ -174,8 +146,7 @@ def complete(spec: AlgebraSpec, tol: float = 1e-9, seed: int = 42) -> Completion
     d = alg.dim
     size = spec.matrix_size
     images = np.zeros((d, size, size), dtype=complex)
-    for a, e in enumerate(np.eye(d)):
-        images[a] = extension_to_matrix(extension_from_coordinates(spec, e))
+    images[(np.arange(d), *extension_positions(spec))] = 1.0
 
     # homomorphism on every basis pair: table contraction against the images
     table_images = np.tensordot(alg.table, images, axes=([2], [0]))

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import AlgebraSpec, Element
-from .tensor import AJElement, AJPrimeElement, BElement, aj_pairs
+from .tensor import AJElement, BElement, aj_pairs
 
 
 def _cnormal(rng: np.random.Generator, shape) -> np.ndarray:
@@ -37,10 +37,6 @@ def random_aj(spec: AlgebraSpec, rng: np.random.Generator) -> AJElement:
 
 def random_b(spec: AlgebraSpec, rng: np.random.Generator) -> BElement:
     return BElement(random_element(spec, rng), random_aj(spec, rng))
-
-
-def random_aj_prime(spec: AlgebraSpec, rng: np.random.Generator) -> AJPrimeElement:
-    return AJPrimeElement(random_element(spec, rng), random_aj(spec, rng))
 
 
 def random_rank_one_projection(

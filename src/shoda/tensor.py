@@ -19,8 +19,10 @@ off-diagonal tensor part and multiplies by
     (x, u)(y, v) = (xy + collapse([uv]_diag), uy + xv + [uv]_off).
 
 Block i of x is the diagonal coordinate (i, i), so the algebra acts on
-tensors through the same pairing: both this product and the socle-plus-tensor
-product are one contraction over every ordered block pair, diagonal included.
+tensors through the same pairing: the product is one contraction over every
+ordered block pair, diagonal included.  The socle-plus-tensor algebra A_J'
+needs no type of its own, because in finite dimensions the socle is the whole
+algebra and the isomorphism A_J' -> B is the identity on coordinates.
 """
 
 from __future__ import annotations
@@ -117,41 +119,6 @@ def aj_allclose(u: AJElement, v: AJElement, tol: float = 1e-12) -> bool:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class AJPrimeElement:
-    """Socle-plus-off-diagonal tensor: the unique split u = u_S + u_j.
-
-    soc_part stores the socle summand already collapsed into the algebra
-    (the collapse is the identity on diagonal coordinate matrices), off_part
-    the off-diagonal tensor summand.
-    """
-
-    soc_part: Element
-    off_part: AJElement
-
-    def __post_init__(self):
-        if self.soc_part.spec != self.off_part.spec:
-            raise ShapeMismatch("socle part and tensor part disagree on the algebra")
-
-    @property
-    def spec(self) -> AlgebraSpec:
-        return self.soc_part.spec
-
-    def __add__(self, other: "AJPrimeElement") -> "AJPrimeElement":
-        return AJPrimeElement(self.soc_part + other.soc_part, self.off_part + other.off_part)
-
-    def __sub__(self, other: "AJPrimeElement") -> "AJPrimeElement":
-        return AJPrimeElement(self.soc_part - other.soc_part, self.off_part - other.off_part)
-
-    def __rmul__(self, scalar) -> "AJPrimeElement":
-        return AJPrimeElement(complex(scalar) * self.soc_part, complex(scalar) * self.off_part)
-
-
-def split(u: AJPrimeElement) -> tuple[Element, AJElement]:
-    """The unique decomposition into socle summand and off-diagonal summand."""
-    return u.soc_part, u.off_part
-
-
 def _full_coordinates(a: Element, u: AJElement) -> dict[tuple[int, int], np.ndarray]:
     """Coordinate blocks of every ordered pair: block i of a at (i, i)."""
     coords = dict(u.terms)
@@ -181,15 +148,6 @@ def _pair_contract(spec: AlgebraSpec, left: dict, right: dict) -> tuple[Element,
             else:
                 off[(i, j)] = prod
     return Element(spec, tuple(soc_blocks)), AJElement(spec, off)
-
-
-def tensor_multiply(s: AJPrimeElement, t: AJPrimeElement) -> AJPrimeElement:
-    """Trace-pairing product on the socle-plus-tensor space."""
-    if s.spec != t.spec:
-        raise ShapeMismatch("operands belong to different algebras")
-    return AJPrimeElement(
-        *_pair_contract(s.spec, _full_coordinates(*split(s)), _full_coordinates(*split(t)))
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,9 +202,3 @@ def multiply_B(x: BElement, y: BElement) -> BElement:
     return BElement(
         *_pair_contract(x.spec, _full_coordinates(x.a, x.u), _full_coordinates(y.a, y.u))
     )
-
-
-def psi(u: AJPrimeElement) -> BElement:
-    """Algebra isomorphism from the socle-plus-tensor space into the extension,
-    sending the split (u_S, u_j) to the pair (collapse(u_S), u_j)."""
-    return BElement(u.soc_part, u.off_part)

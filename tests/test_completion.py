@@ -7,15 +7,16 @@ import shoda.completion
 from shoda import AlgebraSpec, complete, multiply
 from shoda.algebra import Element
 from shoda.completion import (
-    extension_basis_labels,
     extension_coordinates,
     extension_from_coordinates,
+    extension_positions,
     extension_to_matrix,
     matrix_to_extension,
 )
 from shoda.errors import NumericalFailure, TooLarge
-from shoda.sampling import random_element
-from shoda.tensor import BElement, aj_zero, b_allclose, multiply_B, tensor_unit
+from shoda.oracles import _naive_b_basis, compress
+from shoda.sampling import random_b, random_element
+from shoda.tensor import BElement, b_allclose, multiply_B
 
 from test_structure import upper_triangular_2x2
 
@@ -86,7 +87,7 @@ def test_embedding_is_injective(spec23):
     rng = np.random.default_rng(2)
     a = random_element(spec23, rng)
     assert np.abs(result.embed_matrix(a)).max() > 0
-    back = result.from_matrix(result.embed_matrix(a))
+    back = matrix_to_extension(spec23, result.embed_matrix(a))
     assert all(np.array_equal(x, y) for x, y in zip(back.a.blocks, a.blocks))
 
 
@@ -101,24 +102,25 @@ def test_canonical_projections_stay_rank_one(spec23):
 
 
 def test_witness_images_match_coordinates(spec23):
+    # the oracle writes the basis order down on its own, sharing no code
+    # with extension_positions
     result = complete(spec23)
-    labels = extension_basis_labels(spec23)
-    for a, lab in enumerate(labels):
-        if lab[0] == "d":
-            elt = BElement(spec23.matrix_unit(*lab[1:]), aj_zero(spec23))
-        else:
-            elt = BElement(spec23.zero(), tensor_unit(spec23, *lab[1:]))
-        assert np.array_equal(result.witness_images[a], extension_to_matrix(elt))
+    for a, (elt, tensors) in enumerate(_naive_b_basis(spec23)):
+        image = extension_to_matrix(BElement(elt, compress(tensors)))
+        assert np.array_equal(result.witness_images[a], image)
 
 
-def test_extension_coordinates_round_trip(spec23):
+@pytest.mark.parametrize("dims", [(2, 3), (1, 1, 1), (2, 3, 3), (1, 2, 1, 3)])
+def test_extension_coordinates_round_trip(dims):
+    spec = AlgebraSpec(dims)
+    size = spec.matrix_size
+    rows, cols = extension_positions(spec)
+    assert np.array_equal(np.sort(rows * size + cols), np.arange(size * size))
     rng = np.random.default_rng(4)
-    from shoda.sampling import random_b
-
-    x = random_b(spec23, rng)
+    x = random_b(spec, rng)
     vec = extension_coordinates(x)
-    assert vec.shape == (25,)
-    back = extension_from_coordinates(spec23, vec)
+    assert vec.shape == (size * size,)
+    back = extension_from_coordinates(spec, vec)
     assert b_allclose(back, x, tol=0.0)
 
 

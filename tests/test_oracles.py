@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shoda import AlgebraSpec, frobenius, rank, tensor_multiply
+from shoda import AlgebraSpec, frobenius, multiply_B, rank
 from shoda.oracles import (
     ElementaryTensorList,
     compress,
@@ -11,7 +11,7 @@ from shoda.oracles import (
     sampled_rank,
 )
 from shoda.sampling import random_element
-from shoda.tensor import AJPrimeElement, aj_allclose
+from shoda.tensor import BElement, aj_allclose
 
 
 def _random_tensor_list(spec, rng, n_terms=3):
@@ -23,8 +23,8 @@ def _random_tensor_list(spec, rng, n_terms=3):
     return ElementaryTensorList(spec, tuple(terms))
 
 
-def _as_prime(spec, etl):
-    return AJPrimeElement(spec.zero(), compress(etl))
+def _as_b(spec, etl):
+    return BElement(spec.zero(), compress(etl))
 
 
 def test_single_matching_term(spec23, rng):
@@ -70,13 +70,13 @@ def test_naive_multiply_agrees_with_coordinate_path(spec23):
         s = _random_tensor_list(spec23, rng)
         t = _random_tensor_list(spec23, rng)
         naive_terms, naive_soc = naive_tensor_multiply(s, t)
-        fast = tensor_multiply(_as_prime(spec23, s), _as_prime(spec23, t))
-        scale = 1 + frobenius(fast.soc_part)
-        assert frobenius(naive_soc - fast.soc_part) < 1e-12 * scale
+        fast = multiply_B(_as_b(spec23, s), _as_b(spec23, t))
+        scale = 1 + frobenius(fast.a)
+        assert frobenius(naive_soc - fast.a) < 1e-12 * scale
         if naive_terms.terms:
-            assert aj_allclose(compress(naive_terms), fast.off_part, tol=1e-12 * scale)
+            assert aj_allclose(compress(naive_terms), fast.u, tol=1e-12 * scale)
         else:
-            assert not fast.off_part.terms
+            assert not fast.u.terms
 
 
 def test_redundant_representations_compress_identically(spec23, rng):

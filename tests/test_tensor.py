@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shoda import AlgebraSpec, frobenius, multiply_B, psi, split, tensor_multiply
+from shoda import AlgebraSpec, frobenius, multiply_B
 from shoda.algebra import Element, allclose
 from shoda.completion import extension_coordinates
 from shoda.errors import ShapeMismatch
@@ -14,10 +14,9 @@ from shoda.oracles import (
     compress,
     elementary_tensor,
 )
-from shoda.sampling import random_aj, random_aj_prime, random_b
+from shoda.sampling import random_aj, random_b
 from shoda.tensor import (
     AJElement,
-    AJPrimeElement,
     BElement,
     aj_allclose,
     aj_pairs,
@@ -28,19 +27,14 @@ from shoda.tensor import (
 )
 
 
-def _aj_prime_norm(u):
+def _parts_norm(x):
     from shoda.tensor import aj_frobenius
 
-    return frobenius(u.soc_part) + aj_frobenius(u.off_part)
-
-
-def _diag_tensor(spec, element):
-    """The socle-plus-tensor element representing a purely diagonal tensor."""
-    return AJPrimeElement(element, aj_zero(spec))
+    return frobenius(x.a) + aj_frobenius(x.u)
 
 
 def _off_tensor(spec, u):
-    return AJPrimeElement(spec.zero(), u)
+    return BElement(spec.zero(), u)
 
 
 # ---------------------------------------------------------------------------
@@ -51,32 +45,32 @@ def test_opposite_projection_tensors_collapse(spec23):
     # (p1 (x) p2)(p2 (x) p1): inner trace pairing Tr(p2 p2) = 1, diagonal output
     s = _off_tensor(spec23, tensor_unit(spec23, 0, 1, 0, 0))
     t = _off_tensor(spec23, tensor_unit(spec23, 1, 0, 0, 0))
-    out = tensor_multiply(s, t)
-    assert allclose(out.soc_part, spec23.matrix_unit(0, 0, 0))
-    assert not out.off_part.terms
+    out = multiply_B(s, t)
+    assert allclose(out.a, spec23.matrix_unit(0, 0, 0))
+    assert not out.u.terms
 
 
 def test_parallel_projection_tensors_annihilate(spec23):
     s = _off_tensor(spec23, tensor_unit(spec23, 0, 1, 0, 0))
-    out = tensor_multiply(s, s)
-    assert frobenius(out.soc_part) == 0.0
-    assert not out.off_part.terms
+    out = multiply_B(s, s)
+    assert frobenius(out.a) == 0.0
+    assert not out.u.terms
 
 
 def test_tensor_multiply_associative(spec23):
     rng = np.random.default_rng(5)
     for _ in range(100):
-        s, t, w = (random_aj_prime(spec23, rng) for _ in range(3))
-        lhs = tensor_multiply(tensor_multiply(s, t), w)
-        rhs = tensor_multiply(s, tensor_multiply(t, w))
+        s, t, w = (random_b(spec23, rng) for _ in range(3))
+        lhs = multiply_B(multiply_B(s, t), w)
+        rhs = multiply_B(s, multiply_B(t, w))
         diff = lhs - rhs
-        assert _aj_prime_norm(diff) < 1e-10 * (1 + _aj_prime_norm(lhs))
+        assert _parts_norm(diff) < 1e-10 * (1 + _parts_norm(lhs))
 
 
 def test_tensor_multiply_rejects_foreign_operands(spec23):
     other = AlgebraSpec((2, 2))
     with pytest.raises(ShapeMismatch):
-        tensor_multiply(
+        multiply_B(
             _off_tensor(spec23, aj_zero(spec23)), _off_tensor(other, aj_zero(other))
         )
 
@@ -94,44 +88,18 @@ def test_basis_trace_pairing_reduction_exhaustive():
         ]
         for i, j, k, l in units:
             for i2, j2, k2, l2 in units:
-                out = tensor_multiply(
+                out = multiply_B(
                     _off_tensor(spec, tensor_unit(spec, i, j, k, l)),
                     _off_tensor(spec, tensor_unit(spec, i2, j2, k2, l2)),
                 )
                 if j != i2 or l != k2:
-                    assert _aj_prime_norm(out) == 0.0
+                    assert _parts_norm(out) == 0.0
                 elif i == j2:
-                    assert allclose(out.soc_part, spec.matrix_unit(i, k, l2))
-                    assert not out.off_part.terms
+                    assert allclose(out.a, spec.matrix_unit(i, k, l2))
+                    assert not out.u.terms
                 else:
-                    assert frobenius(out.soc_part) == 0.0
-                    assert aj_allclose(out.off_part, tensor_unit(spec, i, j2, k, l2))
-
-
-def test_diagonal_tensor_acts_like_its_collapse(spec23):
-    # multiplying by a diagonal tensor equals the algebra action of its collapse
-    for i, n in enumerate(spec23.block_dims):
-        for k in range(n):
-            for l in range(n):
-                u_elt = spec23.matrix_unit(i, k, l)
-                for i2, j2 in aj_pairs(spec23):
-                    t_unit = tensor_unit(spec23, i2, j2, 0, 0)
-                    left_tensor = tensor_multiply(
-                        _diag_tensor(spec23, u_elt), _off_tensor(spec23, t_unit)
-                    )
-                    left_action = multiply_B(
-                        BElement(u_elt, aj_zero(spec23)),
-                        BElement(spec23.zero(), t_unit),
-                    )
-                    assert b_allclose(psi(left_tensor), left_action, tol=0.0)
-                    right_tensor = tensor_multiply(
-                        _off_tensor(spec23, t_unit), _diag_tensor(spec23, u_elt)
-                    )
-                    right_action = multiply_B(
-                        BElement(spec23.zero(), t_unit),
-                        BElement(u_elt, aj_zero(spec23)),
-                    )
-                    assert b_allclose(psi(right_tensor), right_action, tol=0.0)
+                    assert frobenius(out.a) == 0.0
+                    assert aj_allclose(out.u, tensor_unit(spec, i, j2, k, l2))
 
 
 def test_bracket_operations_are_bilinear(spec23):
@@ -152,47 +120,16 @@ def test_bracket_operations_are_bilinear(spec23):
     for _ in range(20):
         u, v, w = integer_aj(), integer_aj(), integer_aj()
         alpha = 3.0
-        scaled = tensor_multiply(_off_tensor(spec23, alpha * u), _off_tensor(spec23, v))
-        plain = tensor_multiply(_off_tensor(spec23, u), _off_tensor(spec23, v))
-        assert allclose(scaled.soc_part, alpha * plain.soc_part, tol=0.0)
-        assert aj_allclose(scaled.off_part, alpha * plain.off_part, tol=0.0)
-        dist = tensor_multiply(_off_tensor(spec23, u), _off_tensor(spec23, v + w))
-        sum_of = tensor_multiply(_off_tensor(spec23, u), _off_tensor(spec23, v)) + tensor_multiply(
+        scaled = multiply_B(_off_tensor(spec23, alpha * u), _off_tensor(spec23, v))
+        plain = multiply_B(_off_tensor(spec23, u), _off_tensor(spec23, v))
+        assert allclose(scaled.a, alpha * plain.a, tol=0.0)
+        assert aj_allclose(scaled.u, alpha * plain.u, tol=0.0)
+        dist = multiply_B(_off_tensor(spec23, u), _off_tensor(spec23, v + w))
+        sum_of = multiply_B(_off_tensor(spec23, u), _off_tensor(spec23, v)) + multiply_B(
             _off_tensor(spec23, u), _off_tensor(spec23, w)
         )
-        assert allclose(dist.soc_part, sum_of.soc_part, tol=0.0)
-        assert aj_allclose(dist.off_part, sum_of.off_part, tol=0.0)
-
-
-# ---------------------------------------------------------------------------
-# the unique split
-
-
-def test_split_of_purely_off_diagonal(spec23, rng):
-    u = random_aj(spec23, rng)
-    soc, off = split(_off_tensor(spec23, u))
-    assert frobenius(soc) == 0.0
-    assert aj_allclose(off, u, tol=0.0)
-
-
-def test_split_of_diagonal_projection_tensor(spec23):
-    p1 = spec23.canonical_projections()[0]
-    soc, off = split(_diag_tensor(spec23, p1))
-    assert allclose(soc, p1, tol=0.0)
-    assert not off.terms
-
-
-def test_split_round_trips_exactly(spec23, rng):
-    for _ in range(20):
-        u = random_aj_prime(spec23, rng)
-        soc, off = split(u)
-        rebuilt = AJPrimeElement(soc, off)
-        assert (
-            all((a == b).all() for a, b in zip(rebuilt.soc_part.blocks, u.soc_part.blocks))
-        )
-        assert set(rebuilt.off_part.terms) == set(u.off_part.terms)
-        for key in rebuilt.off_part.terms:
-            assert (rebuilt.off_part.terms[key] == u.off_part.terms[key]).all()
+        assert allclose(dist.a, sum_of.a, tol=0.0)
+        assert aj_allclose(dist.u, sum_of.u, tol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -270,37 +207,6 @@ def test_extension_product_rejects_foreign_operands(spec23):
     other = AlgebraSpec((5,))
     with pytest.raises(ShapeMismatch):
         multiply_B(b_identity(spec23), b_identity(other))
-
-
-# ---------------------------------------------------------------------------
-# the isomorphism onto the socle-plus-tensor subalgebra
-
-
-def test_psi_on_diagonal_tensor(spec23):
-    p1 = spec23.canonical_projections()[0]
-    image = psi(_diag_tensor(spec23, p1))
-    assert allclose(image.a, p1, tol=0.0)
-    assert not image.u.terms
-
-
-def test_psi_is_multiplicative(spec23):
-    rng = np.random.default_rng(17)
-    from shoda.norms import b_norm
-
-    for _ in range(100):
-        u = random_aj_prime(spec23, rng)
-        v = random_aj_prime(spec23, rng)
-        lhs = psi(tensor_multiply(u, v))
-        rhs = multiply_B(psi(u), psi(v))
-        assert b_norm(lhs - rhs).total < 1e-10 * (1 + b_norm(lhs).total)
-
-
-def test_psi_is_injective_on_random_probes(spec23, rng):
-    for _ in range(20):
-        u = random_aj_prime(spec23, rng)
-        image = psi(u)
-        if frobenius(image.a) == 0.0 and not image.u.terms:
-            assert frobenius(u.soc_part) == 0.0 and not u.off_part.terms
 
 
 # ---------------------------------------------------------------------------
