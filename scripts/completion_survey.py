@@ -13,10 +13,11 @@ import time
 from shoda import AlgebraSpec, complete
 
 
-def compositions(max_total, max_blocks):
-    out = []
+def compositions(max_total: int, max_blocks: int | None = None) -> list[tuple[int, ...]]:
+    """All ordered block-size tuples with total size up to max_total."""
+    out: list[tuple[int, ...]] = []
 
-    def rec(remaining, acc):
+    def rec(remaining: int, acc: list[int]):
         if remaining == 0:
             out.append(tuple(acc))
             return
@@ -25,7 +26,9 @@ def compositions(max_total, max_blocks):
 
     for total in range(1, max_total + 1):
         rec(total, [])
-    return [c for c in out if len(c) <= max_blocks]
+    if max_blocks is not None:
+        out = [c for c in out if len(c) <= max_blocks]
+    return out
 
 
 def main():

@@ -33,8 +33,8 @@ from .commutators import (
     infeasibility_certificate,
     is_shoda_complete,
 )
-from .completion import complete
-from .errors import AlgebraError
+from .completion import _TABLE_BYTES, complete
+from .errors import AlgebraError, TooLarge
 from .norms import A_NORM_MODEL, isometry_check, submultiplicativity_audit
 from .sampling import random_rank_one_projection
 
@@ -82,6 +82,12 @@ def _cmd_info(config: CliConfig) -> dict:
 
 def _cmd_complete(config: CliConfig) -> dict:
     spec = _load_spec(config)
+    dense_bytes = spec.matrix_size**6 * np.dtype(complex).itemsize
+    if config.dump_table and dense_bytes > _TABLE_BYTES:
+        raise TooLarge(
+            f"the dense table of {spec.block_dims} needs {dense_bytes} bytes, "
+            f"over the budget of {_TABLE_BYTES}"
+        )
     result = complete(spec, config.tol, seed=config.seed)
     report = {
         "N": result.matrix_size,
@@ -92,7 +98,7 @@ def _cmd_complete(config: CliConfig) -> dict:
     if config.dump_table:
         from .completion import build_B
 
-        table = build_B(spec).table
+        table = build_B(spec).dense()
         report["table"] = [
             [[serialize.complex_to_pair(z) for z in row] for row in plane]
             for plane in table

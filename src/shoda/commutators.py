@@ -95,7 +95,7 @@ def is_shoda_complete(spec: AlgebraSpec, tol: float = 1e-9, seed: int = 42) -> S
     The witness, present when the verdict is negative, is the per-block
     scalar element with zero total trace but nonzero block traces, which the
     per-block trace certificate shows cannot be a commutator.  A spec whose
-    checks would exceed the table budget raises TooLarge before allocating.
+    checks would exceed the memory budget raises TooLarge before allocating.
     """
     dim = spec.dim
     # the largest allocation is the products stack of _generated_ideal_dim:

@@ -18,15 +18,28 @@ import numpy as np
 
 from .algebra import AlgebraSpec, Element
 from .errors import NumericalFailure, TooLarge
-from .structure import StructureConstantAlgebra, quotient, radical, wedderburn_identify
+from .structure import (
+    RECORD,
+    StructureConstantAlgebra,
+    _accumulate,
+    _join,
+    quotient,
+    radical,
+    wedderburn_identify,
+)
 from .tensor import AJElement, BElement, _full_coordinates, aj_pairs, aj_zero, multiply_B
 
 # seeded random pairs checked against the witness on top of every basis pair
 _CHECK_PAIRS = 100
 # seeded dense pairs on which multiply_B itself is checked against the matrix product
 _PRODUCT_PAIRS = 8
-# largest dense (d, d, d) complex table build_B allocates: N <= 16
+# memory budget of one call's dense arrays.  complete() holds at most seven
+# d x d complex arrays' worth at once (d = N**2): the 2d x d centre system, its
+# 2d x d SVD factor, the (2, d, d) commutator maps and the (d, N, N) witness
+# images, so N <= 39.  The dense table of --dump-table has d**3 entries, so
+# N <= 16; info/check bound their products stack by it too.
 _TABLE_BYTES = 2**28
+_DENSE_ARRAYS = 7
 
 
 def extension_positions(spec: AlgebraSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -88,26 +101,44 @@ def build_B(spec: AlgebraSpec) -> StructureConstantAlgebra:
     """Structure constants of the extension on matrix-unit and tensor-unit basis.
 
     Each basis element is one matrix unit E_pq of M_N, so the only nonzero
-    constants are E_pq E_qr = E_pr.  The table is dense, and a spec whose
-    table would exceed _TABLE_BYTES is refused before anything is allocated.
+    constants are the N**3 ones of E_pq E_qr = E_pr, stored as records.
     """
     size = spec.matrix_size
     d = size**2
-    nbytes = d**3 * np.dtype(complex).itemsize
-    if nbytes > _TABLE_BYTES:
-        raise TooLarge(
-            f"the extension table of {spec.block_dims} needs {nbytes} bytes, "
-            f"over the budget of {_TABLE_BYTES}"
-        )
     row, col = extension_positions(spec)
     pos = np.empty((size, size), dtype=np.intp)
     pos[row, col] = np.arange(d)
     a = np.repeat(np.arange(d), size)
     r = np.tile(np.arange(size), d)
-    table = np.zeros((d, d, d), dtype=complex)
-    table[a, pos[col[a], r], pos[row[a], r]] = 1.0
+    table = np.empty(a.size, dtype=RECORD)
+    table["a"], table["b"], table["c"], table["v"] = a, pos[col[a], r], pos[row[a], r], 1.0
     unit = extension_coordinates(BElement(spec.identity(), aj_zero(spec)))
     return StructureConstantAlgebra(table, unit)
+
+
+def _basis_residual(alg: StructureConstantAlgebra, images: np.ndarray) -> float:
+    """Worst entry of table-image minus image-product over every basis pair.
+
+    Both sides are sums of products of nonzeros keyed by (a, b, row, col):
+    each record (a, b, c, v) gives v * images[c], and images[a] @ images[b]
+    joins the nonzeros of the two images on the inner index.  A wrong,
+    missing or extra record leaves an unmatched key.
+    """
+    d, size, _ = images.shape
+    k, x, y = np.nonzero(images)
+    w = images[k, x, y]
+    t = alg.table
+
+    def key(a, b, row, col):
+        return ((a * d + b) * size + row) * size + col
+
+    i, j = _join(t["c"], k)
+    lhs_key, lhs = key(t["a"][i], t["b"][i], x[j], y[j]), t["v"][i] * w[j]
+    i, j = _join(y, x)
+    rhs_key, rhs = key(k[i], k[j], x[i], y[j]), w[i] * w[j]
+    keys, slot = np.unique(np.concatenate([lhs_key, rhs_key]), return_inverse=True)
+    diff = _accumulate(slot, np.concatenate([lhs, -rhs]), keys.size)
+    return float(np.abs(diff).max(initial=0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,6 +164,13 @@ class CompletionResult:
 def complete(spec: AlgebraSpec, tol: float = 1e-9, seed: int = 42) -> CompletionResult:
     """Run the whole pipeline: structure constants, radical, quotient,
     Wedderburn identification, and the verified full-matrix witness."""
+    d = spec.matrix_size**2
+    nbytes = _DENSE_ARRAYS * d**2 * np.dtype(complex).itemsize
+    if nbytes > _TABLE_BYTES:
+        raise TooLarge(
+            f"the completion of {spec.block_dims} needs {nbytes} bytes of dense arrays, "
+            f"over the budget of {_TABLE_BYTES}"
+        )
     alg = build_B(spec)
     rad = radical(alg, tol)
     radical_dim = int(rad.shape[0])
@@ -143,23 +181,19 @@ def complete(spec: AlgebraSpec, tol: float = 1e-9, seed: int = 42) -> Completion
             f"extension of {spec.block_dims} reported radical dimension {radical_dim}"
         )
 
-    d = alg.dim
     size = spec.matrix_size
     images = np.zeros((d, size, size), dtype=complex)
     images[(np.arange(d), *extension_positions(spec))] = 1.0
-
-    # homomorphism on every basis pair: table contraction against the images
-    table_images = np.tensordot(alg.table, images, axes=([2], [0]))
-    pair_products = np.einsum("axy,byz->abxz", images, images)
-    basis_residual = float(np.abs(table_images - pair_products).max())
+    basis_residual = _basis_residual(alg, images)
 
     rng = np.random.default_rng(seed)
     random_residual = 0.0
+    flat = images.reshape(d, size * size)
     for _ in range(_CHECK_PAIRS):
         x = rng.normal(size=d) + 1j * rng.normal(size=d)
         y = rng.normal(size=d) + 1j * rng.normal(size=d)
-        lhs = np.tensordot(alg.product(x, y), images, axes=(0, 0))
-        rhs = np.tensordot(x, images, axes=(0, 0)) @ np.tensordot(y, images, axes=(0, 0))
+        lhs = (alg.product(x, y) @ flat).reshape(size, size)
+        rhs = (x @ flat).reshape(size, size) @ (y @ flat).reshape(size, size)
         denom = 1.0 + np.linalg.norm(lhs)
         random_residual = max(random_residual, float(np.abs(lhs - rhs).max()) / denom)
 
@@ -177,11 +211,14 @@ def complete(spec: AlgebraSpec, tol: float = 1e-9, seed: int = 42) -> Completion
                 f"multiply_B is off the matrix product by {product_residual}"
             )
 
+    iso_residual = max(basis_residual, random_residual)
+    if not iso_residual <= tol:
+        raise NumericalFailure(f"the witness is off the table by {iso_residual}")
     return CompletionResult(
         spec=spec,
         total_dim=d,
         radical_dim=radical_dim,
         block_structure=tuple(components),
-        iso_residual=max(basis_residual, random_residual),
+        iso_residual=iso_residual,
         witness_images=images,
     )

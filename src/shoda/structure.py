@@ -29,21 +29,40 @@ _CENTER_DRAWS = 4
 _log = logging.getLogger("shoda")
 
 
+# one nonzero structure constant: e_a e_b has coefficient v on e_c
+RECORD = np.dtype([("a", np.intp), ("b", np.intp), ("c", np.intp), ("v", complex)])
+
+
 @dataclass(frozen=True, eq=False)
 class StructureConstantAlgebra:
-    """Multiplication table: basis_a * basis_b = sum_c table[a, b, c] basis_c."""
+    """Multiplication table as nonzeros: basis_a * basis_b = sum v basis_c over
+    the records (a, b, c, v) of table, a RECORD array; repeated keys add up.
+
+    A dense (d, d, d) array table[a, b, c] is accepted too and converted
+    through its nonzeros.  The dimension d is the length of unit.
+    """
 
     table: np.ndarray
     unit: np.ndarray
 
     def __post_init__(self):
-        table = np.asarray(self.table, dtype=complex)
         unit = np.asarray(self.unit, dtype=complex)
-        d = table.shape[0]
-        if table.shape != (d, d, d):
-            raise ValueError(f"table must be cubic, got {table.shape}")
-        if unit.shape != (d,):
-            raise ValueError("unit coordinates do not match the table")
+        if unit.ndim != 1:
+            raise ValueError("unit coordinates must be a vector")
+        d = unit.size
+        table = np.asarray(self.table)
+        if table.dtype != RECORD:
+            dense = table.astype(complex)
+            if dense.shape != (d, d, d):
+                raise ValueError(f"table must be {d} x {d} x {d} like the unit, got {dense.shape}")
+            nonzero = np.nonzero(dense)
+            table = np.empty(nonzero[0].size, dtype=RECORD)
+            table["a"], table["b"], table["c"] = nonzero
+            table["v"] = dense[nonzero]
+        else:
+            table = table.reshape(-1).copy()
+            if table.size and not all(0 <= table[k].min() and table[k].max() < d for k in "abc"):
+                raise ValueError("table records index outside the unit's coordinates")
         table.setflags(write=False)
         unit.setflags(write=False)
         object.__setattr__(self, "table", table)
@@ -51,21 +70,31 @@ class StructureConstantAlgebra:
 
     @property
     def dim(self) -> int:
-        return self.table.shape[0]
+        return self.unit.shape[0]
+
+    def dense(self) -> np.ndarray:
+        """The (d, d, d) table; it has d**3 entries, so make it only on request."""
+        d = self.dim
+        t = self.table
+        return _accumulate((t["a"] * d + t["b"]) * d + t["c"], t["v"], d**3).reshape(d, d, d)
 
     def product(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return y @ np.tensordot(x, self.table, axes=(0, 0))
+        t = self.table
+        return _accumulate(t["c"], t["v"] * x[t["a"]] * y[t["b"]], self.dim)
 
     def left_matrix(self, x: np.ndarray) -> np.ndarray:
         """Matrix of left multiplication by x on the coordinate space."""
-        return np.tensordot(x, self.table, axes=(0, 0)).T
+        d = self.dim
+        t = self.table
+        return _accumulate(t["c"] * d + t["b"], t["v"] * x[t["a"]], d * d).reshape(d, d)
 
     def associativity_residual(self) -> float:
         """Worst deviation between the two association orders over all basis triples."""
+        table = self.dense()
         worst = 0.0
         for a in range(self.dim):
-            left = np.einsum("bd,dce->bce", self.table[a], self.table)
-            right = np.einsum("bcd,de->bce", self.table, self.table[a])
+            left = np.einsum("bd,dce->bce", table[a], table)
+            right = np.einsum("bcd,de->bce", table, table[a])
             worst = max(worst, float(np.abs(left - right).max()))
         return worst
 
@@ -79,6 +108,24 @@ class StructureConstantAlgebra:
         return worst
 
 
+def _accumulate(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """Complex vector of length size holding the sum of values at each index."""
+    values = np.asarray(values, dtype=complex)
+    real = np.bincount(index, weights=values.real, minlength=size)
+    return real + 1j * np.bincount(index, weights=values.imag, minlength=size)
+
+
+def _join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every index pair (i, j) with left[i] == right[j], for integer keys."""
+    order = np.argsort(right, kind="stable")
+    lo = np.searchsorted(right, left, side="left", sorter=order)
+    counts = np.searchsorted(right, left, side="right", sorter=order) - lo
+    i = np.repeat(np.arange(left.size), counts)
+    # the k-th match of left[i] is the k-th of its run of equal keys in right
+    run_start = np.repeat(lo - np.cumsum(counts) + counts, counts)
+    return i, order[run_start + np.arange(i.size)]
+
+
 def block_algebra(spec: AlgebraSpec) -> StructureConstantAlgebra:
     """Structure constants of the block algebra itself on its matrix-unit basis."""
     basis = list(spec.basis())
@@ -88,12 +135,12 @@ def block_algebra(spec: AlgebraSpec) -> StructureConstantAlgebra:
 
 def _trace_form_gram(alg: StructureConstantAlgebra) -> np.ndarray:
     """Gram matrix of the regular-representation trace form,
-    G[a, b] = trace(L_a L_b)."""
+    G[a, b] = trace(L_a L_b) = sum over c, e of table[a, e, c] table[b, c, e]."""
     d = alg.dim
-    # (L_a)_{c, b} = table[a, b, c]; flatten so the contraction is one GEMM
-    l_flat = np.transpose(alg.table, (0, 2, 1)).reshape(d, d * d)
-    lt_flat = alg.table.reshape(d, d * d)
-    return l_flat @ lt_flat.T
+    t = alg.table
+    # records (a, e, c) and (b, c', e') meet where e == e' and c == c'
+    i, j = _join(t["b"] * d + t["c"], t["c"] * d + t["b"])
+    return _accumulate(t["a"][i] * d + t["a"][j], t["v"][i] * t["v"][j], d * d).reshape(d, d)
 
 
 def radical(alg: StructureConstantAlgebra, tol: float = 1e-9) -> np.ndarray:
@@ -166,9 +213,14 @@ def _generators(alg: StructureConstantAlgebra, rng: np.random.Generator) -> np.n
 
 def _commutator_maps(alg: StructureConstantAlgebra, xs: np.ndarray) -> np.ndarray:
     """For each row x of xs, the matrix of z |-> z x - x z on coordinates."""
-    x_times = np.tensordot(xs, alg.table, axes=(1, 0))  # [g, b, c]: (x_g e_b)_c
-    times_x = np.tensordot(xs, alg.table, axes=(1, 1))  # [g, a, c]: (e_a x_g)_c
-    return np.transpose(times_x - x_times, (0, 2, 1))
+    d = alg.dim
+    t = alg.table
+    a, b, c, v = t["a"], t["b"], t["c"], t["v"]
+    g = np.arange(xs.shape[0])[:, None] * d * d
+    # z x puts z_a x_b v on c; x z puts x_a z_b v on c
+    index = np.concatenate([g + c * d + a, g + c * d + b], axis=1)
+    values = np.concatenate([v * xs[:, b], -v * xs[:, a]], axis=1)
+    return _accumulate(index.ravel(), values.ravel(), xs.shape[0] * d * d).reshape(-1, d, d)
 
 
 def _center_basis(
@@ -181,7 +233,7 @@ def _center_basis(
     _CENTER_DRAWS times in all.
     """
     d = alg.dim
-    accept = tol * max(float(np.abs(alg.table).max()), 1.0)
+    accept = tol * max(float(np.abs(alg.table["v"]).max(initial=0.0)), 1.0)
     for draw in range(_CENTER_DRAWS):
         stacked = _commutator_maps(alg, _generators(alg, rng)).reshape(2 * d, d)
         _, s, vh = np.linalg.svd(stacked, full_matrices=False)

@@ -42,7 +42,7 @@ from shoda.sampling import (
 )
 from shoda.tensor import BElement, aj_allclose
 
-from conftest import compositions
+from completion_survey import compositions
 
 
 def _announce(number: int, name: str):

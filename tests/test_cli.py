@@ -295,6 +295,17 @@ def test_spec_over_table_budget_is_exit_one(tmp_path, capsys):
     assert _strict_json(capsys.readouterr().out)["error"] == "TooLarge"
 
 
+def test_dense_table_over_budget_is_exit_one(tmp_path, capsys):
+    # N = 17 completes, but its dense table is refused before the pipeline runs
+    spec = tmp_path / "big.json"
+    spec.write_text(json.dumps({"blocks": [17]}))
+    start = time.perf_counter()
+    code = main(["complete", str(spec), "--dump-table"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert _strict_json(capsys.readouterr().out)["error"] == "TooLarge"
+
+
 def test_completeness_checks_over_budget_are_exit_one(tmp_path, capsys):
     spec = tmp_path / "big.json"
     spec.write_text(json.dumps({"blocks": [1000000]}))
@@ -320,7 +331,7 @@ def test_completeness_checks_within_budget_succeed(tmp_path, blocks):
 # fuzzing the command line with JSON inputs
 
 # smallest single block each command refuses as over its memory budget
-_REFUSED_BLOCK = {"complete": 17, "info": 28, "check": 28}
+_REFUSED_BLOCK = {"complete": 40, "info": 28, "check": 28}
 
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import shoda.completion
-from shoda import AlgebraSpec, complete, multiply
+from shoda import AlgebraSpec, build_B, complete, multiply
 from shoda.algebra import Element
 from shoda.completion import (
     extension_coordinates,
@@ -12,10 +12,12 @@ from shoda.completion import (
     extension_positions,
     extension_to_matrix,
     matrix_to_extension,
+    _basis_residual,
 )
 from shoda.errors import NumericalFailure, TooLarge
 from shoda.oracles import _naive_b_basis, compress
 from shoda.sampling import random_b, random_element
+from shoda.structure import StructureConstantAlgebra
 from shoda.tensor import BElement, b_allclose, multiply_B
 
 from test_structure import upper_triangular_2x2
@@ -203,6 +205,45 @@ def test_complete_checks_multiply_B(monkeypatch, spec23):
 
 
 def test_complete_refuses_table_over_budget():
-    # a dense table for N = 40 would need about 65 GB
+    # seven d x d complex arrays at N = 40 (d = 1600) need 287 MB, over 256 MiB
     with pytest.raises(TooLarge):
         complete(AlgebraSpec((40,)))
+
+
+def test_complete_thirty_two():
+    result = complete(AlgebraSpec((16, 16)))
+    assert result.block_structure == (1024,)
+    assert result.iso_residual < 1e-10
+
+
+def _moved(table):
+    table = table.copy()
+    table["c"][7] += 1
+    return table
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_moved, lambda table: table[1:], lambda table: np.append(table, table[:1])],
+    ids=["moved", "missing", "extra"],
+)
+def test_basis_residual_sees_every_wrong_record(spec23, corrupt):
+    result = complete(spec23)
+    alg = build_B(spec23)
+    assert _basis_residual(alg, result.witness_images) == 0.0
+    bad = StructureConstantAlgebra(corrupt(alg.table), alg.unit)
+    assert _basis_residual(bad, result.witness_images) == 1.0
+
+
+def test_complete_gates_the_witness_residual(monkeypatch, spec23):
+    # negative control: record 7 sent to the next basis element plus one extra
+    # record still passes the radical and Wedderburn checks, so only the
+    # witness residual can refuse this table
+    alg = build_B(spec23)
+    table = _moved(np.append(alg.table, alg.table[7]))
+    table["c"][-1] += 2
+    monkeypatch.setattr(
+        shoda.completion, "build_B", lambda spec: StructureConstantAlgebra(table, alg.unit)
+    )
+    with pytest.raises(NumericalFailure, match="witness is off the table"):
+        complete(spec23)

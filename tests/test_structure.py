@@ -52,13 +52,21 @@ def reference_table(spec: AlgebraSpec) -> np.ndarray:
 @pytest.mark.parametrize("dims", [(1,), (3,), (1, 1), (2, 3), (1, 1, 1), (2, 3, 3)])
 def test_extension_table_matches_multiply_B(dims):
     spec = AlgebraSpec(dims)
-    assert np.array_equal(build_B(spec).table, reference_table(spec))
+    assert np.array_equal(build_B(spec).dense(), reference_table(spec))
+
+
+def test_table_records_must_index_the_unit_coordinates():
+    alg = build_B(AlgebraSpec((2, 3)))
+    table = alg.table.copy()
+    table["c"][0] = alg.dim
+    with pytest.raises(ValueError, match="outside"):
+        StructureConstantAlgebra(table, alg.unit)
 
 
 def test_extension_table_is_integer_structured():
-    alg = build_B(AlgebraSpec((2, 2)))
-    assert np.all(alg.table.imag == 0.0)
-    assert set(np.unique(alg.table.real)) <= {0.0, 1.0}
+    table = build_B(AlgebraSpec((2, 2))).dense()
+    assert np.all(table.imag == 0.0)
+    assert set(np.unique(table.real)) <= {0.0, 1.0}
 
 
 # ---------------------------------------------------------------------------
@@ -190,5 +198,5 @@ def test_block_algebra_matches_extension_for_single_block():
     base = block_algebra(spec)
     ext = build_B(spec)
     assert base.dim == ext.dim == 9
-    assert np.array_equal(base.table, ext.table)
+    assert np.array_equal(base.dense(), ext.dense())
     assert np.array_equal(base.unit, ext.unit)
