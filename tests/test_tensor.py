@@ -132,17 +132,24 @@ def test_cross_tensor_product_collapses_to_projection(spec23):
     assert not out.u.terms
 
 
-def test_extension_product_associative(spec23):
+def _assert_associative(spec, seed):
     from shoda.norms import b_norm
 
-    for seed in (5, 9):
-        rng = np.random.default_rng(seed)
-        for _ in range(100):
-            x, y, z = (random_b(spec23, rng) for _ in range(3))
-            lhs = multiply_B(multiply_B(x, y), z)
-            rhs = multiply_B(x, multiply_B(y, z))
-            assert _parts_norm(lhs - rhs) < 1e-10 * (1 + _parts_norm(lhs))
-            assert b_norm(lhs - rhs).total < 1e-10 * (1 + b_norm(lhs).total)
+    rng = np.random.default_rng(seed)
+    for _ in range(100):
+        x, y, z = (random_b(spec, rng) for _ in range(3))
+        lhs = multiply_B(multiply_B(x, y), z)
+        rhs = multiply_B(x, multiply_B(y, z))
+        assert _parts_norm(lhs - rhs) < 1e-10 * (1 + _parts_norm(lhs))
+        assert b_norm(lhs - rhs).total < 1e-10 * (1 + b_norm(lhs).total)
+
+
+def test_tensor_multiply_associative(spec23):
+    _assert_associative(spec23, 5)
+
+
+def test_extension_product_associative(spec23):
+    _assert_associative(spec23, 9)
 
 
 @settings(max_examples=20, deadline=None)
@@ -187,12 +194,19 @@ def test_extension_product_matches_naive_oracle_exactly(dims):
         assert np.array_equal(fast, naive)
 
 
+def _assert_rejects_foreign(spec, other):
+    with pytest.raises(ShapeMismatch):
+        multiply_B(b_identity(spec), b_identity(other))
+    with pytest.raises(ShapeMismatch):
+        multiply_B(_off_tensor(spec, aj_zero(spec)), _off_tensor(other, aj_zero(other)))
+
+
+def test_tensor_multiply_rejects_foreign_operands(spec23):
+    _assert_rejects_foreign(spec23, AlgebraSpec((2, 2)))
+
+
 def test_extension_product_rejects_foreign_operands(spec23):
-    for other in (AlgebraSpec((5,)), AlgebraSpec((2, 2))):
-        with pytest.raises(ShapeMismatch):
-            multiply_B(b_identity(spec23), b_identity(other))
-        with pytest.raises(ShapeMismatch):
-            multiply_B(_off_tensor(spec23, aj_zero(spec23)), _off_tensor(other, aj_zero(other)))
+    _assert_rejects_foreign(spec23, AlgebraSpec((5,)))
 
 
 # ---------------------------------------------------------------------------
