@@ -279,13 +279,18 @@ def riesz_projection(a: Element, value: complex, tol: float = DEFAULT_TOL) -> El
     the value, with radius half the gap to the nearest other spectral value.
     The trapezoid rule converges exponentially for this analytic integrand.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    return _riesz_from_clusters(a, value, tol, spectrum(a, tol).eigenvalues)
+
+
+def _riesz_from_clusters(
+    a: Element, value: complex, tol: float, clusters: Sequence[tuple[complex, int]]
+) -> Element:
+    """riesz_projection on the clusters of spectrum(a, tol), which a caller
+    projecting onto several values computes once."""
     scale = largest_singular_value(a)
     match_radius = tol * (1.0 + scale)
     if abs(value) <= tol:
         raise NoSuchSpectralValue(f"{value} is not in the nonzero spectrum")
-    clusters = _cluster(_all_eigenvalues(a), tol * max(scale, 1.0))
     centers = [c for c, _ in clusters]
     dists = [abs(value - c) for c in centers]
     hit = int(np.argmin(dists))

@@ -18,15 +18,17 @@ from . import serialize
 from .algebra import (
     AlgebraSpec,
     Element,
+    _riesz_from_clusters,
     frobenius,
     multiply,
     projection_path,
     rank,
-    riesz_projection,
+    riesz_projection,  # unused here, but perfbench/tracing.py binds it by name
     spectrum,
     trace,
 )
 from .commutators import (
+    _require_decomposable_size,
     certifies_non_commutator,
     commutator_decompose,
     decompose_in_completion,
@@ -121,6 +123,11 @@ def _cmd_check(config: CliConfig) -> dict:
 
 def _cmd_decompose(config: CliConfig) -> dict:
     spec = _load_spec(config)
+    # size first: a spec too large to decompose never has its element parsed
+    if config.in_completion:
+        _require_decomposable_size(spec.matrix_size)
+    elif spec.num_blocks == 1:
+        _require_decomposable_size(spec.block_dims[0])
     t = _load_element(config, spec)
     if config.in_completion:
         witness = decompose_in_completion(t, config.tol)
@@ -177,7 +184,7 @@ def _cmd_riesz(config: CliConfig) -> dict:
     report = spectrum(x, config.tol)
     out = []
     for value, mult in report.nonzero:
-        p = riesz_projection(x, value, config.tol)
+        p = _riesz_from_clusters(x, value, config.tol, report.eigenvalues)
         idem = frobenius(multiply(p, p) - p)
         comm = frobenius(multiply(p, x) - multiply(x, p))
         out.append(

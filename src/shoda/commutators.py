@@ -11,8 +11,12 @@ failed at the given tolerance; it raises NumericalFailure rather than being
 reported.
 
 Decomposition of a traceless matrix follows the classical constructive
-route: a similarity takes it to zero diagonal, after which divided
-differences against diag(0, 1, ..., n-1) finish the job.  Diagonal inputs
+route (Fillmore; Albert and Muckenhoupt): a similarity takes it to zero
+diagonal, after which divided differences against diag(0, 1, ..., n-1)
+finish the job.  The similarity is one pass of n - 1 Householder steps, each
+zeroing one diagonal entry in O(n^2) work, so a decomposition costs O(n^3)
+time and a fixed number of n x n arrays, checked against the memory budget
+before anything is allocated.  Diagonal inputs
 skip the similarity and use the shift / partial-sum factors directly, which
 keeps integer inputs exactly decomposed.  In a multi-block algebra the
 per-block traces certify elements that are not commutators; those decompose
@@ -184,62 +188,104 @@ def _diagonal_shift_factors(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _pick_pivot(m: np.ndarray, rng: np.random.Generator) -> Optional[np.ndarray]:
-    """A vector v with {v, m v} independent, preferring standard basis vectors."""
-    n = m.shape[0]
-    scale = np.linalg.norm(m)
+def _pick_pivot(
+    a: np.ndarray, rng: np.random.Generator
+) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """A unit vector v with {v, a v} independent, and a v; None when a is scalar.
 
-    def score(v: np.ndarray) -> float:
-        mv = m @ v
-        v_unit = v / np.linalg.norm(v)
-        residual = mv - (v_unit.conj() @ mv) * v_unit
-        return float(np.linalg.norm(residual) / scale)
-
-    for i in range(n):
-        v = np.zeros(n, dtype=complex)
-        v[i] = 1.0
-        if score(v) >= 0.25:
-            return v
-    best, best_score = None, 0.0
-    for _ in range(16):
-        v = rng.normal(size=n) + 1j * rng.normal(size=n)
-        v /= np.linalg.norm(v)
-        sc = score(v)
-        if sc > best_score:
-            best, best_score = v, sc
-    if best_score <= 1e-10:
+    The score of v is the part of a v orthogonal to v, relative to the
+    Frobenius norm of a.  The first standard vector scoring at least 0.25 is
+    taken, all scored at once from the off-diagonal column norms; otherwise
+    the best of 16 random unit vectors, unless even that scores at most
+    1e-10.  A block within 1e-13 of scalar also gives None.
+    """
+    r = a.shape[0]
+    mu = np.trace(a) / r
+    shifted = a.copy()
+    shifted.flat[:: r + 1] -= mu
+    column_sq = np.einsum("ij,ij->j", shifted.conj(), shifted).real
+    deviation_sq = column_sq.sum()
+    scale = np.sqrt(deviation_sq + r * abs(mu) ** 2)
+    if np.sqrt(deviation_sq) <= 1e-13 * max(scale, 1.0):
         return None
-    return best
+    off_diagonal = np.sqrt(np.maximum(column_sq - np.abs(shifted.diagonal()) ** 2, 0.0))
+    hits = np.flatnonzero(off_diagonal >= 0.25 * scale)
+    if hits.size:
+        v = np.zeros(r, dtype=complex)
+        v[hits[0]] = 1.0
+        return v, a[:, hits[0]].copy()
+    draws = rng.normal(size=(16, 2, r))
+    trial = (draws[:, 0] + 1j * draws[:, 1]).T
+    trial /= np.linalg.norm(trial, axis=0)
+    images = a @ trial
+    residual = images - trial * np.einsum("ij,ij->j", trial.conj(), images)
+    scores = np.linalg.norm(residual, axis=0) / scale
+    best = int(np.argmax(scores))
+    if scores[best] <= 1e-10:
+        return None
+    return trial[:, best], images[:, best]
 
 
-def _zero_diagonal_similarity(m: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Invertible S such that S m S^{-1} has (numerically) zero diagonal.
+def _zero_diagonal_similarity(
+    m: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Invertible S and its inverse such that S m S^{-1} has (numerically)
+    zero diagonal.
 
-    Recursive: a pivot v with {v, m v} independent puts a zero in the leading
-    diagonal entry; the trailing compression stays traceless and recurses.
-    A traceless scalar compression is already zero.
+    One pass over k on the trailing block a = t[k:, k:] of t = S m S^{-1}.
+    With a pivot v and the QR factorization [v, a v] = Q R, the basis
+    Q diag(P, I) has first column along v and second along a v, where P is
+    upper triangular with P e2 = c / |c| for c = R[:, 1] / R[0, 0]; in it
+    the leading diagonal entry of a is zero.  Q is two Householder
+    reflectors in compact form I - U T U^H, so each step costs O(n^2) and
+    updates a, the rows of S and the columns of S^{-1} in place.  The pass
+    stops early when no pivot is found; in particular a scalar trailing
+    block, being traceless, is already zero.
     """
     n = m.shape[0]
-    if n == 1:
-        return np.eye(1, dtype=complex)
-    mu = np.trace(m) / n
-    deviation = np.linalg.norm(m - mu * np.eye(n))
-    if deviation <= 1e-13 * max(np.linalg.norm(m), 1.0):
-        return np.eye(n, dtype=complex)
-    v = _pick_pivot(m, rng)
-    if v is None:
-        return np.eye(n, dtype=complex)
-    v = v / np.linalg.norm(v)
-    mv = m @ v
-    u2 = mv / np.linalg.norm(mv)
-    frame = np.stack([v, u2], axis=1)
-    u_frame, s_frame, _ = np.linalg.svd(frame, full_matrices=True)
-    basis = np.concatenate([frame, u_frame[:, 2:]], axis=1)
-    t1 = np.linalg.solve(basis, m @ basis)
-    sub = _zero_diagonal_similarity(t1[1:, 1:], rng)
-    lifted = np.eye(n, dtype=complex)
-    lifted[1:, 1:] = sub
-    return lifted @ np.linalg.inv(basis)
+    t = np.array(m, dtype=complex)
+    sim = np.eye(n, dtype=complex)
+    # the transpose of S^{-1}, so that its update is on rows too
+    sim_inv_t = np.eye(n, dtype=complex)
+    for k in range(n - 1):
+        a = t[k:, k:]
+        pivot = _pick_pivot(a, rng)
+        if pivot is None:
+            break
+        v, av = pivot
+        # reflector 1 takes v to alpha e1, reflector 2 the rest of a v to beta e2
+        alpha = -np.exp(1j * np.angle(v[0]))
+        u1 = v.copy()
+        u1[0] -= alpha
+        tau1 = 2.0 / np.vdot(u1, u1).real
+        y = av - (tau1 * np.vdot(u1, av)) * u1
+        beta = -np.exp(1j * np.angle(y[1])) * np.linalg.norm(y[1:])
+        u2 = y.copy()
+        u2[0] = 0.0
+        u2[1] -= beta
+        tau2 = 2.0 / np.vdot(u2, u2).real
+        # Q = H1 H2 = I - u tri u^H
+        u = np.stack([u1, u2], axis=1)
+        uh = u.conj().T
+        tri = np.array([[tau1, -tau1 * tau2 * np.vdot(u1, u2)], [0.0, tau2]])
+        c = np.array([y[0], beta]) / alpha
+        p_col = c / np.linalg.norm(c)
+        p = np.array([[1.0, p_col[0]], [0.0, p_col[1]]])
+        p_inv = np.array([[1.0, -p_col[0] / p_col[1]], [0.0, 1.0 / p_col[1]]])
+        # rows of S and a: diag(P^-1, I) Q^H;  columns of a and S^{-1}: Q diag(P, I)
+        left = tri.conj().T @ uh
+        right = tri @ uh
+        rows = sim[k:]
+        rows -= u @ (left @ rows)
+        rows[:2] = p_inv @ rows[:2]
+        a -= u @ (left @ a)
+        a[:2] = p_inv @ a[:2]
+        a -= (a @ u) @ right
+        a[:, :2] = a[:, :2] @ p
+        rows = sim_inv_t[k:]
+        rows -= right.T @ (u.T @ rows)
+        rows[:2] = p.T @ rows[:2]
+    return sim, sim_inv_t.T
 
 
 def _decompose_matrix(
@@ -252,16 +298,33 @@ def _decompose_matrix(
     off_mass = np.linalg.norm(m - np.diag(np.diag(m)))
     if off_mass <= 1e-12 * np.linalg.norm(m):
         return _diagonal_shift_factors(m)
-    sim = _zero_diagonal_similarity(m, rng)
-    if np.linalg.cond(sim) > cond_limit:
+    sim, sim_inv = _zero_diagonal_similarity(m, rng)
+    # |S|_F |S^-1|_F bounds cond_2(S) from above; the SVD settles the rest
+    if (
+        np.linalg.norm(sim) * np.linalg.norm(sim_inv) > cond_limit
+        and np.linalg.cond(sim) > cond_limit
+    ):
         raise NumericalFailure("zero-diagonal similarity is ill-conditioned")
-    sim_inv = np.linalg.inv(sim)
     flattened = sim @ m @ sim_inv
-    a_diag = np.diag(np.arange(n, dtype=complex))
     index = np.arange(n)
     diff = index[:, None] - index[None, :]
     b = np.divide(flattened, diff, out=np.zeros((n, n), dtype=complex), where=diff != 0)
-    return sim_inv @ a_diag @ sim, sim_inv @ b @ sim
+    return (sim_inv * index) @ sim, sim_inv @ b @ sim
+
+
+# the decomposition's measured peak, in n x n complex arrays, the input included
+_DECOMPOSE_ARRAYS = 10
+
+
+def _require_decomposable_size(n: int):
+    """Raise TooLarge when decomposing an n x n matrix would exceed the memory
+    budget; callers check before anything of that size is allocated."""
+    nbytes = _DECOMPOSE_ARRAYS * n * n * np.dtype(complex).itemsize
+    if nbytes > _TABLE_BYTES:
+        raise TooLarge(
+            f"decomposing a {n} x {n} matrix needs {nbytes} bytes, "
+            f"over the budget of {_TABLE_BYTES}"
+        )
 
 
 def _require_traceless(t: Element, tol: float):
@@ -308,6 +371,7 @@ def commutator_decompose(t: Element, tol: float = 1e-9) -> CommutatorWitness:
             f"{t.spec.block_dims} has {t.spec.num_blocks} blocks; "
             "decompose in the completion instead"
         )
+    _require_decomposable_size(t.spec.block_dims[0])
     _require_traceless(t, tol)
     scale = frobenius(t)
     if scale == 0.0:
@@ -328,6 +392,7 @@ def decompose_in_completion(t: Element, tol: float = 1e-9) -> CommutatorWitness:
     identification, decomposes there, and the factors pull back to extension
     elements.  The residual is measured in the extension norm.
     """
+    _require_decomposable_size(t.spec.matrix_size)
     _require_traceless(t, tol)
     spec = t.spec
     embedded = BElement(t, aj_zero(spec))

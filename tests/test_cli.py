@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shoda.algebra
 import shoda.cli
 from shoda.cli import CliConfig, main, run
 from shoda.serialize import dumps
@@ -317,6 +321,65 @@ def test_completeness_checks_over_budget_are_exit_one(tmp_path, capsys):
         assert _strict_json(capsys.readouterr().out)["error"] == "TooLarge"
 
 
+def test_decompose_over_budget_is_exit_one(tmp_path, capsys):
+    # the size is checked first: the element file, of the wrong size, is never parsed
+    spec = tmp_path / "big.json"
+    spec.write_text(json.dumps({"blocks": [100000]}))
+    element = tmp_path / "t.json"
+    element.write_text(json.dumps({"blocks": [[[0, 0]]]}))
+    for flags in ([], ["--in-completion"]):
+        start = time.perf_counter()
+        code = main(["decompose", str(spec), str(element), *flags])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert _strict_json(capsys.readouterr().out)["error"] == "TooLarge"
+
+
+def test_decompose_needs_no_recursion(tmp_path):
+    # one step per dimension used to be one stack frame per dimension
+    n = 150
+    rng = np.random.default_rng(150)
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    m -= np.trace(m) / n * np.eye(n)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"blocks": [n]}))
+    element = tmp_path / "t.json"
+    element.write_text(json.dumps({"blocks": [[[z.real, z.imag] for z in m.ravel()]]}))
+    script = (
+        "import sys; from shoda import cli; sys.setrecursionlimit(120); "
+        "sys.exit(cli.main(sys.argv[1:]))"
+    )
+    src = str(Path(shoda.cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "decompose", str(spec), str(element)],
+        capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = _strict_json(proc.stdout)
+    assert report["residual"] <= 1e-9 * max(1.0, np.linalg.norm(m))
+
+
+def test_riesz_computes_the_eigenvalues_once(monkeypatch, tmp_path):
+    spec = tmp_path / "spec8.json"
+    spec.write_text(json.dumps({"blocks": [8]}))
+    rng = np.random.default_rng(8)
+    m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    element = tmp_path / "x.json"
+    element.write_text(json.dumps({"blocks": [[[z.real, z.imag] for z in m.ravel()]]}))
+    calls = []
+    eigenvalues = shoda.algebra._all_eigenvalues
+
+    def counting(a):
+        calls.append(a)
+        return eigenvalues(a)
+
+    monkeypatch.setattr(shoda.algebra, "_all_eigenvalues", counting)
+    code, report = run(CliConfig(command="riesz", spec_path=str(spec), element_path=str(element)))
+    assert code == 0
+    assert len(report["projections"]) == 8
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("blocks", [[8], [4, 4], [5, 3], [16]])
 def test_completeness_checks_within_budget_succeed(tmp_path, blocks):
     spec = tmp_path / "spec.json"
@@ -331,7 +394,7 @@ def test_completeness_checks_within_budget_succeed(tmp_path, blocks):
 # fuzzing the command line with JSON inputs
 
 # smallest single block each command refuses as over its memory budget
-_REFUSED_BLOCK = {"complete": 40, "info": 28, "check": 28}
+_REFUSED_BLOCK = {"complete": 40, "info": 28, "check": 28, "decompose": 1296}
 
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
@@ -346,8 +409,8 @@ def _cli_case(draw):
     """A command with JSON spec and element files.
 
     Three inputs in four are well formed, so the numerical paths run too.
-    Block sizes stay small, except for complete, info and check, which refuse
-    a size over their budget before allocating anything.
+    Block sizes stay small, except for complete, info, check and decompose,
+    which refuse a size over their budget before allocating anything.
     """
 
     def junk() -> bool:

@@ -14,9 +14,15 @@ from shoda import (
     trace,
 )
 from shoda.algebra import allclose
-from shoda.commutators import certifies_non_commutator, random_commutator_search
+from shoda.commutators import (
+    _pick_pivot,
+    _require_decomposable_size,
+    _zero_diagonal_similarity,
+    certifies_non_commutator,
+    random_commutator_search,
+)
 from shoda.completion import extension_to_matrix
-from shoda.errors import NotShodaComplete, NotTraceless, NumericalFailure
+from shoda.errors import NotShodaComplete, NotTraceless, NumericalFailure, TooLarge
 from shoda.norms import b_norm
 from shoda.sampling import random_traceless
 from shoda.tensor import BElement, aj_zero, multiply_B
@@ -110,6 +116,93 @@ def test_decompose_rejects_multi_block(spec23):
     t = Element(spec23, (np.eye(2), np.zeros((3, 3))))
     with pytest.raises(NotShodaComplete):
         commutator_decompose(t - (2.0 / 5.0) * spec23.identity())
+
+
+def test_decomposition_size_guard():
+    _require_decomposable_size(1024)
+    with pytest.raises(TooLarge):
+        _require_decomposable_size(100_000)
+
+
+# ---------------------------------------------------------------------------
+# the zero-diagonal similarity
+
+
+def _reference_pivot(m, rng):
+    """The pivot rule scored one vector at a time."""
+    n = m.shape[0]
+    scale = np.linalg.norm(m)
+
+    def score(v: np.ndarray) -> float:
+        mv = m @ v
+        v_unit = v / np.linalg.norm(v)
+        residual = mv - (v_unit.conj() @ mv) * v_unit
+        return float(np.linalg.norm(residual) / scale)
+
+    for i in range(n):
+        v = np.zeros(n, dtype=complex)
+        v[i] = 1.0
+        if score(v) >= 0.25:
+            return v
+    best, best_score = None, 0.0
+    for _ in range(16):
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        v /= np.linalg.norm(v)
+        sc = score(v)
+        if sc > best_score:
+            best, best_score = v, sc
+    return best
+
+
+def _random_traceless_matrix(n, seed):
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return m - np.trace(m) / n * np.eye(n)
+
+
+def test_pivot_takes_the_first_passing_standard_vector():
+    m = _random_traceless_matrix(6, 3)
+    m[:, :2] *= 0.01  # columns 0 and 1 score below 0.25
+    expected = _reference_pivot(m, np.random.default_rng(0))
+    v, mv = _pick_pivot(m, np.random.default_rng(0))
+    assert np.flatnonzero(expected).tolist() == [2]
+    assert np.array_equal(v, expected)
+    assert np.allclose(mv, m @ v, rtol=0.0, atol=1e-15)
+
+
+def test_pivot_takes_the_best_random_vector_on_a_dense_block():
+    m = _random_traceless_matrix(40, 4)
+    off_diagonal = np.linalg.norm(m - np.diag(np.diag(m)), axis=0)
+    assert np.all(off_diagonal < 0.25 * np.linalg.norm(m))  # no standard vector passes
+    expected = _reference_pivot(m, np.random.default_rng(9))
+    v, mv = _pick_pivot(m, np.random.default_rng(9))
+    assert np.allclose(v, expected, rtol=0.0, atol=1e-14)
+    assert np.allclose(mv, m @ v, rtol=0.0, atol=1e-12)
+
+
+def test_similarity_stops_when_the_trailing_block_is_scalar(monkeypatch):
+    # after one step the trailing 4 x 4 block is zero: the pass ends there
+    m = np.zeros((5, 5), dtype=complex)
+    m[:2, :2] = [[1.0, 2.0], [3.0, -1.0]]
+    pivots = []
+
+    def recording_pivot(a, rng):
+        pivots.append(_pick_pivot(a, rng))
+        return pivots[-1]
+
+    monkeypatch.setattr(shoda.commutators, "_pick_pivot", recording_pivot)
+    sim, sim_inv = _zero_diagonal_similarity(m, np.random.default_rng(0))
+    assert len(pivots) == 2 and pivots[-1] is None
+    assert np.abs(np.diag(sim @ m @ sim_inv)).max() <= 1e-12 * np.linalg.norm(m)
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 300])
+def test_similarity_zeroes_the_diagonal(n):
+    m = _random_traceless_matrix(n, n)
+    sim, sim_inv = _zero_diagonal_similarity(m, np.random.default_rng(0))
+    assert np.abs(np.diag(sim @ m @ sim_inv)).max() <= 1e-12 * np.linalg.norm(m)
+    assert np.abs(sim @ sim_inv - np.eye(n)).max() <= 1e-12
+    assert np.linalg.cond(sim) < 1e8
 
 
 # ---------------------------------------------------------------------------
