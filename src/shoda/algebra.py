@@ -167,11 +167,18 @@ def frobenius(a: Element) -> float:
     return float(np.sqrt(sum(np.sum(np.abs(m) ** 2) for m in a.blocks)))
 
 
+def block_operator_norm(blocks) -> np.ndarray:
+    """Max over blocks of the largest singular value.
+
+    Leading axes of the blocks, if any, index a stack of elements, one norm
+    each.
+    """
+    return np.max([np.linalg.svd(m, compute_uv=False)[..., 0] for m in blocks], axis=0)
+
+
 def largest_singular_value(a: Element) -> float:
     """Operator norm of the element: max over blocks of the largest singular value."""
-    return max(
-        float(np.linalg.svd(m, compute_uv=False)[0]) if m.size else 0.0 for m in a.blocks
-    )
+    return float(block_operator_norm(a.blocks))
 
 
 def flatten(a: Element) -> np.ndarray:

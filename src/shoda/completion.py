@@ -75,7 +75,7 @@ def extension_to_matrix(x: BElement) -> np.ndarray:
     size = x.spec.matrix_size
     off = x.spec.offsets()
     out = np.zeros((size, size), dtype=complex)
-    for (i, j), m in _full_coordinates(x.a, x.u).items():
+    for (i, j), m in _full_coordinates(x.a.blocks, x.u.terms).items():
         out[off[i] : off[i] + m.shape[0], off[j] : off[j] + m.shape[1]] = m
     return out
 

@@ -15,17 +15,42 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraSpec
+from .algebra import AlgebraSpec, block_operator_norm
 from .algebra import largest_singular_value as a_norm
-from .tensor import BElement, aj_zero, multiply_B
-from .sampling import random_aj, random_b, random_element
+from .completion import _TABLE_BYTES
+from .errors import TooLarge
+from .tensor import BElement, _full_coordinates, _pair_contract, aj_pairs
+from .tensor import multiply_B  # unused here, but perfbench/tracing.py binds it by name
 
 A_NORM_MODEL = "max-block-operator-norm"
 
+# Working set of one audit sample, measured with tracemalloc on one-sample
+# chunks: 12 complex entries per entry of an N x N matrix (the draws, the four
+# products, the stacked norms) plus about 1200 bytes per ordered block pair
+# for the array objects of the coordinate dicts.
+_AUDIT_ARRAYS = 12
+_PAIR_BYTES = 1200
+# Samples are drawn and audited in chunks of about this many bytes; larger
+# chunks were no faster and only raised the peak memory.
+_CHUNK_BYTES = 2**20
 
-def pair_nuclear_norm(m: np.ndarray) -> float:
-    """Sum of singular values, the projective norm between Euclidean factors."""
-    return float(np.sum(np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)))
+
+def pair_nuclear_norm(m: np.ndarray) -> np.floating | np.ndarray:
+    """Sum of singular values, the projective norm between Euclidean factors.
+
+    Leading axes of m, if any, index a stack of matrices, one norm each.
+    """
+    return np.sum(np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False), axis=-1)
+
+
+def _tensor_l1(terms: dict) -> float | np.ndarray:
+    """l1 sum of the per-pair nuclear norms, in key order (stacks allowed)."""
+    return sum(pair_nuclear_norm(m) for m in terms.values())
+
+
+def _pair_norm(blocks, terms: dict) -> float | np.ndarray:
+    """Algebra norm plus l1 tensor norm of coordinate blocks (stacks allowed)."""
+    return block_operator_norm(blocks) + _tensor_l1(terms)
 
 
 @dataclass(frozen=True)
@@ -38,16 +63,16 @@ class NormReport:
 
 def b_norm(x: BElement) -> NormReport:
     """Pair norm of an extension element: algebra part plus l1 tensor part."""
-    per_pair = {key: pair_nuclear_norm(m) for key, m in x.u.terms.items()}
+    per_pair = {key: float(pair_nuclear_norm(m)) for key, m in x.u.terms.items()}
     u_l1 = float(sum(per_pair.values()))
     an = a_norm(x.a)
     return NormReport(a_norm=an, u_l1=u_l1, total=an + u_l1, per_pair=per_pair)
 
 
-def _ratio(product_norm: float, left: float, right: float) -> float:
-    if left == 0.0 or right == 0.0:
-        return 0.0
-    return product_norm / (left * right)
+def _ratio(product_norm, left, right) -> np.ndarray:
+    """product / (left right) elementwise, and 0 where a factor norm is 0."""
+    nonzero = (left != 0.0) & (right != 0.0)
+    return np.where(nonzero, product_norm / np.where(nonzero, left * right, 1.0), 0.0)
 
 
 @dataclass(frozen=True)
@@ -69,6 +94,37 @@ class NormAudit:
         )
 
 
+def _audit_chunk(spec: AlgebraSpec) -> int:
+    """Samples per chunk of an audit; raises TooLarge, before anything is
+    drawn, when the working set of one sample exceeds the memory budget."""
+    entry_bytes = _AUDIT_ARRAYS * spec.matrix_size**2 * np.dtype(complex).itemsize
+    sample_bytes = entry_bytes + _PAIR_BYTES * spec.num_blocks**2
+    if sample_bytes > _TABLE_BYTES:
+        raise TooLarge(
+            f"one norm-audit sample of {spec.block_dims} needs {sample_bytes} bytes, "
+            f"over the budget of {_TABLE_BYTES}"
+        )
+    return max(1, _CHUNK_BYTES // entry_bytes)
+
+
+def _draw_stacks(rng: np.random.Generator, count: int, shapes: list[tuple[int, int]]):
+    """Stacks of standard complex normal matrices, `count` deep, one per shape.
+
+    One sample draws its matrices in the order of `shapes`, each as
+    `sampling._cnormal` draws it: all real parts, then all imaginary parts.
+    Consecutive normal draws form one stream, so taking every sample of the
+    stack from one call gives the same matrices as drawing them one by one.
+    """
+    z = rng.normal(size=(count, 2 * sum(r * c for r, c in shapes)))
+    pos = 0
+    for shape in shapes:
+        size = shape[0] * shape[1]
+        re = z[:, pos : pos + size].reshape(count, *shape)
+        im = z[:, pos + size : pos + 2 * size].reshape(count, *shape)
+        pos += 2 * size
+        yield re + 1j * im
+
+
 def submultiplicativity_audit(
     spec: AlgebraSpec, samples: int = 1000, seed: int = 42
 ) -> NormAudit:
@@ -78,28 +134,47 @@ def submultiplicativity_audit(
     pure tensor products (their combined algebra-plus-tensor output norm),
     and unrestricted extension pairs.  A submultiplicative norm keeps every
     ratio at most one.
+
+    Each sample draws tensors u and v, algebra elements x and y, and
+    extension elements s and t, in that order, as the generators of
+    `shoda.sampling` would.  The samples are audited on stacks, a chunk at
+    a time, through the contraction of `multiply_B` and the norms of
+    `b_norm`.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    chunk = _audit_chunk(spec)
     rng = np.random.default_rng(seed)
-    zero = spec.zero()
+    dims, pairs = spec.block_dims, aj_pairs(spec)
+    zero = [np.zeros((n, n), dtype=complex) for n in dims]
+    element_shapes = [(n, n) for n in dims]
+    tensor_shapes = [(dims[i], dims[j]) for i, j in pairs]
+    shapes = 2 * tensor_shapes + 2 * element_shapes + 2 * (element_shapes + tensor_shapes)
+
+    def product(a, u, b, v):
+        return _pair_contract(dims, _full_coordinates(a, u), _full_coordinates(b, v))
+
     worst_ub = worst_av = worst_uv = worst_full = 0.0
-    for _ in range(samples):
-        u = BElement(zero, random_aj(spec, rng))
-        v = BElement(zero, random_aj(spec, rng))
-        x = BElement(random_element(spec, rng), aj_zero(spec))
-        y = BElement(random_element(spec, rng), aj_zero(spec))
-        u_l1, v_l1 = b_norm(u).u_l1, b_norm(v).u_l1
+    for start in range(0, samples, chunk):
+        count = min(chunk, samples - start)
+        draws = _draw_stacks(rng, count, shapes)
+        u = {p: next(draws) for p in pairs}
+        v = {p: next(draws) for p in pairs}
+        x = [next(draws) for _ in dims]
+        y = [next(draws) for _ in dims]
+        s_a, s_u = [next(draws) for _ in dims], {p: next(draws) for p in pairs}
+        t_a, t_u = [next(draws) for _ in dims], {p: next(draws) for p in pairs}
+        u_l1, v_l1 = _tensor_l1(u), _tensor_l1(v)
 
-        worst_ub = max(worst_ub, _ratio(b_norm(multiply_B(u, x)).u_l1, u_l1, a_norm(x.a)))
-        worst_av = max(worst_av, _ratio(b_norm(multiply_B(y, v)).u_l1, v_l1, a_norm(y.a)))
-        worst_uv = max(worst_uv, _ratio(b_norm(multiply_B(u, v)).total, u_l1, v_l1))
-
-        s = random_b(spec, rng)
-        t = random_b(spec, rng)
-        worst_full = max(
-            worst_full, _ratio(b_norm(multiply_B(s, t)).total, b_norm(s).total, b_norm(t).total)
-        )
+        ub = _tensor_l1(product(zero, u, x, {})[1])
+        worst_ub = max(worst_ub, float(np.max(_ratio(ub, u_l1, block_operator_norm(x)))))
+        av = _tensor_l1(product(y, {}, zero, v)[1])
+        worst_av = max(worst_av, float(np.max(_ratio(av, v_l1, block_operator_norm(y)))))
+        uv = _pair_norm(*product(zero, u, zero, v))
+        worst_uv = max(worst_uv, float(np.max(_ratio(uv, u_l1, v_l1))))
+        st = _pair_norm(*product(s_a, s_u, t_a, t_u))
+        ratio = _ratio(st, _pair_norm(s_a, s_u), _pair_norm(t_a, t_u))
+        worst_full = max(worst_full, float(np.max(ratio)))
     return NormAudit(
         tensor_times_algebra=worst_ub,
         algebra_times_tensor=worst_av,
@@ -112,12 +187,17 @@ def isometry_check(spec: AlgebraSpec, samples: int = 100, seed: int = 42) -> flo
     """Max relative gap between the norm of an algebra element and the pair
     norm of its embedded image.  The radical of the finite-dimensional
     extension is zero, so the quotient norm is the pair norm itself and the
-    embedding must be isometric."""
+    embedding must be isometric.  Samples are drawn and checked on stacks,
+    a chunk at a time."""
+    chunk = _audit_chunk(spec)
     rng = np.random.default_rng(seed)
+    shapes = [(n, n) for n in spec.block_dims]
     worst = 0.0
-    for _ in range(samples):
-        x = random_element(spec, rng)
-        nx = a_norm(x)
-        embedded = b_norm(BElement(x, aj_zero(spec))).total
-        worst = max(worst, abs(embedded - nx) / max(nx, 1e-300))
+    for start in range(0, samples, chunk):
+        count = min(chunk, samples - start)
+        x = list(_draw_stacks(rng, count, shapes))
+        nx = block_operator_norm(x)
+        embedded = _pair_norm(x, {})
+        gap = np.abs(embedded - nx) / np.maximum(nx, 1e-300)
+        worst = max(worst, float(np.max(gap)))
     return worst

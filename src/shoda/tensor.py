@@ -119,22 +119,30 @@ def aj_allclose(u: AJElement, v: AJElement, tol: float = 1e-12) -> bool:
     )
 
 
-def _full_coordinates(a: Element, u: AJElement) -> dict[tuple[int, int], np.ndarray]:
-    """Coordinate blocks of every ordered pair: block i of a at (i, i)."""
-    coords = dict(u.terms)
-    for i, m in enumerate(a.blocks):
+def _full_coordinates(blocks, terms: dict) -> dict[tuple[int, int], np.ndarray]:
+    """Coordinate blocks of every ordered pair: algebra block i at (i, i).
+
+    Leading axes of the arrays, if any, index a stack of elements.
+    """
+    coords = dict(terms)
+    for i, m in enumerate(blocks):
         coords[(i, i)] = m
     return coords
 
 
-def _pair_contract(spec: AlgebraSpec, left: dict, right: dict) -> tuple[Element, AJElement]:
+def _pair_contract(
+    dims: tuple[int, ...], left: dict, right: dict
+) -> tuple[list[np.ndarray], dict[tuple[int, int], np.ndarray]]:
     """Trace-pairing product of coordinate blocks keyed by block pairs.
 
     The pairing contracts inner block indices, so the (i, j) output is the
     sum over m of left (i, m) times right (m, j); diagonal outputs are
-    collapsed into the algebra, off-diagonal ones form the tensor summand.
+    collapsed into the algebra blocks, off-diagonal ones form the tensor
+    terms.  Leading axes of the coordinate arrays index a stack of operand
+    pairs, multiplied pair by pair, and a stack sums in the same key order as
+    a single pair.
     """
-    soc_blocks = [np.zeros((n, n), dtype=complex) for n in spec.block_dims]
+    soc_blocks = [np.zeros((n, n), dtype=complex) for n in dims]
     off: dict[tuple[int, int], np.ndarray] = {}
     for (i, m), lmat in left.items():
         for (m2, j), rmat in right.items():
@@ -147,7 +155,7 @@ def _pair_contract(spec: AlgebraSpec, left: dict, right: dict) -> tuple[Element,
                 off[(i, j)] = off[(i, j)] + prod
             else:
                 off[(i, j)] = prod
-    return Element(spec, tuple(soc_blocks)), AJElement(spec, off)
+    return soc_blocks, off
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,6 +207,9 @@ def multiply_B(x: BElement, y: BElement) -> BElement:
     """
     if x.spec != y.spec:
         raise ShapeMismatch("operands belong to different algebras")
-    return BElement(
-        *_pair_contract(x.spec, _full_coordinates(x.a, x.u), _full_coordinates(y.a, y.u))
+    soc_blocks, off = _pair_contract(
+        x.spec.block_dims,
+        _full_coordinates(x.a.blocks, x.u.terms),
+        _full_coordinates(y.a.blocks, y.u.terms),
     )
+    return BElement(Element(x.spec, tuple(soc_blocks)), AJElement(x.spec, off))

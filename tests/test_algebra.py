@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -320,6 +322,18 @@ def test_conjugate_diagonal_units_in_one_block():
     u_inv = Element(m2, (np.linalg.inv(u.blocks[0]),))
     assert frobenius(q - multiply(multiply(u, p), u_inv)) < 1e-12
     assert np.linalg.cond(u.blocks[0]) < 1e6
+
+
+def test_rank_one_projection_in_high_dimension():
+    # random vectors in C^1024 are nearly orthogonal, so the pairing test
+    # alone almost never passes
+    n = 1024
+    start = time.perf_counter()
+    p = random_rank_one_projection(AlgebraSpec((n,)), 0, np.random.default_rng(42)).blocks[0]
+    assert time.perf_counter() - start < 1.0
+    assert np.linalg.norm(p @ p - p) < 1e-12
+    assert abs(np.trace(p) - 1.0) < 1e-12  # the rank of an idempotent is its trace
+    assert np.linalg.norm(p) <= 5.0  # |v||w| / |w^H v| <= 5
 
 
 def test_conjugate_random_projections_same_block(spec23, rng):

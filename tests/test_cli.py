@@ -335,6 +335,17 @@ def test_decompose_over_budget_is_exit_one(tmp_path, capsys):
         assert _strict_json(capsys.readouterr().out)["error"] == "TooLarge"
 
 
+def test_norm_audit_over_budget_is_exit_one(tmp_path, capsys):
+    spec = tmp_path / "big.json"
+    for n in (_REFUSED_BLOCK["norm-audit"], 30000):
+        spec.write_text(json.dumps({"blocks": [n]}))
+        start = time.perf_counter()
+        code = main(["norm-audit", str(spec)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert _strict_json(capsys.readouterr().out)["error"] == "TooLarge"
+
+
 def test_decompose_needs_no_recursion(tmp_path):
     # one step per dimension used to be one stack frame per dimension
     n = 150
@@ -394,7 +405,7 @@ def test_completeness_checks_within_budget_succeed(tmp_path, blocks):
 # fuzzing the command line with JSON inputs
 
 # smallest single block each command refuses as over its memory budget
-_REFUSED_BLOCK = {"complete": 40, "info": 28, "check": 28, "decompose": 1296}
+_REFUSED_BLOCK = {"complete": 40, "info": 28, "check": 28, "decompose": 1296, "norm-audit": 1183}
 
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
@@ -409,8 +420,8 @@ def _cli_case(draw):
     """A command with JSON spec and element files.
 
     Three inputs in four are well formed, so the numerical paths run too.
-    Block sizes stay small, except for complete, info, check and decompose,
-    which refuse a size over their budget before allocating anything.
+    Block sizes stay small, except for the commands in _REFUSED_BLOCK, which
+    refuse a size over their budget before allocating anything.
     """
 
     def junk() -> bool:

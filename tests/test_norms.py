@@ -1,9 +1,12 @@
 import numpy as np
+import pytest
 
-from shoda import a_norm, b_norm, isometry_check, pair_nuclear_norm, submultiplicativity_audit
+from shoda import AlgebraSpec, a_norm, b_norm, isometry_check, pair_nuclear_norm
+from shoda import submultiplicativity_audit
 from shoda.algebra import Element, multiply
-from shoda.norms import A_NORM_MODEL
-from shoda.sampling import random_b, random_element
+from shoda.errors import TooLarge
+from shoda.norms import A_NORM_MODEL, NormAudit, _audit_chunk, _ratio
+from shoda.sampling import random_aj, random_b, random_element
 from shoda.tensor import BElement, aj_zero, multiply_B, tensor_unit
 
 
@@ -107,8 +110,6 @@ def test_equality_case_ratio_is_one(spec23):
 
 
 def test_zero_factor_convention(spec23):
-    from shoda.norms import _ratio
-
     assert _ratio(0.0, 0.0, 1.0) == 0.0
 
 
@@ -122,3 +123,79 @@ def test_isometry_of_embedding(spec23):
 
 def test_norm_model_is_flagged():
     assert A_NORM_MODEL == "max-block-operator-norm"
+
+
+# ---------------------------------------------------------------------------
+# the audits on sample stacks against the one-sample-at-a-time loop
+
+
+def _loop_audits(spec, samples, seed, checkpoints):
+    """Both audits drawn and checked one sample at a time through b_norm and
+    multiply_B, as the audits did before they ran on stacks; the worst ratios
+    seen after each checkpoint sample count, which are the results of an audit
+    of that many samples, since the draws of fewer samples are a prefix."""
+
+    def ratio(product_norm, left, right):
+        return 0.0 if left == 0.0 or right == 0.0 else product_norm / (left * right)
+
+    rng = np.random.default_rng(seed)
+    zero = spec.zero()
+    worst_ub = worst_av = worst_uv = worst_full = 0.0
+    audits = {}
+    for k in range(1, samples + 1):
+        u = BElement(zero, random_aj(spec, rng))
+        v = BElement(zero, random_aj(spec, rng))
+        x = BElement(random_element(spec, rng), aj_zero(spec))
+        y = BElement(random_element(spec, rng), aj_zero(spec))
+        u_l1, v_l1 = b_norm(u).u_l1, b_norm(v).u_l1
+        worst_ub = max(worst_ub, ratio(b_norm(multiply_B(u, x)).u_l1, u_l1, a_norm(x.a)))
+        worst_av = max(worst_av, ratio(b_norm(multiply_B(y, v)).u_l1, v_l1, a_norm(y.a)))
+        worst_uv = max(worst_uv, ratio(b_norm(multiply_B(u, v)).total, u_l1, v_l1))
+        s, t = random_b(spec, rng), random_b(spec, rng)
+        full = ratio(b_norm(multiply_B(s, t)).total, b_norm(s).total, b_norm(t).total)
+        worst_full = max(worst_full, full)
+        if k in checkpoints:
+            audits[k] = NormAudit(worst_ub, worst_av, worst_uv, worst_full)
+    rng = np.random.default_rng(seed)
+    worst, isometry = 0.0, {}
+    for k in range(1, samples + 1):
+        x = random_element(spec, rng)
+        nx = a_norm(x)
+        embedded = b_norm(BElement(x, aj_zero(spec))).total
+        worst = max(worst, abs(embedded - nx) / max(nx, 1e-300))
+        if k in checkpoints:
+            isometry[k] = worst
+    return audits, isometry
+
+
+@pytest.mark.parametrize("dims", [(8,), (4, 4), (5, 3), (2, 3, 3), (1, 1, 1)])
+@pytest.mark.parametrize("seed", [7, 42])
+def test_stacked_audits_equal_the_sample_loop(dims, seed):
+    # the chunk edges and the layout of each chunk's draws are pinned by
+    # exact equality at one sample, one chunk, one chunk and one, and 1000
+    spec = AlgebraSpec(dims)
+    chunk = _audit_chunk(spec)
+    counts = sorted({1, chunk, chunk + 1, 1000})
+    audits, isometry = _loop_audits(spec, max(counts), seed, set(counts))
+    for samples in counts:
+        assert submultiplicativity_audit(spec, samples, seed) == audits[samples]
+        assert isometry_check(spec, samples, seed) == isometry[samples]
+
+
+def test_audit_chunks_stay_small():
+    # a few dozen samples of an N = 8 spec, and one at a time when one sample is large
+    assert 32 <= _audit_chunk(AlgebraSpec((4, 4))) <= 256
+    assert _audit_chunk(AlgebraSpec((300, 300))) == 1
+
+
+@pytest.mark.parametrize("dims", [(1183,), (30000,), (592, 592), (100000, 3)])
+def test_audits_over_budget_raise_before_drawing(dims):
+    spec = AlgebraSpec(dims)
+    with pytest.raises(TooLarge):
+        submultiplicativity_audit(spec, 1)
+    with pytest.raises(TooLarge):
+        isometry_check(spec, 1)
+
+
+def test_largest_audited_block_is_within_budget():
+    assert _audit_chunk(AlgebraSpec((1182,))) == 1
