@@ -18,7 +18,7 @@ concurrent use is safe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .errors import (
     PathDegenerate,
     RankMismatch,
     ShapeMismatch,
+    TooLarge,
     ZeroElement,
 )
 
@@ -41,6 +42,28 @@ DEFAULT_TOL = 1e-9
 
 _CONTOUR_POINTS = 256
 _PERTURB_RETRIES = 16
+
+# memory budget of one call's dense arrays; shoda.completion lists what it bounds
+_TABLE_BYTES = 2**28
+# Stacked work (audit samples, quadrature nodes, path samples) is taken in
+# chunks of about this many bytes; larger chunks were no faster and only
+# raised the peak memory.
+_CHUNK_BYTES = 2**20
+# Working set of one quadrature node, in n x n complex arrays: the shifted
+# matrix, its temporary and the solution.
+_NODE_ARRAYS = 3
+# Working set of one path sample, in complex entries per coordinate of the
+# algebra.  tracemalloc on one-sample chunks of `shoda path` gives about 5:
+# the endpoints, then their checks and SVDs, or the previous sample, the new
+# one and its outer-product temporary.  A child process's peak RSS
+# (getrusage) on [1024] gives about 8, the LAPACK workspaces of the
+# endpoints' SVDs included, which tracemalloc does not see.
+_PATH_ARRAYS = 8
+
+
+def _chunk_size(item_bytes: int) -> int:
+    """Items per chunk of stacked work, for items of item_bytes each."""
+    return max(1, _CHUNK_BYTES // item_bytes)
 
 
 @dataclass(frozen=True)
@@ -266,17 +289,21 @@ def spectrum(a: Element, tol: float = DEFAULT_TOL) -> SpectrumReport:
     return SpectrumReport(eigenvalues=tuple(clusters), nonzero=nonzero)
 
 
-def _block_ranks(a: Element, tol: float) -> tuple[int, ...]:
+def _block_ranks(blocks: Sequence[np.ndarray], tol: float) -> np.ndarray:
     """Rank of each block, counting singular values above tol times the
-    largest singular value of the whole element."""
-    svals = [np.linalg.svd(m, compute_uv=False) for m in a.blocks]
-    thr = tol * max(float(s[0]) for s in svals)
-    return tuple(int(np.sum(s > thr)) for s in svals)
+    largest singular value of the whole element; the last axis is the block.
+
+    Leading axes of the blocks, if any, index a stack of elements, one SVD
+    call per block for the whole stack.
+    """
+    svals = [np.linalg.svd(m, compute_uv=False) for m in blocks]
+    thr = tol * np.max([s[..., 0] for s in svals], axis=0)
+    return np.stack([np.sum(s > thr[..., None], axis=-1) for s in svals], axis=-1)
 
 
 def rank(a: Element, tol: float = DEFAULT_TOL) -> int:
     """Spectral rank; realized as the sum of the block matrix ranks."""
-    return sum(_block_ranks(a, tol))
+    return int(_block_ranks(a.blocks, tol).sum())
 
 
 def riesz_projection(a: Element, value: complex, tol: float = DEFAULT_TOL) -> Element:
@@ -315,13 +342,21 @@ def _riesz_from_clusters(
 
     angles = 2.0 * np.pi * np.arange(_CONTOUR_POINTS) / _CONTOUR_POINTS
     nodes = center + radius * np.exp(1j * angles)
+    weights = nodes - center
     out = []
     for m in a.blocks:
         n = m.shape[0]
         acc = np.zeros((n, n), dtype=complex)
-        eye = np.eye(n)
-        for z in nodes:
-            acc += np.linalg.solve(z * eye - m, eye) * (z - center)
+        eye = np.eye(n, dtype=complex)
+        chunk = _chunk_size(_NODE_ARRAYS * m.nbytes)
+        for lo in range(0, _CONTOUR_POINTS, chunk):
+            shifted = nodes[lo : lo + chunk, None, None] * eye - m
+            # the right-hand side has the stack's shape: numpy 1.x reads a b
+            # with one axis fewer than a as a stack of vectors
+            resolvents = np.linalg.solve(shifted, np.broadcast_to(eye, shifted.shape))
+            # term by term in node order, as a sum of single solves adds them
+            for resolvent, weight in zip(resolvents, weights[lo : lo + chunk]):
+                acc += resolvent * weight
         out.append(acc / _CONTOUR_POINTS)
     return Element(a.spec, tuple(out))
 
@@ -408,36 +443,72 @@ def conjugate_projections(p: Element, q: Element, tol: float = DEFAULT_TOL) -> E
 def _rank_one_factors(m: np.ndarray):
     """Split a rank-one idempotent as v w^H with w^H v = 1."""
     u, s, vh = np.linalg.svd(m)
-    v = u[:, 0]
+    v = u[:, 0].copy()  # a view would keep all of u alive along the path
     w_h = v.conj() @ m
     return v, w_h
 
 
+def _path_chunk(spec: AlgebraSpec) -> int:
+    """Samples per stack of a path; raises TooLarge, before anything is
+    drawn, when the working set of one sample exceeds the memory budget."""
+    sample_bytes = _PATH_ARRAYS * spec.dim * np.dtype(complex).itemsize
+    if sample_bytes > _TABLE_BYTES:
+        raise TooLarge(
+            f"one path sample of {spec.block_dims} needs {sample_bytes} bytes, "
+            f"over the budget of {_TABLE_BYTES}"
+        )
+    return _chunk_size(sample_bytes)
+
+
 def _sampled_arc(
     start: Element, end: Element, samples: int,
-    sample_at: Callable[[complex], Optional[Element]], seed: int, stuck: str,
-) -> list[Element]:
-    """Samples of an arc on linspace(0, 1, samples), endpoints exactly as given.
+    sample_at: Callable[[np.ndarray], tuple[list[np.ndarray], np.ndarray]],
+    seed: int, stuck: str, chunk: int,
+) -> Iterator[list[np.ndarray]]:
+    """Samples of an arc on linspace(0, 1, samples), endpoints exactly as
+    given, in stacks of at most chunk samples: one array per block with the
+    sample index first.
 
-    sample_at returns None on the exceptional set; such a sample is pushed
-    off the real axis by a seeded perturbation, at most _PERTURB_RETRIES times.
+    sample_at(ts) evaluates the arc at each parameter of ts, as such stacks,
+    and flags the samples off the exceptional set.  A sample on it is pushed
+    off the real axis by a seeded perturbation, at most _PERTURB_RETRIES
+    times, one sample at a time in index order.
     """
     rng = np.random.default_rng(seed)
     grid = np.linspace(0.0, 1.0, samples)
-    path = [start]
-    for s_idx in range(1, samples - 1):
-        t = grid[s_idx]
-        e = sample_at(t)
-        retries = 0
-        while e is None and retries < _PERTURB_RETRIES:
-            e = sample_at(t + 1j * (rng.uniform(0.05, 0.5) / samples))
-            retries += 1
-        if e is None:
-            raise PathDegenerate(f"sample {s_idx} {stuck}")
-        path.append(e)
-    if samples > 1:
-        path.append(end)
-    return path
+    ends = {0: start.blocks} if samples == 1 else {0: start.blocks, samples - 1: end.blocks}
+    for lo in range(0, samples, chunk):
+        blocks, ok = sample_at(grid[lo : lo + chunk])
+        for s_idx, matrices in ends.items():
+            if lo <= s_idx < lo + chunk:
+                ok[s_idx - lo] = True
+                _set_sample(blocks, s_idx - lo, matrices)
+        for j in np.flatnonzero(~ok):
+            for _ in range(_PERTURB_RETRIES):
+                t = grid[lo + j] + 1j * (rng.uniform(0.05, 0.5) / samples)
+                retry, retry_ok = sample_at(np.array([t]))
+                if retry_ok[0]:
+                    break
+            else:
+                raise PathDegenerate(f"sample {lo + j} {stuck}")
+            _set_sample(blocks, j, [stack[0] for stack in retry])
+        yield blocks
+
+
+def _set_sample(blocks: list[np.ndarray], j: int, matrices: Sequence[np.ndarray]):
+    """Write sample j of a stack.  A loop in _sampled_arc itself would leave
+    its loop variable holding a block of the previous stack while the next
+    one is evaluated."""
+    for stack, m in zip(blocks, matrices):
+        stack[j] = m
+
+
+def _arc_elements(spec: AlgebraSpec, stacks: Iterator[list[np.ndarray]]) -> list[Element]:
+    return [
+        Element(spec, tuple(stack[k] for stack in blocks))
+        for blocks in stacks
+        for k in range(len(blocks[0]))
+    ]
 
 
 def projection_path(
@@ -455,24 +526,36 @@ def projection_path(
     pushed off the real axis by a seeded perturbation (at most 16 retries);
     endpoints are returned exactly as given.
     """
+    return _arc_elements(p.spec, _projection_arc(p, q, samples, tol, seed))
+
+
+def _projection_arc(
+    p: Element, q: Element, samples: int, tol: float, seed: int
+) -> Iterator[list[np.ndarray]]:
+    """The samples of projection_path, as stacks of _path_chunk samples."""
     if samples < 1:
         raise ValueError("samples must be positive")
+    chunk = _path_chunk(p.spec)
     ip = _shared_minimal_ideal(p, q, tol)
     v_p, w_p = _rank_one_factors(p.blocks[ip])
     v_q, w_q = _rank_one_factors(q.blocks[ip])
     spec = p.spec
 
-    def sample_at(t: complex) -> Element | None:
+    def sample_at(ts: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+        t = ts[:, None]
         v = (1.0 - t) * v_p + t * v_q
         w = (1.0 - t) * w_p + t * w_q
-        denom = w @ v
-        if abs(denom) <= tol * max(np.linalg.norm(v) * np.linalg.norm(w), 1e-300):
-            return None
-        blocks = [np.zeros((n, n), dtype=complex) for n in spec.block_dims]
-        blocks[ip] = np.outer(v, w) / denom
-        return Element(spec, tuple(blocks))
+        denom = (w[:, None, :] @ v[:, :, None])[:, 0, 0]
+        scale = np.linalg.norm(v, axis=1) * np.linalg.norm(w, axis=1)
+        ok = np.abs(denom) > tol * np.maximum(scale, 1e-300)
+        blocks = [np.zeros((len(ts), n, n), dtype=complex) for n in spec.block_dims]
+        np.divide(
+            v[:, :, None] * w[:, None, :], denom[:, None, None],
+            out=blocks[ip], where=ok[:, None, None],
+        )
+        return blocks, ok
 
-    return _sampled_arc(p, q, samples, sample_at, seed, "stuck on the exceptional set")
+    return _sampled_arc(p, q, samples, sample_at, seed, "stuck on the exceptional set", chunk)
 
 
 @dataclass(frozen=True, eq=False)
@@ -515,7 +598,9 @@ def rank_preserving_path(
     a._require_same_spec(b)
     if samples < 1:
         raise ValueError("samples must be positive")
-    ranks_a, ranks_b = _block_ranks(a, tol), _block_ranks(b, tol)
+    chunk = _path_chunk(a.spec)
+    ranks_a = tuple(_block_ranks(a.blocks, tol).tolist())
+    ranks_b = tuple(_block_ranks(b.blocks, tol).tolist())
     if sum(ranks_a) != n or sum(ranks_b) != n:
         raise RankMismatch(f"ranks {sum(ranks_a)}, {sum(ranks_b)}; expected {n}")
     if ranks_a != ranks_b:
@@ -541,20 +626,19 @@ def rank_preserving_path(
 
     spec = a.spec
 
-    def sample_at(t: complex) -> Element | None:
+    def sample_at(ts: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+        t = ts[:, None, None]
         blocks = []
         for dim_i, fac in zip(spec.block_dims, factors):
             if fac is None:
-                blocks.append(np.zeros((dim_i, dim_i), dtype=complex))
+                blocks.append(np.zeros((len(ts), dim_i, dim_i), dtype=complex))
                 continue
             xa, ya, xb, yb = fac
             x = (1.0 - t) * xa + t * xb
             y = (1.0 - t) * ya + t * yb
-            g = x @ y.conj().T
-            blocks.append(g)
-        e = Element(spec, tuple(blocks))
-        if _block_ranks(e, tol) != ranks_a:
-            return None
-        return e
+            blocks.append(x @ y.conj().transpose(0, 2, 1))
+        ok = np.all(_block_ranks(blocks, tol) == ranks_a, axis=-1)
+        return blocks, ok
 
-    return _sampled_arc(a, b, samples, sample_at, seed, "stuck at deficient rank")
+    stacks = _sampled_arc(a, b, samples, sample_at, seed, "stuck at deficient rank", chunk)
+    return _arc_elements(spec, stacks)

@@ -18,10 +18,13 @@ from . import serialize
 from .algebra import (
     AlgebraSpec,
     Element,
+    _block_ranks,
+    _path_chunk,
+    _projection_arc,
     _riesz_from_clusters,
     frobenius,
     multiply,
-    projection_path,
+    projection_path,  # unused here, but perfbench/tracing.py binds it by name
     rank,
     riesz_projection,  # unused here, but perfbench/tracing.py binds it by name
     spectrum,
@@ -219,6 +222,8 @@ def _cmd_norm_audit(config: CliConfig) -> dict:
 
 def _cmd_path(config: CliConfig) -> dict:
     spec = _load_spec(config)
+    # size first: a spec too large to sample never has its endpoints drawn or read
+    _path_chunk(spec)
     if config.element_path is not None:
         data = serialize.load_json_file(config.element_path)
         if not isinstance(data, dict) or "p" not in data or "q" not in data:
@@ -230,19 +235,32 @@ def _cmd_path(config: CliConfig) -> dict:
         p = random_rank_one_projection(spec, 0, rng)
         q = random_rank_one_projection(spec, 0, rng)
     samples = min(config.samples, 1000)
-    arc = projection_path(p, q, samples, config.tol, seed=config.seed)
-    worst_idem = 0.0
-    for e in arc:
-        worst_idem = max(worst_idem, frobenius(multiply(e, e) - e))
+    count, worst_idem, worst_defect, start_exact = 0, 0.0, 0, None
+    for blocks in _projection_arc(p, q, samples, config.tol, config.seed):
+        if start_exact is None:
+            start_exact = all((stack[0] == m).all() for stack, m in zip(blocks, p.blocks))
+        count += len(blocks[0])
+        idem, defect = _check_path_stack(blocks, config.tol)
+        worst_idem, worst_defect = max(worst_idem, idem), max(worst_defect, defect)
+    end_exact = all((stack[-1] == m).all() for stack, m in zip(blocks, q.blocks))
     return {
-        "samples": len(arc),
+        "samples": count,
         "max_idempotency_residual": worst_idem,
-        "max_rank_defect": max(abs(rank(e, config.tol) - 1) for e in arc),
-        "endpoints_exact": bool(
-            all((a == b).all() for a, b in zip(arc[0].blocks, p.blocks))
-            and all((a == b).all() for a, b in zip(arc[-1].blocks, q.blocks))
-        ),
+        "max_rank_defect": worst_defect,
+        "endpoints_exact": bool(start_exact and end_exact),
     }
+
+
+def _check_path_stack(blocks: list[np.ndarray], tol: float) -> tuple[float, int]:
+    """Largest idempotency residual |e e - e|_F and rank defect |rank e - 1|
+    over a stack of path samples: one matmul and one SVD call per block."""
+    residual_sq = 0
+    for stack in blocks:
+        square = stack @ stack
+        square -= stack
+        residual_sq = residual_sq + np.sum(np.abs(square.reshape(len(stack), -1)) ** 2, axis=1)
+    ranks = _block_ranks(blocks, tol).sum(axis=1)
+    return float(np.max(np.sqrt(residual_sq))), int(np.max(np.abs(ranks - 1)))
 
 
 _COMMANDS = {
@@ -264,7 +282,7 @@ def run(config: CliConfig) -> tuple[int, dict]:
     try:
         report = _COMMANDS[config.command](config)
         return 0, report
-    except (AlgebraError, np.linalg.LinAlgError) as exc:
+    except (AlgebraError, np.linalg.LinAlgError, MemoryError) as exc:
         return 1, {"error": type(exc).__name__, "detail": str(exc)}
     except (OSError, ValueError, KeyError, TypeError, IndexError) as exc:
         return 2, {"error": type(exc).__name__, "detail": str(exc)}

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Element
+from .algebra import _TABLE_BYTES, AlgebraSpec, Element
 from .errors import NumericalFailure, TooLarge
 from .structure import (
     RECORD,
@@ -33,12 +33,12 @@ from .tensor import AJElement, BElement, _full_coordinates, aj_pairs, aj_zero, m
 _CHECK_PAIRS = 100
 # seeded dense pairs on which multiply_B itself is checked against the matrix product
 _PRODUCT_PAIRS = 8
-# memory budget of one call's dense arrays.  complete() holds at most seven
-# d x d complex arrays' worth at once (d = N**2): the 2d x d centre system, its
-# 2d x d SVD factor, the (2, d, d) commutator maps and the (d, N, N) witness
-# images, so N <= 39.  The dense table of --dump-table has d**3 entries, so
-# N <= 16; info/check bound their products stack by it too.
-_TABLE_BYTES = 2**28
+# _TABLE_BYTES is the memory budget of one call's dense arrays.  complete()
+# holds at most seven d x d complex arrays' worth at once (d = N**2): the
+# 2d x d centre system, its 2d x d SVD factor, the (2, d, d) commutator maps
+# and the (d, N, N) witness images, so N <= 39.  The dense table of
+# --dump-table has d**3 entries, so N <= 16.  info/check, decompose,
+# norm-audit and path bound their own working sets by it too.
 _DENSE_ARRAYS = 7
 
 

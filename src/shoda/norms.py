@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraSpec, block_operator_norm
+from .algebra import _TABLE_BYTES, AlgebraSpec, _chunk_size, block_operator_norm
 from .algebra import largest_singular_value as a_norm
-from .completion import _TABLE_BYTES
 from .errors import TooLarge
 from .tensor import BElement, _full_coordinates, _pair_contract, aj_pairs
 from .tensor import multiply_B  # unused here, but perfbench/tracing.py binds it by name
@@ -30,9 +29,6 @@ A_NORM_MODEL = "max-block-operator-norm"
 # for the array objects of the coordinate dicts.
 _AUDIT_ARRAYS = 12
 _PAIR_BYTES = 1200
-# Samples are drawn and audited in chunks of about this many bytes; larger
-# chunks were no faster and only raised the peak memory.
-_CHUNK_BYTES = 2**20
 
 
 def pair_nuclear_norm(m: np.ndarray) -> np.floating | np.ndarray:
@@ -104,7 +100,7 @@ def _audit_chunk(spec: AlgebraSpec) -> int:
             f"one norm-audit sample of {spec.block_dims} needs {sample_bytes} bytes, "
             f"over the budget of {_TABLE_BYTES}"
         )
-    return max(1, _CHUNK_BYTES // entry_bytes)
+    return _chunk_size(entry_bytes)
 
 
 def _draw_stacks(rng: np.random.Generator, count: int, shapes: list[tuple[int, int]]):

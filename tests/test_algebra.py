@@ -32,6 +32,7 @@ from shoda.errors import (
     PathDegenerate,
     RankMismatch,
     ShapeMismatch,
+    TooLarge,
     ZeroElement,
 )
 from shoda.sampling import random_element, random_rank_one_projection
@@ -244,6 +245,41 @@ def test_riesz_family_properties(spec23):
         assert total == sum(m for _, m in report.nonzero)
 
 
+def _loop_riesz(a, value, clusters):
+    """The quadrature as computed before it was stacked: one solve per node,
+    added in node order."""
+    centers = [c for c, _ in clusters]
+    center = centers[int(np.argmin([abs(value - c) for c in centers]))]
+    others = [c for c in centers if c != center]
+    radius = min(abs(center - c) for c in others) / 2.0 if others else max(abs(center) / 2.0, 1.0)
+    nodes = center + radius * np.exp(1j * 2.0 * np.pi * np.arange(256) / 256)
+    out = []
+    for m in a.blocks:
+        n = m.shape[0]
+        acc = np.zeros((n, n), dtype=complex)
+        eye = np.eye(n)
+        for z in nodes:
+            acc += np.linalg.solve(z * eye - m, eye) * (z - center)
+        out.append(acc / 256)
+    return out
+
+
+@pytest.mark.parametrize("dims", [(1,), (2, 3), (16,), (256,)])
+def test_stacked_riesz_equals_the_node_loop(dims):
+    # (16,) ends on a one-node chunk; (256,) takes one node per chunk
+    from shoda.algebra import _NODE_ARRAYS, _chunk_size, _riesz_from_clusters
+    from shoda.sampling import random_diagonalizable
+
+    assert _chunk_size(_NODE_ARRAYS * 16 * 16 * 16) == 85
+    assert _chunk_size(_NODE_ARRAYS * 256 * 256 * 16) == 1
+    a = random_diagonalizable(AlgebraSpec(dims), np.random.default_rng(len(dims)))
+    report = spectrum(a)
+    value = report.nonzero[0][0]
+    p = _riesz_from_clusters(a, value, 1e-9, report.eigenvalues)
+    expected = _loop_riesz(a, value, report.eigenvalues)
+    assert all(np.array_equal(x, y) for x, y in zip(p.blocks, expected))
+
+
 # ---------------------------------------------------------------------------
 # separating elements
 
@@ -387,6 +423,55 @@ def test_projection_path_rejects_cross_block(spec23):
         projection_path(p1, p2, 10)
 
 
+def _loop_arc(start, end, samples, sample_at, seed):
+    """Arc sampling as done before it was stacked: one sample at a time."""
+    rng = np.random.default_rng(seed)
+    grid = np.linspace(0.0, 1.0, samples)
+    path = [start]
+    for s_idx in range(1, samples - 1):
+        e = sample_at(grid[s_idx])
+        retries = 0
+        while e is None and retries < 16:
+            e = sample_at(grid[s_idx] + 1j * (rng.uniform(0.05, 0.5) / samples))
+            retries += 1
+        assert e is not None
+        path.append(e)
+    return path + [end] if samples > 1 else path
+
+
+def _loop_projection_path(p, q, samples, tol=1e-9, seed=0):
+    ip = minimal_ideal_index(p, tol)
+    v_p, w_p = shoda.algebra._rank_one_factors(p.blocks[ip])
+    v_q, w_q = shoda.algebra._rank_one_factors(q.blocks[ip])
+
+    def sample_at(t):
+        v = (1.0 - t) * v_p + t * v_q
+        w = (1.0 - t) * w_p + t * w_q
+        denom = w @ v
+        if abs(denom) <= tol * max(np.linalg.norm(v) * np.linalg.norm(w), 1e-300):
+            return None
+        blocks = [np.zeros((n, n), dtype=complex) for n in p.spec.block_dims]
+        blocks[ip] = np.outer(v, w) / denom
+        return Element(p.spec, tuple(blocks))
+
+    return _loop_arc(p, q, samples, sample_at, seed)
+
+
+def _exceptional_endpoints(spec):
+    # the endpoints of test_projection_path_dodges_exceptional_set, in the
+    # leading 2 x 2 block of spec: the pencil trace vanishes at t = 1/2
+    theta, shear = 1.05, -1.15844016457873
+    x = np.array([np.cos(theta), np.sin(theta)])
+    y = x + shear * np.array([-np.sin(theta), np.cos(theta)])
+    return spec.matrix_unit(0, 0, 0), Element(spec, (np.outer(x, y),) + spec.zero().blocks[1:])
+
+
+def _assert_same_arcs(arc, expected):
+    assert len(arc) == len(expected)
+    for e, f in zip(arc, expected):
+        assert all(np.array_equal(x, y) for x, y in zip(e.blocks, f.blocks))
+
+
 def test_projection_path_dodges_exceptional_set(monkeypatch):
     # q = x y^T with y^T x = 1 is a rank-one idempotent; for this angle and
     # shear (found by bisection) the pencil trace vanishes at t = 1/2, so the
@@ -405,6 +490,35 @@ def test_projection_path_dodges_exceptional_set(monkeypatch):
     monkeypatch.setattr(shoda.algebra, "_PERTURB_RETRIES", 0)
     with pytest.raises(PathDegenerate):
         projection_path(p, q, 3)
+
+
+def test_path_chunks_stay_small():
+    # most of 1000 samples of an N = 8 spec per chunk, one at a time when a
+    # sample is large, and none at all over the budget
+    assert 64 <= shoda.algebra._path_chunk(AlgebraSpec((8,))) <= 1000
+    assert shoda.algebra._path_chunk(AlgebraSpec((1448,))) == 1
+    for dims in [(1449,), (30000,), (1100, 1100)]:
+        with pytest.raises(TooLarge):
+            shoda.algebra._path_chunk(AlgebraSpec(dims))
+
+
+@pytest.mark.parametrize("dims", [(2,), (2, 30)])
+def test_stacked_projection_path_equals_the_sample_loop(dims):
+    # on (2, 30) a chunk holds 9 samples, so t = 1/2 of 19 samples, which is
+    # on the exceptional set, is the first sample of the second chunk
+    spec = AlgebraSpec(dims)
+    chunk = shoda.algebra._path_chunk(spec)
+    p, q = _exceptional_endpoints(spec)
+    rng = np.random.default_rng(3)
+    r, s = random_rank_one_projection(spec, 0, rng), random_rank_one_projection(spec, 0, rng)
+    for samples in sorted({1, 2, 3, 5, chunk, chunk + 1, 2 * chunk + 1}):
+        for start, end in ((p, q), (r, s)):
+            _assert_same_arcs(
+                projection_path(start, end, samples, seed=5),
+                _loop_projection_path(start, end, samples, seed=5),
+            )
+    if len(dims) == 2:
+        assert chunk == 9
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +614,51 @@ def test_rank_path_dodges_deficient_rank(monkeypatch):
     monkeypatch.setattr(shoda.algebra, "_PERTURB_RETRIES", 0)
     with pytest.raises(PathDegenerate):
         rank_preserving_path(a, -a, 1, 3)
+
+
+def _loop_rank_path(a, b, samples, tol=1e-9, seed=0):
+    ranks = shoda.algebra._block_ranks(a.blocks, tol)
+    factors = []
+    for m_a, m_b, r in zip(a.blocks, b.blocks, ranks):
+        ua, sa, vha = np.linalg.svd(m_a)
+        ub, sb, vhb = np.linalg.svd(m_b)
+        factors.append((
+            ua[:, :r] * np.sqrt(sa[:r]), (vha[:r, :].conj().T) * np.sqrt(sa[:r]),
+            ub[:, :r] * np.sqrt(sb[:r]), (vhb[:r, :].conj().T) * np.sqrt(sb[:r]),
+        ))
+
+    def sample_at(t):
+        blocks = []
+        for n, (xa, ya, xb, yb), r in zip(a.spec.block_dims, factors, ranks):
+            if r == 0:
+                blocks.append(np.zeros((n, n), dtype=complex))
+                continue
+            x = (1.0 - t) * xa + t * xb
+            y = (1.0 - t) * ya + t * yb
+            blocks.append(x @ y.conj().T)
+        e = Element(a.spec, tuple(blocks))
+        return e if np.array_equal(shoda.algebra._block_ranks(e.blocks, tol), ranks) else None
+
+    return _loop_arc(a, b, samples, sample_at, seed)
+
+
+@pytest.mark.parametrize("dims", [(3,), (3, 30)])
+def test_stacked_rank_path_equals_the_sample_loop(dims):
+    # on (3, 30) a chunk holds 9 samples, so t = 1/2 of 19 samples, where the
+    # segment from a to -a has rank zero, is the first sample of the second chunk
+    spec = AlgebraSpec(dims)
+    chunk = shoda.algebra._path_chunk(spec)
+    a = spec.matrix_unit(0, 0, 0)
+    rng = np.random.default_rng(4)
+    c, d = (random_element(spec, rng) for _ in range(2))
+    n = rank(c)
+    for samples in sorted({1, 2, 3, 5, chunk, chunk + 1, 2 * chunk + 1}):
+        _assert_same_arcs(rank_preserving_path(a, -a, 1, samples, seed=7),
+                          _loop_rank_path(a, -a, samples, seed=7))
+        _assert_same_arcs(rank_preserving_path(c, d, n, samples, seed=7),
+                          _loop_rank_path(c, d, samples, seed=7))
+    if len(dims) == 2:
+        assert chunk == 9
 
 
 # ---------------------------------------------------------------------------

@@ -346,6 +346,66 @@ def test_norm_audit_over_budget_is_exit_one(tmp_path, capsys):
         assert _strict_json(capsys.readouterr().out)["error"] == "TooLarge"
 
 
+def test_completeness_checks_refuse_the_first_block_over_budget(tmp_path, capsys):
+    # the budget counts the products stack, the SVD's copy and its workspace
+    spec = tmp_path / "big.json"
+    spec.write_text(json.dumps({"blocks": [_REFUSED_BLOCK["info"]]}))
+    for command in ("info", "check"):
+        start = time.perf_counter()
+        code = main([command, str(spec)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert _strict_json(capsys.readouterr().out)["error"] == "TooLarge"
+
+
+def test_path_over_budget_is_exit_one(tmp_path, capsys):
+    # the size is checked first: no endpoints are drawn, and the endpoint
+    # file, of the wrong size, is never parsed
+    spec = tmp_path / "big.json"
+    element = tmp_path / "ends.json"
+    element.write_text(json.dumps({"p": {"blocks": [[[1, 0]]]}, "q": {"blocks": [[[1, 0]]]}}))
+    for n in (_REFUSED_BLOCK["path"], 30000):
+        spec.write_text(json.dumps({"blocks": [n]}))
+        for ends in ([], [str(element)]):
+            start = time.perf_counter()
+            code = main(["path", str(spec), *ends])
+            assert time.perf_counter() - start < 1.0
+            assert code == 1
+            assert _strict_json(capsys.readouterr().out)["error"] == "TooLarge"
+
+
+def test_memory_error_is_exit_one(monkeypatch, spec23_file, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 14.4 GiB")
+
+    monkeypatch.setattr(shoda.cli, "is_shoda_complete", exhausted)
+    assert main(["info", spec23_file]) == 1
+    report = _strict_json(capsys.readouterr().out)
+    assert report == {"error": "MemoryError", "detail": "Unable to allocate 14.4 GiB"}
+
+
+@pytest.mark.parametrize("blocks", [[8], [4, 4], [5, 3], [1, 1, 1]])
+def test_path_report_equals_the_sample_loop(tmp_path, blocks):
+    # the stacked checks give the same floats as one Element at a time
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"blocks": blocks}))
+    code, report = run(CliConfig(command="path", spec_path=str(spec_path), seed=7))
+    assert code == 0
+    spec = shoda.algebra.AlgebraSpec(tuple(blocks))
+    rng = np.random.default_rng(7)
+    p = shoda.cli.random_rank_one_projection(spec, 0, rng)
+    q = shoda.cli.random_rank_one_projection(spec, 0, rng)
+    arc = shoda.algebra.projection_path(p, q, 1000, 1e-9, seed=7)
+    assert report == {
+        "samples": 1000,
+        "max_idempotency_residual": max(
+            shoda.algebra.frobenius(shoda.algebra.multiply(e, e) - e) for e in arc
+        ),
+        "max_rank_defect": max(abs(shoda.algebra.rank(e) - 1) for e in arc),
+        "endpoints_exact": True,
+    }
+
+
 def test_decompose_needs_no_recursion(tmp_path):
     # one step per dimension used to be one stack frame per dimension
     n = 150
@@ -405,7 +465,9 @@ def test_completeness_checks_within_budget_succeed(tmp_path, blocks):
 # fuzzing the command line with JSON inputs
 
 # smallest single block each command refuses as over its memory budget
-_REFUSED_BLOCK = {"complete": 40, "info": 28, "check": 28, "decompose": 1296, "norm-audit": 1183}
+_REFUSED_BLOCK = {
+    "complete": 40, "info": 24, "check": 24, "decompose": 1296, "norm-audit": 1183, "path": 1449,
+}
 
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),

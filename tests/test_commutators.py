@@ -13,8 +13,10 @@ from shoda import (
     multiply,
     trace,
 )
-from shoda.algebra import allclose
+from shoda.algebra import allclose, flatten, unflatten
 from shoda.commutators import (
+    _corner_dim,
+    _generated_ideal_dim,
     _pick_pivot,
     _require_decomposable_size,
     _zero_diagonal_similarity,
@@ -24,7 +26,7 @@ from shoda.commutators import (
 from shoda.completion import extension_to_matrix
 from shoda.errors import NotShodaComplete, NotTraceless, NumericalFailure, TooLarge
 from shoda.norms import b_norm
-from shoda.sampling import random_traceless
+from shoda.sampling import random_idempotent, random_rank_one_projection, random_traceless
 from shoda.tensor import BElement, aj_zero, multiply_B
 
 
@@ -69,6 +71,43 @@ def test_criteria_always_agree(dims):
         == report.criterion_connectivity
     )
     assert report.verdict == (len(dims) == 1)
+
+
+def _loop_stacks(spec, p, tol):
+    """The criteria stacks as built before they were stacked: one Element
+    product per basis element (left multiples, corners) or per pair of a
+    reduced left multiple and a basis element (the ideal)."""
+    left = np.stack([flatten(multiply(x, p)) for x in spec.basis()])
+    _, s, vh = np.linalg.svd(left, full_matrices=False)
+    reduced = vh[s > tol * s[0]]
+    ideal = np.stack(
+        [flatten(multiply(unflatten(spec, row), y)) for row in reduced for y in spec.basis()]
+    )
+    corner = np.stack([flatten(multiply(multiply(p, x), p)) for x in spec.basis()])
+    return left, ideal, corner
+
+
+@pytest.mark.parametrize("dims", [(8,), (4, 4), (5, 3), (2, 3, 3), (1, 1, 1)])
+def test_stacked_criteria_equal_the_element_loop(monkeypatch, dims):
+    spec = AlgebraSpec(dims)
+    rng = np.random.default_rng(sum(dims))
+    seen = []
+
+    def recording_span_dim(stacked, tol):
+        seen.append(stacked.copy())
+        return span_dim(stacked, tol)
+
+    span_dim = shoda.commutators._span_dim
+    monkeypatch.setattr(shoda.commutators, "_span_dim", recording_span_dim)
+    projections = list(spec.canonical_projections())
+    projections += [random_rank_one_projection(spec, i, rng) for i in range(len(dims))]
+    projections.append(random_idempotent(spec, tuple(min(2, n) for n in dims), rng))
+    for p in projections:
+        left, ideal, corner = _loop_stacks(spec, p, 1e-9)
+        seen.clear()
+        assert _generated_ideal_dim(spec, p, 1e-9) == span_dim(ideal, 1e-9)
+        assert _corner_dim(spec, p, 1e-9) == span_dim(corner, 1e-9)
+        assert np.array_equal(seen[0], ideal) and np.array_equal(seen[1], corner)
 
 
 # ---------------------------------------------------------------------------
