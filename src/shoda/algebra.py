@@ -54,9 +54,9 @@ _CHUNK_BYTES = 2**20
 _NODE_ARRAYS = 3
 # Working set of one path sample, in complex entries per coordinate of the
 # algebra.  tracemalloc on one-sample chunks of `shoda path` gives about 5:
-# the endpoints, then their checks and SVDs, or the previous sample, the new
-# one and its outer-product temporary.  A child process's peak RSS
-# (getrusage) on [1024] gives about 8, the LAPACK workspaces of the
+# the endpoints, then their checks and their one SVD each, or the previous
+# sample, the new one and its outer-product temporary.  A child process's
+# peak RSS (getrusage) on [1024] gives about 8, the LAPACK workspaces of the
 # endpoints' SVDs included, which tracemalloc does not see.
 _PATH_ARRAYS = 8
 
@@ -289,16 +289,17 @@ def spectrum(a: Element, tol: float = DEFAULT_TOL) -> SpectrumReport:
     return SpectrumReport(eigenvalues=tuple(clusters), nonzero=nonzero)
 
 
-def _block_ranks(blocks: Sequence[np.ndarray], tol: float) -> np.ndarray:
-    """Rank of each block, counting singular values above tol times the
-    largest singular value of the whole element; the last axis is the block.
-
-    Leading axes of the blocks, if any, index a stack of elements, one SVD
-    call per block for the whole stack.
-    """
-    svals = [np.linalg.svd(m, compute_uv=False) for m in blocks]
+def _svd_ranks(svals: Sequence[np.ndarray], tol: float) -> np.ndarray:
+    """Rank of each block from its descending singular values: those above tol
+    times the largest of the whole element.  The last axis is the block, and
+    leading axes of the values, if any, index a stack of elements."""
     thr = tol * np.max([s[..., 0] for s in svals], axis=0)
     return np.stack([np.sum(s > thr[..., None], axis=-1) for s in svals], axis=-1)
+
+
+def _block_ranks(blocks: Sequence[np.ndarray], tol: float) -> np.ndarray:
+    """_svd_ranks of the blocks, one SVD call per block for a whole stack."""
+    return _svd_ranks([np.linalg.svd(m, compute_uv=False) for m in blocks], tol)
 
 
 def rank(a: Element, tol: float = DEFAULT_TOL) -> int:
@@ -386,42 +387,38 @@ def separating_element(
 
 def minimal_ideal_index(q: Element, tol: float = DEFAULT_TOL) -> int:
     """Block index of the unique minimal two-sided ideal containing a rank-one element."""
-    r = rank(q, tol)
+    ranks = _block_ranks(q.blocks, tol)
+    r = int(ranks.sum())
     if r == 0:
         raise ZeroElement("zero element lies in every ideal")
     if r != 1:
         raise NotRankOne(f"rank is {r}")
-    scale = largest_singular_value(q)
-    live = [i for i, m in enumerate(q.blocks) if np.abs(m).max() > tol * scale]
-    return live[0]
+    return int(np.argmax(ranks))
 
 
-def _check_rank_one_projection(p: Element, tol: float):
-    res = frobenius(multiply(p, p) - p)
-    if res > tol * (1.0 + frobenius(p)):
-        raise NotAProjection(f"idempotency residual {res}")
-    r = rank(p, tol)
-    if r != 1:
-        raise NotAProjection(f"rank is {r}, need 1")
+def _shared_minimal_ideal(p: Element, q: Element, tol: float, keep: Callable):
+    """Check that p and q are rank-one projections of one minimal ideal; return
+    its block index and keep(m, u, vh) of each one's block m = u diag(s) vh.
+    One SVD per block gives the ranks, the block and the factors; keep
+    reduces those of p before q is factorized, so that the n x n factors of
+    only one endpoint are alive at a time."""
+    for x in (p, q):
+        res = frobenius(multiply(x, x) - x)
+        if res > tol * (1.0 + frobenius(x)):
+            raise NotAProjection(f"idempotency residual {res}")
 
+    def split(x: Element):
+        svds = [np.linalg.svd(m) for m in x.blocks]
+        ranks = _svd_ranks([s for _, s, _ in svds], tol)
+        if ranks.sum() != 1:
+            raise NotAProjection(f"rank is {ranks.sum()}, need 1")
+        i = int(np.argmax(ranks))
+        return i, keep(x.blocks[i], svds[i][0], svds[i][2])
 
-def _shared_minimal_ideal(p: Element, q: Element, tol: float) -> int:
-    """Block index of the minimal ideal holding both rank-one projections."""
-    _check_rank_one_projection(p, tol)
-    _check_rank_one_projection(q, tol)
-    ip, iq = minimal_ideal_index(p, tol), minimal_ideal_index(q, tol)
+    (ip, kept_p), (iq, kept_q) = split(p), split(q)
     if ip != iq:
         raise DifferentMinimalIdeal(f"blocks {ip} and {iq}")
-    return ip
-
-
-def _idempotent_frame(m: np.ndarray):
-    """Invertible matrix whose first column spans the image of the rank-one
-    idempotent m and whose remaining columns span its kernel."""
-    u, s, vh = np.linalg.svd(m)
-    img = u[:, :1]
-    ker = vh[1:, :].conj().T
-    return np.concatenate([img, ker], axis=1)
+    return ip, kept_p, kept_q
 
 
 def conjugate_projections(p: Element, q: Element, tol: float = DEFAULT_TOL) -> Element:
@@ -429,23 +426,15 @@ def conjugate_projections(p: Element, q: Element, tol: float = DEFAULT_TOL) -> E
     same minimal ideal.  Raises DifferentMinimalIdeal across orthogonal ideals,
     where no such u exists.
     """
-    ip = _shared_minimal_ideal(p, q, tol)
+    # each frame's first column spans the image, the rest the kernel
+    ip, frame_p, frame_q = _shared_minimal_ideal(
+        p, q, tol, lambda m, u, vh: np.concatenate([u[:, :1], vh[1:].conj().T], axis=1)
+    )
     if all((x == y).all() for x, y in zip(p.blocks, q.blocks)):
         return p.spec.identity()
-    frame_p = _idempotent_frame(p.blocks[ip])
-    frame_q = _idempotent_frame(q.blocks[ip])
-    u_block = frame_q @ np.linalg.inv(frame_p)
     blocks = [np.eye(n, dtype=complex) for n in p.spec.block_dims]
-    blocks[ip] = u_block
+    blocks[ip] = frame_q @ np.linalg.inv(frame_p)
     return Element(p.spec, tuple(blocks))
-
-
-def _rank_one_factors(m: np.ndarray):
-    """Split a rank-one idempotent as v w^H with w^H v = 1."""
-    u, s, vh = np.linalg.svd(m)
-    v = u[:, 0].copy()  # a view would keep all of u alive along the path
-    w_h = v.conj() @ m
-    return v, w_h
 
 
 def _path_chunk(spec: AlgebraSpec) -> int:
@@ -536,9 +525,13 @@ def _projection_arc(
     if samples < 1:
         raise ValueError("samples must be positive")
     chunk = _path_chunk(p.spec)
-    ip = _shared_minimal_ideal(p, q, tol)
-    v_p, w_p = _rank_one_factors(p.blocks[ip])
-    v_q, w_q = _rank_one_factors(q.blocks[ip])
+
+    def split(m, u, vh):
+        """m as v w^H with w^H v = 1."""
+        v = u[:, 0].copy()  # a view would keep all of u alive along the path
+        return v, v.conj() @ m
+
+    ip, (v_p, w_p), (v_q, w_q) = _shared_minimal_ideal(p, q, tol, split)
     spec = p.spec
 
     def sample_at(ts: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
@@ -599,8 +592,10 @@ def rank_preserving_path(
     if samples < 1:
         raise ValueError("samples must be positive")
     chunk = _path_chunk(a.spec)
-    ranks_a = tuple(_block_ranks(a.blocks, tol).tolist())
-    ranks_b = tuple(_block_ranks(b.blocks, tol).tolist())
+    svd_a = [np.linalg.svd(m) for m in a.blocks]
+    svd_b = [np.linalg.svd(m) for m in b.blocks]
+    ranks_a = tuple(_svd_ranks([s for _, s, _ in svd_a], tol).tolist())
+    ranks_b = tuple(_svd_ranks([s for _, s, _ in svd_b], tol).tolist())
     if sum(ranks_a) != n or sum(ranks_b) != n:
         raise RankMismatch(f"ranks {sum(ranks_a)}, {sum(ranks_b)}; expected {n}")
     if ranks_a != ranks_b:
@@ -611,18 +606,14 @@ def rank_preserving_path(
             )
         raise RankMismatch(f"per-block ranks {ranks_a} vs {ranks_b}")
 
-    factors = []
-    for m_a, m_b, r in zip(a.blocks, b.blocks, ranks_a):
-        if r == 0:
-            factors.append(None)
-            continue
-        ua, sa, vha = np.linalg.svd(m_a)
-        ub, sb, vhb = np.linalg.svd(m_b)
-        xa = ua[:, :r] * np.sqrt(sa[:r])
-        ya = (vha[:r, :].conj().T) * np.sqrt(sa[:r])
-        xb = ub[:, :r] * np.sqrt(sb[:r])
-        yb = (vhb[:r, :].conj().T) * np.sqrt(sb[:r])
-        factors.append((xa, ya, xb, yb))
+    def halves(u, s, vh, r):
+        return u[:, :r] * np.sqrt(s[:r]), (vh[:r, :].conj().T) * np.sqrt(s[:r])
+
+    factors = [
+        None if r == 0 else halves(*fa, r) + halves(*fb, r)
+        for fa, fb, r in zip(svd_a, svd_b, ranks_a)
+    ]
+    del svd_a, svd_b  # the samples need only the factors
 
     spec = a.spec
 

@@ -72,11 +72,16 @@ def extension_from_coordinates(spec: AlgebraSpec, vec: np.ndarray) -> BElement:
 
 def extension_to_matrix(x: BElement) -> np.ndarray:
     """Image of an extension element under the full-matrix identification."""
-    size = x.spec.matrix_size
-    off = x.spec.offsets()
-    out = np.zeros((size, size), dtype=complex)
-    for (i, j), m in _full_coordinates(x.a.blocks, x.u.terms).items():
-        out[off[i] : off[i] + m.shape[0], off[j] : off[j] + m.shape[1]] = m
+    return _full_matrix(x.spec, x.a.blocks, x.u.terms)
+
+
+def _full_matrix(spec: AlgebraSpec, blocks, terms: dict) -> np.ndarray:
+    """extension_to_matrix of coordinate arrays; leading axes index a stack."""
+    size = spec.matrix_size
+    off = spec.offsets()
+    out = np.zeros(np.shape(blocks[0])[:-2] + (size, size), dtype=complex)
+    for (i, j), m in _full_coordinates(blocks, terms).items():
+        out[..., off[i] : off[i] + m.shape[-2], off[j] : off[j] + m.shape[-1]] = m
     return out
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .algebra import _TABLE_BYTES, AlgebraSpec, _chunk_size, block_operator_norm
 from .algebra import largest_singular_value as a_norm
+from .completion import _full_matrix
 from .errors import TooLarge
 from .tensor import BElement, _full_coordinates, _pair_contract, aj_pairs
 from .tensor import multiply_B  # unused here, but perfbench/tracing.py binds it by name
@@ -180,11 +181,11 @@ def submultiplicativity_audit(
 
 
 def isometry_check(spec: AlgebraSpec, samples: int = 100, seed: int = 42) -> float:
-    """Max relative gap between the norm of an algebra element and the pair
-    norm of its embedded image.  The radical of the finite-dimensional
-    extension is zero, so the quotient norm is the pair norm itself and the
-    embedding must be isometric.  Samples are drawn and checked on stacks,
-    a chunk at a time."""
+    """Max relative gap between the norm of an algebra element and the
+    operator norm of its image in M_N under the full-matrix witness of
+    `shoda.completion`.  The witness places block i on the diagonal, so the
+    embedding of the algebra must be isometric.  Samples are drawn and
+    checked on stacks, a chunk at a time."""
     chunk = _audit_chunk(spec)
     rng = np.random.default_rng(seed)
     shapes = [(n, n) for n in spec.block_dims]
@@ -193,7 +194,7 @@ def isometry_check(spec: AlgebraSpec, samples: int = 100, seed: int = 42) -> flo
         count = min(chunk, samples - start)
         x = list(_draw_stacks(rng, count, shapes))
         nx = block_operator_norm(x)
-        embedded = _pair_norm(x, {})
-        gap = np.abs(embedded - nx) / np.maximum(nx, 1e-300)
+        image = block_operator_norm([_full_matrix(spec, x, {})])
+        gap = np.abs(image - nx) / np.maximum(nx, 1e-300)
         worst = max(worst, float(np.max(gap)))
     return worst

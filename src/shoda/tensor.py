@@ -144,10 +144,11 @@ def _pair_contract(
     """
     soc_blocks = [np.zeros((n, n), dtype=complex) for n in dims]
     off: dict[tuple[int, int], np.ndarray] = {}
+    by_inner: dict[int, list] = {}  # right keys (m, j) by m, in key order
+    for (m, j), rmat in right.items():
+        by_inner.setdefault(m, []).append((j, rmat))
     for (i, m), lmat in left.items():
-        for (m2, j), rmat in right.items():
-            if m != m2:
-                continue
+        for j, rmat in by_inner.get(m, ()):
             prod = lmat @ rmat
             if i == j:
                 soc_blocks[i] = soc_blocks[i] + prod

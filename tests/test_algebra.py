@@ -339,6 +339,40 @@ def test_minimal_ideal_index_rejections(spec23):
         minimal_ideal_index(spec23.zero())
 
 
+@pytest.mark.parametrize("dims", [(8,), (2, 8), (3, 5, 8)])
+def test_minimal_ideal_index_at_large_tol(dims):
+    # no entry of these projections exceeds half their norm, yet their
+    # block is found: it is the one of rank 1
+    last = len(dims) - 1
+    p = random_rank_one_projection(AlgebraSpec(dims), last, np.random.default_rng(42))
+    assert minimal_ideal_index(p, 0.5) == last
+
+
+@pytest.mark.parametrize("dims", [(64,), (64, 3)])
+def test_endpoints_take_one_svd_per_block(dims, monkeypatch):
+    # each endpoint is checked, located and split from one SVD per block
+    spec = AlgebraSpec(dims)
+    rng = np.random.default_rng(5)
+    p, q = (random_rank_one_projection(spec, 0, rng) for _ in range(2))
+    a, b = (random_element(spec, rng) for _ in range(2))
+    svd, calls = np.linalg.svd, []
+
+    def counting_svd(m, *args, **kwargs):
+        if np.ndim(m) == 2:  # samples are ranked as stacks
+            calls.append(np.shape(m))
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    for run in (
+        lambda: projection_path(p, q, 5),
+        lambda: conjugate_projections(p, q),
+        lambda: rank_preserving_path(a, b, sum(dims), 5),
+    ):
+        calls.clear()
+        run()
+        assert len(calls) == 2 * len(dims)
+
+
 # ---------------------------------------------------------------------------
 # similarity orbits of projections
 
@@ -441,8 +475,8 @@ def _loop_arc(start, end, samples, sample_at, seed):
 
 def _loop_projection_path(p, q, samples, tol=1e-9, seed=0):
     ip = minimal_ideal_index(p, tol)
-    v_p, w_p = shoda.algebra._rank_one_factors(p.blocks[ip])
-    v_q, w_q = shoda.algebra._rank_one_factors(q.blocks[ip])
+    v_p, v_q = (np.linalg.svd(x.blocks[ip])[0][:, 0] for x in (p, q))
+    w_p, w_q = v_p.conj() @ p.blocks[ip], v_q.conj() @ q.blocks[ip]
 
     def sample_at(t):
         v = (1.0 - t) * v_p + t * v_q

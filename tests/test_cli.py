@@ -180,6 +180,16 @@ def test_path_command(spec23_file):
     assert report["endpoints_exact"] is True
 
 
+def test_path_at_large_tol_is_a_domain_failure(tmp_path):
+    # no entry of the seeded endpoints exceeds half their norm; their block
+    # is still found, and the arc fails as a domain failure, not bad input
+    spec = tmp_path / "spec8.json"
+    spec.write_text(json.dumps({"blocks": [8]}))
+    code, report = run(CliConfig(command="path", spec_path=str(spec), tol=0.5))
+    assert code == 1
+    assert report["error"] == "PathDegenerate"
+
+
 def test_info_command(spec23_file):
     code, report = run(CliConfig(command="info", spec_path=spec23_file))
     assert code == 0

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import shoda.completion
 from shoda import AlgebraSpec, a_norm, b_norm, isometry_check, pair_nuclear_norm
 from shoda import submultiplicativity_audit
 from shoda.algebra import Element, multiply
+from shoda.completion import extension_to_matrix
 from shoda.errors import TooLarge
 from shoda.norms import A_NORM_MODEL, NormAudit, _audit_chunk, _ratio
 from shoda.sampling import random_aj, random_b, random_element
@@ -121,6 +123,21 @@ def test_isometry_of_embedding(spec23):
     assert b_norm(zero).total == 0.0
 
 
+@pytest.mark.parametrize("dims", [(2, 3), (1, 2, 1)])
+def test_isometry_check_sees_a_misplaced_witness(dims, monkeypatch):
+    # the check reads the algebra through the full-matrix witness, so a
+    # witness that doubles block 0 moves the operator norm of the image
+    full = shoda.completion._full_coordinates
+
+    def doubled(blocks, terms):
+        coords = full(blocks, terms)
+        coords[(0, 0)] = 2.0 * coords[(0, 0)]
+        return coords
+
+    monkeypatch.setattr(shoda.completion, "_full_coordinates", doubled)
+    assert isometry_check(AlgebraSpec(dims), samples=100, seed=1) > 1e-12
+
+
 def test_norm_model_is_flagged():
     assert A_NORM_MODEL == "max-block-operator-norm"
 
@@ -130,10 +147,11 @@ def test_norm_model_is_flagged():
 
 
 def _loop_audits(spec, samples, seed, checkpoints):
-    """Both audits drawn and checked one sample at a time through b_norm and
-    multiply_B, as the audits did before they ran on stacks; the worst ratios
-    seen after each checkpoint sample count, which are the results of an audit
-    of that many samples, since the draws of fewer samples are a prefix."""
+    """Both audits drawn and checked one sample at a time, through b_norm and
+    multiply_B or through extension_to_matrix, as the audits did before they
+    ran on stacks; the worst ratios seen after each checkpoint sample count,
+    which are the results of an audit of that many samples, since the draws
+    of fewer samples are a prefix."""
 
     def ratio(product_norm, left, right):
         return 0.0 if left == 0.0 or right == 0.0 else product_norm / (left * right)
@@ -161,7 +179,8 @@ def _loop_audits(spec, samples, seed, checkpoints):
     for k in range(1, samples + 1):
         x = random_element(spec, rng)
         nx = a_norm(x)
-        embedded = b_norm(BElement(x, aj_zero(spec))).total
+        image = extension_to_matrix(BElement(x, aj_zero(spec)))
+        embedded = np.linalg.svd(image, compute_uv=False)[0]
         worst = max(worst, abs(embedded - nx) / max(nx, 1e-300))
         if k in checkpoints:
             isometry[k] = worst

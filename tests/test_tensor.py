@@ -165,10 +165,11 @@ def test_extension_product_distributes(seed, dims):
     assert b_norm(lhs - rhs).total < 1e-10 * (1 + b_norm(lhs).total)
 
 
-@pytest.mark.parametrize("dims", [(2, 3), (1, 2, 1)])
+@pytest.mark.parametrize("dims", [(2, 3), (1, 2, 1), (1,) * 5])
 def test_extension_product_matches_naive_oracle_exactly(dims):
     # integer operands with nonzero algebra parts keep the arithmetic exact,
-    # so the term-by-term oracle pins the algebra action on tensors bit for bit
+    # so the term-by-term oracle pins the algebra action on tensors bit for
+    # bit; five 1 x 1 blocks put 25 keys on each side of the contraction
     spec = AlgebraSpec(dims)
     rng = np.random.default_rng(21)
 
