@@ -4,10 +4,11 @@
 Prints one row per spec: the block sizes, the dimension of the extension,
 its radical, the identified component structure, the isomorphism residual,
 and the wall time.  Every row should identify a single full matrix block of
-size (sum of blocks) squared.
+size (sum of blocks) squared; the script exits 1 if one does not.
 """
 
 import argparse
+import sys
 import time
 
 from shoda import AlgebraSpec, complete
@@ -41,6 +42,7 @@ def main():
     header = f"{'blocks':<16}{'dim':>6}{'radical':>9}{'components':>14}{'residual':>12}{'time':>9}"
     print(header)
     print("-" * len(header))
+    failed = []
     for dims in compositions(args.max_total, args.max_blocks):
         spec = AlgebraSpec(dims)
         started = time.perf_counter()
@@ -51,6 +53,11 @@ def main():
             f"{str(list(result.block_structure)):>14}{result.iso_residual:>12.2e}"
             f"{elapsed:>8.2f}s"
         )
+        if list(result.block_structure) != [spec.matrix_size**2]:
+            failed.append(dims)
+    if failed:
+        print(f"not one full matrix block: {failed}", file=sys.stderr)
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -42,6 +42,10 @@ DEFAULT_TOL = 1e-9
 
 _CONTOUR_POINTS = 256
 _PERTURB_RETRIES = 16
+# A projection-path sample v w^H / (w^H v) lies off the exceptional set when
+# |w^H v| > _PAIRING_FLOOR |v| |w|.  The floor is fixed: the caller's tol is
+# a rank cut and says nothing about how close to a pole a sample may be.
+_PAIRING_FLOOR = 1e-9
 
 # memory budget of one call's dense arrays; shoda.completion lists what it bounds
 _TABLE_BYTES = 2**28
@@ -540,7 +544,7 @@ def _projection_arc(
         w = (1.0 - t) * w_p + t * w_q
         denom = (w[:, None, :] @ v[:, :, None])[:, 0, 0]
         scale = np.linalg.norm(v, axis=1) * np.linalg.norm(w, axis=1)
-        ok = np.abs(denom) > tol * np.maximum(scale, 1e-300)
+        ok = np.abs(denom) > _PAIRING_FLOOR * np.maximum(scale, 1e-300)
         blocks = [np.zeros((len(ts), n, n), dtype=complex) for n in spec.block_dims]
         np.divide(
             v[:, :, None] * w[:, None, :], denom[:, None, None],

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import _TABLE_BYTES, AlgebraSpec, Element
+from .algebra import _TABLE_BYTES, AlgebraSpec, Element, _chunk_size
 from .errors import NumericalFailure, TooLarge
 from .structure import (
     RECORD,
@@ -34,11 +34,12 @@ _CHECK_PAIRS = 100
 # seeded dense pairs on which multiply_B itself is checked against the matrix product
 _PRODUCT_PAIRS = 8
 # _TABLE_BYTES is the memory budget of one call's dense arrays.  complete()
-# holds at most seven d x d complex arrays' worth at once (d = N**2): the
-# 2d x d centre system, its 2d x d SVD factor, the (2, d, d) commutator maps
-# and the (d, N, N) witness images, so N <= 39.  The dense table of
-# --dump-table has d**3 entries, so N <= 16.  info/check, decompose,
-# norm-audit and path bound their own working sets by it too.
+# counts seven d x d complex arrays (d = N**2), so N <= 39; one of them is the
+# (d, N, N) witness images, and the rest is headroom for the component blocks
+# (at most N**2 x N entries each), the O(N**3) records of the witness check
+# and the LAPACK workspaces.  The dense table of --dump-table has d**3
+# entries, so N <= 16.  info/check, decompose, norm-audit and path bound
+# their own working sets by it too.
 _DENSE_ARRAYS = 7
 
 
@@ -187,20 +188,31 @@ def complete(spec: AlgebraSpec, tol: float = 1e-9, seed: int = 42) -> Completion
         )
 
     size = spec.matrix_size
+    rows, cols = extension_positions(spec)
     images = np.zeros((d, size, size), dtype=complex)
-    images[(np.arange(d), *extension_positions(spec))] = 1.0
+    images[np.arange(d), rows, cols] = 1.0
     basis_residual = _basis_residual(alg, images)
 
+    def witness(coords: np.ndarray) -> np.ndarray:
+        out = np.zeros(coords.shape[:-1] + (size, size), dtype=complex)
+        out[..., rows, cols] = coords
+        return out
+
+    # seeded pairs in stacks, each pair about four complex entries per record
+    # and nine per coordinate; the product sums as alg.product sums it
+    t = alg.table
     rng = np.random.default_rng(seed)
+    chunk = _chunk_size((4 * t.size + 9 * d) * np.dtype(complex).itemsize)
     random_residual = 0.0
-    flat = images.reshape(d, size * size)
-    for _ in range(_CHECK_PAIRS):
-        x = rng.normal(size=d) + 1j * rng.normal(size=d)
-        y = rng.normal(size=d) + 1j * rng.normal(size=d)
-        lhs = (alg.product(x, y) @ flat).reshape(size, size)
-        rhs = (x @ flat).reshape(size, size) @ (y @ flat).reshape(size, size)
-        denom = 1.0 + np.linalg.norm(lhs)
-        random_residual = max(random_residual, float(np.abs(lhs - rhs).max()) / denom)
+    for lo in range(0, _CHECK_PAIRS, chunk):
+        draw = rng.normal(size=(min(chunk, _CHECK_PAIRS - lo), 4, d))
+        x, y = draw[:, 0] + 1j * draw[:, 1], draw[:, 2] + 1j * draw[:, 3]
+        index = np.arange(len(x))[:, None] * d + t["c"]
+        prod = _accumulate(index.ravel(), (t["v"] * x[:, t["a"]] * y[:, t["b"]]).ravel(), x.size)
+        lhs = witness(prod.reshape(x.shape))
+        worst = np.abs(lhs - witness(x) @ witness(y)).max(axis=(1, 2))
+        denom = 1.0 + np.linalg.norm(lhs, axis=(1, 2))
+        random_residual = max(random_residual, float((worst / denom).max()))
 
     # the table is not built from multiply_B, so the product is checked on its own
     for _ in range(_PRODUCT_PAIRS):

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraSpec, Element
+from .structure import StructureConstantAlgebra
 from .tensor import AJElement
 
 _ZERO_TOL = 1e-9
@@ -264,3 +265,24 @@ def _block_units(spec: AlgebraSpec, i: int):
             blocks = [np.zeros((d, d), dtype=complex) for d in spec.block_dims]
             blocks[i][k, l] = 1.0
             yield Element(spec, tuple(blocks))
+
+
+def dense_radical(alg: StructureConstantAlgebra, tol: float = 1e-9) -> np.ndarray:
+    """Rows spanning the radical: the null space of the whole trace-form Gram
+    matrix G[a, b] = sum over e, c of T[a, e, c] T[b, c, e], built from the
+    dense table and cut at tol times its largest singular value."""
+    table = alg.dense()
+    _, s, vh = np.linalg.svd(np.einsum("aec,bce->ab", table, table))
+    return vh[s <= tol * s[0]].conj()
+
+
+def dense_center(alg: StructureConstantAlgebra, tol: float = 1e-9) -> np.ndarray:
+    """Rows spanning the centre: the null space of the whole commutator
+    system, the matrices of z |-> z e_b - e_b z for every basis element e_b
+    stacked, cut at tol times the larger of 1 and its largest singular value."""
+    table = alg.dense()
+    d = alg.dim
+    # row (b, c), column a: (z e_b)_c has T[a, b, c], (e_b z)_c has T[b, a, c]
+    system = (table.transpose(1, 2, 0) - table.transpose(0, 2, 1)).reshape(d * d, d)
+    _, s, vh = np.linalg.svd(system, full_matrices=False)
+    return vh[s <= tol * max(s[0], 1.0)].conj()

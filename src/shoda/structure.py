@@ -4,6 +4,8 @@ Used for the extension algebra, for the base block algebra, and for
 hand-built negative controls in tests.  Provides the radical by the
 characteristic-zero trace-form criterion, quotients by a verified ideal,
 and Wedderburn identification of a semisimple table through its center.
+The radical, the centre and the central eigenvalues are solved one connected
+component of their sparse systems at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .errors import (
 )
 
 _GAP_FACTOR = 1e3
-_CENTER_DRAWS = 4
 
 _log = logging.getLogger("shoda")
 
@@ -82,12 +83,6 @@ class StructureConstantAlgebra:
         t = self.table
         return _accumulate(t["c"], t["v"] * x[t["a"]] * y[t["b"]], self.dim)
 
-    def left_matrix(self, x: np.ndarray) -> np.ndarray:
-        """Matrix of left multiplication by x on the coordinate space."""
-        d = self.dim
-        t = self.table
-        return _accumulate(t["c"] * d + t["b"], t["v"] * x[t["a"]], d * d).reshape(d, d)
-
     def associativity_residual(self) -> float:
         """Worst deviation between the two association orders over all basis triples."""
         table = self.dense()
@@ -133,38 +128,135 @@ def block_algebra(spec: AlgebraSpec) -> StructureConstantAlgebra:
     return StructureConstantAlgebra(table, flatten(spec.identity()))
 
 
-def _trace_form_gram(alg: StructureConstantAlgebra) -> np.ndarray:
-    """Gram matrix of the regular-representation trace form,
-    G[a, b] = trace(L_a L_b) = sum over c, e of table[a, e, c] table[b, c, e]."""
-    d = alg.dim
-    t = alg.table
-    # records (a, e, c) and (b, c', e') meet where e == e' and c == c'
-    i, j = _join(t["b"] * d + t["c"], t["c"] * d + t["b"])
-    return _accumulate(t["a"][i] * d + t["a"][j], t["v"][i] * t["v"][j], d * d).reshape(d, d)
+def _labels(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """Smallest node id of each node's connected component, in the graph on
+    n nodes with one edge (u[i], v[i]) per i.
+
+    Each round hooks the larger root of every edge across two trees onto the
+    smaller one, then jumps pointers until every node points at its root.
+    Pointers only ever go down, so no cycle can form.
+    """
+    label = np.arange(n)
+    while True:
+        lu, lv = label[u], label[v]
+        across = lu != lv
+        if not across.any():
+            return label
+        lu, lv = lu[across], lv[across]
+        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+
+
+def _positions(group: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index of each item among the items of its group, in item order, and
+    the number of items in each of the size groups."""
+    counts = np.bincount(group, minlength=size)
+    order = np.argsort(group, kind="stable")
+    pos = np.empty_like(order)
+    pos[order] = np.arange(group.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    return pos, counts
+
+
+def _components(
+    row: np.ndarray, col: np.ndarray, val: np.ndarray, n_cols: int, shared: bool = False
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Connected components of the matrix with n_cols columns that holds the
+    sum of val at each (row, col), as dense blocks stacked by shape.
+
+    Every record is an edge between its row and its column.  Returns one
+    (cols, blocks) per block shape (r, c): the column ids (k, c) and the
+    blocks (k, r, c) of its k components.  Row ids are compressed to the
+    rows that occur, so a column without records is a component with no
+    rows.  With shared=True a row and the column with the same id are one
+    node, and every block is square with its rows in the order of its cols.
+    The matrix is block-diagonal under the permutation that lists the
+    components one after another, so its singular values, null vectors and
+    eigenvalues are those of the blocks.
+    """
+    if shared:
+        row_node, n = row, n_cols
+    else:
+        row_ids, row_node = np.unique(row, return_inverse=True)
+        row_node, n = row_node + n_cols, n_cols + row_ids.size
+    comp_ids, comp = np.unique(_labels(col, row_node, n), return_inverse=True)
+    col_pos, n_c = _positions(comp[:n_cols], comp_ids.size)
+    row_pos, n_r = _positions(comp[n_cols:], comp_ids.size) if not shared else (col_pos, n_c)
+    shapes, shape_of = np.unique(n_r * (n_cols + 1) + n_c, return_inverse=True)
+    slot, per_shape = _positions(shape_of, len(shapes))
+    rec_comp, rec_row = comp[col], row_pos[row_node - (0 if shared else n_cols)]
+    out = []
+    for s, (shape, k) in enumerate(zip(shapes, per_shape)):
+        r, c = divmod(int(shape), n_cols + 1)
+        cols = np.empty((k, c), dtype=np.intp)
+        in_s = np.flatnonzero(shape_of[comp[:n_cols]] == s)
+        cols[slot[comp[in_s]], col_pos[in_s]] = in_s
+        rec = np.flatnonzero(shape_of[rec_comp] == s)
+        index = (slot[rec_comp[rec]] * r + rec_row[rec]) * c + col_pos[col[rec]]
+        out.append((cols, _accumulate(index, val[rec], k * r * c).reshape(k, r, c)))
+    return out
+
+
+def _block_svds(components) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """Singular values of all blocks in one array, with a zero for every
+    column beyond a block's rows, and (cols, s, vh) per stack: s padded so,
+    vh holding the right singular vectors of every column."""
+    parts = []
+    for cols, blocks in components:
+        k, r, c = blocks.shape
+        # a tall block needs only its thin factors, which hold every column
+        _, s, vh = np.linalg.svd(blocks, full_matrices=r < c)
+        parts.append((cols, np.concatenate([s, np.zeros((k, c - s.shape[1]))], axis=1), vh))
+    return np.concatenate([s.ravel() for _, s, _ in parts]), parts
+
+
+def _null_space(parts, d: int, thr: float) -> np.ndarray:
+    """Rows spanning the null space of the matrix whose block SVDs are parts:
+    the conjugated right singular vectors with value at most thr, each put
+    at its block's columns of a length-d vector."""
+    vectors = []
+    for cols, s, vh in parts:
+        g, i = np.nonzero(s <= thr)
+        vec = np.zeros((g.size, d), dtype=complex)
+        vec[np.arange(g.size)[:, None], cols[g]] = vh[g, i].conj()
+        vectors.append(vec)
+    return np.concatenate(vectors)
+
+
+def _log_solve(stage: str, components, margin: str, value: float, gate: float):
+    shapes = [blocks.shape for _, blocks in components]
+    largest = max((s[1:] for s in shapes), key=np.prod)
+    _log.debug("%s: %d blocks, largest %s, %s %.3g against %.3g",
+               stage, sum(s[0] for s in shapes), largest, margin, value, gate)
 
 
 def radical(alg: StructureConstantAlgebra, tol: float = 1e-9) -> np.ndarray:
     """Orthonormal basis of the radical, found as the nullspace of the
-    trace-form Gram matrix.  The rank split must show a clean gap (factor
-    1000) between kept and discarded singular values, otherwise the decision
-    would be unreliable and IllConditioned is raised.
+    trace-form Gram matrix G[a, b] = trace(L_a L_b), one connected component
+    at a time.  The rank split over all blocks' singular values must show a
+    clean gap (factor 1000) between kept and discarded ones, otherwise the
+    decision would be unreliable and IllConditioned is raised.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    gram = _trace_form_gram(alg)
-    u, s, vh = np.linalg.svd(gram)
-    if s[0] == 0.0:
-        return vh  # the zero algebra direction: everything is radical
-    thr = tol * s[0]
-    null_mask = s <= thr
-    if null_mask.any() and not null_mask.all():
-        kept_min = s[~null_mask].min()
-        null_max = s[null_mask].max()
-        if null_max > 0 and kept_min / null_max < _GAP_FACTOR:
-            raise IllConditioned(
-                f"singular values cluster at the threshold: {kept_min} vs {null_max}"
-            )
-    return vh[null_mask].conj()
+    d = alg.dim
+    t = alg.table
+    # G[a, b] sums table[a, e, c] table[b, c, e]: records (a, e, c) and
+    # (b, c', e') meet where e == e' and c == c'
+    i, j = _join(t["b"] * d + t["c"], t["c"] * d + t["b"])
+    components = _components(t["a"][i], t["a"][j], t["v"][i] * t["v"][j], d)
+    s, parts = _block_svds(components)
+    thr = tol * s.max()  # zero for the zero algebra, where everything is radical
+    kept, null = s[s > thr], s[s <= thr]
+    null_max = null.max(initial=0.0)
+    gap = kept.min(initial=np.inf) / null_max if null_max > 0 else np.inf
+    _log_solve("radical", components, "gap", gap, _GAP_FACTOR)
+    if gap < _GAP_FACTOR:
+        raise IllConditioned(f"singular values cluster at the threshold: {kept.min()} vs {null_max}")
+    return _null_space(parts, d, thr)
 
 
 def quotient(
@@ -205,49 +297,33 @@ def quotient(
     return StructureConstantAlgebra(table, unit)
 
 
-def _generators(alg: StructureConstantAlgebra, rng: np.random.Generator) -> np.ndarray:
-    """Two random elements; for a semisimple algebra over C their
-    centralizer is the centre."""
-    return rng.normal(size=(2, alg.dim)) + 1j * rng.normal(size=(2, alg.dim))
+def _center_basis(alg: StructureConstantAlgebra, tol: float) -> np.ndarray:
+    """Orthonormal basis of the centre: the null space of the system
+    z e_b - e_b z = 0 over every basis element e_b, one connected component
+    at a time.
 
-
-def _commutator_maps(alg: StructureConstantAlgebra, xs: np.ndarray) -> np.ndarray:
-    """For each row x of xs, the matrix of z |-> z x - x z on coordinates."""
-    d = alg.dim
-    t = alg.table
-    a, b, c, v = t["a"], t["b"], t["c"], t["v"]
-    g = np.arange(xs.shape[0])[:, None] * d * d
-    # z x puts z_a x_b v on c; x z puts x_a z_b v on c
-    index = np.concatenate([g + c * d + a, g + c * d + b], axis=1)
-    values = np.concatenate([v * xs[:, b], -v * xs[:, a]], axis=1)
-    return _accumulate(index.ravel(), values.ravel(), xs.shape[0] * d * d).reshape(-1, d, d)
-
-
-def _center_basis(
-    alg: StructureConstantAlgebra, tol: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Orthonormal basis of the centre, the centralizer of two random elements.
-
-    The candidate is accepted only when every vector commutes with every
-    basis element; otherwise the generators are redrawn, at most
-    _CENTER_DRAWS times in all.
+    The candidate is accepted only when the system, applied to it, stays
+    within the gate; otherwise NumericalFailure is raised.
     """
     d = alg.dim
-    accept = tol * max(float(np.abs(alg.table["v"]).max(initial=0.0)), 1.0)
-    for draw in range(_CENTER_DRAWS):
-        stacked = _commutator_maps(alg, _generators(alg, rng)).reshape(2 * d, d)
-        _, s, vh = np.linalg.svd(stacked, full_matrices=False)
-        thr = tol * max(s[0], 1.0)
-        n_null = int(np.sum(s <= thr))
-        center = vh[d - n_null :].conj()
-        residual = float(np.abs(_commutator_maps(alg, center)).max(initial=0.0))
-        if residual <= accept:
-            return center
-        _log.debug(
-            "centre draw %d: %d candidate vectors fail to commute (residual %.3g > %.3g)",
-            draw, n_null, residual, accept,
+    a, b, c, v = (alg.table[k] for k in "abcv")
+    # z e_b puts z_a v on e_c, in row (b, c) and column a; e_b z, for the
+    # basis element e_a, puts z_b v on e_c, in row (a, c) and column b
+    row = np.concatenate([b * d + c, a * d + c])
+    components = _components(row, np.concatenate([a, b]), np.concatenate([v, -v]), d)
+    s, parts = _block_svds(components)
+    center = _null_space(parts, d, tol * max(s.max(), 1.0))
+    residual = max(
+        float(np.abs(blocks @ np.moveaxis(center[:, cols], 0, -1)).max(initial=0.0))
+        for cols, blocks in components
+    )
+    accept = tol * max(float(np.abs(v).max(initial=0.0)), 1.0)
+    _log_solve("centre", components, "residual", residual, accept)
+    if not residual <= accept:
+        raise NumericalFailure(
+            f"{len(center)} centre vectors are off the centralizer system by {residual} > {accept}"
         )
-    raise NumericalFailure(f"no verified centre after {_CENTER_DRAWS} draws of generators")
+    return center
 
 
 def wedderburn_identify(
@@ -255,27 +331,35 @@ def wedderburn_identify(
 ) -> list[int]:
     """Dimensions of the simple components of a semisimple table.
 
-    A random central element acts on the algebra with one eigenvalue per
+    A random central element z acts on the algebra with one eigenvalue per
     simple component; the eigenvalue multiplicities are the component
-    dimensions, each a perfect square over the complex field.
+    dimensions, each a perfect square over the complex field.  The
+    eigenvalues of L_z are taken one connected component of its nonzero
+    pattern at a time.
     """
     rad = radical(alg, tol)
     if rad.shape[0] > 0:
         raise NotSemisimple(f"radical has dimension {rad.shape[0]}")
-    rng = np.random.default_rng(seed)
-    center = _center_basis(alg, tol, rng)
+    center = _center_basis(alg, tol)
     m = center.shape[0]
     if m == 0:
         raise NotSemisimple("unital algebra must have a nonzero center")
+    rng = np.random.default_rng(seed)
+    t = alg.table
     for _ in range(8):
         coeffs = rng.normal(size=m) + 1j * rng.normal(size=m)
-        z = coeffs @ center
-        lz = alg.left_matrix(z)
-        eigs = np.linalg.eigvals(lz)
+        # L_z[c, b] sums z_a v over the records (a, b, c, v)
+        lz = (coeffs @ center)[t["a"]] * t["v"]
+        nonzero = lz != 0
+        components = _components(
+            t["c"][nonzero], t["b"][nonzero], lz[nonzero], alg.dim, shared=True
+        )
+        eigs = np.concatenate([np.linalg.eigvals(blocks).ravel() for _, blocks in components])
         scale = max(float(np.abs(eigs).max()), 1.0)
         clusters = _cluster(eigs, 1e-6 * scale)
-        gaps = [abs(a - b) for (a, _), (b, _) in combinations(clusters, 2)]
-        if not gaps or min(gaps) > 1e-3 * scale:
+        gap = min((abs(a - b) for (a, _), (b, _) in combinations(clusters, 2)), default=np.inf)
+        _log_solve("central eigenvalues", components, "separation", gap, 1e-3 * scale)
+        if gap > 1e-3 * scale:
             dims = sorted(cnt for _, cnt in clusters)
             for cnt in dims:
                 root = round(np.sqrt(cnt))

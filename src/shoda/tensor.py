@@ -58,7 +58,7 @@ class AJElement:
                 raise ValueError(
                     f"pair ({i}, {j}) needs shape ({dims[i]}, {dims[j]}), got {arr.shape}"
                 )
-            if np.any(arr):
+            if arr.any():
                 arr.setflags(write=False)
                 frozen[(i, j)] = arr
         object.__setattr__(self, "terms", frozen)

@@ -451,6 +451,22 @@ def test_projection_path_endpoints_exact():
     assert all((x == y).all() for x, y in zip(arc[-1].blocks, q.blocks))
 
 
+def test_projection_path_pairing_test_ignores_tol():
+    # tol is the endpoint rank cut only: at tol=0.5 the pencil's pairing
+    # |w^H v| still only has to clear a fixed floor, so an arc that exists
+    # is found and every sample is a rank-one idempotent
+    from shoda.sampling import random_rank_one_projection
+
+    spec = AlgebraSpec((8,))
+    rng = np.random.default_rng(42)
+    p = random_rank_one_projection(spec, 0, rng)
+    q = random_rank_one_projection(spec, 0, rng)
+    arc = projection_path(p, q, 1000, tol=0.5, seed=42)
+    assert len(arc) == 1000
+    assert max(frobenius(multiply(e, e) - e) for e in arc) < 1e-9
+    assert all(rank(e) == 1 for e in arc)
+
+
 def test_projection_path_rejects_cross_block(spec23):
     p1, p2 = spec23.canonical_projections()
     with pytest.raises(DifferentMinimalIdeal):

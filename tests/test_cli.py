@@ -180,14 +180,18 @@ def test_path_command(spec23_file):
     assert report["endpoints_exact"] is True
 
 
-def test_path_at_large_tol_is_a_domain_failure(tmp_path):
+def test_path_at_large_tol_finds_the_arc(tmp_path):
     # no entry of the seeded endpoints exceeds half their norm; their block
-    # is still found, and the arc fails as a domain failure, not bad input
+    # is still found, and --tol, the rank cut, does not make the arc's
+    # samples exceptional
     spec = tmp_path / "spec8.json"
     spec.write_text(json.dumps({"blocks": [8]}))
+    assert main(["path", str(spec), "--tol", "0.5"]) == 0
     code, report = run(CliConfig(command="path", spec_path=str(spec), tol=0.5))
-    assert code == 1
-    assert report["error"] == "PathDegenerate"
+    assert code == 0
+    assert report["samples"] == 1000
+    assert report["max_idempotency_residual"] < 1e-9
+    assert report["max_rank_defect"] == 0
 
 
 def test_info_command(spec23_file):

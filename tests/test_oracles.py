@@ -1,17 +1,37 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from shoda import AlgebraSpec, frobenius, multiply_B, rank
+import shoda.structure
+from shoda import (
+    AlgebraSpec,
+    block_algebra,
+    build_B,
+    frobenius,
+    multiply_B,
+    quotient,
+    radical,
+    rank,
+    wedderburn_identify,
+)
 from shoda.oracles import (
     ElementaryTensorList,
     compress,
+    dense_center,
+    dense_radical,
     elementary_tensor,
     exhaustive_basis_products,
     naive_tensor_multiply,
     sampled_rank,
 )
 from shoda.sampling import random_element
+from shoda.structure import StructureConstantAlgebra, _center_basis
 from shoda.tensor import BElement, aj_allclose
+
+from test_structure import upper_triangular_2x2
 
 
 def _random_tensor_list(spec, rng, n_terms=3):
@@ -121,3 +141,63 @@ def test_tensor_list_validation(spec23, rng):
     good = elementary_tensor(random_element(spec23, rng), 0, 1, random_element(spec23, rng))
     with pytest.raises(ValueError):
         ElementaryTensorList(spec23, ((bad_left, good[1]),))
+
+
+def _span(rows: np.ndarray) -> np.ndarray:
+    """Orthogonal projector onto the span of orthonormal rows."""
+    return rows.T @ rows.conj()
+
+
+def _triangular_quotient():
+    alg = upper_triangular_2x2()
+    return quotient(alg, radical(alg))
+
+
+_EXTENSIONS = [(1, 2), (2, 3), (1, 1, 1), (2, 2, 3)]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        *(lambda dims=dims: build_B(AlgebraSpec(dims)) for dims in _EXTENSIONS),
+        lambda: block_algebra(AlgebraSpec((2, 3))),
+        upper_triangular_2x2,
+        _triangular_quotient,
+    ],
+    ids=[f"B{dims}" for dims in _EXTENSIONS] + ["A(2, 3)", "triangular", "triangular-quotient"],
+)
+def test_component_solves_match_dense_oracles(make):
+    alg = make()
+    pairs = ((radical(alg), dense_radical(alg)), (_center_basis(alg, 1e-9), dense_center(alg)))
+    for fast, oracle in pairs:
+        assert fast.shape == oracle.shape
+        assert np.abs(_span(fast) - _span(oracle)).max() < 1e-10
+
+
+def _conjugated(alg: StructureConstantAlgebra, rng: np.random.Generator) -> StructureConstantAlgebra:
+    """The same algebra on the basis f_i = sum_j p[i, j] e_j, for a seeded
+    invertible p with condition number at most e**2."""
+    d = alg.dim
+    q1, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    q2, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    p = q1 @ np.diag(np.exp(rng.uniform(-1.0, 1.0, size=d))) @ q2
+    inv = np.linalg.inv(p)
+    table = np.einsum("ai,bj,ijk,kc->abc", p, p, alg.dense(), inv)
+    return StructureConstantAlgebra(table, alg.unit @ inv)
+
+
+@settings(max_examples=25, deadline=None)
+@given(dims=st.lists(st.integers(1, 2), min_size=1, max_size=3), seed=st.integers(0, 2**32 - 1))
+def test_conjugated_table_is_one_component(dims, seed):
+    spec = AlgebraSpec(tuple(dims))
+    alg = _conjugated(block_algebra(spec), np.random.default_rng(seed))
+    d = alg.dim
+    log_solve = shoda.structure._log_solve
+    with mock.patch.object(shoda.structure, "_log_solve", wraps=log_solve) as log:
+        rad = radical(alg)
+    # a basis change mixes every coordinate, so the Gram matrix is one block
+    stage, components = log.call_args.args[:2]
+    assert stage == "radical" and [b.shape for _, b in components] == [(1, d, d)]
+    assert rad.shape[0] == dense_radical(alg).shape[0] == 0
+    assert _center_basis(alg, 1e-9).shape[0] == dense_center(alg).shape[0] == len(dims)
+    assert wedderburn_identify(alg) == sorted(n * n for n in dims)

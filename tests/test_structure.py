@@ -2,12 +2,14 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shoda.structure
 from shoda import AlgebraSpec, block_algebra, build_B, multiply_B, quotient, radical, wedderburn_identify
 from shoda.completion import extension_coordinates, extension_from_coordinates
 from shoda.errors import NotAnIdeal, NotSemisimple, NumericalFailure
-from shoda.structure import StructureConstantAlgebra, _center_basis
+from shoda.structure import StructureConstantAlgebra, _center_basis, _components
 
 
 def upper_triangular_2x2() -> StructureConstantAlgebra:
@@ -67,6 +69,47 @@ def test_extension_table_is_integer_structured():
     table = build_B(AlgebraSpec((2, 2))).dense()
     assert np.all(table.imag == 0.0)
     assert set(np.unique(table.real)) <= {0.0, 1.0}
+
+
+# ---------------------------------------------------------------------------
+# connected components
+
+
+# (row, col, value) records of an 8 x 6 integer matrix
+_records = st.lists(
+    st.tuples(st.integers(0, 7), st.integers(0, 5), st.integers(-3, 3)), max_size=20
+).map(lambda records: np.array(records, dtype=int).reshape(-1, 3).T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(records=_records)
+def test_components_reassemble_the_matrix(records):
+    row, col, val = records
+    dense = np.zeros((8, 6), dtype=complex)
+    np.add.at(dense, (row, col), val)
+    gram = np.zeros((6, 6), dtype=complex)
+    seen = []
+    for cols, blocks in _components(row * 3 + 1, col, val.astype(complex), 6):
+        seen.extend(cols.ravel())
+        for c, b in zip(cols, blocks):
+            gram[np.ix_(c, c)] += b.conj().T @ b
+    # each column in one block, and no product of columns across blocks
+    assert sorted(seen) == list(range(6))
+    assert np.array_equal(gram, dense.conj().T @ dense)
+
+
+@settings(max_examples=60, deadline=None)
+@given(records=_records)
+def test_shared_components_are_square_diagonal_blocks(records):
+    row, col, val = records
+    row = row % 6
+    dense = np.zeros((6, 6), dtype=complex)
+    np.add.at(dense, (row, col), val)
+    rebuilt = np.zeros_like(dense)
+    for cols, blocks in _components(row, col, val.astype(complex), 6, shared=True):
+        for c, b in zip(cols, blocks):
+            rebuilt[np.ix_(c, c)] = b
+    assert np.array_equal(rebuilt, dense)
 
 
 # ---------------------------------------------------------------------------
@@ -167,25 +210,45 @@ def test_wedderburn_of_two_scalars():
 
 def test_center_of_extension_is_the_scalars():
     alg = build_B(AlgebraSpec((2, 3)))
-    center = _center_basis(alg, 1e-9, np.random.default_rng(0))
+    center = _center_basis(alg, 1e-9)
     assert center.shape == (1, 25)
     # the centre of M_5 is spanned by the unit
     assert abs(abs(np.vdot(center[0], alg.unit)) - np.linalg.norm(alg.unit)) < 1e-12
 
 
 def test_center_rejects_unverified_candidate(monkeypatch, caplog):
-    # negative control: the centralizer of the unit is the whole algebra, so
-    # this candidate must fail the check against every basis element and the
-    # algebra must not be identified from it
-    monkeypatch.setattr(
-        shoda.structure, "_generators", lambda alg, rng: np.stack([alg.unit, alg.unit])
-    )
+    # negative control: the block null-space step hands back the first basis
+    # unit, E11, which does not commute with E12; the system applied to the
+    # candidate must refuse it
+    def not_central(parts, d, thr):
+        return np.eye(d, dtype=complex)[:1]
+
+    monkeypatch.setattr(shoda.structure, "_null_space", not_central)
     alg = build_B(AlgebraSpec((2, 3)))
     with caplog.at_level(logging.DEBUG, logger="shoda"):
-        with pytest.raises(NumericalFailure, match="no verified centre"):
-            wedderburn_identify(alg)
-    retries = [r for r in caplog.records if r.name == "shoda" and "centre draw" in r.message]
-    assert len(retries) == shoda.structure._CENTER_DRAWS
+        with pytest.raises(NumericalFailure, match="off the centralizer system"):
+            _center_basis(alg, 1e-9)
+    # the system has one block per off-diagonal coordinate (2N rows, one
+    # column) and one for the N diagonal coordinates (N**2 rows)
+    logged = [r.getMessage() for r in caplog.records if r.name == "shoda"]
+    assert logged == [f"centre: 21 blocks, largest (25, 5), residual 1 against {1e-9:.3g}"]
+
+
+def test_each_solve_logs_its_blocks_and_margin(caplog):
+    # the Gram matrix pairs E_pq with E_qp only, and L_z of a central z is
+    # diagonal: every block is 1 x 1 except the centre's diagonal block
+    with caplog.at_level(logging.DEBUG, logger="shoda"):
+        assert wedderburn_identify(build_B(AlgebraSpec((2, 3)))) == [25]
+    radical_line, centre_line, eigen_line = [
+        r.getMessage() for r in caplog.records if r.name == "shoda"
+    ]
+    assert radical_line == "radical: 25 blocks, largest (1, 1), gap inf against 1e+03"
+    assert eigen_line == (
+        "central eigenvalues: 25 blocks, largest (1, 1), separation inf against 0.001"
+    )
+    head, residual = centre_line.split(", residual ")
+    assert head == "centre: 21 blocks, largest (25, 5)"
+    assert float(residual.split(" against ")[0]) < 1e-14
 
 
 def test_wedderburn_rejects_non_semisimple_input():
