@@ -302,8 +302,12 @@ def _svd_ranks(svals: Sequence[np.ndarray], tol: float) -> np.ndarray:
 
 
 def _block_ranks(blocks: Sequence[np.ndarray], tol: float) -> np.ndarray:
-    """_svd_ranks of the blocks, one SVD call per block for a whole stack."""
-    return _svd_ranks([np.linalg.svd(m, compute_uv=False) for m in blocks], tol)
+    """_svd_ranks of the blocks, one SVD call per block for a whole stack; an
+    all-zero block has zero singular values without one."""
+    return _svd_ranks(
+        [np.linalg.svd(m, compute_uv=False) if m.any() else np.zeros(m.shape[:-1]) for m in blocks],
+        tol,
+    )
 
 
 def rank(a: Element, tol: float = DEFAULT_TOL) -> int:
@@ -391,7 +395,11 @@ def separating_element(
 
 def minimal_ideal_index(q: Element, tol: float = DEFAULT_TOL) -> int:
     """Block index of the unique minimal two-sided ideal containing a rank-one element."""
-    ranks = _block_ranks(q.blocks, tol)
+    return _rank_one_block(_block_ranks(q.blocks, tol))
+
+
+def _rank_one_block(ranks: np.ndarray) -> int:
+    """minimal_ideal_index of an element with these block ranks."""
     r = int(ranks.sum())
     if r == 0:
         raise ZeroElement("zero element lies in every ideal")

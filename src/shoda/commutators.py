@@ -2,13 +2,17 @@
 
 A block algebra has every traceless element equal to a commutator exactly
 when it consists of a single block.  The verdict is still established by
-evaluating the equivalent characterizations independently: minimality of the
-socle as a two-sided ideal, generation of the socle by one rank-one
-projection, full matrix corners p A p for sampled projections p, and
-connectivity of the rank-one idempotents.  The criteria are provably
-equivalent, so a disagreement between them means a numerical rank decision
-failed at the given tolerance; it raises NumericalFailure rather than being
-reported.
+evaluating the equivalent characterizations: minimality of the socle as a
+two-sided ideal, generation of the socle by one rank-one projection, full
+matrix corners p A p for sampled projections p, and connectivity of the
+rank-one idempotents.  Each is read from the block ranks of projections, one
+SVD per block: with matrix units, E_ab p E_cd = p_bc E_ad, so the ideal
+generated by p is the sum of the blocks where p is nonzero, and p A p has
+dimension sum rank(p_i)^2.  The checks take O(n^3) time for a block of size
+n; `shoda.oracles` keeps the dense spans of the products with every matrix
+unit as the reference.  The criteria are provably equivalent, so a
+disagreement between them means a numerical rank decision failed at the
+given tolerance; it raises NumericalFailure rather than being reported.
 
 Decomposition of a traceless matrix follows the classical constructive
 route (Fillmore; Albert and Muckenhoupt): a similarity takes it to zero
@@ -26,17 +30,18 @@ after passing to the completed algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .algebra import (
     AlgebraSpec,
     Element,
+    _block_ranks,
+    _rank_one_block,
     commutator,
     flatten,
     frobenius,
-    minimal_ideal_index,
     trace,
 )
 from .completion import _TABLE_BYTES, extension_to_matrix, matrix_to_extension
@@ -63,58 +68,27 @@ class CommutatorWitness:
     residual: float
 
 
-# The checks peak at the products stack, the SVD's copy of it and the SVD
-# workspace: a child process's peak RSS (getrusage) was 2.19 stacks at [27],
-# 2.03 above the interpreter's own 36 MB.  The budget counts 2.25 stacks.
-_CHECK_STACKS = 2.25
+# The checks hold a few elements at a time: a projection, the draws and
+# temporaries of one random idempotent (the similarity, its inverse, the
+# products) and the copy one SVD takes.  A child process's peak RSS
+# (getrusage, one BLAS thread), the interpreter included, was 10.0 arrays of
+# dim complex entries at [1024], 9.3 at [1234] and 7.8 at (870, 870).  Each
+# array also costs an object per block, about 1.4 kB per block in all on (1,) * 400.
+_CHECK_ARRAYS = 11
+_BLOCK_BYTES = 200
 
 
-def _span_dim(stacked: np.ndarray, tol: float) -> int:
-    s = np.linalg.svd(stacked, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
+def _ideal_dim(spec: AlgebraSpec, ranks: np.ndarray) -> int:
+    """Dimension of the two-sided ideal generated by an element with these
+    block ranks.  With matrix units, E_ab p E_cd = p_bc E_ad, so the ideal is
+    the sum of the blocks where p is nonzero."""
+    return sum(n * n for n, r in zip(spec.block_dims, ranks) if r)
 
 
-def _unit_stacks(spec: AlgebraSpec) -> Iterator[tuple[slice, np.ndarray]]:
-    """Per block: its slice of the coordinates (and of the basis) and its
-    matrix units as an (n^2, n, n) stack, in the order of spec.basis()."""
-    lo = 0
-    for n in spec.block_dims:
-        yield slice(lo, lo + n * n), np.eye(n * n, dtype=complex).reshape(n * n, n, n)
-        lo += n * n
-
-
-def _generated_ideal_dim(spec: AlgebraSpec, p: Element, tol: float) -> int:
-    """Dimension of the two-sided ideal generated by p, computed as the span
-    of basis * p * basis in two stages (left multiples first, rank-reduced).
-
-    A product with a matrix unit stays in the unit's block, so each stage is
-    one stacked matmul per block into the zero rows and columns of the others.
-    """
-    left_multiples = np.zeros((spec.dim, spec.dim), dtype=complex)
-    for (span, units), m in zip(_unit_stacks(spec), p.blocks):
-        n = m.shape[0]
-        np.matmul(units, m, out=left_multiples[span, span].reshape(n * n, n, n))
-    u, s, vh = np.linalg.svd(left_multiples, full_matrices=False)
-    keep = s > tol * s[0] if s[0] > 0 else np.zeros(len(s), dtype=bool)
-    reduced = vh[keep]
-    r = len(reduced)
-    # one preallocated stack: this is the largest allocation of the checks
-    products = np.zeros((r, spec.dim, spec.dim), dtype=complex)
-    for span, units in _unit_stacks(spec):
-        n = units.shape[1]
-        x = reduced[:, span].reshape(r, 1, n, n)
-        np.matmul(x, units, out=products[:, span, span].reshape(r, n * n, n, n))
-    return _span_dim(products.reshape(r * spec.dim, spec.dim), tol)
-
-
-def _corner_dim(spec: AlgebraSpec, p: Element, tol: float) -> int:
-    corners = np.zeros((spec.dim, spec.dim), dtype=complex)
-    for (span, units), m in zip(_unit_stacks(spec), p.blocks):
-        n = m.shape[0]
-        np.matmul(m @ units, m, out=corners[span, span].reshape(n * n, n, n))
-    return _span_dim(corners, tol)
+def _corner_dim(p: Element, tol: float) -> int:
+    """Dimension of the corner p A p: the map x -> p_i x p_i of a block has
+    rank rank(p_i)^2, so one SVD per block decides it."""
+    return int(np.sum(_block_ranks(p.blocks, tol) ** 2))
 
 
 def is_shoda_complete(spec: AlgebraSpec, tol: float = 1e-9, seed: int = 42) -> ShodaReport:
@@ -126,39 +100,39 @@ def is_shoda_complete(spec: AlgebraSpec, tol: float = 1e-9, seed: int = 42) -> S
     checks would exceed the memory budget raises TooLarge before allocating.
     """
     dim = spec.dim
-    # the largest allocation is the products stack of _generated_ideal_dim:
-    # dim vectors of length dim per row of the left ideal, at most max(n_i) rows
-    stack_bytes = max(spec.block_dims) * dim**2 * np.dtype(complex).itemsize
-    nbytes = int(_CHECK_STACKS * stack_bytes)
+    nbytes = _CHECK_ARRAYS * (dim * np.dtype(complex).itemsize + spec.num_blocks * _BLOCK_BYTES)
     if nbytes > _TABLE_BYTES:
         raise TooLarge(
             f"the completeness checks of {spec.block_dims} need {nbytes} bytes, "
             f"over the budget of {_TABLE_BYTES}"
         )
-    projections = spec.canonical_projections()
-    ideal_dims = [_generated_ideal_dim(spec, p, tol) for p in projections]
+    # the canonical projections, one at a time: the block ranks of each give
+    # the ideal it generates and, since rank-one idempotents split into one
+    # similarity class per minimal ideal, the class it lies in
+    ideal_dims, classes = [], set()
+    for i in range(spec.num_blocks):
+        ranks = _block_ranks(spec.matrix_unit(i, 0, 0).blocks, tol)
+        ideal_dims.append(_ideal_dim(spec, ranks))
+        classes.add(_rank_one_block(ranks))
     criterion_minimal = all(d == dim for d in ideal_dims)
     criterion_single = any(d == dim for d in ideal_dims)
+    criterion_connectivity = len(classes) == 1
 
     rng = np.random.default_rng(seed)
     corner_samples: list[tuple[int, int]] = []
     for i, n in enumerate(spec.block_dims):
         p = random_rank_one_projection(spec, i, rng)
-        corner_samples.append((1, _corner_dim(spec, p, tol)))
+        corner_samples.append((1, _corner_dim(p, tol)))
         if n >= 2:
             ranks = tuple(2 if j == i else 0 for j in range(spec.num_blocks))
             q = random_idempotent(spec, ranks, rng)
-            corner_samples.append((2, _corner_dim(spec, q, tol)))
+            corner_samples.append((2, _corner_dim(q, tol)))
     if spec.num_blocks >= 2:
         for j in range(1, spec.num_blocks):
             ranks = tuple(1 if i in (0, j) else 0 for i in range(spec.num_blocks))
             q = random_idempotent(spec, ranks, rng)
-            corner_samples.append((2, _corner_dim(spec, q, tol)))
+            corner_samples.append((2, _corner_dim(q, tol)))
     criterion_corner = all(d == r * r for r, d in corner_samples)
-
-    # rank-one idempotents split into one similarity class per minimal ideal
-    classes = {minimal_ideal_index(p, tol) for p in projections}
-    criterion_connectivity = len(classes) == 1
 
     votes = {criterion_minimal, criterion_single, criterion_corner, criterion_connectivity}
     if len(votes) != 1:

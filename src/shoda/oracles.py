@@ -3,12 +3,16 @@
 Everything here works term by term on elementary tensors and raw block
 matrices, with no coordinate compression and no reuse of the main
 multiplication paths, so agreement between an oracle and the corresponding
-fast path is evidence, not circularity.  Performance is a non-goal.
+fast path is evidence, not circularity.  The dense solves (`dense_radical`,
+`dense_center`) and the dense completeness criteria (`dense_ideal_dim`,
+`dense_corner_dim`) span whole systems where the fast paths use components or
+block ranks.  Performance is a non-goal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -286,3 +290,52 @@ def dense_center(alg: StructureConstantAlgebra, tol: float = 1e-9) -> np.ndarray
     system = (table.transpose(1, 2, 0) - table.transpose(0, 2, 1)).reshape(d * d, d)
     _, s, vh = np.linalg.svd(system, full_matrices=False)
     return vh[s <= tol * max(s[0], 1.0)].conj()
+
+
+def _span_dim(stacked: np.ndarray, tol: float) -> int:
+    s = np.linalg.svd(stacked, compute_uv=False)
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.sum(s > tol * s[0]))
+
+
+def _unit_stacks(spec: AlgebraSpec) -> Iterator[tuple[slice, np.ndarray]]:
+    """Per block: its slice of the coordinates (and of the basis) and its
+    matrix units as an (n^2, n, n) stack, in the order of spec.basis()."""
+    lo = 0
+    for n in spec.block_dims:
+        yield slice(lo, lo + n * n), np.eye(n * n, dtype=complex).reshape(n * n, n, n)
+        lo += n * n
+
+
+def dense_ideal_dim(spec: AlgebraSpec, p: Element, tol: float) -> int:
+    """Dimension of the two-sided ideal generated by p, computed as the span
+    of basis * p * basis in two stages (left multiples first, rank-reduced).
+
+    A product with a matrix unit stays in the unit's block, so each stage is
+    one stacked matmul per block into the zero rows and columns of the others.
+    """
+    left_multiples = np.zeros((spec.dim, spec.dim), dtype=complex)
+    for (span, units), m in zip(_unit_stacks(spec), p.blocks):
+        n = m.shape[0]
+        np.matmul(units, m, out=left_multiples[span, span].reshape(n * n, n, n))
+    u, s, vh = np.linalg.svd(left_multiples, full_matrices=False)
+    keep = s > tol * s[0] if s[0] > 0 else np.zeros(len(s), dtype=bool)
+    reduced = vh[keep]
+    r = len(reduced)
+    # one preallocated stack: this is the largest allocation of the checks
+    products = np.zeros((r, spec.dim, spec.dim), dtype=complex)
+    for span, units in _unit_stacks(spec):
+        n = units.shape[1]
+        x = reduced[:, span].reshape(r, 1, n, n)
+        np.matmul(x, units, out=products[:, span, span].reshape(r, n * n, n, n))
+    return _span_dim(products.reshape(r * spec.dim, spec.dim), tol)
+
+
+def dense_corner_dim(spec: AlgebraSpec, p: Element, tol: float) -> int:
+    """Dimension of the corner p A p, as the span of p * basis * p."""
+    corners = np.zeros((spec.dim, spec.dim), dtype=complex)
+    for (span, units), m in zip(_unit_stacks(spec), p.blocks):
+        n = m.shape[0]
+        np.matmul(m @ units, m, out=corners[span, span].reshape(n * n, n, n))
+    return _span_dim(corners, tol)

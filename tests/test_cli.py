@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import shoda.algebra
 import shoda.cli
+import shoda.commutators
 from shoda.cli import CliConfig, main, run
 from shoda.serialize import dumps
 
@@ -313,15 +314,53 @@ def test_spec_over_table_budget_is_exit_one(tmp_path, capsys):
     assert _strict_json(capsys.readouterr().out)["error"] == "TooLarge"
 
 
-def test_dense_table_over_budget_is_exit_one(tmp_path, capsys):
-    # N = 17 completes, but its dense table is refused before the pipeline runs
+def test_check_refuses_a_witness_report_over_budget(tmp_path, capsys):
+    # the completeness checks of (500, 500) fit the budget; the JSON of its
+    # witness, with dim = 500000 entries, does not
     spec = tmp_path / "big.json"
-    spec.write_text(json.dumps({"blocks": [17]}))
+    spec.write_text(json.dumps({"blocks": [500, 500]}))
     start = time.perf_counter()
-    code = main(["complete", str(spec), "--dump-table"])
+    code = main(["check", str(spec)])
     assert time.perf_counter() - start < 1.0
     assert code == 1
-    assert _strict_json(capsys.readouterr().out)["error"] == "TooLarge"
+    report = _strict_json(capsys.readouterr().out)
+    assert report["error"] == "TooLarge" and "witness report" in report["detail"]
+
+
+def test_check_at_large_tol_reports_square_corners(tmp_path, capsys):
+    # the dense rank cut over the n^2 x n^2 corner used to report a corner of
+    # dimension 3 here, and the criteria disagreed with exit 1
+    spec = tmp_path / "spec5.json"
+    spec.write_text(json.dumps({"blocks": [5]}))
+    assert main(["check", str(spec), "--tol", "0.1"]) == 0
+    report = _strict_json(capsys.readouterr().out)
+    assert report["verdict"] is True
+    assert report["criterion_corner"] == [[1, 1], [2, 4]]
+
+
+def test_disagreeing_criteria_are_exit_one(monkeypatch, tmp_path, capsys):
+    # negative control of the disagreement gate: a non-square corner dimension
+    monkeypatch.setattr(shoda.commutators, "_corner_dim", lambda p, tol: 3)
+    spec = tmp_path / "spec4.json"
+    spec.write_text(json.dumps({"blocks": [4]}))
+    assert main(["check", str(spec)]) == 1
+    report = _strict_json(capsys.readouterr().out)
+    assert report["error"] == "NumericalFailure"
+    assert "criteria disagree" in report["detail"]
+
+
+def test_dense_table_over_budget_is_exit_one(tmp_path, capsys):
+    # these complete, but their table dumps are refused before the pipeline
+    # runs: the budget counts the nested lists and the JSON text of every
+    # entry, so N = 8 is the largest table dumped
+    spec = tmp_path / "big.json"
+    for blocks in ([4, 5], [17]):
+        spec.write_text(json.dumps({"blocks": blocks}))
+        start = time.perf_counter()
+        code = main(["complete", str(spec), "--dump-table"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert _strict_json(capsys.readouterr().out)["error"] == "TooLarge"
 
 
 def test_completeness_checks_over_budget_are_exit_one(tmp_path, capsys):
@@ -361,7 +400,7 @@ def test_norm_audit_over_budget_is_exit_one(tmp_path, capsys):
 
 
 def test_completeness_checks_refuse_the_first_block_over_budget(tmp_path, capsys):
-    # the budget counts the products stack, the SVD's copy and its workspace
+    # the budget counts eleven arrays of dim complex entries
     spec = tmp_path / "big.json"
     spec.write_text(json.dumps({"blocks": [_REFUSED_BLOCK["info"]]}))
     for command in ("info", "check"):
@@ -480,7 +519,8 @@ def test_completeness_checks_within_budget_succeed(tmp_path, blocks):
 
 # smallest single block each command refuses as over its memory budget
 _REFUSED_BLOCK = {
-    "complete": 40, "info": 24, "check": 24, "decompose": 1296, "norm-audit": 1183, "path": 1449,
+    "complete": 40, "info": 1235, "check": 1235, "decompose": 1296, "norm-audit": 1183,
+    "path": 1449,
 }
 
 _JSON = st.recursive(

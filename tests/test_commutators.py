@@ -1,7 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shoda.commutators
+import shoda.oracles
 from shoda import (
     AlgebraSpec,
     Element,
@@ -13,10 +18,10 @@ from shoda import (
     multiply,
     trace,
 )
-from shoda.algebra import allclose, flatten, unflatten
+from shoda.algebra import _block_ranks, allclose, flatten, unflatten
 from shoda.commutators import (
     _corner_dim,
-    _generated_ideal_dim,
+    _ideal_dim,
     _pick_pivot,
     _require_decomposable_size,
     _zero_diagonal_similarity,
@@ -26,6 +31,7 @@ from shoda.commutators import (
 from shoda.completion import extension_to_matrix
 from shoda.errors import NotShodaComplete, NotTraceless, NumericalFailure, TooLarge
 from shoda.norms import b_norm
+from shoda.oracles import dense_corner_dim, dense_ideal_dim
 from shoda.sampling import random_idempotent, random_rank_one_projection, random_traceless
 from shoda.tensor import BElement, aj_zero, multiply_B
 
@@ -97,17 +103,63 @@ def test_stacked_criteria_equal_the_element_loop(monkeypatch, dims):
         seen.append(stacked.copy())
         return span_dim(stacked, tol)
 
-    span_dim = shoda.commutators._span_dim
-    monkeypatch.setattr(shoda.commutators, "_span_dim", recording_span_dim)
+    span_dim = shoda.oracles._span_dim
+    monkeypatch.setattr(shoda.oracles, "_span_dim", recording_span_dim)
     projections = list(spec.canonical_projections())
     projections += [random_rank_one_projection(spec, i, rng) for i in range(len(dims))]
     projections.append(random_idempotent(spec, tuple(min(2, n) for n in dims), rng))
     for p in projections:
         left, ideal, corner = _loop_stacks(spec, p, 1e-9)
         seen.clear()
-        assert _generated_ideal_dim(spec, p, 1e-9) == span_dim(ideal, 1e-9)
-        assert _corner_dim(spec, p, 1e-9) == span_dim(corner, 1e-9)
+        assert dense_ideal_dim(spec, p, 1e-9) == span_dim(ideal, 1e-9)
+        assert dense_corner_dim(spec, p, 1e-9) == span_dim(corner, 1e-9)
         assert np.array_equal(seen[0], ideal) and np.array_equal(seen[1], corner)
+
+
+def _criteria_projections(spec, rng):
+    """Canonical projections, a random rank-one projection per block and
+    random idempotents of every rank pattern up to 2 per block."""
+    out = list(spec.canonical_projections())
+    out += [random_rank_one_projection(spec, i, rng) for i in range(spec.num_blocks)]
+    for pattern in itertools.product(range(3), repeat=spec.num_blocks):
+        if any(pattern) and all(r <= n for r, n in zip(pattern, spec.block_dims)):
+            out.append(random_idempotent(spec, pattern, rng))
+    return out
+
+
+def _assert_block_ranks_match_the_oracles(spec, rng):
+    for p in _criteria_projections(spec, rng):
+        ranks = _block_ranks(p.blocks, 1e-9)
+        assert _ideal_dim(spec, ranks) == dense_ideal_dim(spec, p, 1e-9)
+        assert _corner_dim(p, 1e-9) == dense_corner_dim(spec, p, 1e-9)
+
+
+@pytest.mark.parametrize("dims", [(1,), (6,), (2, 3), (1, 1, 1), (3, 1, 2)])
+def test_block_rank_dims_equal_the_dense_stacks(dims):
+    _assert_block_ranks_match_the_oracles(AlgebraSpec(dims), np.random.default_rng(len(dims)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(lambda d: sum(d) <= 6),
+    st.integers(0, 2**32 - 1),
+)
+def test_block_rank_dims_equal_the_dense_stacks_on_random_specs(dims, seed):
+    _assert_block_ranks_match_the_oracles(AlgebraSpec(tuple(dims)), np.random.default_rng(seed))
+
+
+def test_corner_dims_are_squares_at_large_tol():
+    # the dense rank cut over the n^2 x n^2 corner used to report corner
+    # dimension 3 for a rank-2 idempotent here, and the criteria disagreed
+    report = is_shoda_complete(AlgebraSpec((5,)), tol=0.1)
+    assert report.verdict and report.criterion_corner == ((1, 1), (2, 4))
+
+
+def test_disagreeing_criteria_raise(monkeypatch):
+    # negative control of the disagreement gate: a non-square corner dimension
+    monkeypatch.setattr(shoda.commutators, "_corner_dim", lambda p, tol: 3)
+    with pytest.raises(NumericalFailure, match="criteria disagree"):
+        is_shoda_complete(AlgebraSpec((4,)))
 
 
 # ---------------------------------------------------------------------------
