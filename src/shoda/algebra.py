@@ -47,8 +47,10 @@ _PERTURB_RETRIES = 16
 # a rank cut and says nothing about how close to a pole a sample may be.
 _PAIRING_FLOOR = 1e-9
 
-# memory budget of one call's dense arrays; shoda.completion lists what it bounds
-_TABLE_BYTES = 2**28
+# memory budget of one call; every size guard checks its working-set model
+# against it through _require_budget before allocating or reading anything
+_BUDGET_BYTES = 2**28
+_COMPLEX_BYTES = np.dtype(complex).itemsize  # the unit of the working-set models
 # Stacked work (audit samples, quadrature nodes, path samples) is taken in
 # chunks of about this many bytes; larger chunks were no faster and only
 # raised the peak memory.
@@ -63,6 +65,12 @@ _NODE_ARRAYS = 3
 # peak RSS (getrusage) on [1024] gives about 8, the LAPACK workspaces of the
 # endpoints' SVDs included, which tracemalloc does not see.
 _PATH_ARRAYS = 8
+
+
+def _require_budget(what: str, nbytes: int):
+    """Raise TooLarge when what needs more than the memory budget."""
+    if nbytes > _BUDGET_BYTES:
+        raise TooLarge(f"{what} needs {nbytes} bytes, over the budget of {_BUDGET_BYTES}")
 
 
 def _chunk_size(item_bytes: int) -> int:
@@ -452,12 +460,8 @@ def conjugate_projections(p: Element, q: Element, tol: float = DEFAULT_TOL) -> E
 def _path_chunk(spec: AlgebraSpec) -> int:
     """Samples per stack of a path; raises TooLarge, before anything is
     drawn, when the working set of one sample exceeds the memory budget."""
-    sample_bytes = _PATH_ARRAYS * spec.dim * np.dtype(complex).itemsize
-    if sample_bytes > _TABLE_BYTES:
-        raise TooLarge(
-            f"one path sample of {spec.block_dims} needs {sample_bytes} bytes, "
-            f"over the budget of {_TABLE_BYTES}"
-        )
+    sample_bytes = _PATH_ARRAYS * spec.dim * _COMPLEX_BYTES
+    _require_budget(f"one path sample of {spec.block_dims}", sample_bytes)
     return _chunk_size(sample_bytes)
 
 

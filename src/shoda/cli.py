@@ -22,6 +22,7 @@ from .algebra import (
     _block_ranks,
     _path_chunk,
     _projection_arc,
+    _require_budget,
     _riesz_from_clusters,
     frobenius,
     multiply,
@@ -32,15 +33,14 @@ from .algebra import (
     trace,
 )
 from .commutators import (
-    _require_decomposable_size,
     certifies_non_commutator,
     commutator_decompose,
     decompose_in_completion,
     infeasibility_certificate,
     is_shoda_complete,
 )
-from .completion import _TABLE_BYTES, complete
-from .errors import AlgebraError, TooLarge
+from .completion import complete
+from .errors import AlgebraError
 from .norms import A_NORM_MODEL, isometry_check, submultiplicativity_audit
 from .sampling import random_rank_one_projection
 
@@ -92,20 +92,18 @@ def _cmd_info(config: CliConfig) -> dict:
 # bytes for the table dump at N = 9 and 639 for the witness of `check` on
 # (362, 362).
 _JSON_ENTRY_BYTES = 640
-
-
-def _require_report_size(what: str, entries: int):
-    """Raise TooLarge when a report of this many complex entries would exceed
-    the memory budget; callers check before the pipeline runs."""
-    nbytes = entries * _JSON_ENTRY_BYTES
-    if nbytes > _TABLE_BYTES:
-        raise TooLarge(f"{what} needs {nbytes} bytes, over the budget of {_TABLE_BYTES}")
+# Peak memory of `decompose` per complex entry of its input and two factors,
+# the decomposition and the JSON text included.  A child process's peak RSS
+# over the entry count was 583 bytes at n = 256, 463 at 384 and 439 at 448;
+# n = 431, the largest size admitted, peaked at 242 MiB.
+_DECOMPOSE_ENTRY_BYTES = 480
 
 
 def _cmd_complete(config: CliConfig) -> dict:
     spec = _load_spec(config)
     if config.dump_table:
-        _require_report_size(f"the table dump of {spec.block_dims}", spec.matrix_size**6)
+        _require_budget(f"the table dump of {spec.block_dims}",
+                        spec.matrix_size**6 * _JSON_ENTRY_BYTES)
     result = complete(spec, config.tol, seed=config.seed)
     report = {
         "N": result.matrix_size,
@@ -127,7 +125,7 @@ def _cmd_complete(config: CliConfig) -> dict:
 def _cmd_check(config: CliConfig) -> dict:
     spec = _load_spec(config)
     if spec.num_blocks >= 2:
-        _require_report_size(f"the witness report of {spec.block_dims}", spec.dim)
+        _require_budget(f"the witness report of {spec.block_dims}", spec.dim * _JSON_ENTRY_BYTES)
     report = is_shoda_complete(spec, config.tol, config.seed)
     return {
         "verdict": report.verdict,
@@ -141,11 +139,11 @@ def _cmd_check(config: CliConfig) -> dict:
 
 def _cmd_decompose(config: CliConfig) -> dict:
     spec = _load_spec(config)
-    # size first: a spec too large to decompose never has its element parsed
-    if config.in_completion:
-        _require_decomposable_size(spec.matrix_size)
-    elif spec.num_blocks == 1:
-        _require_decomposable_size(spec.block_dims[0])
+    # size first, before the element is parsed: the report holds the input and
+    # both factors, N x N each, and is refused below the decomposition's bound
+    if config.in_completion or spec.num_blocks == 1:
+        _require_budget(f"the decompose report of {spec.block_dims}",
+                        3 * spec.matrix_size**2 * _DECOMPOSE_ENTRY_BYTES)
     t = _load_element(config, spec)
     if config.in_completion:
         witness = decompose_in_completion(t, config.tol)
@@ -200,6 +198,9 @@ def _cmd_riesz(config: CliConfig) -> dict:
     spec = _load_spec(config)
     x = _load_element(config, spec)
     report = spectrum(x, config.tol)
+    # one projection of dim entries per distinct nonzero eigenvalue: n**3 for one block
+    _require_budget(f"the riesz report of {spec.block_dims}",
+                    len(report.nonzero) * spec.dim * _JSON_ENTRY_BYTES)
     out = []
     for value, mult in report.nonzero:
         p = _riesz_from_clusters(x, value, config.tol, report.eigenvalues)

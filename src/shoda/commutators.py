@@ -35,17 +35,19 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .algebra import (
+    _COMPLEX_BYTES,
     AlgebraSpec,
     Element,
     _block_ranks,
     _rank_one_block,
+    _require_budget,
     commutator,
     flatten,
     frobenius,
     trace,
 )
-from .completion import _TABLE_BYTES, extension_to_matrix, matrix_to_extension
-from .errors import NotShodaComplete, NotTraceless, NumericalFailure, TooLarge
+from .completion import extension_to_matrix, matrix_to_extension
+from .errors import NotShodaComplete, NotTraceless, NumericalFailure
 from .norms import b_norm
 from .sampling import random_element, random_idempotent, random_rank_one_projection
 from .tensor import BElement, aj_zero, multiply_B
@@ -100,12 +102,8 @@ def is_shoda_complete(spec: AlgebraSpec, tol: float = 1e-9, seed: int = 42) -> S
     checks would exceed the memory budget raises TooLarge before allocating.
     """
     dim = spec.dim
-    nbytes = _CHECK_ARRAYS * (dim * np.dtype(complex).itemsize + spec.num_blocks * _BLOCK_BYTES)
-    if nbytes > _TABLE_BYTES:
-        raise TooLarge(
-            f"the completeness checks of {spec.block_dims} need {nbytes} bytes, "
-            f"over the budget of {_TABLE_BYTES}"
-        )
+    nbytes = _CHECK_ARRAYS * (dim * _COMPLEX_BYTES + spec.num_blocks * _BLOCK_BYTES)
+    _require_budget(f"the completeness check of {spec.block_dims}", nbytes)
     # the canonical projections, one at a time: the block ranks of each give
     # the ideal it generates and, since rank-one idempotents split into one
     # similarity class per minimal ideal, the class it lies in
@@ -318,12 +316,7 @@ _DECOMPOSE_ARRAYS = 10
 def _require_decomposable_size(n: int):
     """Raise TooLarge when decomposing an n x n matrix would exceed the memory
     budget; callers check before anything of that size is allocated."""
-    nbytes = _DECOMPOSE_ARRAYS * n * n * np.dtype(complex).itemsize
-    if nbytes > _TABLE_BYTES:
-        raise TooLarge(
-            f"decomposing a {n} x {n} matrix needs {nbytes} bytes, "
-            f"over the budget of {_TABLE_BYTES}"
-        )
+    _require_budget(f"decomposing a {n} x {n} matrix", _DECOMPOSE_ARRAYS * n * n * _COMPLEX_BYTES)
 
 
 def _require_traceless(t: Element, tol: float):

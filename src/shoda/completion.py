@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import _TABLE_BYTES, AlgebraSpec, Element, _chunk_size
-from .errors import NumericalFailure, TooLarge
+from .algebra import _COMPLEX_BYTES, AlgebraSpec, Element, _chunk_size, _require_budget
+from .errors import NumericalFailure
 from .structure import (
     RECORD,
     StructureConstantAlgebra,
@@ -33,13 +33,10 @@ from .tensor import AJElement, BElement, _full_coordinates, aj_pairs, aj_zero, m
 _CHECK_PAIRS = 100
 # seeded dense pairs on which multiply_B itself is checked against the matrix product
 _PRODUCT_PAIRS = 8
-# _TABLE_BYTES is the memory budget of one call's dense arrays.  complete()
-# counts seven d x d complex arrays (d = N**2), so N <= 39; one of them is the
-# (d, N, N) witness images, and the rest is headroom for the component blocks
-# (at most N**2 x N entries each), the O(N**3) records of the witness check
-# and the LAPACK workspaces.  The dense table of --dump-table has d**3
-# entries, so N <= 16.  info/check, decompose, norm-audit and path bound
-# their own working sets by it too.
+# complete() counts seven d x d complex arrays (d = N**2) against the memory
+# budget, so N <= 39; one of them is the (d, N, N) witness images, and the
+# rest is headroom for the component blocks (at most N**2 x N entries each),
+# the O(N**3) records of the witness check and the LAPACK workspaces.
 _DENSE_ARRAYS = 7
 
 
@@ -171,12 +168,7 @@ def complete(spec: AlgebraSpec, tol: float = 1e-9, seed: int = 42) -> Completion
     """Run the whole pipeline: structure constants, radical, quotient,
     Wedderburn identification, and the verified full-matrix witness."""
     d = spec.matrix_size**2
-    nbytes = _DENSE_ARRAYS * d**2 * np.dtype(complex).itemsize
-    if nbytes > _TABLE_BYTES:
-        raise TooLarge(
-            f"the completion of {spec.block_dims} needs {nbytes} bytes of dense arrays, "
-            f"over the budget of {_TABLE_BYTES}"
-        )
+    _require_budget(f"the completion of {spec.block_dims}", _DENSE_ARRAYS * d**2 * _COMPLEX_BYTES)
     alg = build_B(spec)
     rad = radical(alg, tol)
     radical_dim = int(rad.shape[0])
@@ -199,17 +191,14 @@ def complete(spec: AlgebraSpec, tol: float = 1e-9, seed: int = 42) -> Completion
         return out
 
     # seeded pairs in stacks, each pair about four complex entries per record
-    # and nine per coordinate; the product sums as alg.product sums it
-    t = alg.table
+    # and nine per coordinate
     rng = np.random.default_rng(seed)
-    chunk = _chunk_size((4 * t.size + 9 * d) * np.dtype(complex).itemsize)
+    chunk = _chunk_size((4 * alg.table.size + 9 * d) * _COMPLEX_BYTES)
     random_residual = 0.0
     for lo in range(0, _CHECK_PAIRS, chunk):
         draw = rng.normal(size=(min(chunk, _CHECK_PAIRS - lo), 4, d))
         x, y = draw[:, 0] + 1j * draw[:, 1], draw[:, 2] + 1j * draw[:, 3]
-        index = np.arange(len(x))[:, None] * d + t["c"]
-        prod = _accumulate(index.ravel(), (t["v"] * x[:, t["a"]] * y[:, t["b"]]).ravel(), x.size)
-        lhs = witness(prod.reshape(x.shape))
+        lhs = witness(alg.product(x, y))
         worst = np.abs(lhs - witness(x) @ witness(y)).max(axis=(1, 2))
         denom = 1.0 + np.linalg.norm(lhs, axis=(1, 2))
         random_residual = max(random_residual, float((worst / denom).max()))

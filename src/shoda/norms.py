@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _TABLE_BYTES, AlgebraSpec, _chunk_size, block_operator_norm
+from .algebra import _COMPLEX_BYTES, AlgebraSpec, _chunk_size, _require_budget, block_operator_norm
 from .algebra import largest_singular_value as a_norm
 from .completion import _full_matrix
-from .errors import TooLarge
 from .tensor import BElement, _full_coordinates, _pair_contract, aj_pairs
 from .tensor import multiply_B  # unused here, but perfbench/tracing.py binds it by name
 
@@ -94,13 +93,9 @@ class NormAudit:
 def _audit_chunk(spec: AlgebraSpec) -> int:
     """Samples per chunk of an audit; raises TooLarge, before anything is
     drawn, when the working set of one sample exceeds the memory budget."""
-    entry_bytes = _AUDIT_ARRAYS * spec.matrix_size**2 * np.dtype(complex).itemsize
+    entry_bytes = _AUDIT_ARRAYS * spec.matrix_size**2 * _COMPLEX_BYTES
     sample_bytes = entry_bytes + _PAIR_BYTES * spec.num_blocks**2
-    if sample_bytes > _TABLE_BYTES:
-        raise TooLarge(
-            f"one norm-audit sample of {spec.block_dims} needs {sample_bytes} bytes, "
-            f"over the budget of {_TABLE_BYTES}"
-        )
+    _require_budget(f"one norm-audit sample of {spec.block_dims}", sample_bytes)
     return _chunk_size(entry_bytes)
 
 

@@ -27,10 +27,14 @@ def matrix_to_flat(m: np.ndarray) -> list[list[float]]:
 
 
 def flat_to_matrix(flat: Any, rows: int, cols: int) -> np.ndarray:
-    if len(flat) != rows * cols:
-        raise ValueError(f"expected {rows * cols} entries, got {len(flat)}")
-    values = [complex(float(p[0]), float(p[1])) for p in flat]
-    m = np.array(values, dtype=complex).reshape(rows, cols)
+    try:
+        pairs = np.array(flat, dtype=float)
+    except OverflowError as exc:  # a JSON integer beyond the float range
+        raise ValueError(f"matrix entries must be finite: {exc}") from None
+    if pairs.shape != (rows * cols, 2):
+        raise ValueError(f"expected {rows * cols} [re, im] entries, got shape {pairs.shape}")
+    # the (re, im) rows viewed as complex keep every value's bits
+    m = pairs.view(complex).reshape(rows, cols)
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m

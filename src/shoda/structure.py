@@ -80,8 +80,14 @@ class StructureConstantAlgebra:
         return _accumulate((t["a"] * d + t["b"]) * d + t["c"], t["v"], d**3).reshape(d, d, d)
 
     def product(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        t = self.table
-        return _accumulate(t["c"], t["v"] * x[t["a"]] * y[t["b"]], self.dim)
+        """Product of coordinate vectors.  Leading axes of x and y index a
+        stack; each pair's records are summed in the same order as alone."""
+        t, d = self.table, self.dim
+        values = t["v"] * x[..., t["a"]] * y[..., t["b"]]
+        lead = values.shape[:-1]
+        count = int(np.prod(lead))
+        index = np.arange(count)[:, None] * d + t["c"]
+        return _accumulate(index.ravel(), values.ravel(), count * d).reshape(lead + (d,))
 
     def associativity_residual(self) -> float:
         """Worst deviation between the two association orders over all basis triples."""

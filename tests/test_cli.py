@@ -263,6 +263,18 @@ def test_non_finite_element_is_exit_two(tmp_path, spec4_file, capsys):
         assert report["error"] == "ValueError"
 
 
+@pytest.mark.parametrize("entry", [[1, 2, 3], [10**400, 0]])
+def test_malformed_entry_is_exit_two(tmp_path, entry, capsys):
+    # a third value used to be dropped silently, and an integer beyond the
+    # float range escaped as an OverflowError traceback
+    spec = tmp_path / "spec1.json"
+    spec.write_text(json.dumps({"blocks": [1]}))
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps({"blocks": [[entry]]}))
+    assert main(["rank", str(spec), str(path)]) == 2
+    assert _strict_json(capsys.readouterr().out)["error"] == "ValueError"
+
+
 def test_numerical_failure_is_exit_one(monkeypatch, spec23_file, witness_file):
     # LinAlgError subclasses ValueError, but it is a numerical failure, not a
     # parse error
@@ -386,6 +398,36 @@ def test_decompose_over_budget_is_exit_one(tmp_path, capsys):
         assert time.perf_counter() - start < 1.0
         assert code == 1
         assert _strict_json(capsys.readouterr().out)["error"] == "TooLarge"
+
+
+def test_decompose_refuses_its_report_before_reading_the_element(tmp_path, capsys):
+    # the input and both factors count against the budget; the element file
+    # does not exist, so an admitted size exits 2 when it is read
+    spec = tmp_path / "big.json"
+    missing = str(tmp_path / "missing.json")
+    n = _REFUSED_BLOCK["decompose"]
+    for flags in ([], ["--in-completion"]):
+        for size, code, error in ((n, 1, "TooLarge"), (n - 1, 2, "FileNotFoundError")):
+            spec.write_text(json.dumps({"blocks": [size]}))
+            assert main(["decompose", str(spec), missing, *flags]) == code
+            assert _strict_json(capsys.readouterr().out)["error"] == error
+
+
+def test_riesz_refuses_a_report_over_budget(tmp_path, capsys):
+    # one projection of 6400 entries for each of 80 distinct eigenvalues,
+    # refused after the spectrum and before any quadrature
+    spec = tmp_path / "spec80.json"
+    spec.write_text(json.dumps({"blocks": [80]}))
+    rng = np.random.default_rng(80)
+    m = rng.normal(size=(80, 80)) + 1j * rng.normal(size=(80, 80))
+    element = tmp_path / "x.json"
+    element.write_text(json.dumps({"blocks": [[[z.real, z.imag] for z in m.ravel()]]}))
+    start = time.perf_counter()
+    code = main(["riesz", str(spec), str(element)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    report = _strict_json(capsys.readouterr().out)
+    assert report["error"] == "TooLarge" and "riesz report" in report["detail"]
 
 
 def test_norm_audit_over_budget_is_exit_one(tmp_path, capsys):
@@ -519,7 +561,7 @@ def test_completeness_checks_within_budget_succeed(tmp_path, blocks):
 
 # smallest single block each command refuses as over its memory budget
 _REFUSED_BLOCK = {
-    "complete": 40, "info": 1235, "check": 1235, "decompose": 1296, "norm-audit": 1183,
+    "complete": 40, "info": 1235, "check": 1235, "decompose": 432, "norm-audit": 1183,
     "path": 1449,
 }
 

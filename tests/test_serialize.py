@@ -33,6 +33,9 @@ def test_matrix_encoding_is_flat_row_major():
     flat = matrix_to_flat(m)
     assert flat == [[1.0, 2.0], [3.0, 0.0], [4.0, 0.0], [5.0, -1.0]]
     assert np.array_equal(flat_to_matrix(flat, 2, 2), m)
+    # every value keeps its bits, the sign of zero included
+    signed_zero = np.array([[complex(-0.0, -0.0)]])
+    assert flat_to_matrix(matrix_to_flat(signed_zero), 1, 1).tobytes() == signed_zero.tobytes()
 
 
 def test_element_round_trip(spec23, rng):

@@ -57,6 +57,18 @@ def test_extension_table_matches_multiply_B(dims):
     assert np.array_equal(build_B(spec).dense(), reference_table(spec))
 
 
+@pytest.mark.parametrize("dims", [(2, 3), (1, 1, 1)])
+def test_stacked_product_equals_each_product(dims):
+    alg = build_B(AlgebraSpec(dims))
+    rng = np.random.default_rng(3)
+    draw = rng.normal(size=(4, 2, 3, alg.dim))
+    x, y = draw[0] + 1j * draw[1], draw[2] + 1j * draw[3]
+    stacked = alg.product(x, y)
+    assert stacked.shape == x.shape
+    for k in np.ndindex(x.shape[:-1]):
+        assert stacked[k].tobytes() == alg.product(x[k], y[k]).tobytes()
+
+
 def test_table_records_must_index_the_unit_coordinates():
     alg = build_B(AlgebraSpec((2, 3)))
     table = alg.table.copy()
