@@ -293,11 +293,10 @@ def spectrum(a: Element, tol: float = DEFAULT_TOL) -> SpectrumReport:
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    scale = largest_singular_value(a)
-    radius = tol * max(scale, 1.0)
+    radius = tol * largest_singular_value(a)
     clusters = _cluster(_all_eigenvalues(a), radius)
     clusters.sort(key=lambda cm: (-abs(cm[0]), cm[0].real, cm[0].imag))
-    nonzero = tuple((v, m) for v, m in clusters if abs(v) > tol * scale)
+    nonzero = tuple((v, m) for v, m in clusters if abs(v) > radius)
     return SpectrumReport(eigenvalues=tuple(clusters), nonzero=nonzero)
 
 
@@ -338,27 +337,27 @@ def _riesz_from_clusters(
 ) -> Element:
     """riesz_projection on the clusters of spectrum(a, tol), which a caller
     projecting onto several values computes once."""
-    scale = largest_singular_value(a)
-    match_radius = tol * (1.0 + scale)
-    if abs(value) <= tol:
+    # the merge radius of spectrum(a, tol), the one relative threshold
+    radius = tol * largest_singular_value(a)
+    if abs(value) <= radius:
         raise NoSuchSpectralValue(f"{value} is not in the nonzero spectrum")
     centers = [c for c, _ in clusters]
     dists = [abs(value - c) for c in centers]
     hit = int(np.argmin(dists))
-    if dists[hit] > match_radius:
-        raise NoSuchSpectralValue(f"{value} not within {match_radius} of the spectrum")
+    if dists[hit] > radius:
+        raise NoSuchSpectralValue(f"{value} not within {radius} of the spectrum")
     center = centers[hit]
     others = [c for j, c in enumerate(centers) if j != hit]
     if others:
         gap = min(abs(center - c) for c in others)
-        if gap < 4.0 * tol * max(scale, 1.0):
+        if gap < 4.0 * radius:
             raise ContourTooTight(f"nearest spectral value at distance {gap}")
-        radius = gap / 2.0
+        contour = gap / 2.0
     else:
-        radius = max(abs(center) / 2.0, 1.0)
+        contour = max(abs(center) / 2.0, 1.0)
 
     angles = 2.0 * np.pi * np.arange(_CONTOUR_POINTS) / _CONTOUR_POINTS
-    nodes = center + radius * np.exp(1j * angles)
+    nodes = center + contour * np.exp(1j * angles)
     weights = nodes - center
     out = []
     for m in a.blocks:

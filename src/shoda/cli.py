@@ -58,8 +58,8 @@ class CliConfig:
     dump_table: bool = False
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < np.inf:  # also refuses nan
+            raise ValueError("tol must be finite and positive")
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
 
@@ -315,17 +315,17 @@ def _build_parser() -> argparse.ArgumentParser:
     needs_element = {"decompose", "rank", "trace", "spectrum", "riesz"}
     optional_element = {"path"}
     for name in _COMMANDS:
+        # an option a command lacks takes its CliConfig default
         cmd = sub.add_parser(name)
-        cmd.set_defaults(element_path=None, in_completion=False, dump_table=False)
         cmd.add_argument("spec_path", help="algebra spec JSON file")
         if name in needs_element:
             cmd.add_argument("element_path", help="element JSON file")
         elif name in optional_element:
             cmd.add_argument("element_path", nargs="?", default=None,
                              help='JSON file with "p" and "q" endpoint elements')
-        cmd.add_argument("--tol", type=float, default=1e-9)
-        cmd.add_argument("--seed", type=int, default=42)
-        cmd.add_argument("--samples", type=int, default=1000)
+        cmd.add_argument("--tol", type=float, default=CliConfig.tol)
+        cmd.add_argument("--seed", type=int, default=CliConfig.seed)
+        cmd.add_argument("--samples", type=int, default=CliConfig.samples)
         cmd.add_argument("-o", "--output", dest="output_path", default=None)
         if name == "decompose":
             cmd.add_argument("--in-completion", action="store_true", dest="in_completion")

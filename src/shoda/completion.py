@@ -3,15 +3,15 @@
 The extension of a block algebra by its off-diagonal trace-pairing tensors
 has total dimension (sum of block sizes) squared.  This module emits its
 structure constants on the basis of block matrix units and tensor units,
-computes the radical (verified zero, not assumed), forms the quotient,
-identifies the Wedderburn structure, and produces the explicit isomorphism
-witness onto one full matrix block: algebra block i sits at diagonal
-position i, and the tensor coordinate for the pair (i, j) at off-diagonal
-position (i, j).
+computes the radical (verified zero, not assumed), identifies the Wedderburn
+structure, and checks the explicit isomorphism witness onto one full matrix
+block, kept as the matrix unit of each basis element: algebra block i sits
+at diagonal position i, the tensor pair (i, j) at off-diagonal position (i, j).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +23,7 @@ from .structure import (
     StructureConstantAlgebra,
     _accumulate,
     _join,
-    quotient,
+    quotient,  # unused here, but perfbench/tracing.py binds it by name
     radical,
     wedderburn_identify,
 )
@@ -31,12 +31,12 @@ from .tensor import AJElement, BElement, _full_coordinates, aj_pairs, aj_zero, m
 
 # seeded random pairs checked against the witness on top of every basis pair
 _CHECK_PAIRS = 100
-# seeded dense pairs on which multiply_B itself is checked against the matrix product
+# the first seeded pairs also check multiply_B against the matrix product
 _PRODUCT_PAIRS = 8
 # complete() counts seven d x d complex arrays (d = N**2) against the memory
-# budget, so N <= 39; one of them is the (d, N, N) witness images, and the
-# rest is headroom for the component blocks (at most N**2 x N entries each),
-# the O(N**3) records of the witness check and the LAPACK workspaces.
+# budget, so N <= 39: headroom for the component blocks (at most N**2 x N
+# entries each), the O(N**3) records of the witness check, the stacks of
+# seeded pairs and the LAPACK workspaces.
 _DENSE_ARRAYS = 7
 
 
@@ -62,10 +62,17 @@ def extension_coordinates(x: BElement) -> np.ndarray:
 
 
 def extension_from_coordinates(spec: AlgebraSpec, vec: np.ndarray) -> BElement:
-    size = spec.matrix_size
-    mat = np.zeros((size, size), dtype=complex)
-    mat[extension_positions(spec)] = vec
-    return matrix_to_extension(spec, mat)
+    return matrix_to_extension(spec, _place(extension_positions(spec), vec))
+
+
+def _place(positions: tuple[np.ndarray, np.ndarray], coords: np.ndarray) -> np.ndarray:
+    """N x N matrix with the coordinates at their positions; leading axes of
+    coords index a stack."""
+    rows, cols = positions
+    size = math.isqrt(rows.size)
+    out = np.zeros(np.shape(coords)[:-1] + (size, size), dtype=complex)
+    out[..., rows, cols] = coords
+    return out
 
 
 def extension_to_matrix(x: BElement) -> np.ndarray:
@@ -115,32 +122,32 @@ def build_B(spec: AlgebraSpec) -> StructureConstantAlgebra:
     r = np.tile(np.arange(size), d)
     table = np.empty(a.size, dtype=RECORD)
     table["a"], table["b"], table["c"], table["v"] = a, pos[col[a], r], pos[row[a], r], 1.0
-    unit = extension_coordinates(BElement(spec.identity(), aj_zero(spec)))
-    return StructureConstantAlgebra(table, unit)
+    return StructureConstantAlgebra(table, (row == col).astype(complex))
 
 
-def _basis_residual(alg: StructureConstantAlgebra, images: np.ndarray) -> float:
-    """Worst entry of table-image minus image-product over every basis pair.
+def _basis_residual(alg: StructureConstantAlgebra, rows: np.ndarray, cols: np.ndarray) -> float:
+    """Worst entry of table-image minus image-product over every basis pair,
+    for the witness sending basis element a to the matrix unit at
+    (rows[a], cols[a]).
 
-    Both sides are sums of products of nonzeros keyed by (a, b, row, col):
-    each record (a, b, c, v) gives v * images[c], and images[a] @ images[b]
-    joins the nonzeros of the two images on the inner index.  A wrong,
-    missing or extra record leaves an unmatched key.
+    Both sides are keyed by (a, b, row, col): each record (a, b, c, v) gives
+    v at the unit of c, and the units of a and b multiply to the unit at
+    (rows[a], cols[b]) when cols[a] == rows[b].  A wrong, missing or extra
+    record leaves an unmatched key.
     """
-    d, size, _ = images.shape
-    k, x, y = np.nonzero(images)
-    w = images[k, x, y]
+    d = rows.size
+    size = math.isqrt(d)
     t = alg.table
 
     def key(a, b, row, col):
         return ((a * d + b) * size + row) * size + col
 
-    i, j = _join(t["c"], k)
-    lhs_key, lhs = key(t["a"][i], t["b"][i], x[j], y[j]), t["v"][i] * w[j]
-    i, j = _join(y, x)
-    rhs_key, rhs = key(k[i], k[j], x[i], y[j]), w[i] * w[j]
+    c = t["c"]
+    lhs_key = key(t["a"], t["b"], rows[c], cols[c])
+    i, j = _join(cols, rows)
+    rhs_key = key(i, j, rows[i], cols[j])
     keys, slot = np.unique(np.concatenate([lhs_key, rhs_key]), return_inverse=True)
-    diff = _accumulate(slot, np.concatenate([lhs, -rhs]), keys.size)
+    diff = _accumulate(slot, np.concatenate([t["v"], -np.ones(i.size)]), keys.size)
     return float(np.abs(diff).max(initial=0.0))
 
 
@@ -153,11 +160,17 @@ class CompletionResult:
     radical_dim: int
     block_structure: tuple[int, ...]
     iso_residual: float
-    witness_images: np.ndarray = field(repr=False)  # (dim, size, size)
+    positions: tuple[np.ndarray, np.ndarray] = field(repr=False)  # extension_positions
 
     @property
     def matrix_size(self) -> int:
         return self.spec.matrix_size
+
+    @property
+    def witness_images(self) -> np.ndarray:
+        """Dense (dim, size, size) stack of the witness: the image of each
+        basis element, built on each read."""
+        return _place(self.positions, np.eye(self.total_dim))
 
     def embed_matrix(self, a: Element) -> np.ndarray:
         """Full-matrix image of the base algebra's embedding a |-> (a, 0)."""
@@ -165,57 +178,42 @@ class CompletionResult:
 
 
 def complete(spec: AlgebraSpec, tol: float = 1e-9, seed: int = 42) -> CompletionResult:
-    """Run the whole pipeline: structure constants, radical, quotient,
-    Wedderburn identification, and the verified full-matrix witness."""
+    """Run the whole pipeline: structure constants, radical, Wedderburn
+    identification, and the verified full-matrix witness."""
     d = spec.matrix_size**2
     _require_budget(f"the completion of {spec.block_dims}", _DENSE_ARRAYS * d**2 * _COMPLEX_BYTES)
     alg = build_B(spec)
-    rad = radical(alg, tol)
-    radical_dim = int(rad.shape[0])
-    semisimple = quotient(alg, rad, tol)
-    components = wedderburn_identify(semisimple, tol, seed=seed)
+    radical_dim = int(radical(alg, tol).shape[0])
     if radical_dim != 0:
         raise NumericalFailure(
             f"extension of {spec.block_dims} reported radical dimension {radical_dim}"
         )
+    components = wedderburn_identify(alg, tol, seed=seed)
 
-    size = spec.matrix_size
-    rows, cols = extension_positions(spec)
-    images = np.zeros((d, size, size), dtype=complex)
-    images[np.arange(d), rows, cols] = 1.0
-    basis_residual = _basis_residual(alg, images)
-
-    def witness(coords: np.ndarray) -> np.ndarray:
-        out = np.zeros(coords.shape[:-1] + (size, size), dtype=complex)
-        out[..., rows, cols] = coords
-        return out
+    positions = extension_positions(spec)
+    basis_residual = _basis_residual(alg, *positions)
 
     # seeded pairs in stacks, each pair about four complex entries per record
-    # and nine per coordinate
+    # and nine per coordinate; the table is not built from multiply_B, so the
+    # first pairs check the product on its own
     rng = np.random.default_rng(seed)
     chunk = _chunk_size((4 * alg.table.size + 9 * d) * _COMPLEX_BYTES)
     random_residual = 0.0
     for lo in range(0, _CHECK_PAIRS, chunk):
         draw = rng.normal(size=(min(chunk, _CHECK_PAIRS - lo), 4, d))
         x, y = draw[:, 0] + 1j * draw[:, 1], draw[:, 2] + 1j * draw[:, 3]
-        lhs = witness(alg.product(x, y))
-        worst = np.abs(lhs - witness(x) @ witness(y)).max(axis=(1, 2))
+        lhs = _place(positions, alg.product(x, y))
+        x, y = _place(positions, x), _place(positions, y)
+        rhs = x @ y
+        worst = np.abs(lhs - rhs).max(axis=(1, 2))
         denom = 1.0 + np.linalg.norm(lhs, axis=(1, 2))
         random_residual = max(random_residual, float((worst / denom).max()))
-
-    # the table is not built from multiply_B, so the product is checked on its own
-    for _ in range(_PRODUCT_PAIRS):
-        x, y = (
-            extension_from_coordinates(spec, rng.normal(size=d) + 1j * rng.normal(size=d))
-            for _ in range(2)
-        )
-        lhs = extension_to_matrix(multiply_B(x, y))
-        rhs = extension_to_matrix(x) @ extension_to_matrix(y)
-        product_residual = float(np.abs(lhs - rhs).max()) / (1.0 + np.linalg.norm(lhs))
-        if product_residual > tol:
-            raise NumericalFailure(
-                f"multiply_B is off the matrix product by {product_residual}"
-            )
+        for k in range(min(_PRODUCT_PAIRS - lo, len(x))):
+            xk, yk = (matrix_to_extension(spec, m[k]) for m in (x, y))
+            product = extension_to_matrix(multiply_B(xk, yk))
+            residual = float(np.abs(product - rhs[k]).max()) / (1.0 + np.linalg.norm(product))
+            if residual > tol:
+                raise NumericalFailure(f"multiply_B is off the matrix product by {residual}")
 
     iso_residual = max(basis_residual, random_residual)
     if not iso_residual <= tol:
@@ -226,5 +224,5 @@ def complete(spec: AlgebraSpec, tol: float = 1e-9, seed: int = 42) -> Completion
         radical_dim=radical_dim,
         block_structure=tuple(components),
         iso_residual=iso_residual,
-        witness_images=images,
+        positions=positions,
     )

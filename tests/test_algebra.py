@@ -126,6 +126,23 @@ def test_spectrum_zero_detects_singular_blocks(spec23, rng):
     assert all(abs(v) > 1e-9 for v in values)
 
 
+def test_spectrum_counts_tiny_values_like_rank():
+    # merged within tol but cut at tol times the scale, these three values
+    # used to read as one nonzero value of multiplicity 3 at rank 2
+    a = AlgebraSpec((3,)).from_blocks([np.diag([0.0, 1e-12, 2e-12])])
+    assert sum(m for _, m in spectrum(a).nonzero) == rank(a) == 2
+
+
+def test_spectrum_is_scale_invariant(spec23):
+    rng = np.random.default_rng(5)
+    s = rng.normal(size=(3, 3))
+    x = spec23.from_blocks([np.diag([2.0, 0.0]), s @ np.diag([1.0, 1.0, 3.0]) @ np.linalg.inv(s)])
+    expected, scaled = spectrum(x), spectrum(1e-12 * x)
+    assert [m for _, m in expected.eigenvalues] == [1, 1, 2, 1]
+    assert [m for _, m in scaled.eigenvalues] == [m for _, m in expected.eigenvalues]
+    assert [m for _, m in scaled.nonzero] == [m for _, m in expected.nonzero]
+
+
 def test_nonzero_spectrum_invariant_under_swap(spec23):
     # sigma'(xy) = sigma'(yx) as multisets
     rng = np.random.default_rng(99)

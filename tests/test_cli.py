@@ -162,6 +162,20 @@ def test_riesz_command(spec23_file, tmp_path):
     assert entry["idempotency_residual"] < 1e-10
 
 
+def test_riesz_projects_the_tiny_values_spectrum_lists(tmp_path, capsys):
+    # the zero test of the quadrature was absolute, so riesz refused them
+    spec = tmp_path / "s.json"
+    spec.write_text(json.dumps({"blocks": [2]}))
+    element = tmp_path / "e.json"
+    element.write_text(json.dumps({"blocks": [[[1e-12, 0], [0, 0], [0, 0], [2e-12, 0]]]}))
+    assert main(["spectrum", str(spec), str(element)]) == 0
+    listed = [v for v, _ in json.loads(capsys.readouterr().out)["nonzero"]]
+    assert main(["riesz", str(spec), str(element)]) == 0
+    projections = json.loads(capsys.readouterr().out)["projections"]
+    assert [p["eigenvalue"] for p in projections] == listed == [[2e-12, 0.0], [1e-12, 0.0]]
+    assert all(p["rank"] == 1 and p["idempotency_residual"] < 1e-9 for p in projections)
+
+
 def test_norm_audit_command(spec23_file):
     code, report = run(
         CliConfig(command="norm-audit", spec_path=spec23_file, samples=200, seed=9)
@@ -218,6 +232,15 @@ def test_bad_json_is_exit_two(tmp_path):
     path.write_text("{not json")
     code, report = run(CliConfig(command="info", spec_path=str(path)))
     assert code == 2
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_tol_must_be_finite_and_positive(spec23_file, tmp_path, tol, capsys):
+    # nan and inf used to exit 0 with rank 0
+    element = tmp_path / "elt.json"
+    element.write_text(json.dumps({"blocks": [[[1, 0]] * 4, [[1, 0]] * 9]}))
+    assert main(["rank", spec23_file, str(element), "--tol", tol]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
 
 
 def test_reports_are_deterministic(spec23_file):

@@ -186,9 +186,13 @@ def test_minimality_by_dimension_count():
 
 
 def test_complete_rejects_extension_with_radical(monkeypatch, spec23):
-    # wedderburn_identify only sees the quotient, so the radical check in
-    # complete() is the one that must catch a table with a nonzero radical
+    # negative control of the radical gate: it refuses a table with a nonzero
+    # radical before wedderburn_identify runs on it
+    def unreachable(*args, **kwargs):
+        raise AssertionError("wedderburn_identify ran on a table with a radical")
+
     monkeypatch.setattr(shoda.completion, "build_B", lambda spec: upper_triangular_2x2())
+    monkeypatch.setattr(shoda.completion, "wedderburn_identify", unreachable)
     with pytest.raises(NumericalFailure, match="radical dimension 1"):
         complete(spec23)
 
@@ -230,9 +234,9 @@ def _moved(table):
 def test_basis_residual_sees_every_wrong_record(spec23, corrupt):
     result = complete(spec23)
     alg = build_B(spec23)
-    assert _basis_residual(alg, result.witness_images) == 0.0
+    assert _basis_residual(alg, *result.positions) == 0.0
     bad = StructureConstantAlgebra(corrupt(alg.table), alg.unit)
-    assert _basis_residual(bad, result.witness_images) == 1.0
+    assert _basis_residual(bad, *result.positions) == 1.0
 
 
 def test_complete_gates_the_witness_residual(monkeypatch, spec23):
