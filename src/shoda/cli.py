@@ -40,7 +40,7 @@ from .commutators import (
     is_shoda_complete,
 )
 from .completion import complete
-from .errors import AlgebraError
+from .errors import AlgebraError, NumericalFailure
 from .norms import A_NORM_MODEL, isometry_check, submultiplicativity_audit
 from .sampling import random_rank_one_projection
 
@@ -202,10 +202,17 @@ def _cmd_riesz(config: CliConfig) -> dict:
     _require_budget(f"the riesz report of {spec.block_dims}",
                     len(report.nonzero) * spec.dim * _JSON_ENTRY_BYTES)
     out = []
+    x_scale = 1.0 + frobenius(x)
     for value, mult in report.nonzero:
         p = _riesz_from_clusters(x, value, config.tol, report.eigenvalues)
         idem = frobenius(multiply(p, p) - p)
         comm = frobenius(multiply(p, x) - multiply(x, p))
+        p_scale = 1.0 + frobenius(p)
+        if not (idem <= config.tol * p_scale**2 and comm <= config.tol * p_scale * x_scale):
+            raise NumericalFailure(
+                f"the projection at {value} has idempotency residual {idem} "
+                f"and commutation residual {comm}"
+            )
         out.append(
             {
                 "eigenvalue": serialize.complex_to_pair(value),

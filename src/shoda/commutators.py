@@ -74,8 +74,9 @@ class CommutatorWitness:
 # temporaries of one random idempotent (the similarity, its inverse, the
 # products) and the copy one SVD takes.  A child process's peak RSS
 # (getrusage, one BLAS thread), the interpreter included, was 10.0 arrays of
-# dim complex entries at [1024], 9.3 at [1234] and 7.8 at (870, 870).  Each
-# array also costs an object per block, about 1.4 kB per block in all on (1,) * 400.
+# dim complex entries at [1024], 9.3 at [1234] and 7.8 at (870, 870).  Blocks
+# cost objects too (the witness, the samples), about 620 bytes per block in all
+# on (1,) * 112977, the most blocks admitted.
 _CHECK_ARRAYS = 11
 _BLOCK_BYTES = 200
 
@@ -104,32 +105,31 @@ def is_shoda_complete(spec: AlgebraSpec, tol: float = 1e-9, seed: int = 42) -> S
     dim = spec.dim
     nbytes = _CHECK_ARRAYS * (dim * _COMPLEX_BYTES + spec.num_blocks * _BLOCK_BYTES)
     _require_budget(f"the completeness check of {spec.block_dims}", nbytes)
-    # the canonical projections, one at a time: the block ranks of each give
-    # the ideal it generates and, since rank-one idempotents split into one
-    # similarity class per minimal ideal, the class it lies in
+    # Each projection lives in the algebra of the blocks where it is nonzero,
+    # since a zero block adds nothing and draws nothing, so k blocks cost O(k).
+    # The block ranks of a canonical projection give the ideal it generates
+    # and, as rank-one idempotents split into one similarity class per
+    # minimal ideal, its class.
     ideal_dims, classes = [], set()
-    for i in range(spec.num_blocks):
-        ranks = _block_ranks(spec.matrix_unit(i, 0, 0).blocks, tol)
-        ideal_dims.append(_ideal_dim(spec, ranks))
-        classes.add(_rank_one_block(ranks))
+    for i, n in enumerate(spec.block_dims):
+        own = AlgebraSpec((n,))
+        ranks = _block_ranks(own.matrix_unit(0, 0, 0).blocks, tol)
+        ideal_dims.append(_ideal_dim(own, ranks))
+        classes.add(i + _rank_one_block(ranks))
     criterion_minimal = all(d == dim for d in ideal_dims)
     criterion_single = any(d == dim for d in ideal_dims)
     criterion_connectivity = len(classes) == 1
 
     rng = np.random.default_rng(seed)
     corner_samples: list[tuple[int, int]] = []
-    for i, n in enumerate(spec.block_dims):
-        p = random_rank_one_projection(spec, i, rng)
-        corner_samples.append((1, _corner_dim(p, tol)))
+    for n in spec.block_dims:
+        own = AlgebraSpec((n,))
+        corner_samples.append((1, _corner_dim(random_rank_one_projection(own, 0, rng), tol)))
         if n >= 2:
-            ranks = tuple(2 if j == i else 0 for j in range(spec.num_blocks))
-            q = random_idempotent(spec, ranks, rng)
-            corner_samples.append((2, _corner_dim(q, tol)))
-    if spec.num_blocks >= 2:
-        for j in range(1, spec.num_blocks):
-            ranks = tuple(1 if i in (0, j) else 0 for i in range(spec.num_blocks))
-            q = random_idempotent(spec, ranks, rng)
-            corner_samples.append((2, _corner_dim(q, tol)))
+            corner_samples.append((2, _corner_dim(random_idempotent(own, (2,), rng), tol)))
+    for n in spec.block_dims[1:]:
+        pair = AlgebraSpec((spec.block_dims[0], n))
+        corner_samples.append((2, _corner_dim(random_idempotent(pair, (1, 1), rng), tol)))
     criterion_corner = all(d == r * r for r, d in corner_samples)
 
     votes = {criterion_minimal, criterion_single, criterion_corner, criterion_connectivity}
@@ -285,9 +285,13 @@ def _zero_diagonal_similarity(
     return sim, sim_inv_t.T
 
 
-def _decompose_matrix(
-    m: np.ndarray, rng: np.random.Generator, cond_limit: float = 1e8
-) -> tuple[np.ndarray, np.ndarray]:
+# the decomposition's measured peak, in n x n complex arrays, the input included
+_DECOMPOSE_ARRAYS = 10
+# similarities with a larger condition number are refused
+_COND_LIMIT = 1e8
+
+
+def _decompose_matrix(m: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Factors (a, b) with a b - b a = m for a traceless square matrix."""
     n = m.shape[0]
     if not np.any(m):
@@ -298,8 +302,8 @@ def _decompose_matrix(
     sim, sim_inv = _zero_diagonal_similarity(m, rng)
     # |S|_F |S^-1|_F bounds cond_2(S) from above; the SVD settles the rest
     if (
-        np.linalg.norm(sim) * np.linalg.norm(sim_inv) > cond_limit
-        and np.linalg.cond(sim) > cond_limit
+        np.linalg.norm(sim) * np.linalg.norm(sim_inv) > _COND_LIMIT
+        and np.linalg.cond(sim) > _COND_LIMIT
     ):
         raise NumericalFailure("zero-diagonal similarity is ill-conditioned")
     flattened = sim @ m @ sim_inv
@@ -307,10 +311,6 @@ def _decompose_matrix(
     diff = index[:, None] - index[None, :]
     b = np.divide(flattened, diff, out=np.zeros((n, n), dtype=complex), where=diff != 0)
     return (sim_inv * index) @ sim, sim_inv @ b @ sim
-
-
-# the decomposition's measured peak, in n x n complex arrays, the input included
-_DECOMPOSE_ARRAYS = 10
 
 
 def _require_decomposable_size(n: int):

@@ -33,11 +33,12 @@ from .tensor import AJElement, BElement, _full_coordinates, aj_pairs, aj_zero, m
 _CHECK_PAIRS = 100
 # the first seeded pairs also check multiply_B against the matrix product
 _PRODUCT_PAIRS = 8
-# complete() counts seven d x d complex arrays (d = N**2) against the memory
-# budget, so N <= 39: headroom for the component blocks (at most N**2 x N
-# entries each), the O(N**3) records of the witness check, the stacks of
-# seeded pairs and the LAPACK workspaces.
-_DENSE_ARRAYS = 7
+# complete() counts this many bytes per structure-constant record (N**3 of
+# them) against the memory budget, so N <= 86.  A child process's peak RSS
+# (getrusage, one BLAS thread), the interpreter included, over the record
+# count was 409 bytes at (86,), 400 at (43, 43), (2,) * 43 and (1,) * 86, and
+# 407 at (87,), which peaked at 255.5 MiB.
+_RECORD_BYTES = 410
 
 
 def extension_positions(spec: AlgebraSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -169,7 +170,10 @@ class CompletionResult:
     @property
     def witness_images(self) -> np.ndarray:
         """Dense (dim, size, size) stack of the witness: the image of each
-        basis element, built on each read."""
+        basis element, built on each read.  The d x d identity and the stack
+        it is placed into, two d x d arrays, are checked against the budget."""
+        _require_budget(f"the witness images of {self.spec.block_dims}",
+                        2 * self.total_dim**2 * _COMPLEX_BYTES)
         return _place(self.positions, np.eye(self.total_dim))
 
     def embed_matrix(self, a: Element) -> np.ndarray:
@@ -181,7 +185,7 @@ def complete(spec: AlgebraSpec, tol: float = 1e-9, seed: int = 42) -> Completion
     """Run the whole pipeline: structure constants, radical, Wedderburn
     identification, and the verified full-matrix witness."""
     d = spec.matrix_size**2
-    _require_budget(f"the completion of {spec.block_dims}", _DENSE_ARRAYS * d**2 * _COMPLEX_BYTES)
+    _require_budget(f"the completion of {spec.block_dims}", _RECORD_BYTES * spec.matrix_size**3)
     alg = build_B(spec)
     radical_dim = int(radical(alg, tol).shape[0])
     if radical_dim != 0:

@@ -162,6 +162,24 @@ def test_riesz_command(spec23_file, tmp_path):
     assert entry["idempotency_residual"] < 1e-10
 
 
+@pytest.mark.parametrize("shift", [np.eye(2), -np.triu(np.ones((2, 2)), 1)])
+def test_riesz_gates_its_residuals(monkeypatch, spec23_file, tmp_path, capsys, shift):
+    # negative controls: with x = 2 E_00, P + 1e-6 I commutes with x but is
+    # not idempotent, and P - 1e-6 E_01 is idempotent but does not commute
+    riesz = shoda.cli._riesz_from_clusters
+
+    def shifted(x, *args):
+        p = riesz(x, *args)
+        return shoda.algebra.Element(p.spec, (p.blocks[0] + 1e-6 * shift, p.blocks[1]))
+
+    monkeypatch.setattr(shoda.cli, "_riesz_from_clusters", shifted)
+    element = tmp_path / "elt.json"
+    element.write_text(json.dumps({"blocks": [[[2, 0], [0, 0], [0, 0], [0, 0]], [[0, 0]] * 9]}))
+    assert main(["riesz", spec23_file, str(element)]) == 1
+    report = _strict_json(capsys.readouterr().out)
+    assert report["error"] == "NumericalFailure" and "residual" in report["detail"]
+
+
 def test_riesz_projects_the_tiny_values_spectrum_lists(tmp_path, capsys):
     # the zero test of the quadrature was absolute, so riesz refused them
     spec = tmp_path / "s.json"
@@ -341,7 +359,7 @@ def test_non_finite_report_is_exit_one(monkeypatch, spec23_file, witness_file, c
 
 def test_spec_over_table_budget_is_exit_one(tmp_path, capsys):
     spec = tmp_path / "big.json"
-    spec.write_text(json.dumps({"blocks": [40]}))
+    spec.write_text(json.dumps({"blocks": [87]}))
     start = time.perf_counter()
     code = main(["complete", str(spec)])
     assert time.perf_counter() - start < 1.0
@@ -584,7 +602,7 @@ def test_completeness_checks_within_budget_succeed(tmp_path, blocks):
 
 # smallest single block each command refuses as over its memory budget
 _REFUSED_BLOCK = {
-    "complete": 40, "info": 1235, "check": 1235, "decompose": 432, "norm-audit": 1183,
+    "complete": 87, "info": 1235, "check": 1235, "decompose": 432, "norm-audit": 1183,
     "path": 1449,
 }
 

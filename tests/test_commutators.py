@@ -162,6 +162,22 @@ def test_disagreeing_criteria_raise(monkeypatch):
         is_shoda_complete(AlgebraSpec((4,)))
 
 
+def test_projections_span_only_their_own_blocks(monkeypatch):
+    # every criterion depends on the one or two blocks where its projection
+    # is nonzero, so no element but the witness spans all fifty blocks
+    widths = []
+    post_init = Element.__post_init__
+
+    def recording_post_init(self):
+        widths.append(len(self.blocks))
+        post_init(self)
+
+    monkeypatch.setattr(Element, "__post_init__", recording_post_init)
+    report = is_shoda_complete(AlgebraSpec((1,) * 50))
+    assert not report.verdict and len(report.witness.blocks) == 50
+    assert [w for w in widths if w > 2] == [50]
+
+
 # ---------------------------------------------------------------------------
 # decomposition inside one block
 
@@ -386,7 +402,7 @@ def test_decompose_in_completion_rejects_nonzero_trace(spec23):
 def test_decomposers_raise_when_every_attempt_fails(monkeypatch, spec23):
     # every seeded attempt fails: no best witness exists, so both decomposers
     # must raise instead of returning an unchecked result
-    def always_ill_conditioned(m, rng, cond_limit=1e8):
+    def always_ill_conditioned(m, rng):
         raise NumericalFailure("zero-diagonal similarity is ill-conditioned")
 
     monkeypatch.setattr(shoda.commutators, "_decompose_matrix", always_ill_conditioned)

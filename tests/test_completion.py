@@ -3,6 +3,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 import pytest
 
+import shoda.algebra
 import shoda.completion
 from shoda import AlgebraSpec, build_B, complete, multiply
 from shoda.algebra import Element
@@ -209,9 +210,25 @@ def test_complete_checks_multiply_B(monkeypatch, spec23):
 
 
 def test_complete_refuses_table_over_budget():
-    # seven d x d complex arrays at N = 40 (d = 1600) need 287 MB, over 256 MiB
+    # 410 bytes for each of the N**3 records at N = 87 need 270 MB, over 256 MiB
     with pytest.raises(TooLarge):
-        complete(AlgebraSpec((40,)))
+        complete(AlgebraSpec((87,)))
+
+
+def test_complete_admits_forty_one():
+    # its 41**3 records need 28 MB, well inside the budget
+    result = complete(AlgebraSpec((20, 21)))
+    assert result.radical_dim == 0 and result.block_structure == (41**2,)
+
+
+def test_witness_images_check_the_budget(monkeypatch, spec23):
+    # the d x d identity and the (d, N, N) stack: 2 * 25**2 complex entries
+    result = complete(spec23)
+    monkeypatch.setattr(shoda.algebra, "_BUDGET_BYTES", 2 * 25**2 * 16)
+    assert result.witness_images.shape == (25, 5, 5)
+    monkeypatch.setattr(shoda.algebra, "_BUDGET_BYTES", 2 * 25**2 * 16 - 1)
+    with pytest.raises(TooLarge, match="witness images"):
+        result.witness_images
 
 
 def test_complete_thirty_two():
