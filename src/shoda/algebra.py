@@ -202,13 +202,27 @@ def frobenius(a: Element) -> float:
     return float(np.sqrt(sum(np.sum(np.abs(m) ** 2) for m in a.blocks)))
 
 
+def _shape_stacks(mats: list) -> list[tuple[list[int], np.ndarray]]:
+    """The matrices stacked by shape along a new first axis, one stack per
+    shape in order of first appearance, each with the places of its members
+    in mats; a lone matrix is stacked as a view."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for q, m in enumerate(mats):
+        groups.setdefault(m.shape, []).append(q)
+    return [
+        (places, mats[places[0]][None] if len(places) == 1 else np.array([mats[q] for q in places]))
+        for places in groups.values()
+    ]
+
+
 def block_operator_norm(blocks) -> np.ndarray:
     """Max over blocks of the largest singular value.
 
     Leading axes of the blocks, if any, index a stack of elements, one norm
-    each.
+    each.  The blocks of one shape share one SVD call.
     """
-    return np.max([np.linalg.svd(m, compute_uv=False)[..., 0] for m in blocks], axis=0)
+    tops = [np.linalg.svd(stack, compute_uv=False)[..., 0] for _, stack in _shape_stacks(list(blocks))]
+    return np.max(np.concatenate(tops), axis=0)
 
 
 def largest_singular_value(a: Element) -> float:

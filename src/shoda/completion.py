@@ -57,11 +57,6 @@ def extension_positions(spec: AlgebraSpec) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(np.argsort(key, axis=None, kind="stable"), size)
 
 
-def extension_coordinates(x: BElement) -> np.ndarray:
-    """Coordinate vector of an extension element in the basis order above."""
-    return extension_to_matrix(x)[extension_positions(x.spec)]
-
-
 def extension_from_coordinates(spec: AlgebraSpec, vec: np.ndarray) -> BElement:
     return matrix_to_extension(spec, _place(extension_positions(spec), vec))
 

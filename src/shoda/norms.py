@@ -11,11 +11,19 @@ here is seed-deterministic.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _COMPLEX_BYTES, AlgebraSpec, _chunk_size, _require_budget, block_operator_norm
+from .algebra import (
+    _COMPLEX_BYTES,
+    AlgebraSpec,
+    _chunk_size,
+    _require_budget,
+    _shape_stacks,
+    block_operator_norm,
+)
 from .algebra import largest_singular_value as a_norm
 from .completion import _full_matrix
 from .tensor import BElement, _full_coordinates, _pair_contract, aj_pairs
@@ -23,12 +31,17 @@ from .tensor import multiply_B  # unused here, but perfbench/tracing.py binds it
 
 A_NORM_MODEL = "max-block-operator-norm"
 
-# Working set of one audit sample, measured with tracemalloc on one-sample
-# chunks: 12 complex entries per entry of an N x N matrix (the draws, the four
-# products, the stacked norms) plus about 1200 bytes per ordered block pair
-# for the array objects of the coordinate dicts.
+# Working set of one audit sample: 12 complex entries per entry of an N x N
+# matrix (the draws, the class stacks and products, the stacked norms) plus
+# 2000 bytes per ordered block pair for the array objects of the coordinate
+# dicts.  A child process's peak RSS (getrusage, one BLAS thread), the
+# interpreter included, on one-sample audits at the largest admitted sizes:
+# 206 MiB at (1182,), 216 MiB at (591, 591), 212 MiB at (394, 394, 394),
+# 229 MiB at (30,) * 39, 227 MiB at (10,) * 112, 231 MiB at (2,) * 311 and
+# 223 MiB at (1,) * 349.  At 1200 bytes per pair (1,) * 439 was admitted
+# and peaked at 365 MiB.
 _AUDIT_ARRAYS = 12
-_PAIR_BYTES = 1200
+_PAIR_BYTES = 2000
 
 
 def pair_nuclear_norm(m: np.ndarray) -> np.floating | np.ndarray:
@@ -39,9 +52,27 @@ def pair_nuclear_norm(m: np.ndarray) -> np.floating | np.ndarray:
     return np.sum(np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False), axis=-1)
 
 
+def _nuclear_norms(terms: dict) -> np.ndarray:
+    """Nuclear norm of every coordinate block, in key order along the last
+    axis, from one SVD call per block shape (stacks allowed)."""
+    mats = list(terms.values())
+    if not mats:
+        return np.zeros(0)
+    norms = np.empty(mats[0].shape[:-2] + (len(mats),))
+    for places, stack in _shape_stacks(mats):
+        norms[..., places] = np.moveaxis(pair_nuclear_norm(stack), 0, -1)
+    return norms
+
+
+def _key_order_sum(norms: np.ndarray) -> float | np.ndarray:
+    """Sum along the last axis, one term at a time in key order, as a loop
+    over the keys adds them."""
+    return np.cumsum(norms, axis=-1)[..., -1] if norms.shape[-1] else 0.0
+
+
 def _tensor_l1(terms: dict) -> float | np.ndarray:
     """l1 sum of the per-pair nuclear norms, in key order (stacks allowed)."""
-    return sum(pair_nuclear_norm(m) for m in terms.values())
+    return _key_order_sum(_nuclear_norms(terms))
 
 
 def _pair_norm(blocks, terms: dict) -> float | np.ndarray:
@@ -59,8 +90,9 @@ class NormReport:
 
 def b_norm(x: BElement) -> NormReport:
     """Pair norm of an extension element: algebra part plus l1 tensor part."""
-    per_pair = {key: float(pair_nuclear_norm(m)) for key, m in x.u.terms.items()}
-    u_l1 = float(sum(per_pair.values()))
+    norms = _nuclear_norms(x.u.terms)
+    per_pair = dict(zip(x.u.terms, norms.tolist()))
+    u_l1 = float(_key_order_sum(norms))
     an = a_norm(x.a)
     return NormReport(a_norm=an, u_l1=u_l1, total=an + u_l1, per_pair=per_pair)
 
@@ -106,15 +138,19 @@ def _draw_stacks(rng: np.random.Generator, count: int, shapes: list[tuple[int, i
     `sampling._cnormal` draws it: all real parts, then all imaginary parts.
     Consecutive normal draws form one stream, so taking every sample of the
     stack from one call gives the same matrices as drawing them one by one.
+    A run of consecutive shapes that agree is split from one array, and the
+    normals are released before the stacks are used.
     """
     z = rng.normal(size=(count, 2 * sum(r * c for r, c in shapes)))
-    pos = 0
-    for shape in shapes:
-        size = shape[0] * shape[1]
-        re = z[:, pos : pos + size].reshape(count, *shape)
-        im = z[:, pos + size : pos + 2 * size].reshape(count, *shape)
-        pos += 2 * size
-        yield re + 1j * im
+    stacks, pos = [], 0
+    for shape, group in itertools.groupby(shapes):
+        k, size = len(list(group)), shape[0] * shape[1]
+        parts = z[:, pos : pos + 2 * k * size].reshape(count, k, 2, *shape).swapaxes(0, 1)
+        pos += 2 * k * size
+        # matrix-major, so that each stack is contiguous, and in one buffer
+        run = np.multiply(1j, parts[:, :, 1], out=np.empty((k, count, *shape), dtype=complex))
+        stacks.extend(np.add(parts[:, :, 0], run, out=run))
+    return stacks
 
 
 def submultiplicativity_audit(
@@ -145,7 +181,7 @@ def submultiplicativity_audit(
     worst_ub = worst_av = worst_uv = worst_full = 0.0
     for start in range(0, samples, chunk):
         count = min(chunk, samples - start)
-        draws = _draw_stacks(rng, count, shapes)
+        draws = iter(_draw_stacks(rng, count, shapes))
         u = {p: next(draws) for p in pairs}
         v = {p: next(draws) for p in pairs}
         x = [next(draws) for _ in dims]
@@ -188,7 +224,7 @@ def isometry_check(spec: AlgebraSpec, samples: int = 100, seed: int = 42) -> flo
     worst = 0.0
     for start in range(0, samples, chunk):
         count = min(chunk, samples - start)
-        x = list(_draw_stacks(rng, count, shapes))
+        x = _draw_stacks(rng, count, shapes)
         nx = block_operator_norm(x)
         image = block_operator_norm([_full_matrix(spec, x, {})])
         gap = np.abs(image - nx) / np.maximum(nx, 1e-300)

@@ -207,7 +207,7 @@ def test_audit_chunks_stay_small():
     assert _audit_chunk(AlgebraSpec((300, 300))) == 1
 
 
-@pytest.mark.parametrize("dims", [(1183,), (30000,), (592, 592), (100000, 3)])
+@pytest.mark.parametrize("dims", [(1183,), (30000,), (592, 592), (100000, 3), (1,) * 350])
 def test_audits_over_budget_raise_before_drawing(dims):
     spec = AlgebraSpec(dims)
     with pytest.raises(TooLarge):
@@ -218,3 +218,4 @@ def test_audits_over_budget_raise_before_drawing(dims):
 
 def test_largest_audited_block_is_within_budget():
     assert _audit_chunk(AlgebraSpec((1182,))) == 1
+    assert _audit_chunk(AlgebraSpec((1,) * 349)) == 1

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import shoda.structure
 from shoda import AlgebraSpec, block_algebra, build_B, multiply_B, quotient, radical, wedderburn_identify
-from shoda.completion import extension_coordinates, extension_from_coordinates
+from shoda.completion import extension_from_coordinates, extension_positions, extension_to_matrix
 from shoda.errors import NotAnIdeal, NotSemisimple, NumericalFailure
 from shoda.structure import StructureConstantAlgebra, _center_basis, _components
 
@@ -48,7 +48,10 @@ def reference_table(spec: AlgebraSpec) -> np.ndarray:
     """The extension table from multiply_B over every pair of basis elements."""
     d = spec.matrix_size**2
     basis = [extension_from_coordinates(spec, e) for e in np.eye(d)]
-    return np.array([[extension_coordinates(multiply_B(x, y)) for y in basis] for x in basis])
+    positions = extension_positions(spec)
+    return np.array(
+        [[extension_to_matrix(multiply_B(x, y))[positions] for y in basis] for x in basis]
+    )
 
 
 @pytest.mark.parametrize("dims", [(1,), (3,), (1, 1), (2, 3), (1, 1, 1), (2, 3, 3)])

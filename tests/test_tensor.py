@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from shoda import AlgebraSpec, frobenius, multiply_B
 from shoda.algebra import Element, allclose
-from shoda.completion import extension_coordinates
+from shoda.completion import extension_positions, extension_to_matrix
 from shoda.errors import ShapeMismatch
 from shoda.oracles import (
     ElementaryTensorList,
@@ -18,6 +18,8 @@ from shoda.sampling import random_aj, random_b
 from shoda.tensor import (
     AJElement,
     BElement,
+    _full_coordinates,
+    _pair_contract,
     aj_allclose,
     aj_pairs,
     aj_zero,
@@ -165,12 +167,16 @@ def test_extension_product_distributes(seed, dims):
     assert b_norm(lhs - rhs).total < 1e-10 * (1 + b_norm(lhs).total)
 
 
-@pytest.mark.parametrize("dims", [(2, 3), (1, 2, 1), (1,) * 5])
+@pytest.mark.parametrize(
+    "dims", [(2, 3), (1, 2, 1), (1,) * 5, (2, 1, 2, 3, 1), (1,) * 9]
+)
 def test_extension_product_matches_naive_oracle_exactly(dims):
     # integer operands with nonzero algebra parts keep the arithmetic exact,
     # so the term-by-term oracle pins the algebra action on tensors bit for
-    # bit; five 1 x 1 blocks put 25 keys on each side of the contraction
+    # bit; 1 x 1 blocks put k^2 keys on each side of the contraction, and
+    # (2, 1, 2, 3, 1) has size classes whose members are not adjacent
     spec = AlgebraSpec(dims)
+    positions = extension_positions(spec)
     rng = np.random.default_rng(21)
 
     def integer_element():
@@ -188,11 +194,78 @@ def test_extension_product_matches_naive_oracle_exactly(dims):
         tensors = ElementaryTensorList(spec, terms)
         return BElement(a, compress(tensors)), (a, tensors)
 
-    for _ in range(20):
+    # the oracle is quadratic in the terms, so nine blocks take two rounds
+    for _ in range(2 if spec.num_blocks > 5 else 20):
         (x, x_naive), (y, y_naive) = operand(), operand()
-        fast = extension_coordinates(multiply_B(x, y))
+        fast = extension_to_matrix(multiply_B(x, y))[positions]
         naive = _naive_b_coordinates(_naive_b_multiply(x_naive, y_naive, spec), spec)
         assert np.array_equal(fast, naive)
+
+
+def test_stacked_contraction_equals_the_pair_by_pair_calls():
+    # leading axes index operand pairs, each multiplied as a single pair
+    spec = AlgebraSpec((1, 2, 1, 3))
+    rng = np.random.default_rng(17)
+    pairs = [(random_b(spec, rng), random_b(spec, rng)) for _ in range(5)]
+
+    def coords(operands):
+        blocks = [np.array([z.a.blocks[i] for z in operands]) for i in range(spec.num_blocks)]
+        terms = {key: np.array([z.u.terms[key] for z in operands]) for key in aj_pairs(spec)}
+        return _full_coordinates(blocks, terms)
+
+    soc, off = _pair_contract(spec.block_dims, coords([x for x, _ in pairs]), coords([y for _, y in pairs]))
+    for k, (x, y) in enumerate(pairs):
+        one_soc, one_off = _pair_contract(
+            spec.block_dims,
+            _full_coordinates(x.a.blocks, x.u.terms),
+            _full_coordinates(y.a.blocks, y.u.terms),
+        )
+        assert all(np.array_equal(m[k], one) for m, one in zip(soc, one_soc))
+        assert list(off) == list(one_off) == aj_pairs(spec)
+        assert all(np.array_equal(off[key][k], one_off[key]) for key in off)
+
+
+def _loop_contract(left, right):
+    """The trace-pairing contraction as one matmul per (i, m, j) triple."""
+    soc, off = {}, {}
+    for (i, m), lmat in left.items():
+        for (inner, j), rmat in right.items():
+            if inner == m:
+                target = soc if i == j else off
+                target[(i, j)] = target.get((i, j), 0) + lmat @ rmat
+    return soc, off
+
+
+@pytest.mark.parametrize("dims", [(4, 4), (2, 1, 2, 3, 1), (1,) * 6])
+def test_contraction_matches_the_triple_loop_on_sparse_keys(dims):
+    # about half the keys of each side are absent: the emitted keys are the
+    # ones the loop reaches, in aj_pairs order, and unreached blocks are zero
+    k = len(dims)
+    rng = np.random.default_rng(11)
+    keys = [(i, j) for i in range(k) for j in range(k)]
+    for _ in range(10):
+        left, right = (
+            {(i, j): rng.normal(size=(dims[i], dims[j])) for i, j in keys if rng.random() < 0.5}
+            for _ in range(2)
+        )
+        soc, off = _pair_contract(dims, left, right)
+        loop_soc, loop_off = _loop_contract(left, right)
+        assert list(off) == sorted(loop_off)
+        assert all(np.allclose(off[key], loop_off[key], rtol=0, atol=1e-12) for key in off)
+        for i, m in enumerate(soc):
+            assert np.allclose(m, loop_soc.get((i, i), 0), rtol=0, atol=1e-12)
+
+
+def test_tensor_products_reach_no_off_diagonal_key():
+    # (0, 1)(1, 0) and (1, 0)(0, 1) land on the diagonal: with tensor-only
+    # operands no product reaches an off-diagonal key, so none is emitted
+    spec = AlgebraSpec((4, 4))
+    rng = np.random.default_rng(3)
+    u, v = random_aj(spec, rng), random_aj(spec, rng)
+    soc, off = _pair_contract(spec.block_dims, u.terms, v.terms)
+    assert off == {}
+    assert all(np.any(m) for m in soc)
+    assert multiply_B(_off_tensor(spec, u), _off_tensor(spec, v)).u.terms == {}
 
 
 def _assert_rejects_foreign(spec, other):
