@@ -20,19 +20,26 @@ diagonal, after which divided differences against diag(0, 1, ..., n-1)
 finish the job.  The similarity is one pass of n - 1 Householder steps, each
 zeroing one diagonal entry in O(n^2) work, so a decomposition costs O(n^3)
 time and a fixed number of n x n arrays, checked against the memory budget
-before anything is allocated.  Diagonal inputs
-skip the similarity and use the shift / partial-sum factors directly, which
-keeps integer inputs exactly decomposed.  In a multi-block algebra the
-per-block traces certify elements that are not commutators; those decompose
-after passing to the completed algebra.
+before anything is allocated.  A step pivots on the standard vector e_j with
+the largest off-diagonal column norm among those at least twice |a_jj| and
+at least |a|_F / (4 sqrt(r)) on the r x r trailing block, which keeps the
+similarity well conditioned without a random draw; when none qualifies, and
+at every step of a retry, it takes the best of 16 seeded random unit
+vectors.  Diagonal inputs skip the similarity and use the shift /
+partial-sum factors directly, which keeps integer inputs exactly decomposed.
+In a multi-block algebra the per-block traces certify elements that are not
+commutators; those decompose after passing to the completed algebra.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .algebra import (
     _COMPLEX_BYTES,
@@ -175,42 +182,50 @@ def certifies_non_commutator(t: Element, tol: float = 1e-9) -> bool:
 def _diagonal_shift_factors(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Decompose a traceless diagonal matrix as [shift, partial-sum] factors."""
     n = m.shape[0]
-    a = np.zeros((n, n), dtype=complex)
-    b = np.zeros((n, n), dtype=complex)
-    partial = 0.0 + 0.0j
-    for i in range(n - 1):
-        a[i, i + 1] = 1.0
-        partial += m[i, i]
-        b[i + 1, i] = partial
-    return a, b
+    partial = np.cumsum(np.diag(m).astype(complex))[:-1]
+    return np.eye(n, k=1, dtype=complex), np.diag(partial, k=-1)
 
 
 def _pick_pivot(
-    a: np.ndarray, rng: np.random.Generator
+    a: np.ndarray, rng: np.random.Generator, standard: bool = True
 ) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """A unit vector v with {v, a v} independent, and a v; None when a is scalar.
 
-    The score of v is the part of a v orthogonal to v, relative to the
-    Frobenius norm of a.  The first standard vector scoring at least 0.25 is
-    taken, all scored at once from the off-diagonal column norms; otherwise
-    the best of 16 random unit vectors, unless even that scores at most
-    1e-10.  A block within 1e-13 of scalar also gives None.
+    a is a contiguous complex block, traceless up to rounding; its diagonal
+    is zeroed for one pass and then restored.  A step on v
+    multiplies the condition of the similarity by about |v^H a v| / beta,
+    with beta the part of a v orthogonal to v.  The standard vector e_j has
+    beta_j, the off-diagonal norm of column j, and v^H a v = a_jj, so e_j
+    qualifies when beta_j >= 2 |a_jj| and beta_j >= |a|_F / (4 sqrt(r));
+    the one with the largest beta_j is taken.  When none qualifies, or when
+    standard is False, the best of 16 random unit vectors is taken, v^H a v
+    being near 0 for them since a is traceless, scored by beta / |a|_F,
+    unless even that scores at most 1e-10.  A block within 1e-13 of scalar
+    gives None.
     """
     r = a.shape[0]
-    mu = np.trace(a) / r
-    shifted = a.copy()
-    shifted.flat[:: r + 1] -= mu
-    column_sq = np.einsum("ij,ij->j", shifted.conj(), shifted).real
-    deviation_sq = column_sq.sum()
-    scale = np.sqrt(deviation_sq + r * abs(mu) ** 2)
-    if np.sqrt(deviation_sq) <= 1e-13 * max(scale, 1.0):
+    # exact off-diagonal column norms: zero the diagonal for one pass
+    on_diagonal = a.reshape(-1)[:: r + 1]
+    diagonal = on_diagonal.copy()
+    on_diagonal[:] = 0.0
+    parts = a.view(np.float64)
+    column_sq = np.einsum("ij,ij->j", parts, parts)
+    on_diagonal[:] = diagonal
+    column_sq = column_sq[0::2] + column_sq[1::2]
+    off_sq = column_sq.sum()
+    scale = math.sqrt(off_sq + np.vdot(diagonal, diagonal).real)
+    shifted = diagonal - diagonal.sum() / r
+    if math.sqrt(off_sq + np.vdot(shifted, shifted).real) <= 1e-13 * max(scale, 1.0):
         return None
-    off_diagonal = np.sqrt(np.maximum(column_sq - np.abs(shifted.diagonal()) ** 2, 0.0))
-    hits = np.flatnonzero(off_diagonal >= 0.25 * scale)
-    if hits.size:
-        v = np.zeros(r, dtype=complex)
-        v[hits[0]] = 1.0
-        return v, a[:, hits[0]].copy()
+    if standard:
+        beta = np.sqrt(column_sq)
+        floor = np.maximum(2.0 * np.abs(diagonal), scale / (4.0 * math.sqrt(r)))
+        eligible = np.where(beta >= floor, beta, 0.0)
+        j = int(eligible.argmax())
+        if eligible[j] > 0.0:
+            v = np.zeros(r, dtype=complex)
+            v[j] = 1.0
+            return v, a[:, j].copy()
     draws = rng.normal(size=(16, 2, r))
     trial = (draws[:, 0] + 1j * draws[:, 1]).T
     trial /= np.linalg.norm(trial, axis=0)
@@ -224,93 +239,122 @@ def _pick_pivot(
 
 
 def _zero_diagonal_similarity(
-    m: np.ndarray, rng: np.random.Generator
+    m: np.ndarray, rng: np.random.Generator, standard: bool = True
 ) -> tuple[np.ndarray, np.ndarray]:
     """Invertible S and its inverse such that S m S^{-1} has (numerically)
     zero diagonal.
 
-    One pass over k on the trailing block a = t[k:, k:] of t = S m S^{-1}.
-    With a pivot v and the QR factorization [v, a v] = Q R, the basis
-    Q diag(P, I) has first column along v and second along a v, where P is
-    upper triangular with P e2 = c / |c| for c = R[:, 1] / R[0, 0]; in it
-    the leading diagonal entry of a is zero.  Q is two Householder
-    reflectors in compact form I - U T U^H, so each step costs O(n^2) and
-    updates a, the rows of S and the columns of S^{-1} in place.  The pass
-    stops early when no pivot is found; in particular a scalar trailing
-    block, being traceless, is already zero.
+    One pass over k on a contiguous copy a of the trailing block t[k:, k:]
+    of t = S m S^{-1}.  With a pivot v and the QR factorization
+    [v, a v] = Q R, the basis Q diag(P, I) has first column along v and
+    second along a v, where P is upper triangular with P e2 = c / |c| for
+    c = R[:, 1] / R[0, 0]; in it the leading diagonal entry of a is zero.
+    Q is two Householder reflectors in compact form I - U T U^H, so each step
+    costs O(n^2): Q^H a Q is one rank-4 update of the rows and columns that
+    the next step keeps, written as the next contiguous block, P acts by
+    scalar row and column operations, and the rows of S and of S^{-H} are
+    updated in place.  standard is passed to _pick_pivot.  The pass stops
+    early when no pivot is found; in particular a scalar trailing block,
+    being traceless, is already zero.
     """
     n = m.shape[0]
-    t = np.array(m, dtype=complex)
-    sim = np.eye(n, dtype=complex)
-    # the transpose of S^{-1}, so that its update is on rows too
-    sim_inv_t = np.eye(n, dtype=complex)
+    # the trailing block alternates between two flat buffers, so that it is
+    # contiguous at every size; the one it left is the scratch of the step
+    flat = (np.array(m, dtype=complex).reshape(-1), np.empty(n * n, dtype=complex))
+    a = flat[0].reshape(n, n)
+    # S and S^-H, so that both are updated on rows by the same Q^H
+    sim, sim_inv_h = np.eye(n, dtype=complex), np.eye(n, dtype=complex)
     for k in range(n - 1):
-        a = t[k:, k:]
-        pivot = _pick_pivot(a, rng)
+        r = n - k
+        pivot = _pick_pivot(a, rng, standard)
         if pivot is None:
             break
         v, av = pivot
         # reflector 1 takes v to alpha e1, reflector 2 the rest of a v to beta e2
-        alpha = -np.exp(1j * np.angle(v[0]))
-        u1 = v.copy()
+        alpha = -cmath.exp(1j * cmath.phase(v[0]))
+        ut = np.empty((2, r), dtype=complex)
+        u1, u2 = ut
+        u1[:] = v
         u1[0] -= alpha
         tau1 = 2.0 / np.vdot(u1, u1).real
-        y = av - (tau1 * np.vdot(u1, av)) * u1
-        beta = -np.exp(1j * np.angle(y[1])) * np.linalg.norm(y[1:])
-        u2 = y.copy()
+        np.subtract(av, (tau1 * np.vdot(u1, av)) * u1, out=u2)  # y = H1 a v
+        y0, y1 = complex(u2[0]), complex(u2[1])
+        beta = -cmath.exp(1j * cmath.phase(y1)) * math.sqrt(np.vdot(u2[1:], u2[1:]).real)
         u2[0] = 0.0
         u2[1] -= beta
         tau2 = 2.0 / np.vdot(u2, u2).real
-        # Q = H1 H2 = I - u tri u^H
-        u = np.stack([u1, u2], axis=1)
-        uh = u.conj().T
-        tri = np.array([[tau1, -tau1 * tau2 * np.vdot(u1, u2)], [0.0, tau2]])
-        c = np.array([y[0], beta]) / alpha
-        p_col = c / np.linalg.norm(c)
-        p = np.array([[1.0, p_col[0]], [0.0, p_col[1]]])
-        p_inv = np.array([[1.0, -p_col[0] / p_col[1]], [0.0, 1.0 / p_col[1]]])
-        # rows of S and a: diag(P^-1, I) Q^H;  columns of a and S^{-1}: Q diag(P, I)
-        left = tri.conj().T @ uh
-        right = tri @ uh
-        rows = sim[k:]
-        rows -= u @ (left @ rows)
-        rows[:2] = p_inv @ rows[:2]
-        a -= u @ (left @ a)
-        a[:2] = p_inv @ a[:2]
-        a -= (a @ u) @ right
-        a[:, :2] = a[:, :2] @ p
-        rows = sim_inv_t[k:]
-        rows -= right.T @ (u.T @ rows)
-        rows[:2] = p.T @ rows[:2]
-    return sim, sim_inv_t.T
+        # Q = H1 H2 = I - u T u^H
+        u, uh = ut.T, ut.conj()
+        t12 = -tau1 * tau2 * complex(np.vdot(u1, u2))
+        # left = T^H u^H and right = T u^H for T = [[tau1, t12], [0, tau2]]
+        left, right = np.array(
+            [[tau1, 0.0], [t12.conjugate(), tau2], [tau1, t12], [0.0, tau2]]
+        ).reshape(2, 2, 2) @ uh
+        # P = [[1, p0], [0, p1]] with (p0, p1) = c / |c|, c = (y0, beta) / alpha
+        c0, c1 = y0 / alpha, beta / alpha
+        norm = math.hypot(abs(c0), abs(c1))
+        p0, p1 = c0 / norm, c1 / norm
+        # Q^H a Q = a - w z for w = [u, a u - u left a u] and z = [left a; right]
+        au = a @ u
+        w = np.concatenate([u, au - u @ (left @ au)], axis=1)
+        z = np.concatenate([left @ a, right])
+        # rows and columns 1: of diag(P^-1, I) Q^H a Q diag(P, I)
+        kept = flat[(k + 1) % 2][: (r - 1) ** 2].reshape(r - 1, r - 1)
+        np.matmul(w[1:], z[:, 1:], out=kept)
+        np.subtract(a[1:, 1:], kept, out=kept)
+        kept[:, 0] *= p1
+        kept[:, 0] += p0 * (a[1:, 0] - w[1:] @ z[:, 0])
+        kept[0] /= p1
+        a = kept
+        # rows of S: diag(P^-1, I) Q^H;  rows of S^-H: diag(P^H, I) Q^H
+        scratch = flat[k % 2][: r * n].reshape(r, n)
+        for rows in (sim[k:], sim_inv_h[k:]):
+            np.matmul(u, left @ rows, out=scratch)
+            rows -= scratch
+        sim[k] -= (p0 / p1) * sim[k + 1]
+        sim[k + 1] /= p1
+        sim_inv_h[k + 1] *= p1.conjugate()
+        sim_inv_h[k + 1] += p0.conjugate() * sim_inv_h[k]
+    np.conjugate(sim_inv_h, out=sim_inv_h)
+    return sim, sim_inv_h.T
 
 
-# the decomposition's measured peak, in n x n complex arrays, the input included
+# the decomposition's measured peak, in n x n complex arrays, the input
+# included; scoring the witness in the completion sets it
 _DECOMPOSE_ARRAYS = 10
 # similarities with a larger condition number are refused
 _COND_LIMIT = 1e8
 
 
-def _decompose_matrix(m: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Factors (a, b) with a b - b a = m for a traceless square matrix."""
+def _decompose_matrix(
+    m: np.ndarray, rng: np.random.Generator, standard: bool = True
+) -> tuple[np.ndarray, np.ndarray]:
+    """Factors (a, b) with a b - b a = m for a traceless square matrix;
+    standard is passed to _pick_pivot."""
     n = m.shape[0]
     if not np.any(m):
         return np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex)
     off_mass = np.linalg.norm(m - np.diag(np.diag(m)))
     if off_mass <= 1e-12 * np.linalg.norm(m):
         return _diagonal_shift_factors(m)
-    sim, sim_inv = _zero_diagonal_similarity(m, rng)
+    sim, sim_inv = _zero_diagonal_similarity(m, rng, standard)
     # |S|_F |S^-1|_F bounds cond_2(S) from above; the SVD settles the rest
     if (
         np.linalg.norm(sim) * np.linalg.norm(sim_inv) > _COND_LIMIT
         and np.linalg.cond(sim) > _COND_LIMIT
     ):
         raise NumericalFailure("zero-diagonal similarity is ill-conditioned")
-    flattened = sim @ m @ sim_inv
-    index = np.arange(n)
-    diff = index[:, None] - index[None, :]
-    b = np.divide(flattened, diff, out=np.zeros((n, n), dtype=complex), where=diff != 0)
-    return (sim_inv * index) @ sim, sim_inv @ b @ sim
+    # b = S^-1 (F / (i - j)) S with F = S m S^-1 of zero diagonal, and
+    # a = S^-1 diag(0, ..., n-1) S, with at most two products alive at once
+    b = sim @ m @ sim_inv
+    # i - j as a read-only view of 2n - 1 numbers, not an n x n grid
+    differences = sliding_window_view(np.arange(n - 1.0, -n, -1.0), n)[::-1]
+    np.divide(b, differences, out=b, where=differences != 0)
+    np.fill_diagonal(b, 0.0)
+    b = sim_inv @ b
+    b = b @ sim
+    sim_inv *= np.arange(n)
+    return sim_inv @ sim, b
 
 
 def _require_decomposable_size(n: int):
@@ -329,6 +373,9 @@ def _best_witness(
 ) -> CommutatorWitness:
     """Decompose the matrix m with up to four pivot seeds, seed_base onward.
 
+    Attempt 0 pivots on standard vectors where they qualify; the retries
+    take random pivots at every step, so that none repeats attempt 0.
+
     witness_of(fa, fb) lifts each attempt's factors into the caller's algebra
     and scores them; the first witness with residual at most accept is
     returned.  Ill-conditioned attempts are skipped, and NumericalFailure is
@@ -338,7 +385,7 @@ def _best_witness(
     for attempt in range(4):
         rng = np.random.default_rng(seed_base + attempt)
         try:
-            fa, fb = _decompose_matrix(m, rng)
+            fa, fb = _decompose_matrix(m, rng, standard=attempt == 0)
         except NumericalFailure:
             continue
         witness = witness_of(fa, fb)

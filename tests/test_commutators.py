@@ -235,29 +235,31 @@ def test_decomposition_size_guard():
 # the zero-diagonal similarity
 
 
-def _reference_pivot(m, rng):
+def _reference_pivot(m, rng, standard=True):
     """The pivot rule scored one vector at a time."""
     n = m.shape[0]
     scale = np.linalg.norm(m)
 
-    def score(v: np.ndarray) -> float:
+    def orthogonal_part(v: np.ndarray) -> float:
         mv = m @ v
-        v_unit = v / np.linalg.norm(v)
-        residual = mv - (v_unit.conj() @ mv) * v_unit
-        return float(np.linalg.norm(residual) / scale)
+        return float(np.linalg.norm(mv - (v.conj() @ mv) * v))
 
-    for i in range(n):
+    best, best_beta = None, 0.0
+    for j in range(n if standard else 0):
         v = np.zeros(n, dtype=complex)
-        v[i] = 1.0
-        if score(v) >= 0.25:
-            return v
-    best, best_score = None, 0.0
+        v[j] = 1.0
+        beta = orthogonal_part(v)
+        if beta >= 2.0 * abs(m[j, j]) and beta >= scale / (4.0 * np.sqrt(n)) and beta > best_beta:
+            best, best_beta = v, beta
+    if best is not None:
+        return best
+    best_score = 0.0
     for _ in range(16):
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
         v /= np.linalg.norm(v)
-        sc = score(v)
-        if sc > best_score:
-            best, best_score = v, sc
+        score = orthogonal_part(v) / scale
+        if score > best_score:
+            best, best_score = v, score
     return best
 
 
@@ -267,22 +269,36 @@ def _random_traceless_matrix(n, seed):
     return m - np.trace(m) / n * np.eye(n)
 
 
-def test_pivot_takes_the_first_passing_standard_vector():
-    m = _random_traceless_matrix(6, 3)
-    m[:, :2] *= 0.01  # columns 0 and 1 score below 0.25
-    expected = _reference_pivot(m, np.random.default_rng(0))
-    v, mv = _pick_pivot(m, np.random.default_rng(0))
-    assert np.flatnonzero(expected).tolist() == [2]
-    assert np.array_equal(v, expected)
-    assert np.allclose(mv, m @ v, rtol=0.0, atol=1e-15)
+def _off_diagonal_column_norms(m):
+    return np.linalg.norm(m - np.diag(np.diag(m)), axis=0)
 
 
-def test_pivot_takes_the_best_random_vector_on_a_dense_block():
+def test_pivot_takes_the_largest_passing_standard_vector():
     m = _random_traceless_matrix(40, 4)
-    off_diagonal = np.linalg.norm(m - np.diag(np.diag(m)), axis=0)
-    assert np.all(off_diagonal < 0.25 * np.linalg.norm(m))  # no standard vector passes
     expected = _reference_pivot(m, np.random.default_rng(9))
     v, mv = _pick_pivot(m, np.random.default_rng(9))
+    # the largest off-diagonal column passes both gates here, and it is not the first
+    assert np.flatnonzero(expected).tolist() == [int(np.argmax(_off_diagonal_column_norms(m)))]
+    assert np.flatnonzero(expected)[0] > 0
+    assert np.array_equal(v, expected)
+    assert np.allclose(mv, m @ v, rtol=0.0, atol=1e-15)
+    # retries take the random rule on the same block
+    expected = _reference_pivot(m, np.random.default_rng(9), standard=False)
+    v, mv = _pick_pivot(m, np.random.default_rng(9), standard=False)
+    assert np.allclose(v, expected, rtol=0.0, atol=1e-14)
+    assert np.allclose(mv, m @ v, rtol=0.0, atol=1e-12)
+
+
+def test_pivot_takes_the_best_random_vector_on_a_near_diagonal_block():
+    noise = _random_traceless_matrix(40, 4)
+    m = np.diag(np.resize([1.0, -1.0], 40)) + 0.12 * (noise - np.diag(np.diag(noise)))
+    # every column passes the norm floor, and only the diagonal gate refuses it
+    off_diagonal = _off_diagonal_column_norms(m)
+    assert np.all(off_diagonal >= np.linalg.norm(m) / (4.0 * np.sqrt(40)))
+    assert np.all(off_diagonal < 2.0 * np.abs(np.diag(m)))
+    expected = _reference_pivot(m, np.random.default_rng(9))
+    v, mv = _pick_pivot(m, np.random.default_rng(9))
+    assert np.count_nonzero(v) == 40
     assert np.allclose(v, expected, rtol=0.0, atol=1e-14)
     assert np.allclose(mv, m @ v, rtol=0.0, atol=1e-12)
 
@@ -293,8 +309,8 @@ def test_similarity_stops_when_the_trailing_block_is_scalar(monkeypatch):
     m[:2, :2] = [[1.0, 2.0], [3.0, -1.0]]
     pivots = []
 
-    def recording_pivot(a, rng):
-        pivots.append(_pick_pivot(a, rng))
+    def recording_pivot(*args):
+        pivots.append(_pick_pivot(*args))
         return pivots[-1]
 
     monkeypatch.setattr(shoda.commutators, "_pick_pivot", recording_pivot)
@@ -310,6 +326,79 @@ def test_similarity_zeroes_the_diagonal(n):
     assert np.abs(np.diag(sim @ m @ sim_inv)).max() <= 1e-12 * np.linalg.norm(m)
     assert np.abs(sim @ sim_inv - np.eye(n)).max() <= 1e-12
     assert np.linalg.cond(sim) < 1e8
+
+
+def _traceless_family(family, n):
+    rng = np.random.default_rng(n)
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    ramp = np.diag(np.linspace(-1.0, 1.0, n))
+    if family == "gaussian":
+        m = g
+    elif family == "upper_triangular":
+        m = np.triu(g)
+    elif family == "jordan":
+        m = np.eye(n, k=1)
+    elif family == "cyclic_shift":
+        m = np.roll(np.eye(n), 1, axis=0)
+    elif family == "rank_one":
+        x, y = g[:, 0], g[:, 1]
+        m = np.outer(x, (y - np.vdot(x, y) / np.vdot(x, x) * x).conj())
+    elif family == "real":
+        m = g.real
+    elif family == "two_scalar_blocks":
+        p = n // 3
+        m = np.zeros((n, n), dtype=complex)
+        m[:p, :p] = (n - p) * np.eye(p)
+        m[p:, p:] = -p * np.eye(n - p)
+        m[:p, p:] = g[:p, p:]
+    elif family == "diagonal_small_noise":
+        m = ramp + 1e-6 * g
+    else:
+        m = ramp + g
+    m = np.array(m, dtype=complex)
+    return m - np.trace(m) / n * np.eye(n)
+
+
+@pytest.mark.parametrize("n", [17, 128, 300])
+@pytest.mark.parametrize(
+    "family",
+    [
+        "gaussian", "upper_triangular", "jordan", "cyclic_shift", "rank_one", "real",
+        "two_scalar_blocks", "diagonal_small_noise", "diagonal_large_noise",
+    ],
+)
+def test_similarity_is_well_conditioned(monkeypatch, family, n):
+    m = _traceless_family(family, n)
+    similarities = []
+    similarity = shoda.commutators._zero_diagonal_similarity
+
+    def recording_similarity(*args):
+        similarities.append(similarity(*args))
+        return similarities[-1]
+
+    monkeypatch.setattr(shoda.commutators, "_zero_diagonal_similarity", recording_similarity)
+    a, b = shoda.commutators._decompose_matrix(m, np.random.default_rng(0))
+    [(sim, _)] = similarities
+    assert np.linalg.cond(sim) < 20
+    assert np.linalg.norm(a @ b - b @ a - m) <= 1e-12 * max(1.0, np.linalg.norm(m))
+
+
+def test_a_retry_is_not_a_copy_of_the_refused_attempt(monkeypatch):
+    t = Element(AlgebraSpec((40,)), (_random_traceless_matrix(40, 5),))
+    similarities = []
+    similarity = shoda.commutators._zero_diagonal_similarity
+
+    def recording_similarity(*args):
+        # a limit below 1 refuses every similarity: attempt 0 fails the gate
+        monkeypatch.setattr(shoda.commutators, "_COND_LIMIT", 1e8 if similarities else 0.5)
+        similarities.append(similarity(*args))
+        return similarities[-1]
+
+    monkeypatch.setattr(shoda.commutators, "_zero_diagonal_similarity", recording_similarity)
+    witness = commutator_decompose(t)
+    assert len(similarities) == 2
+    assert not np.allclose(similarities[0][0], similarities[1][0])
+    assert witness.residual <= 1e-9 * frobenius(t)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +491,7 @@ def test_decompose_in_completion_rejects_nonzero_trace(spec23):
 def test_decomposers_raise_when_every_attempt_fails(monkeypatch, spec23):
     # every seeded attempt fails: no best witness exists, so both decomposers
     # must raise instead of returning an unchecked result
-    def always_ill_conditioned(m, rng):
+    def always_ill_conditioned(*args, **kwargs):
         raise NumericalFailure("zero-diagonal similarity is ill-conditioned")
 
     monkeypatch.setattr(shoda.commutators, "_decompose_matrix", always_ill_conditioned)
