@@ -35,7 +35,7 @@ from .commutators import (
 )
 from .completion import CompletionResult, build_B, complete
 from .norms import NormAudit, NormReport, a_norm, b_norm, isometry_check, pair_nuclear_norm, submultiplicativity_audit
-from .structure import StructureConstantAlgebra, block_algebra, quotient, radical, wedderburn_identify
+from .structure import StructureConstantAlgebra, quotient, radical, wedderburn_identify
 from .tensor import AJElement, BElement, multiply_B
 
 __all__ = [
@@ -66,7 +66,6 @@ __all__ = [
     "multiply_B",
     "build_B",
     "complete",
-    "block_algebra",
     "radical",
     "quotient",
     "wedderburn_identify",

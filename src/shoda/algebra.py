@@ -106,14 +106,6 @@ class AlgebraSpec:
         """Side length of the single matrix block the extension identifies with."""
         return sum(self.block_dims)
 
-    def offsets(self) -> tuple[int, ...]:
-        """Row/column offset of each block inside the full matrix picture."""
-        out, acc = [], 0
-        for n in self.block_dims:
-            out.append(acc)
-            acc += n
-        return tuple(out)
-
     def zero(self) -> "Element":
         return Element(self, tuple(np.zeros((n, n), dtype=complex) for n in self.block_dims))
 

@@ -27,7 +27,16 @@ from .structure import (
     radical,
     wedderburn_identify,
 )
-from .tensor import AJElement, BElement, _full_coordinates, aj_pairs, aj_zero, multiply_B
+from .tensor import (
+    AJElement,
+    BElement,
+    _assemble,
+    _block_slices,
+    _full_coordinates,
+    aj_pairs,
+    aj_zero,
+    multiply_B,
+)
 
 # seeded random pairs checked against the witness on top of every basis pair
 _CHECK_PAIRS = 100
@@ -78,12 +87,7 @@ def extension_to_matrix(x: BElement) -> np.ndarray:
 
 def _full_matrix(spec: AlgebraSpec, blocks, terms: dict) -> np.ndarray:
     """extension_to_matrix of coordinate arrays; leading axes index a stack."""
-    size = spec.matrix_size
-    off = spec.offsets()
-    out = np.zeros(np.shape(blocks[0])[:-2] + (size, size), dtype=complex)
-    for (i, j), m in _full_coordinates(blocks, terms).items():
-        out[..., off[i] : off[i] + m.shape[-2], off[j] : off[j] + m.shape[-1]] = m
-    return out
+    return _assemble(spec.block_dims, _full_coordinates(blocks, terms))[0]
 
 
 def matrix_to_extension(spec: AlgebraSpec, mat: np.ndarray) -> BElement:
@@ -91,16 +95,10 @@ def matrix_to_extension(spec: AlgebraSpec, mat: np.ndarray) -> BElement:
     size = spec.matrix_size
     if mat.shape != (size, size):
         raise ValueError(f"expected a {size} x {size} matrix, got {mat.shape}")
-    off = spec.offsets()
-    blocks = [
-        mat[o : o + n, o : o + n] for o, n in zip(off, spec.block_dims)
-    ]
-    terms = {}
-    for i, j in aj_pairs(spec):
-        terms[(i, j)] = mat[
-            off[i] : off[i] + spec.block_dims[i], off[j] : off[j] + spec.block_dims[j]
-        ]
-    return BElement(Element(spec, tuple(blocks)), AJElement(spec, terms))
+    rows = _block_slices(spec.block_dims)
+    blocks = tuple(mat[r, r] for r in rows)
+    terms = {(i, j): mat[rows[i], rows[j]] for i, j in aj_pairs(spec)}
+    return BElement(Element(spec, blocks), AJElement(spec, terms))
 
 
 def build_B(spec: AlgebraSpec) -> StructureConstantAlgebra:

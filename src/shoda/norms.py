@@ -32,13 +32,13 @@ from .tensor import multiply_B  # unused here, but perfbench/tracing.py binds it
 A_NORM_MODEL = "max-block-operator-norm"
 
 # Working set of one audit sample: 12 complex entries per entry of an N x N
-# matrix (the draws, the class stacks and products, the stacked norms) plus
-# 2000 bytes per ordered block pair for the array objects of the coordinate
-# dicts.  A child process's peak RSS (getrusage, one BLAS thread), the
-# interpreter included, on one-sample audits at the largest admitted sizes:
-# 206 MiB at (1182,), 216 MiB at (591, 591), 212 MiB at (394, 394, 394),
-# 229 MiB at (30,) * 39, 227 MiB at (10,) * 112, 231 MiB at (2,) * 311 and
-# 223 MiB at (1,) * 349.  At 1200 bytes per pair (1,) * 439 was admitted
+# matrix (the draws, the block matrices and their products, the stacked
+# norms) plus 2000 bytes per ordered block pair for the array objects of the
+# coordinate dicts.  A child process's peak RSS (getrusage, one BLAS thread),
+# the interpreter included, on one-sample audits at the largest admitted
+# sizes: 206 MiB at (1182,), 206 MiB at (591, 591), 206 MiB at (394, 394,
+# 394), 208 MiB at (30,) * 39, 209 MiB at (10,) * 112, 229 MiB at (2,) * 311
+# and 229 MiB at (1,) * 349.  At 1200 bytes per pair (1,) * 439 was admitted
 # and peaked at 365 MiB.
 _AUDIT_ARRAYS = 12
 _PAIR_BYTES = 2000

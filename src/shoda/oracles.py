@@ -16,7 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Element
+from .algebra import AlgebraSpec, Element, flatten, multiply
 from .structure import StructureConstantAlgebra
 from .tensor import AJElement
 
@@ -269,6 +269,35 @@ def _block_units(spec: AlgebraSpec, i: int):
             blocks = [np.zeros((d, d), dtype=complex) for d in spec.block_dims]
             blocks[i][k, l] = 1.0
             yield Element(spec, tuple(blocks))
+
+
+def block_algebra(spec: AlgebraSpec) -> StructureConstantAlgebra:
+    """Structure constants of the block algebra itself on its matrix-unit basis."""
+    basis = list(spec.basis())
+    table = np.array([[flatten(multiply(x, y)) for y in basis] for x in basis])
+    return StructureConstantAlgebra(table, flatten(spec.identity()))
+
+
+def associativity_residual(alg: StructureConstantAlgebra) -> float:
+    """Worst deviation between the two association orders over all basis triples."""
+    table = alg.dense()
+    worst = 0.0
+    for a in range(alg.dim):
+        left = np.einsum("bd,dce->bce", table[a], table)
+        right = np.einsum("bcd,de->bce", table, table[a])
+        worst = max(worst, float(np.abs(left - right).max()))
+    return worst
+
+
+def unit_residual(alg: StructureConstantAlgebra) -> float:
+    """Worst deviation of unit * e_b and e_b * unit from e_b over the basis."""
+    worst = 0.0
+    for b in range(alg.dim):
+        e = np.zeros(alg.dim, dtype=complex)
+        e[b] = 1.0
+        worst = max(worst, float(np.abs(alg.product(alg.unit, e) - e).max()))
+        worst = max(worst, float(np.abs(alg.product(e, alg.unit) - e).max()))
+    return worst
 
 
 def dense_radical(alg: StructureConstantAlgebra, tol: float = 1e-9) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Generic finite-dimensional associative algebras given by structure constants.
 
-Used for the extension algebra, for the base block algebra, and for
-hand-built negative controls in tests.  Provides the radical by the
+Used for the extension algebra and, in the tests, for the base block
+algebra and hand-built negative controls.  Provides the radical by the
 characteristic-zero trace-form criterion, quotients by a verified ideal,
 and Wedderburn identification of a semisimple table through its center.
 The radical, the centre and the central eigenvalues are solved one connected
@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .algebra import AlgebraSpec, _cluster, flatten, multiply
+from .algebra import _cluster
 from .errors import (
     IllConditioned,
     NonSquareComponent,
@@ -89,25 +89,6 @@ class StructureConstantAlgebra:
         index = np.arange(count)[:, None] * d + t["c"]
         return _accumulate(index.ravel(), values.ravel(), count * d).reshape(lead + (d,))
 
-    def associativity_residual(self) -> float:
-        """Worst deviation between the two association orders over all basis triples."""
-        table = self.dense()
-        worst = 0.0
-        for a in range(self.dim):
-            left = np.einsum("bd,dce->bce", table[a], table)
-            right = np.einsum("bcd,de->bce", table, table[a])
-            worst = max(worst, float(np.abs(left - right).max()))
-        return worst
-
-    def unit_residual(self) -> float:
-        worst = 0.0
-        for b in range(self.dim):
-            e = np.zeros(self.dim, dtype=complex)
-            e[b] = 1.0
-            worst = max(worst, float(np.abs(self.product(self.unit, e) - e).max()))
-            worst = max(worst, float(np.abs(self.product(e, self.unit) - e).max()))
-        return worst
-
 
 def _accumulate(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
     """Complex vector of length size holding the sum of values at each index."""
@@ -125,13 +106,6 @@ def _join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # the k-th match of left[i] is the k-th of its run of equal keys in right
     run_start = np.repeat(lo - np.cumsum(counts) + counts, counts)
     return i, order[run_start + np.arange(i.size)]
-
-
-def block_algebra(spec: AlgebraSpec) -> StructureConstantAlgebra:
-    """Structure constants of the block algebra itself on its matrix-unit basis."""
-    basis = list(spec.basis())
-    table = np.array([[flatten(multiply(x, y)) for y in basis] for x in basis])
-    return StructureConstantAlgebra(table, flatten(spec.identity()))
 
 
 def _labels(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:

@@ -133,64 +133,27 @@ def _full_coordinates(blocks, terms: dict) -> dict[tuple[int, int], np.ndarray]:
 
 
 @functools.lru_cache(maxsize=16)
-def _size_classes(dims: tuple[int, ...]):
-    """Blocks grouped by size: (size, member blocks) per class, in order of
-    first appearance, and per block its class and its place in the class."""
-    members: dict[int, list[int]] = {}
-    for i, n in enumerate(dims):
-        members.setdefault(n, []).append(i)
-    classes = tuple((n, tuple(ids)) for n, ids in members.items())
-    where = {i: (s, a) for s, (_, ids) in enumerate(classes) for a, i in enumerate(ids)}
-    return classes, tuple(where[i] for i in range(len(dims)))
+def _block_slices(dims: tuple[int, ...]) -> tuple[slice, ...]:
+    """Rows (and columns) of each block in the N x N block matrix."""
+    ends = tuple(itertools.accumulate(dims))
+    return tuple(slice(end - n, end) for end, n in zip(ends, dims))
 
 
-def _keys_first(lead: int, ks: int, ns: int, kt: int, nt: int, stack: np.ndarray) -> np.ndarray:
-    """View of a (..., k_s n_s, k_t n_t) block matrix as its (k_s, k_t, ...,
-    n_s, n_t) stack of coordinate blocks."""
-    split = stack.reshape(stack.shape[:lead] + (ks, ns, kt, nt))
-    return split.transpose((lead, lead + 2, *range(lead), lead + 1, lead + 3))
+def _assemble(dims: tuple[int, ...], coords: dict) -> tuple[np.ndarray, np.ndarray]:
+    """The (..., N, N) block matrix of coordinate blocks keyed by block pairs,
+    and the k x k mask of the keys present.
 
-
-def _class_stacks(dims: tuple[int, ...], coords: dict) -> dict:
-    """Coordinate blocks gathered per pair of size classes (s, t), in class
-    order.
-
-    Each pair is one (..., k_s n_s, k_t n_t) block matrix, the (k_s, k_t,
-    n_s, n_t) stack of its coordinate blocks with the middle axes swapped, so
-    that one matmul contracts the inner block and coordinate indices
-    together.  Absent keys are zero blocks, marked by the (k_s, k_t) mask of
-    the keys present, which is None when every key is.  A pair of one-member
-    classes is its one array, not a copy.
+    Absent keys are zero blocks.  Leading axes of the arrays, if any, index a
+    stack; the stack shape is taken from the first key.
     """
-    classes, where = _size_classes(dims)
-    grids: dict[tuple[int, int], list] = {}
+    rows = _block_slices(dims)
+    present = np.zeros((len(dims), len(dims)), dtype=bool)
+    lead = np.shape(next(iter(coords.values())))[:-2] if coords else ()
+    out = np.zeros(lead + (sum(dims),) * 2, dtype=complex)
     for (i, j), m in coords.items():
-        (s, a), (t, b) = where[i], where[j]
-        kt = len(classes[t][1])
-        grid = grids.get((s, t))
-        if grid is None:
-            grid = grids[(s, t)] = [None] * (len(classes[s][1]) * kt)
-        grid[a * kt + b] = m
-    stacks = {}
-    for (s, t) in sorted(grids):
-        grid = grids[(s, t)]
-        if len(grid) == 1:
-            stacks[(s, t)] = np.asarray(grid[0], dtype=complex), None
-            continue
-        (ns, ids_s), (nt, ids_t) = classes[s], classes[t]
-        mask = None
-        present = [m is not None for m in grid]
-        if not all(present):
-            mask = np.array(present).reshape(len(ids_s), len(ids_t))
-            zero = np.zeros(np.shape(grid[present.index(True)]), dtype=complex)
-            grid = [zero if m is None else m for m in grid]
-        gathered = np.asarray(grid, dtype=complex)
-        lead = gathered.ndim - 3
-        # (k_s k_t, ..., n_s, n_t) -> (..., k_s n_s, k_t n_t)
-        split = gathered.reshape((len(ids_s), len(ids_t)) + gathered.shape[1:])
-        stack = split.transpose((*range(2, lead + 2), 0, lead + 2, 1, lead + 3))
-        stacks[(s, t)] = stack.reshape(stack.shape[:lead] + (len(ids_s) * ns, len(ids_t) * nt)), mask
-    return stacks
+        out[..., rows[i], rows[j]] = m
+        present[i, j] = True
+    return out, present
 
 
 def _pair_contract(
@@ -199,60 +162,21 @@ def _pair_contract(
     """Trace-pairing product of coordinate blocks keyed by block pairs.
 
     The pairing contracts inner block indices, so the (i, j) output is the
-    sum over m of left (i, m) times right (m, j); diagonal outputs are
-    collapsed into the algebra blocks, off-diagonal ones form the tensor
-    terms, in aj_pairs order.  The blocks are grouped by size: each size
-    class triple (s, u, t) is one matmul of the class stacks, added over u
-    in class order.  Only the keys that some product reaches are emitted,
-    each a contiguous array.  Leading axes of the coordinate arrays index a
-    stack of operand pairs, multiplied pair by pair, and a stack adds in the
-    same order as a single pair.
+    sum over m of left (i, m) times right (m, j): the product of the two
+    block matrices, one matmul.  The diagonal blocks of the product are the
+    algebra blocks; the off-diagonal ones that some product reaches, read
+    from the product of the two masks of keys present, are the tensor terms,
+    in aj_pairs order.  Every output is a view into the product.  Leading
+    axes of the coordinate arrays index a stack of operand pairs, multiplied
+    pair by pair, and a stack adds in the same order as a single pair.
     """
-    classes, _ = _size_classes(dims)
-    by_inner: dict[int, list] = {}  # right stacks (u, t) by u, in class order
-    for (u, t), (rstack, rmask) in _class_stacks(dims, right).items():
-        by_inner.setdefault(u, []).append((t, rstack, rmask))
-    products: dict[tuple[int, int], list] = {}  # (s, t): [sum, reached mask or None]
-    for (s, u), (lstack, lmask) in _class_stacks(dims, left).items():
-        for t, rstack, rmask in by_inner.get(u, ()):
-            hits = None
-            if lmask is not None or rmask is not None:
-                ks, ku, kt = (len(classes[c][1]) for c in (s, u, t))
-                lhits = np.ones((ks, ku), dtype=bool) if lmask is None else lmask
-                hits = lhits @ (np.ones((ku, kt), dtype=bool) if rmask is None else rmask)
-            entry = products.get((s, t))
-            if entry is None:
-                products[(s, t)] = [lstack @ rstack, hits]
-            else:
-                entry[0] += lstack @ rstack
-                entry[1] = None if entry[1] is None or hits is None else entry[1] | hits
-    soc_blocks: list = [None] * len(dims)
-    off: dict[tuple[int, int], np.ndarray] = {}
-    lead = ()
-    for (s, t), (prod, reach) in products.items():
-        (ns, ids_s), (nt, ids_t) = classes[s], classes[t]
-        lead = prod.shape[:-2]
-        if len(ids_s) * len(ids_t) == 1:
-            blocks = prod[None, None]
-        else:
-            blocks = np.ascontiguousarray(
-                _keys_first(len(lead), len(ids_s), ns, len(ids_t), nt, prod)
-            )
-        if reach is None:
-            reached = itertools.product(range(len(ids_s)), range(len(ids_t)))
-        else:
-            reached = zip(*(x.tolist() for x in reach.nonzero()))
-        for a, b in reached:
-            i, j = ids_s[a], ids_t[b]
-            if i == j:
-                soc_blocks[i] = blocks[a, b]
-            else:
-                off[(i, j)] = blocks[a, b]
-    soc_blocks = [
-        np.zeros(lead + (n, n), dtype=complex) if m is None else m
-        for m, n in zip(soc_blocks, dims)
-    ]
-    return soc_blocks, off if len(classes) == 1 else dict(sorted(off.items()))
+    lmat, lkeys = _assemble(dims, left)
+    rmat, rkeys = _assemble(dims, right)
+    prod = lmat @ rmat
+    rows = _block_slices(dims)
+    reached = np.argwhere(lkeys @ rkeys).tolist()
+    off = {(i, j): prod[..., rows[i], rows[j]] for i, j in reached if i != j}
+    return [prod[..., r, r] for r in rows], off
 
 
 @dataclass(frozen=True, eq=False)

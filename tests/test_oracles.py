@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import shoda.structure
 from shoda import (
     AlgebraSpec,
-    block_algebra,
     build_B,
     frobenius,
     multiply_B,
@@ -19,6 +18,7 @@ from shoda import (
 )
 from shoda.oracles import (
     ElementaryTensorList,
+    block_algebra,
     compress,
     dense_center,
     dense_radical,

@@ -236,23 +236,33 @@ def _loop_contract(left, right):
     return soc, off
 
 
-@pytest.mark.parametrize("dims", [(4, 4), (2, 1, 2, 3, 1), (1,) * 6])
-def test_contraction_matches_the_triple_loop_on_sparse_keys(dims):
+@pytest.mark.parametrize(
+    "dims, lead",
+    [((4, 4), ()), ((2, 1, 2, 3, 1), ()), ((1,) * 6, ()), ((2, 1, 2, 3, 1), (3,))],
+    ids=["dims0", "dims1", "dims2", "stacked"],
+)
+def test_contraction_matches_the_triple_loop_on_sparse_keys(dims, lead):
     # about half the keys of each side are absent: the emitted keys are the
-    # ones the loop reaches, in aj_pairs order, and unreached blocks are zero
+    # ones the loop reaches, in aj_pairs order, and unreached blocks are zero;
+    # a stack of operand pairs keeps its leading axes, also in the last two
+    # rounds, where one side has no keys at all
     k = len(dims)
     rng = np.random.default_rng(11)
     keys = [(i, j) for i in range(k) for j in range(k)]
-    for _ in range(10):
+    for r in range(10):
         left, right = (
-            {(i, j): rng.normal(size=(dims[i], dims[j])) for i, j in keys if rng.random() < 0.5}
+            {(i, j): rng.normal(size=lead + (dims[i], dims[j])) for i, j in keys if rng.random() < 0.5}
             for _ in range(2)
         )
+        if lead and r >= 8:
+            left, right = ({}, right) if r == 8 else (left, {})
         soc, off = _pair_contract(dims, left, right)
         loop_soc, loop_off = _loop_contract(left, right)
         assert list(off) == sorted(loop_off)
+        assert all(off[i, j].shape == lead + (dims[i], dims[j]) for i, j in off)
         assert all(np.allclose(off[key], loop_off[key], rtol=0, atol=1e-12) for key in off)
         for i, m in enumerate(soc):
+            assert m.shape == lead + (dims[i], dims[i])
             assert np.allclose(m, loop_soc.get((i, i), 0), rtol=0, atol=1e-12)
 
 
