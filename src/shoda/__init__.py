@@ -12,16 +12,11 @@ from .algebra import (
     Element,
     SpectrumReport,
     commutator,
-    conjugate_projections,
     frobenius,
-    left_ideal_isomorphism,
-    minimal_ideal_index,
     multiply,
     projection_path,
     rank,
-    rank_preserving_path,
     riesz_projection,
-    separating_element,
     spectrum,
     trace,
 )
@@ -56,12 +51,7 @@ __all__ = [
     "rank",
     "spectrum",
     "riesz_projection",
-    "separating_element",
-    "minimal_ideal_index",
-    "conjugate_projections",
     "projection_path",
-    "left_ideal_isomorphism",
-    "rank_preserving_path",
     "frobenius",
     "multiply_B",
     "build_B",

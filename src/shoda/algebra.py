@@ -4,11 +4,8 @@ An algebra here is a finite direct sum of full matrix blocks; an element is
 one square complex matrix per block, multiplied blockwise.  On top of the
 plain arithmetic this module provides the spectral machinery used everywhere
 else: spectrum with multiplicities, spectral trace and rank, Riesz
-projections by resolvent quadrature, separating elements for families of
-rank-one elements, the block index of the minimal ideal containing a rank-one
-element, conjugation between rank-one projections of the same minimal ideal,
-idempotent-valued paths between such projections, isomorphisms of minimal
-left ideals, and rank-preserving paths between equal-rank elements.
+projections by resolvent quadrature, and idempotent-valued paths between
+rank-one projections of one minimal ideal.
 
 All values are immutable after construction.  Operations are pure functions
 of their inputs plus an explicit seed where randomness is involved, so
@@ -17,22 +14,19 @@ concurrent use is safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import (
     ContourTooTight,
-    DependentInputs,
     DifferentMinimalIdeal,
     NoSuchSpectralValue,
     NotAProjection,
     NotRankOne,
-    NotShodaComplete,
     NumericalFailure,
     PathDegenerate,
-    RankMismatch,
     ShapeMismatch,
     TooLarge,
     ZeroElement,
@@ -286,11 +280,6 @@ class SpectrumReport:
     def total_multiplicity(self) -> int:
         return sum(m for _, m in self.eigenvalues)
 
-    @property
-    def nonzero_count(self) -> int:
-        """Number of distinct nonzero spectral values."""
-        return len(self.nonzero)
-
 
 def spectrum(a: Element, tol: float = DEFAULT_TOL) -> SpectrumReport:
     """Union of block eigenvalues; values within tol of each other (relative to
@@ -383,36 +372,9 @@ def _riesz_from_clusters(
     return Element(a.spec, tuple(out))
 
 
-def separating_element(
-    b: Element, others: Sequence[Element], tol: float = DEFAULT_TOL
-) -> Element:
-    """An element y with Tr(b y) nonzero and Tr(a y) zero for every a in others.
-
-    For rank-one c the spectrum of c y is {0} exactly when Tr(c y) vanishes,
-    so y separates b from the others spectrally.  Solved as the minimum-norm
-    solution of the linear system of trace functionals.
-    """
-    family = [b, *others]
-    for x in family:
-        if rank(x, tol) != 1:
-            raise NotRankOne("separating element needs rank-one inputs")
-    rows = np.stack([np.concatenate([m.T.ravel() for m in x.blocks]) for x in family])
-    s = np.linalg.svd(rows, compute_uv=False)
-    if s[-1] <= tol * s[0]:
-        raise DependentInputs("trace functionals of the inputs are dependent")
-    rhs = np.zeros(len(family), dtype=complex)
-    rhs[0] = 1.0
-    y_vec, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
-    return unflatten(b.spec, y_vec)
-
-
-def minimal_ideal_index(q: Element, tol: float = DEFAULT_TOL) -> int:
-    """Block index of the unique minimal two-sided ideal containing a rank-one element."""
-    return _rank_one_block(_block_ranks(q.blocks, tol))
-
-
 def _rank_one_block(ranks: np.ndarray) -> int:
-    """minimal_ideal_index of an element with these block ranks."""
+    """Block index of the unique minimal two-sided ideal containing a rank-one
+    element with these block ranks."""
     r = int(ranks.sum())
     if r == 0:
         raise ZeroElement("zero element lies in every ideal")
@@ -421,12 +383,12 @@ def _rank_one_block(ranks: np.ndarray) -> int:
     return int(np.argmax(ranks))
 
 
-def _shared_minimal_ideal(p: Element, q: Element, tol: float, keep: Callable):
+def _shared_minimal_ideal(p: Element, q: Element, tol: float):
     """Check that p and q are rank-one projections of one minimal ideal; return
-    its block index and keep(m, u, vh) of each one's block m = u diag(s) vh.
-    One SVD per block gives the ranks, the block and the factors; keep
-    reduces those of p before q is factorized, so that the n x n factors of
-    only one endpoint are alive at a time."""
+    its block index and each one's block m split as v w^H with w^H v = 1.
+    One SVD per block gives the ranks, the block and v; the factors of p are
+    dropped before q is factorized, so that the n x n factors of only one
+    endpoint are alive at a time."""
     for x in (p, q):
         res = frobenius(multiply(x, x) - x)
         if res > tol * (1.0 + frobenius(x)):
@@ -438,28 +400,13 @@ def _shared_minimal_ideal(p: Element, q: Element, tol: float, keep: Callable):
         if ranks.sum() != 1:
             raise NotAProjection(f"rank is {ranks.sum()}, need 1")
         i = int(np.argmax(ranks))
-        return i, keep(x.blocks[i], svds[i][0], svds[i][2])
+        v = svds[i][0][:, 0].copy()  # a view would keep all of u alive along the path
+        return i, (v, v.conj() @ x.blocks[i])
 
-    (ip, kept_p), (iq, kept_q) = split(p), split(q)
+    (ip, split_p), (iq, split_q) = split(p), split(q)
     if ip != iq:
         raise DifferentMinimalIdeal(f"blocks {ip} and {iq}")
-    return ip, kept_p, kept_q
-
-
-def conjugate_projections(p: Element, q: Element, tol: float = DEFAULT_TOL) -> Element:
-    """An invertible u with u p u^{-1} = q, for rank-one projections in the
-    same minimal ideal.  Raises DifferentMinimalIdeal across orthogonal ideals,
-    where no such u exists.
-    """
-    # each frame's first column spans the image, the rest the kernel
-    ip, frame_p, frame_q = _shared_minimal_ideal(
-        p, q, tol, lambda m, u, vh: np.concatenate([u[:, :1], vh[1:].conj().T], axis=1)
-    )
-    if all((x == y).all() for x, y in zip(p.blocks, q.blocks)):
-        return p.spec.identity()
-    blocks = [np.eye(n, dtype=complex) for n in p.spec.block_dims]
-    blocks[ip] = frame_q @ np.linalg.inv(frame_p)
-    return Element(p.spec, tuple(blocks))
+    return ip, split_p, split_q
 
 
 def _path_chunk(spec: AlgebraSpec) -> int:
@@ -473,7 +420,7 @@ def _path_chunk(spec: AlgebraSpec) -> int:
 def _sampled_arc(
     start: Element, end: Element, samples: int,
     sample_at: Callable[[np.ndarray], tuple[list[np.ndarray], np.ndarray]],
-    seed: int, stuck: str, chunk: int,
+    seed: int, chunk: int,
 ) -> Iterator[list[np.ndarray]]:
     """Samples of an arc on linspace(0, 1, samples), endpoints exactly as
     given, in stacks of at most chunk samples: one array per block with the
@@ -500,7 +447,7 @@ def _sampled_arc(
                 if retry_ok[0]:
                     break
             else:
-                raise PathDegenerate(f"sample {lo + j} {stuck}")
+                raise PathDegenerate(f"sample {lo + j} stuck on the exceptional set")
             _set_sample(blocks, j, [stack[0] for stack in retry])
         yield blocks
 
@@ -511,14 +458,6 @@ def _set_sample(blocks: list[np.ndarray], j: int, matrices: Sequence[np.ndarray]
     one is evaluated."""
     for stack, m in zip(blocks, matrices):
         stack[j] = m
-
-
-def _arc_elements(spec: AlgebraSpec, stacks: Iterator[list[np.ndarray]]) -> list[Element]:
-    return [
-        Element(spec, tuple(stack[k] for stack in blocks))
-        for blocks in stacks
-        for k in range(len(blocks[0]))
-    ]
 
 
 def projection_path(
@@ -536,7 +475,11 @@ def projection_path(
     pushed off the real axis by a seeded perturbation (at most 16 retries);
     endpoints are returned exactly as given.
     """
-    return _arc_elements(p.spec, _projection_arc(p, q, samples, tol, seed))
+    return [
+        Element(p.spec, tuple(stack[k] for stack in blocks))
+        for blocks in _projection_arc(p, q, samples, tol, seed)
+        for k in range(len(blocks[0]))
+    ]
 
 
 def _projection_arc(
@@ -546,13 +489,7 @@ def _projection_arc(
     if samples < 1:
         raise ValueError("samples must be positive")
     chunk = _path_chunk(p.spec)
-
-    def split(m, u, vh):
-        """m as v w^H with w^H v = 1."""
-        v = u[:, 0].copy()  # a view would keep all of u alive along the path
-        return v, v.conj() @ m
-
-    ip, (v_p, w_p), (v_q, w_q) = _shared_minimal_ideal(p, q, tol, split)
+    ip, (v_p, w_p), (v_q, w_q) = _shared_minimal_ideal(p, q, tol)
     spec = p.spec
 
     def sample_at(ts: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
@@ -569,88 +506,4 @@ def _projection_arc(
         )
         return blocks, ok
 
-    return _sampled_arc(p, q, samples, sample_at, seed, "stuck on the exceptional set", chunk)
-
-
-@dataclass(frozen=True, eq=False)
-class LeftIdealIsomorphism:
-    """Conjugation map between the minimal left ideals of two rank-one
-    projections, T(x p) = v (x p) v^{-1}, returned as conjugator plus evaluator."""
-
-    conjugator: Element
-    inverse: Element = field(repr=False)
-    source: Element = field(repr=False)
-    target: Element = field(repr=False)
-
-    def __call__(self, xp: Element) -> Element:
-        return multiply(multiply(self.conjugator, xp), self.inverse)
-
-
-def left_ideal_isomorphism(p: Element, q: Element, tol: float = DEFAULT_TOL) -> LeftIdealIsomorphism:
-    v = conjugate_projections(p, q, tol)
-    v_inv = Element(v.spec, tuple(np.linalg.inv(m) for m in v.blocks))
-    return LeftIdealIsomorphism(conjugator=v, inverse=v_inv, source=p, target=q)
-
-
-def rank_preserving_path(
-    a: Element,
-    b: Element,
-    n: int,
-    samples: int,
-    tol: float = DEFAULT_TOL,
-    seed: int = 0,
-) -> list[Element]:
-    """A sampled arc of constant-rank elements from a to b.
-
-    Endpoints must both have rank n.  The arc interpolates rank-one factor
-    matrices of each block, so every sample has rank at most n; rank drops
-    only on a discrete exceptional set, dodged by seeded perturbation into
-    the complex parameter plane.  Elements supported on different blocks of
-    a multi-block algebra lie in different connected components, in which
-    case no path exists and NotShodaComplete is raised.
-    """
-    a._require_same_spec(b)
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    chunk = _path_chunk(a.spec)
-    svd_a = [np.linalg.svd(m) for m in a.blocks]
-    svd_b = [np.linalg.svd(m) for m in b.blocks]
-    ranks_a = tuple(_svd_ranks([s for _, s, _ in svd_a], tol).tolist())
-    ranks_b = tuple(_svd_ranks([s for _, s, _ in svd_b], tol).tolist())
-    if sum(ranks_a) != n or sum(ranks_b) != n:
-        raise RankMismatch(f"ranks {sum(ranks_a)}, {sum(ranks_b)}; expected {n}")
-    if ranks_a != ranks_b:
-        if a.spec.num_blocks >= 2:
-            raise NotShodaComplete(
-                f"per-block ranks {ranks_a} vs {ranks_b}: the endpoints lie in "
-                "different connected components"
-            )
-        raise RankMismatch(f"per-block ranks {ranks_a} vs {ranks_b}")
-
-    def halves(u, s, vh, r):
-        return u[:, :r] * np.sqrt(s[:r]), (vh[:r, :].conj().T) * np.sqrt(s[:r])
-
-    factors = [
-        None if r == 0 else halves(*fa, r) + halves(*fb, r)
-        for fa, fb, r in zip(svd_a, svd_b, ranks_a)
-    ]
-    del svd_a, svd_b  # the samples need only the factors
-
-    spec = a.spec
-
-    def sample_at(ts: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-        t = ts[:, None, None]
-        blocks = []
-        for dim_i, fac in zip(spec.block_dims, factors):
-            if fac is None:
-                blocks.append(np.zeros((len(ts), dim_i, dim_i), dtype=complex))
-                continue
-            xa, ya, xb, yb = fac
-            x = (1.0 - t) * xa + t * xb
-            y = (1.0 - t) * ya + t * yb
-            blocks.append(x @ y.conj().transpose(0, 2, 1))
-        ok = np.all(_block_ranks(blocks, tol) == ranks_a, axis=-1)
-        return blocks, ok
-
-    stacks = _sampled_arc(a, b, samples, sample_at, seed, "stuck at deficient rank", chunk)
-    return _arc_elements(spec, stacks)
+    return _sampled_arc(p, q, samples, sample_at, seed, chunk)

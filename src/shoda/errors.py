@@ -37,10 +37,6 @@ class ZeroElement(AlgebraError):
     """Input was required to be nonzero."""
 
 
-class DependentInputs(AlgebraError):
-    """Trace functionals of the inputs are linearly dependent."""
-
-
 class NotAProjection(AlgebraError):
     """Input fails the idempotency check."""
 
@@ -55,10 +51,6 @@ class PathDegenerate(AlgebraError):
 
 class NotShodaComplete(AlgebraError):
     """Operation requires a Shoda-complete (single block) algebra."""
-
-
-class RankMismatch(AlgebraError):
-    """Endpoints of a rank-preserving path have different rank."""
 
 
 class NotTraceless(AlgebraError):

@@ -9,28 +9,21 @@ import shoda.algebra
 from shoda import (
     AlgebraSpec,
     Element,
-    conjugate_projections,
     frobenius,
-    left_ideal_isomorphism,
-    minimal_ideal_index,
     multiply,
     projection_path,
     rank,
-    rank_preserving_path,
     riesz_projection,
-    separating_element,
     spectrum,
     trace,
 )
-from shoda.algebra import allclose, largest_singular_value
+from shoda.algebra import _block_ranks, _rank_one_block, allclose, largest_singular_value
 from shoda.errors import (
-    DependentInputs,
     DifferentMinimalIdeal,
     NoSuchSpectralValue,
+    NotAProjection,
     NotRankOne,
-    NotShodaComplete,
     PathDegenerate,
-    RankMismatch,
     ShapeMismatch,
     TooLarge,
     ZeroElement,
@@ -298,62 +291,15 @@ def test_stacked_riesz_equals_the_node_loop(dims):
 
 
 # ---------------------------------------------------------------------------
-# separating elements
-
-
-def test_separating_element_linear_solve():
-    m2 = AlgebraSpec((2,))
-    b = m2.matrix_unit(0, 0, 0)
-    a1 = m2.matrix_unit(0, 0, 1)
-    y = separating_element(b, [a1])
-    assert allclose(y, m2.matrix_unit(0, 0, 0), tol=1e-12)
-    assert abs(trace(multiply(b, y)) - 1.0) < 1e-12
-    assert abs(trace(multiply(a1, y))) < 1e-12
-    # rank-one c: sigma(c y) = {0} exactly when Tr(c y) = 0
-    assert spectrum(multiply(a1, y)).nonzero == ()
-    assert spectrum(multiply(b, y)).nonzero != ()
-
-
-def test_separating_element_without_constraints(spec23):
-    p1 = spec23.canonical_projections()[0]
-    y = separating_element(p1, [])
-    assert allclose(y, p1, tol=1e-12)
-
-
-def test_separating_element_rejects_dependent_inputs(spec23):
-    p1 = spec23.canonical_projections()[0]
-    with pytest.raises(DependentInputs):
-        separating_element(p1, [p1])
-
-
-def test_separating_element_rejects_higher_rank(spec23):
-    with pytest.raises(NotRankOne):
-        separating_element(spec23.identity(), [])
-
-
-# ---------------------------------------------------------------------------
-# minimal ideal index
-
-
-def test_minimal_ideal_index_of_unit(spec23):
-    assert minimal_ideal_index(spec23.matrix_unit(1, 0, 0)) == 1
-
-
-def test_minimal_ideal_index_by_construction(spec23, rng):
-    p1 = spec23.canonical_projections()[0]
-    for _ in range(10):
-        x, y = random_element(spec23, rng), random_element(spec23, rng)
-        q = multiply(multiply(x, p1), y)
-        assert frobenius(q) > 0
-        assert minimal_ideal_index(q) == 0
+# minimal ideal index of a rank-one element, as is_shoda_complete finds it
 
 
 def test_minimal_ideal_index_rejections(spec23):
     two_blocks = spec23.matrix_unit(0, 0, 0) + spec23.matrix_unit(1, 0, 0)
     with pytest.raises(NotRankOne):
-        minimal_ideal_index(two_blocks)
+        _rank_one_block(_block_ranks(two_blocks.blocks, 1e-9))
     with pytest.raises(ZeroElement):
-        minimal_ideal_index(spec23.zero())
+        _rank_one_block(_block_ranks(spec23.zero().blocks, 1e-9))
 
 
 @pytest.mark.parametrize("dims", [(8,), (2, 8), (3, 5, 8)])
@@ -362,7 +308,7 @@ def test_minimal_ideal_index_at_large_tol(dims):
     # block is found: it is the one of rank 1
     last = len(dims) - 1
     p = random_rank_one_projection(AlgebraSpec(dims), last, np.random.default_rng(42))
-    assert minimal_ideal_index(p, 0.5) == last
+    assert _rank_one_block(_block_ranks(p.blocks, 0.5)) == last
 
 
 @pytest.mark.parametrize("dims", [(64,), (64, 3)])
@@ -371,44 +317,19 @@ def test_endpoints_take_one_svd_per_block(dims, monkeypatch):
     spec = AlgebraSpec(dims)
     rng = np.random.default_rng(5)
     p, q = (random_rank_one_projection(spec, 0, rng) for _ in range(2))
-    a, b = (random_element(spec, rng) for _ in range(2))
     svd, calls = np.linalg.svd, []
 
     def counting_svd(m, *args, **kwargs):
-        if np.ndim(m) == 2:  # samples are ranked as stacks
-            calls.append(np.shape(m))
+        calls.append(np.shape(m))
         return svd(m, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    for run in (
-        lambda: projection_path(p, q, 5),
-        lambda: conjugate_projections(p, q),
-        lambda: rank_preserving_path(a, b, sum(dims), 5),
-    ):
-        calls.clear()
-        run()
-        assert len(calls) == 2 * len(dims)
+    projection_path(p, q, 5)
+    assert len(calls) == 2 * len(dims)
 
 
 # ---------------------------------------------------------------------------
-# similarity orbits of projections
-
-
-def test_conjugate_projection_to_itself(spec23):
-    p = spec23.canonical_projections()[0]
-    u = conjugate_projections(p, p)
-    assert allclose(u, spec23.identity(), tol=0.0)
-    u_inv = Element(spec23, tuple(np.linalg.inv(m) for m in u.blocks))
-    assert frobenius(p - multiply(multiply(u, p), u_inv)) < 1e-12
-
-
-def test_conjugate_diagonal_units_in_one_block():
-    m2 = AlgebraSpec((2,))
-    p, q = m2.matrix_unit(0, 0, 0), m2.matrix_unit(0, 1, 1)
-    u = conjugate_projections(p, q)
-    u_inv = Element(m2, (np.linalg.inv(u.blocks[0]),))
-    assert frobenius(q - multiply(multiply(u, p), u_inv)) < 1e-12
-    assert np.linalg.cond(u.blocks[0]) < 1e6
+# projection paths
 
 
 def test_rank_one_projection_in_high_dimension():
@@ -421,28 +342,6 @@ def test_rank_one_projection_in_high_dimension():
     assert np.linalg.norm(p @ p - p) < 1e-12
     assert abs(np.trace(p) - 1.0) < 1e-12  # the rank of an idempotent is its trace
     assert np.linalg.norm(p) <= 5.0  # |v||w| / |w^H v| <= 5
-
-
-def test_conjugate_random_projections_same_block(spec23, rng):
-    for _ in range(10):
-        p = random_rank_one_projection(spec23, 1, rng)
-        q = random_rank_one_projection(spec23, 1, rng)
-        u = conjugate_projections(p, q)
-        u_inv = Element(spec23, tuple(np.linalg.inv(m) for m in u.blocks))
-        moved = multiply(multiply(u, p), u_inv)
-        assert frobenius(q - moved) < 1e-9 * (1 + frobenius(q))
-        assert frobenius(multiply(moved, moved) - moved) < 1e-9
-        assert rank(moved) == 1
-
-
-def test_conjugate_projections_across_blocks_fails(spec23):
-    p1, p2 = spec23.canonical_projections()
-    with pytest.raises(DifferentMinimalIdeal):
-        conjugate_projections(p1, p2)
-
-
-# ---------------------------------------------------------------------------
-# projection paths
 
 
 def test_projection_path_constant_for_equal_endpoints(spec23):
@@ -490,6 +389,21 @@ def test_projection_path_rejects_cross_block(spec23):
         projection_path(p1, p2, 10)
 
 
+@pytest.mark.parametrize(
+    "diagonal, detail",
+    [([2, 0, 0], "idempotency residual"), ([1, 1, 0], "rank is 2")],
+    ids=["not-idempotent", "rank-two"],
+)
+def test_projection_path_rejects_non_projections(spec23, diagonal, detail):
+    # 2 E_11 fails the idempotency check; E_11 + E_22 passes it and fails
+    # the rank check
+    x = spec23.from_blocks([np.zeros((2, 2)), np.diag(diagonal)])
+    p = spec23.canonical_projections()[1]
+    for start, end in ((x, p), (p, x)):
+        with pytest.raises(NotAProjection, match=detail):
+            projection_path(start, end, 5)
+
+
 def _loop_arc(start, end, samples, sample_at, seed):
     """Arc sampling as done before it was stacked: one sample at a time."""
     rng = np.random.default_rng(seed)
@@ -507,7 +421,7 @@ def _loop_arc(start, end, samples, sample_at, seed):
 
 
 def _loop_projection_path(p, q, samples, tol=1e-9, seed=0):
-    ip = minimal_ideal_index(p, tol)
+    ip = int(np.argmax(_block_ranks(p.blocks, tol)))
     v_p, v_q = (np.linalg.svd(x.blocks[ip])[0][:, 0] for x in (p, q))
     w_p, w_q = v_p.conj() @ p.blocks[ip], v_q.conj() @ q.blocks[ip]
 
@@ -589,146 +503,6 @@ def test_stacked_projection_path_equals_the_sample_loop(dims):
 
 
 # ---------------------------------------------------------------------------
-# minimal left ideal isomorphisms
-
-
-def test_left_ideal_isomorphism_identity(spec23):
-    p = spec23.canonical_projections()[0]
-    iso = left_ideal_isomorphism(p, p)
-    xp = multiply(spec23.matrix_unit(0, 1, 0), p)
-    assert allclose(iso(xp), xp, tol=1e-12)
-
-
-def test_left_ideal_isomorphism_is_multiplicative(spec23, rng):
-    p = spec23.canonical_projections()[1]
-    q = random_rank_one_projection(spec23, 1, rng)
-    iso = left_ideal_isomorphism(p, q)
-    for _ in range(20):
-        xp = multiply(random_element(spec23, rng), p)
-        yp = multiply(random_element(spec23, rng), p)
-        lhs = iso(multiply(xp, yp))
-        rhs = multiply(iso(xp), iso(yp))
-        assert frobenius(lhs - rhs) < 1e-10 * (1 + frobenius(lhs))
-
-
-def test_left_ideal_isomorphism_preserves_dimension(spec23, rng):
-    p = spec23.canonical_projections()[1]
-    q = random_rank_one_projection(spec23, 1, rng)
-    iso = left_ideal_isomorphism(p, q)
-    n = spec23.block_dims[1]
-    images = []
-    for k in range(n):
-        xp = multiply(spec23.matrix_unit(1, k, 0), p)
-        images.append(np.concatenate([m.ravel() for m in iso(xp).blocks]))
-    s = np.linalg.svd(np.stack(images), compute_uv=False)
-    assert int(np.sum(s > 1e-9 * s[0])) == n
-
-
-# ---------------------------------------------------------------------------
-# rank preserving paths
-
-
-def test_rank_path_constant_for_equal_endpoints():
-    m3 = AlgebraSpec((3,))
-    a = m3.from_blocks([np.diag([1.0, 2.0, 0.0])])
-    arc = rank_preserving_path(a, a, 2, 9)
-    assert all(allclose(e, a, tol=1e-12) for e in arc)
-
-
-def test_rank_path_keeps_rank_two():
-    m3 = AlgebraSpec((3,))
-    a = m3.from_blocks([np.diag([1.0, 2.0, 0.0])])
-    b = m3.from_blocks([np.diag([0.0, 3.0, 4.0])])
-    arc = rank_preserving_path(a, b, 2, 101)
-    for e in arc:
-        svals = np.linalg.svd(e.blocks[0], compute_uv=False)
-        assert int(np.sum(svals > 1e-9 * svals[0])) == 2
-    assert all((x == y).all() for x, y in zip(arc[0].blocks, a.blocks))
-    assert all((x == y).all() for x, y in zip(arc[-1].blocks, b.blocks))
-
-
-def test_rank_path_rejects_cross_block_endpoints():
-    spec = AlgebraSpec((2, 2))
-    a = spec.matrix_unit(0, 0, 0)
-    b = spec.matrix_unit(1, 0, 0)
-    with pytest.raises(NotShodaComplete):
-        rank_preserving_path(a, b, 1, 10)
-
-
-def test_rank_path_rejects_rank_mismatch():
-    m3 = AlgebraSpec((3,))
-    a = m3.from_blocks([np.diag([1.0, 2.0, 0.0])])
-    b = m3.identity()
-    with pytest.raises(RankMismatch):
-        rank_preserving_path(a, b, 2, 10)
-
-
-def test_rank_path_uses_the_given_tol():
-    # at tol 1e-12 the singular value 1e-10 counts, so both endpoints have rank 2
-    m3 = AlgebraSpec((3,))
-    a = m3.from_blocks([np.diag([1.0, 1e-10, 0.0])])
-    arc = rank_preserving_path(a, a, 2, 5, tol=1e-12)
-    assert len(arc) == 5
-    assert all(rank(e, 1e-12) == 2 for e in arc)
-
-
-def test_rank_path_dodges_deficient_rank(monkeypatch):
-    # the straight segment from a to -a passes through zero at t = 1/2
-    m3 = AlgebraSpec((3,))
-    a = m3.from_blocks([np.diag([1.0, 0.0, 0.0])])
-    arc = rank_preserving_path(a, -a, 1, 3)
-    assert rank(arc[1]) == 1
-    monkeypatch.setattr(shoda.algebra, "_PERTURB_RETRIES", 0)
-    with pytest.raises(PathDegenerate):
-        rank_preserving_path(a, -a, 1, 3)
-
-
-def _loop_rank_path(a, b, samples, tol=1e-9, seed=0):
-    ranks = shoda.algebra._block_ranks(a.blocks, tol)
-    factors = []
-    for m_a, m_b, r in zip(a.blocks, b.blocks, ranks):
-        ua, sa, vha = np.linalg.svd(m_a)
-        ub, sb, vhb = np.linalg.svd(m_b)
-        factors.append((
-            ua[:, :r] * np.sqrt(sa[:r]), (vha[:r, :].conj().T) * np.sqrt(sa[:r]),
-            ub[:, :r] * np.sqrt(sb[:r]), (vhb[:r, :].conj().T) * np.sqrt(sb[:r]),
-        ))
-
-    def sample_at(t):
-        blocks = []
-        for n, (xa, ya, xb, yb), r in zip(a.spec.block_dims, factors, ranks):
-            if r == 0:
-                blocks.append(np.zeros((n, n), dtype=complex))
-                continue
-            x = (1.0 - t) * xa + t * xb
-            y = (1.0 - t) * ya + t * yb
-            blocks.append(x @ y.conj().T)
-        e = Element(a.spec, tuple(blocks))
-        return e if np.array_equal(shoda.algebra._block_ranks(e.blocks, tol), ranks) else None
-
-    return _loop_arc(a, b, samples, sample_at, seed)
-
-
-@pytest.mark.parametrize("dims", [(3,), (3, 30)])
-def test_stacked_rank_path_equals_the_sample_loop(dims):
-    # on (3, 30) a chunk holds 9 samples, so t = 1/2 of 19 samples, where the
-    # segment from a to -a has rank zero, is the first sample of the second chunk
-    spec = AlgebraSpec(dims)
-    chunk = shoda.algebra._path_chunk(spec)
-    a = spec.matrix_unit(0, 0, 0)
-    rng = np.random.default_rng(4)
-    c, d = (random_element(spec, rng) for _ in range(2))
-    n = rank(c)
-    for samples in sorted({1, 2, 3, 5, chunk, chunk + 1, 2 * chunk + 1}):
-        _assert_same_arcs(rank_preserving_path(a, -a, 1, samples, seed=7),
-                          _loop_rank_path(a, -a, samples, seed=7))
-        _assert_same_arcs(rank_preserving_path(c, d, n, samples, seed=7),
-                          _loop_rank_path(c, d, samples, seed=7))
-    if len(dims) == 2:
-        assert chunk == 9
-
-
-# ---------------------------------------------------------------------------
 # exact orthogonality of the minimal ideals
 
 
@@ -736,7 +510,7 @@ def test_stacked_rank_path_equals_the_sample_loop(dims):
 def test_minimal_ideals_are_orthogonal_exactly(dims):
     spec = AlgebraSpec(dims)
     units = list(spec.basis())
-    blocks_of = [minimal_ideal_index(u) for u in units]
+    blocks_of = [i for i, n in enumerate(dims) for _ in range(n * n)]  # basis() order
     for x, bx in zip(units, blocks_of):
         for y, by in zip(units, blocks_of):
             if bx != by:

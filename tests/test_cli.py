@@ -227,6 +227,17 @@ def test_path_at_large_tol_finds_the_arc(tmp_path):
     assert report["max_rank_defect"] == 0
 
 
+def test_path_rejects_a_non_projection_endpoint(tmp_path, spec23_file, capsys):
+    # p = 2 E_11 fails the idempotency check
+    zero2 = [[0.0, 0.0]] * 4
+    p_flat = [[2.0 if r == c == 0 else 0.0, 0.0] for r in range(3) for c in range(3)]
+    q_flat = [[1.0 if r == c == 2 else 0.0, 0.0] for r in range(3) for c in range(3)]
+    path_file = tmp_path / "endpoints.json"
+    path_file.write_text(json.dumps({"p": {"blocks": [zero2, p_flat]}, "q": {"blocks": [zero2, q_flat]}}))
+    assert main(["path", spec23_file, str(path_file)]) == 1
+    assert _strict_json(capsys.readouterr().out)["error"] == "NotAProjection"
+
+
 def test_info_command(spec23_file):
     code, report = run(CliConfig(command="info", spec_path=spec23_file))
     assert code == 0
