@@ -221,15 +221,6 @@ def flatten(a: Element) -> np.ndarray:
     return np.concatenate([m.ravel() for m in a.blocks])
 
 
-def unflatten(spec: AlgebraSpec, vec: np.ndarray) -> Element:
-    """The element whose coordinates are the leading spec.dim entries of vec."""
-    blocks, pos = [], 0
-    for n in spec.block_dims:
-        blocks.append(vec[pos : pos + n * n].reshape(n, n))
-        pos += n * n
-    return Element(spec, tuple(blocks))
-
-
 def allclose(a: Element, b: Element, tol: float = 1e-12) -> bool:
     a._require_same_spec(b)
     return all(np.allclose(x, y, rtol=0.0, atol=tol) for x, y in zip(a.blocks, b.blocks))

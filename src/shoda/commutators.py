@@ -53,11 +53,11 @@ from .algebra import (
     frobenius,
     trace,
 )
-from .completion import extension_to_matrix, matrix_to_extension
 from .errors import NotShodaComplete, NotTraceless, NumericalFailure
 from .norms import b_norm
 from .sampling import random_element, random_idempotent, random_rank_one_projection
-from .tensor import BElement, aj_zero, multiply_B
+from .tensor import BElement, aj_zero, extension_to_matrix, matrix_to_extension
+from .tensor import multiply_B  # unused here, but perfbench/tracing.py binds it by name
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,7 +320,8 @@ def _zero_diagonal_similarity(
 
 
 # the decomposition's measured peak, in n x n complex arrays, the input
-# included; scoring the witness in the completion sets it
+# included; the single-block path sets it, at 8.0 arrays besides the input
+# at n = 128 and 256 (tracemalloc), and the completion path peaks near 6
 _DECOMPOSE_ARRAYS = 10
 # similarities with a larger condition number are refused
 _COND_LIMIT = 1e8
@@ -434,17 +435,21 @@ def decompose_in_completion(t: Element, tol: float = 1e-9) -> CommutatorWitness:
     _require_decomposable_size(t.spec.matrix_size)
     _require_traceless(t, tol)
     spec = t.spec
-    embedded = BElement(t, aj_zero(spec))
     if frobenius(t) == 0.0:
         zero = BElement(spec.zero(), aj_zero(spec))
         return CommutatorWitness(a=zero, b=zero, residual=0.0)
 
     def witness_of(fa: np.ndarray, fb: np.ndarray) -> CommutatorWitness:
+        # the residual is released before the factors are copied
+        r = fb @ fa
+        r -= fa @ fb
+        r += full
+        residual = b_norm(matrix_to_extension(spec, r)).total
+        del r
         a, b = matrix_to_extension(spec, fa), matrix_to_extension(spec, fb)
-        residual = b_norm(embedded - (multiply_B(a, b) - multiply_B(b, a))).total
         return CommutatorWitness(a=a, b=b, residual=residual)
 
-    full = extension_to_matrix(embedded)
+    full = extension_to_matrix(BElement(t, aj_zero(spec)))
     return _best_witness(full, 2000, witness_of, tol * max(1.0, frobenius(t)))
 
 

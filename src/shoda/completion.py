@@ -27,20 +27,11 @@ from .structure import (
     radical,
     wedderburn_identify,
 )
-from .tensor import (
-    AJElement,
-    BElement,
-    _assemble,
-    _block_slices,
-    _full_coordinates,
-    aj_pairs,
-    aj_zero,
-    multiply_B,
-)
+from .tensor import BElement, aj_zero, extension_to_matrix, matrix_to_extension, multiply_B
 
 # seeded random pairs checked against the witness on top of every basis pair
 _CHECK_PAIRS = 100
-# the first seeded pairs also check multiply_B against the matrix product
+# the first seeded pairs also check multiply_B's block layout against them
 _PRODUCT_PAIRS = 8
 # complete() counts this many bytes per structure-constant record (N**3 of
 # them) against the memory budget, so N <= 86.  A child process's peak RSS
@@ -78,27 +69,6 @@ def _place(positions: tuple[np.ndarray, np.ndarray], coords: np.ndarray) -> np.n
     out = np.zeros(np.shape(coords)[:-1] + (size, size), dtype=complex)
     out[..., rows, cols] = coords
     return out
-
-
-def extension_to_matrix(x: BElement) -> np.ndarray:
-    """Image of an extension element under the full-matrix identification."""
-    return _full_matrix(x.spec, x.a.blocks, x.u.terms)
-
-
-def _full_matrix(spec: AlgebraSpec, blocks, terms: dict) -> np.ndarray:
-    """extension_to_matrix of coordinate arrays; leading axes index a stack."""
-    return _assemble(spec.block_dims, _full_coordinates(blocks, terms))[0]
-
-
-def matrix_to_extension(spec: AlgebraSpec, mat: np.ndarray) -> BElement:
-    mat = np.asarray(mat, dtype=complex)
-    size = spec.matrix_size
-    if mat.shape != (size, size):
-        raise ValueError(f"expected a {size} x {size} matrix, got {mat.shape}")
-    rows = _block_slices(spec.block_dims)
-    blocks = tuple(mat[r, r] for r in rows)
-    terms = {(i, j): mat[rows[i], rows[j]] for i, j in aj_pairs(spec)}
-    return BElement(Element(spec, blocks), AJElement(spec, terms))
 
 
 def build_B(spec: AlgebraSpec) -> StructureConstantAlgebra:
@@ -191,8 +161,8 @@ def complete(spec: AlgebraSpec, tol: float = 1e-9, seed: int = 42) -> Completion
     basis_residual = _basis_residual(alg, *positions)
 
     # seeded pairs in stacks, each pair about four complex entries per record
-    # and nine per coordinate; the table is not built from multiply_B, so the
-    # first pairs check the product on its own
+    # and nine per coordinate; the first pairs also cross-check the block
+    # slices of multiply_B against extension_positions
     rng = np.random.default_rng(seed)
     chunk = _chunk_size((4 * alg.table.size + 9 * d) * _COMPLEX_BYTES)
     random_residual = 0.0

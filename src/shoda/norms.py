@@ -25,8 +25,7 @@ from .algebra import (
     block_operator_norm,
 )
 from .algebra import largest_singular_value as a_norm
-from .completion import _full_matrix
-from .tensor import BElement, _full_coordinates, _pair_contract, aj_pairs
+from .tensor import BElement, _assemble, _cut, aj_pairs
 from .tensor import multiply_B  # unused here, but perfbench/tracing.py binds it by name
 
 A_NORM_MODEL = "max-block-operator-norm"
@@ -36,9 +35,9 @@ A_NORM_MODEL = "max-block-operator-norm"
 # norms) plus 2000 bytes per ordered block pair for the array objects of the
 # coordinate dicts.  A child process's peak RSS (getrusage, one BLAS thread),
 # the interpreter included, on one-sample audits at the largest admitted
-# sizes: 206 MiB at (1182,), 206 MiB at (591, 591), 206 MiB at (394, 394,
-# 394), 208 MiB at (30,) * 39, 209 MiB at (10,) * 112, 229 MiB at (2,) * 311
-# and 229 MiB at (1,) * 349.  At 1200 bytes per pair (1,) * 439 was admitted
+# sizes: 206 MiB at (1182,), 208 MiB at (591, 591), 209 MiB at (394, 394,
+# 394), 208 MiB at (30,) * 39, 225 MiB at (10,) * 112, 213 MiB at (2,) * 311
+# and 212 MiB at (1,) * 349.  At 1200 bytes per pair (1,) * 439 was admitted
 # and peaked at 365 MiB.
 _AUDIT_ARRAYS = 12
 _PAIR_BYTES = 2000
@@ -166,7 +165,7 @@ def submultiplicativity_audit(
     Each sample draws tensors u and v, algebra elements x and y, and
     extension elements s and t, in that order, as the generators of
     `shoda.sampling` would.  The samples are audited on stacks, a chunk at
-    a time, through the contraction of `multiply_B` and the norms of
+    a time, through the block layout of `multiply_B` and the norms of
     `b_norm`.
     """
     if samples < 1:
@@ -188,22 +187,21 @@ def submultiplicativity_audit(
         y = [next(draws) for _ in dims]
         s_a, s_u = [next(draws) for _ in dims], {p: next(draws) for p in pairs}
         t_a, t_u = [next(draws) for _ in dims], {p: next(draws) for p in pairs}
+        # each factor is placed once; the full pairs go first, so that the
+        # placed s and t are released before u and v are placed
+        st = _pair_norm(*_cut(dims, _assemble(dims, s_a, s_u) @ _assemble(dims, t_a, t_u)))
+        ratio = _ratio(st, _pair_norm(s_a, s_u), _pair_norm(t_a, t_u))
+        worst_full = max(worst_full, float(np.max(ratio)))
         # with one block there are no tensors, so the first three ratios are 0
         if pairs:
             u_l1, v_l1 = _tensor_l1(u), _tensor_l1(v)
-            # only the nonzero coordinates are contracted: a zero algebra part
-            # adds nothing to a product but zero blocks and their SVDs
-            ub = _tensor_l1(_pair_contract(dims, u, _full_coordinates(x, {}))[1])
+            u, v = _assemble(dims, (), u), _assemble(dims, (), v)
+            ub = _tensor_l1(_cut(dims, u @ _assemble(dims, x, {}))[1])
             worst_ub = max(worst_ub, float(np.max(_ratio(ub, u_l1, block_operator_norm(x)))))
-            av = _tensor_l1(_pair_contract(dims, _full_coordinates(y, {}), v)[1])
+            av = _tensor_l1(_cut(dims, _assemble(dims, y, {}) @ v)[1])
             worst_av = max(worst_av, float(np.max(_ratio(av, v_l1, block_operator_norm(y)))))
-            uv = _pair_norm(*_pair_contract(dims, u, v))
+            uv = _pair_norm(*_cut(dims, u @ v))
             worst_uv = max(worst_uv, float(np.max(_ratio(uv, u_l1, v_l1))))
-        st = _pair_norm(
-            *_pair_contract(dims, _full_coordinates(s_a, s_u), _full_coordinates(t_a, t_u))
-        )
-        ratio = _ratio(st, _pair_norm(s_a, s_u), _pair_norm(t_a, t_u))
-        worst_full = max(worst_full, float(np.max(ratio)))
     return NormAudit(
         tensor_times_algebra=worst_ub,
         algebra_times_tensor=worst_av,
@@ -214,8 +212,8 @@ def submultiplicativity_audit(
 
 def isometry_check(spec: AlgebraSpec, samples: int = 100, seed: int = 42) -> float:
     """Max relative gap between the norm of an algebra element and the
-    operator norm of its image in M_N under the full-matrix witness of
-    `shoda.completion`.  The witness places block i on the diagonal, so the
+    operator norm of its image in M_N under the full-matrix identification
+    of `shoda.tensor`.  It places block i on the diagonal, so the
     embedding of the algebra must be isometric.  Samples are drawn and
     checked on stacks, a chunk at a time."""
     chunk = _audit_chunk(spec)
@@ -226,7 +224,7 @@ def isometry_check(spec: AlgebraSpec, samples: int = 100, seed: int = 42) -> flo
         count = min(chunk, samples - start)
         x = _draw_stacks(rng, count, shapes)
         nx = block_operator_norm(x)
-        image = block_operator_norm([_full_matrix(spec, x, {})])
+        image = block_operator_norm([_assemble(spec.block_dims, x, {})])
         gap = np.abs(image - nx) / np.maximum(nx, 1e-300)
         worst = max(worst, float(np.max(gap)))
     return worst

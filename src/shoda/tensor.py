@@ -19,10 +19,14 @@ off-diagonal tensor part and multiplies by
     (x, u)(y, v) = (xy + collapse([uv]_diag), uy + xv + [uv]_off).
 
 Block i of x is the diagonal coordinate (i, i), so the algebra acts on
-tensors through the same pairing: the product is one contraction over every
-ordered block pair, diagonal included.  The socle-plus-tensor algebra A_J'
-needs no type of its own, because in finite dimensions the socle is the whole
-algebra and the isomorphism A_J' -> B is the identity on coordinates.
+tensors through the same pairing: placing every coordinate block at its
+block pair in one N x N matrix (N the sum of the block sizes) identifies the
+extension with M_N, and the product is the matmul of the two images.  This
+module owns that block layout: _assemble places coordinate blocks and _cut
+reads them back as views, and extension_to_matrix and matrix_to_extension
+are the identification.  The socle-plus-tensor algebra A_J' needs no type of
+its own, because in finite dimensions the socle is the whole algebra and the
+isomorphism A_J' -> B is the identity on coordinates.
 """
 
 from __future__ import annotations
@@ -77,7 +81,8 @@ class AJElement:
 
     def __add__(self, other: "AJElement") -> "AJElement":
         self._require_same_spec(other)
-        keys = set(self.terms) | set(other.terms)
+        # in aj_pairs order, so that b_norm adds the same terms in the same order
+        keys = sorted(set(self.terms) | set(other.terms))
         return AJElement(
             self.spec, {k: self.coordinate(*k) + other.coordinate(*k) for k in keys}
         )
@@ -121,17 +126,6 @@ def aj_allclose(u: AJElement, v: AJElement, tol: float = 1e-12) -> bool:
     )
 
 
-def _full_coordinates(blocks, terms: dict) -> dict[tuple[int, int], np.ndarray]:
-    """Coordinate blocks of every ordered pair: algebra block i at (i, i).
-
-    Leading axes of the arrays, if any, index a stack of elements.
-    """
-    coords = dict(terms)
-    for i, m in enumerate(blocks):
-        coords[(i, i)] = m
-    return coords
-
-
 @functools.lru_cache(maxsize=16)
 def _block_slices(dims: tuple[int, ...]) -> tuple[slice, ...]:
     """Rows (and columns) of each block in the N x N block matrix."""
@@ -139,44 +133,30 @@ def _block_slices(dims: tuple[int, ...]) -> tuple[slice, ...]:
     return tuple(slice(end - n, end) for end, n in zip(ends, dims))
 
 
-def _assemble(dims: tuple[int, ...], coords: dict) -> tuple[np.ndarray, np.ndarray]:
-    """The (..., N, N) block matrix of coordinate blocks keyed by block pairs,
-    and the k x k mask of the keys present.
+def _assemble(dims: tuple[int, ...], blocks, terms: dict) -> np.ndarray:
+    """The (..., N, N) block matrix with algebra block i at (i, i) and the
+    tensor coordinate of each pair (i, j) at (i, j); absent blocks are zero.
 
-    Absent keys are zero blocks.  Leading axes of the arrays, if any, index a
-    stack; the stack shape is taken from the first key.
+    Leading axes of the arrays, if any, index a stack; the stack shape is
+    taken from the first array.
     """
     rows = _block_slices(dims)
-    present = np.zeros((len(dims), len(dims)), dtype=bool)
-    lead = np.shape(next(iter(coords.values())))[:-2] if coords else ()
-    out = np.zeros(lead + (sum(dims),) * 2, dtype=complex)
-    for (i, j), m in coords.items():
+    first = next(itertools.chain(blocks, terms.values()))
+    out = np.zeros(np.shape(first)[:-2] + (sum(dims),) * 2, dtype=complex)
+    for r, m in zip(rows, blocks):
+        out[..., r, r] = m
+    for (i, j), m in terms.items():
         out[..., rows[i], rows[j]] = m
-        present[i, j] = True
-    return out, present
+    return out
 
 
-def _pair_contract(
-    dims: tuple[int, ...], left: dict, right: dict
-) -> tuple[list[np.ndarray], dict[tuple[int, int], np.ndarray]]:
-    """Trace-pairing product of coordinate blocks keyed by block pairs.
-
-    The pairing contracts inner block indices, so the (i, j) output is the
-    sum over m of left (i, m) times right (m, j): the product of the two
-    block matrices, one matmul.  The diagonal blocks of the product are the
-    algebra blocks; the off-diagonal ones that some product reaches, read
-    from the product of the two masks of keys present, are the tensor terms,
-    in aj_pairs order.  Every output is a view into the product.  Leading
-    axes of the coordinate arrays index a stack of operand pairs, multiplied
-    pair by pair, and a stack adds in the same order as a single pair.
-    """
-    lmat, lkeys = _assemble(dims, left)
-    rmat, rkeys = _assemble(dims, right)
-    prod = lmat @ rmat
+def _cut(dims: tuple[int, ...], mat: np.ndarray) -> tuple[list[np.ndarray], dict]:
+    """Views of a (..., N, N) block matrix: the diagonal blocks, and the
+    block of every ordered pair (i, j), i != j, in aj_pairs order."""
     rows = _block_slices(dims)
-    reached = np.argwhere(lkeys @ rkeys).tolist()
-    off = {(i, j): prod[..., rows[i], rows[j]] for i, j in reached if i != j}
-    return [prod[..., r, r] for r in rows], off
+    pairs = itertools.permutations(range(len(dims)), 2)
+    off = {(i, j): mat[..., rows[i], rows[j]] for i, j in pairs}
+    return [mat[..., r, r] for r in rows], off
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,18 +199,27 @@ def b_allclose(x: BElement, y: BElement, tol: float = 1e-12) -> bool:
     return allclose(x.a, y.a, tol) and aj_allclose(x.u, y.u, tol)
 
 
+def extension_to_matrix(x: BElement) -> np.ndarray:
+    """Image of an extension element under the full-matrix identification."""
+    return _assemble(x.spec.block_dims, x.a.blocks, x.u.terms)
+
+
+def matrix_to_extension(spec: AlgebraSpec, mat: np.ndarray) -> BElement:
+    mat = np.asarray(mat, dtype=complex)
+    size = spec.matrix_size
+    if mat.shape != (size, size):
+        raise ValueError(f"expected a {size} x {size} matrix, got {mat.shape}")
+    blocks, terms = _cut(spec.block_dims, mat)
+    return BElement(Element(spec, tuple(blocks)), AJElement(spec, terms))
+
+
 def multiply_B(x: BElement, y: BElement) -> BElement:
     """Extension product (a, u)(b, v) = (ab + [uv]_diag, ub + av + [uv]_off).
 
-    The algebra parts enter the trace-pairing contraction as the diagonal
-    coordinates, so block i acts on a tensor coordinate for the pair (i, j)
-    from the left and block j from the right.
+    The algebra parts are the diagonal coordinates, so block i acts on a
+    tensor coordinate for the pair (i, j) from the left and block j from the
+    right, and the product is the matmul of the two images in M_N.
     """
     if x.spec != y.spec:
         raise ShapeMismatch("operands belong to different algebras")
-    soc_blocks, off = _pair_contract(
-        x.spec.block_dims,
-        _full_coordinates(x.a.blocks, x.u.terms),
-        _full_coordinates(y.a.blocks, y.u.terms),
-    )
-    return BElement(Element(x.spec, tuple(soc_blocks)), AJElement(x.spec, off))
+    return matrix_to_extension(x.spec, extension_to_matrix(x) @ extension_to_matrix(y))

@@ -18,7 +18,7 @@ from shoda import (
     multiply,
     trace,
 )
-from shoda.algebra import _block_ranks, allclose, flatten, unflatten
+from shoda.algebra import _block_ranks, allclose, flatten
 from shoda.commutators import (
     _corner_dim,
     _ideal_dim,
@@ -83,11 +83,15 @@ def _loop_stacks(spec, p, tol):
     """The criteria stacks as built before they were stacked: one Element
     product per basis element (left multiples, corners) or per pair of a
     reduced left multiple and a basis element (the ideal)."""
+    def element_of(row):
+        chunks = np.split(row, np.cumsum([n * n for n in spec.block_dims])[:-1])
+        return Element(spec, tuple(c.reshape(n, n) for c, n in zip(chunks, spec.block_dims)))
+
     left = np.stack([flatten(multiply(x, p)) for x in spec.basis()])
     _, s, vh = np.linalg.svd(left, full_matrices=False)
     reduced = vh[s > tol * s[0]]
     ideal = np.stack(
-        [flatten(multiply(unflatten(spec, row), y)) for row in reduced for y in spec.basis()]
+        [flatten(multiply(element_of(row), y)) for row in reduced for y in spec.basis()]
     )
     corner = np.stack([flatten(multiply(multiply(p, x), p)) for x in spec.basis()])
     return left, ideal, corner

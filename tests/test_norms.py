@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-import shoda.completion
+import shoda.norms
 from shoda import AlgebraSpec, a_norm, b_norm, isometry_check, pair_nuclear_norm
 from shoda import submultiplicativity_audit
 from shoda.algebra import Element, multiply
-from shoda.completion import extension_to_matrix
+from shoda.completion import extension_to_matrix, matrix_to_extension
 from shoda.errors import TooLarge
 from shoda.norms import A_NORM_MODEL, NormAudit, _audit_chunk, _ratio
 from shoda.sampling import random_aj, random_b, random_element
@@ -111,6 +111,16 @@ def test_equality_case_ratio_is_one(spec23):
     assert b_norm(x).total * b_norm(y).total == 1.0
 
 
+def test_b_norm_does_not_depend_on_how_the_element_was_built():
+    # a sum keeps its tensor keys in aj_pairs order, as the matrix picture
+    # does, so the l1 sum adds the same nuclear norms in the same order
+    spec = AlgebraSpec((1, 2, 3, 1, 2))
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        z = random_b(spec, rng) + random_b(spec, rng)
+        assert b_norm(z) == b_norm(matrix_to_extension(spec, extension_to_matrix(z)))
+
+
 def test_zero_factor_convention(spec23):
     assert _ratio(0.0, 0.0, 1.0) == 0.0
 
@@ -126,15 +136,13 @@ def test_isometry_of_embedding(spec23):
 @pytest.mark.parametrize("dims", [(2, 3), (1, 2, 1)])
 def test_isometry_check_sees_a_misplaced_witness(dims, monkeypatch):
     # the check reads the algebra through the full-matrix witness, so a
-    # witness that doubles block 0 moves the operator norm of the image
-    full = shoda.completion._full_coordinates
+    # placement that doubles block 0 moves the operator norm of the image
+    place = shoda.norms._assemble
 
-    def doubled(blocks, terms):
-        coords = full(blocks, terms)
-        coords[(0, 0)] = 2.0 * coords[(0, 0)]
-        return coords
+    def doubled(dims, blocks, terms):
+        return place(dims, [2.0 * blocks[0], *blocks[1:]], terms)
 
-    monkeypatch.setattr(shoda.completion, "_full_coordinates", doubled)
+    monkeypatch.setattr(shoda.norms, "_assemble", doubled)
     assert isometry_check(AlgebraSpec(dims), samples=100, seed=1) > 1e-12
 
 

@@ -18,8 +18,6 @@ from shoda.sampling import random_aj, random_b
 from shoda.tensor import (
     AJElement,
     BElement,
-    _full_coordinates,
-    _pair_contract,
     aj_allclose,
     aj_pairs,
     aj_zero,
@@ -202,29 +200,6 @@ def test_extension_product_matches_naive_oracle_exactly(dims):
         assert np.array_equal(fast, naive)
 
 
-def test_stacked_contraction_equals_the_pair_by_pair_calls():
-    # leading axes index operand pairs, each multiplied as a single pair
-    spec = AlgebraSpec((1, 2, 1, 3))
-    rng = np.random.default_rng(17)
-    pairs = [(random_b(spec, rng), random_b(spec, rng)) for _ in range(5)]
-
-    def coords(operands):
-        blocks = [np.array([z.a.blocks[i] for z in operands]) for i in range(spec.num_blocks)]
-        terms = {key: np.array([z.u.terms[key] for z in operands]) for key in aj_pairs(spec)}
-        return _full_coordinates(blocks, terms)
-
-    soc, off = _pair_contract(spec.block_dims, coords([x for x, _ in pairs]), coords([y for _, y in pairs]))
-    for k, (x, y) in enumerate(pairs):
-        one_soc, one_off = _pair_contract(
-            spec.block_dims,
-            _full_coordinates(x.a.blocks, x.u.terms),
-            _full_coordinates(y.a.blocks, y.u.terms),
-        )
-        assert all(np.array_equal(m[k], one) for m, one in zip(soc, one_soc))
-        assert list(off) == list(one_off) == aj_pairs(spec)
-        assert all(np.array_equal(off[key][k], one_off[key]) for key in off)
-
-
 def _loop_contract(left, right):
     """The trace-pairing contraction as one matmul per (i, m, j) triple."""
     soc, off = {}, {}
@@ -236,33 +211,34 @@ def _loop_contract(left, right):
     return soc, off
 
 
-@pytest.mark.parametrize(
-    "dims, lead",
-    [((4, 4), ()), ((2, 1, 2, 3, 1), ()), ((1,) * 6, ()), ((2, 1, 2, 3, 1), (3,))],
-    ids=["dims0", "dims1", "dims2", "stacked"],
-)
-def test_contraction_matches_the_triple_loop_on_sparse_keys(dims, lead):
-    # about half the keys of each side are absent: the emitted keys are the
-    # ones the loop reaches, in aj_pairs order, and unreached blocks are zero;
-    # a stack of operand pairs keeps its leading axes, also in the last two
-    # rounds, where one side has no keys at all
+@pytest.mark.parametrize("dims", [(4, 4), (2, 1, 2, 3, 1), (1,) * 6])
+def test_contraction_matches_the_triple_loop_on_sparse_keys(dims):
+    # about half the keys of each side are absent: the product's tensor keys
+    # are the ones the loop reaches, in aj_pairs order, and unreached algebra
+    # blocks are zero; in the last two rounds one side has no keys at all
+    spec = AlgebraSpec(dims)
     k = len(dims)
     rng = np.random.default_rng(11)
     keys = [(i, j) for i in range(k) for j in range(k)]
+
+    def operand(coords):
+        blocks = tuple(coords.get((i, i), np.zeros((n, n))) for i, n in enumerate(dims))
+        terms = {key: m for key, m in coords.items() if key[0] != key[1]}
+        return BElement(Element(spec, blocks), AJElement(spec, terms))
+
     for r in range(10):
         left, right = (
-            {(i, j): rng.normal(size=lead + (dims[i], dims[j])) for i, j in keys if rng.random() < 0.5}
+            {(i, j): rng.normal(size=(dims[i], dims[j])) for i, j in keys if rng.random() < 0.5}
             for _ in range(2)
         )
-        if lead and r >= 8:
+        if r >= 8:
             left, right = ({}, right) if r == 8 else (left, {})
-        soc, off = _pair_contract(dims, left, right)
+        out = multiply_B(operand(left), operand(right))
         loop_soc, loop_off = _loop_contract(left, right)
-        assert list(off) == sorted(loop_off)
-        assert all(off[i, j].shape == lead + (dims[i], dims[j]) for i, j in off)
-        assert all(np.allclose(off[key], loop_off[key], rtol=0, atol=1e-12) for key in off)
-        for i, m in enumerate(soc):
-            assert m.shape == lead + (dims[i], dims[i])
+        assert list(out.u.terms) == sorted(loop_off)
+        for key, m in loop_off.items():
+            assert np.allclose(out.u.terms[key], m, rtol=0, atol=1e-12)
+        for i, m in enumerate(out.a.blocks):
             assert np.allclose(m, loop_soc.get((i, i), 0), rtol=0, atol=1e-12)
 
 
@@ -272,10 +248,9 @@ def test_tensor_products_reach_no_off_diagonal_key():
     spec = AlgebraSpec((4, 4))
     rng = np.random.default_rng(3)
     u, v = random_aj(spec, rng), random_aj(spec, rng)
-    soc, off = _pair_contract(spec.block_dims, u.terms, v.terms)
-    assert off == {}
-    assert all(np.any(m) for m in soc)
-    assert multiply_B(_off_tensor(spec, u), _off_tensor(spec, v)).u.terms == {}
+    out = multiply_B(_off_tensor(spec, u), _off_tensor(spec, v))
+    assert out.u.terms == {}
+    assert all(np.any(m) for m in out.a.blocks)
 
 
 def _assert_rejects_foreign(spec, other):
