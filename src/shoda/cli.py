@@ -33,6 +33,7 @@ from .algebra import (
     trace,
 )
 from .commutators import (
+    _require_traceless,
     certifies_non_commutator,
     commutator_decompose,
     decompose_in_completion,
@@ -154,6 +155,7 @@ def _cmd_decompose(config: CliConfig) -> dict:
             "residual": witness.residual,
         }
     if spec.num_blocks >= 2:
+        _require_traceless(t, config.tol)
         traces = infeasibility_certificate(t)
         certified = certifies_non_commutator(t, config.tol)
         return {

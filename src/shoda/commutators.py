@@ -17,23 +17,27 @@ given tolerance; it raises NumericalFailure rather than being reported.
 Decomposition of a traceless matrix follows the classical constructive
 route (Fillmore; Albert and Muckenhoupt): a similarity takes it to zero
 diagonal, after which divided differences against diag(0, 1, ..., n-1)
-finish the job.  The similarity is one pass of n - 1 Householder steps, each
-zeroing one diagonal entry in O(n^2) work, so a decomposition costs O(n^3)
-time and a fixed number of n x n arrays, checked against the memory budget
-before anything is allocated.  A step pivots on the standard vector e_j with
-the largest off-diagonal column norm among those at least twice |a_jj| and
-at least |a|_F / (4 sqrt(r)) on the r x r trailing block, which keeps the
-similarity well conditioned without a random draw; when none qualifies, and
-at every step of a retry, it takes the best of 16 seeded random unit
-vectors.  Diagonal inputs skip the similarity and use the shift /
-partial-sum factors directly, which keeps integer inputs exactly decomposed.
+finish the job.  The similarity is one loop of blocked Householder steps:
+like LAPACK's blocked reductions (Schreiber and Van Loan's compact WY form),
+one reflector for b columns zeroes b diagonal entries of the r x r trailing
+block at once, b up to r / 3.  A dense input takes O(log n) steps of matrix
+products; a degenerate one (a Jordan block, a rank-one matrix) keeps b near
+1 and takes up to n - 1 steps of O(n^2) work.  Either way a decomposition
+costs O(n^3) time and a fixed number of n x n arrays, checked against the
+memory budget before anything is allocated.  A step pivots on the standard
+vector e_j with the largest off-diagonal column norm among those at least
+twice |a_jj| and at least |a|_F / (4 sqrt(r)), which keeps the similarity
+well conditioned without a random draw, and blocks it with the other
+standard vectors that pass the same gates; when none qualifies, and at every
+step of a retry, it takes the best of 16 seeded random unit vectors.
+Diagonal inputs skip the similarity and use the shift / partial-sum factors
+directly, which keeps integer inputs exactly decomposed.
 In a multi-block algebra the per-block traces certify elements that are not
 commutators; those decompose after passing to the completed algebra.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -187,7 +191,10 @@ def _diagonal_shift_factors(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pick_pivot(
-    a: np.ndarray, rng: np.random.Generator, standard: bool = True
+    a: np.ndarray,
+    rng: np.random.Generator,
+    standard: bool = True,
+    gates: Optional[np.ndarray] = None,
 ) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """A unit vector v with {v, a v} independent, and a v; None when a is scalar.
 
@@ -201,7 +208,9 @@ def _pick_pivot(
     standard is False, the best of 16 random unit vectors is taken, v^H a v
     being near 0 for them since a is traceless, scored by beta / |a|_F,
     unless even that scores at most 1e-10.  A block within 1e-13 of scalar
-    gives None.
+    gives None.  gates, when given, is a (2, r) array that receives beta_j
+    where e_j qualifies and 0 elsewhere, and the floor
+    max(2 |a_jj|, |a|_F / (4 sqrt(r))) of each e_j.
     """
     r = a.shape[0]
     # exact off-diagonal column norms: zero the diagonal for one pass
@@ -217,10 +226,11 @@ def _pick_pivot(
     shifted = diagonal - diagonal.sum() / r
     if math.sqrt(off_sq + np.vdot(shifted, shifted).real) <= 1e-13 * max(scale, 1.0):
         return None
+    eligible, floor = np.empty((2, r)) if gates is None else gates
+    np.maximum(2.0 * np.abs(diagonal), scale / (4.0 * math.sqrt(r)), out=floor)
+    beta = np.sqrt(column_sq)
+    np.multiply(beta, beta >= floor, out=eligible)
     if standard:
-        beta = np.sqrt(column_sq)
-        floor = np.maximum(2.0 * np.abs(diagonal), scale / (4.0 * math.sqrt(r)))
-        eligible = np.where(beta >= floor, beta, 0.0)
         j = int(eligible.argmax())
         if eligible[j] > 0.0:
             v = np.zeros(r, dtype=complex)
@@ -238,90 +248,215 @@ def _pick_pivot(
     return trial[:, best], images[:, best]
 
 
+def _compact_wy(h: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(R, V, T) with x = Q [R; 0] and Q = I - V T V^H from the Householder
+    QR (h, tau) = np.linalg.qr(x, mode="raw"), where h is stored transposed.
+
+    T comes by the forward recursion over the reflectors of LAPACK's geqrf,
+    which stays finite when a reflector is the identity (tau = 0)."""
+    b = len(tau)
+    v = h.T.copy()
+    head = v[:b]  # R on and above the diagonal, V below it
+    upper = np.arange(b)[:, None] <= np.arange(b)
+    r = np.where(upper, head, 0.0)
+    np.copyto(head, np.eye(b), where=upper)
+    gram = v.conj().T @ v
+    t = np.diag(tau)
+    for i in range(1, b):
+        t[:i, i] = -tau[i] * (t[:i, :i] @ gram[:i, i])
+    return r, v, t
+
+
+# float64 entries of the scratch of _subtract_product (300 KB, and at most
+# one n x n complex array): a chunk of the product is subtracted while it is
+# still in cache
+_CHUNK_ENTRIES = 38400
+# inner dimensions up to which _subtract_product multiplies in real arithmetic
+_REAL_K = 4
+
+
+def _subtract_product(
+    source: np.ndarray, x: np.ndarray, y: np.ndarray, out: np.ndarray, scratch: np.ndarray
+):
+    """out = source - x @ y for complex x (m, k) and y (k, p), with source
+    and out (possibly the same array) of contiguous rows, a chunk of rows at
+    a time through the float64 buffer scratch.  Up to k = _REAL_K the product
+    is the real product [Re x, Im x] [y; i y] on float64 views: BLAS runs
+    complex products with k = 1 several times slower (2-4x at 150 x 300),
+    and up to k = 4 the real one is about as fast or faster.  It copies x
+    and y, which costs little memory only while k is small."""
+    if x.shape[1] <= _REAL_K:
+        x = np.concatenate((x.real, x.imag), axis=1)
+        y = np.concatenate((y, 1j * y)).view(np.float64)
+        source, out = source.view(np.float64), out.view(np.float64)
+    else:
+        scratch = scratch.view(complex)
+    width = y.shape[1]
+    chunk = max(1, len(scratch) // width)
+    for lo in range(0, len(x), chunk):
+        hi = min(lo + chunk, len(x))
+        product = scratch[: (hi - lo) * width].reshape(hi - lo, width)
+        np.matmul(x[lo:hi], y, out=product)
+        np.subtract(source[lo:hi], product, out=out[lo:hi])
+
+
+def _conjugate(
+    a: np.ndarray, v: np.ndarray, t: np.ndarray, drop: int, out: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
+    """Write rows and columns drop: of Q^H a Q into out for Q = I - V T V^H,
+    as one product of rank 2b; return T^H V^H, with which Q^H acts on
+    further rows."""
+    b = len(t)
+    vh = v.conj().T
+    th_vh = t.conj().T @ vh
+    # Q^H a Q = a - [V, Y - V T^H V^H Y] [T^H V^H a; T V^H] with Y = a V
+    w = np.empty((len(v), 2 * b), dtype=complex)
+    z = np.empty((2 * b, len(v)), dtype=complex)
+    w[:, :b] = v
+    y = a @ v
+    np.subtract(y, v @ (th_vh @ y), out=w[:, b:])
+    del y
+    np.matmul(th_vh, a, out=z[:b])
+    np.matmul(t, vh, out=z[b:])
+    _subtract_product(a[drop:, drop:], w[drop:], z[:, drop:], out, scratch)
+    return th_vh
+
+
+def _to_front(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Places and sources of the indices that move when block goes to the
+    front in order and the leading indices it displaces go to the places
+    block vacates; at most 2 len(block) move."""
+    front = block.tolist()
+    b, inside = len(front), set(front)
+    places = list(range(b)) + [j for j in front if j >= b]
+    sources = front + [i for i in range(b) if i not in inside]
+    moved = [(p, s) for p, s in zip(places, sources) if p != s]
+    places, sources = np.array(moved, dtype=np.intp).reshape(-1, 2).T
+    return places, sources
+
+
+def _front_block(
+    a: np.ndarray, block: np.ndarray, floors: np.ndarray
+) -> tuple[tuple[np.ndarray, np.ndarray], list[tuple[np.ndarray, np.ndarray]]]:
+    """Swap the standard vectors block to the front of a and return the raw
+    QR of a[b:, :b] with the swaps made, as (places, sources) pairs.
+
+    |R_ii| must reach floors[i].  When it does not, the passing candidates
+    are swapped to the front of that layout and the QR taken once more; when
+    that fails too, or none passed, the block is its first vector alone,
+    first in the first layout, where R_00 is its whole off-diagonal column.
+    """
+    tried, swaps = len(block), []
+    while True:
+        b = len(block)
+        places, sources = _to_front(block)
+        if len(places):
+            a[places] = a[sources]
+            a[:, places] = a[:, sources]
+            swaps.append((places, sources))
+        qr = np.linalg.qr(a[b:, :b], mode="raw")
+        if b == 1:
+            return qr, swaps
+        passed = np.abs(qr[0].diagonal()) >= floors
+        if passed.all():
+            return qr, swaps
+        if b == tried and passed.any():
+            block, floors = np.flatnonzero(passed), floors[passed]
+            continue
+        if b < tried and len(places):
+            swaps.pop()
+            a[:, sources] = a[:, places]
+            a[sources] = a[places]
+        block = np.zeros(1, dtype=np.intp)
+
+
 def _zero_diagonal_similarity(
     m: np.ndarray, rng: np.random.Generator, standard: bool = True
 ) -> tuple[np.ndarray, np.ndarray]:
     """Invertible S and its inverse such that S m S^{-1} has (numerically)
     zero diagonal.
 
-    One pass over k on a contiguous copy a of the trailing block t[k:, k:]
-    of t = S m S^{-1}.  With a pivot v and the QR factorization
-    [v, a v] = Q R, the basis Q diag(P, I) has first column along v and
-    second along a v, where P is upper triangular with P e2 = c / |c| for
-    c = R[:, 1] / R[0, 0]; in it the leading diagonal entry of a is zero.
-    Q is two Householder reflectors in compact form I - U T U^H, so each step
-    costs O(n^2): Q^H a Q is one rank-4 update of the rows and columns that
-    the next step keeps, written as the next contiguous block, P acts by
-    scalar row and column operations, and the rows of S and of S^{-H} are
-    updated in place.  standard is passed to _pick_pivot.  The pass stops
-    early when no pivot is found; in particular a scalar trailing block,
-    being traceless, is already zero.
+    One loop over k on a contiguous copy a of the r x r trailing block
+    t[k:, k:] of t = S m S^{-1}; each step zeroes the leading b diagonal
+    entries of a and drops them.  _pick_pivot gives the first pivot e_j; the
+    block J is j followed by the other standard vectors that pass its gates,
+    in decreasing beta, at most r // 3 of them, and at most 2 b after a block
+    of b fell short.  With J swapped to the front and the QR factorization
+    a[J^c, J] = Q [R; 0], column i of diag(I, Q)^H a diag(I, Q) holds
+    a_{j_i j_i} at row i, R_ii at row b + i and zeros below it, so |R_ii|
+    takes the role of beta_j and must pass the same gates (_front_block).
+    The factors P_i = [[1, p0_i], [0, p1_i]] on the pairs (i, b + i), with
+    (p0_i, p1_i) proportional to (a_{j_i j_i}, R_ii), then zero the entries
+    (i, i) together.  Q is compact WY, I - V T V^H, so a step is a few products of
+    rank 2b, and a dense input takes O(log n) steps.  A random pivot v (when
+    no standard vector qualifies, and at every step when standard is False)
+    is a block of one whose Q comes from the QR of [v, a v].  The rows of S
+    and of S^{-H} take the same swaps, Q^H and factors, so S is never
+    inverted.  The loop stops early when no pivot is found; in particular a
+    scalar trailing block, being traceless, is already zero.
     """
     n = m.shape[0]
     # the trailing block alternates between two flat buffers, so that it is
-    # contiguous at every size; the one it left is the scratch of the step
+    # contiguous at every size
     flat = (np.array(m, dtype=complex).reshape(-1), np.empty(n * n, dtype=complex))
-    a = flat[0].reshape(n, n)
-    # S and S^-H, so that both are updated on rows by the same Q^H
-    sim, sim_inv_h = np.eye(n, dtype=complex), np.eye(n, dtype=complex)
-    for k in range(n - 1):
+    a, free = flat[0].reshape(n, n), 1
+    # the rows of S beside those of S^-H, so that one Q^H updates both
+    both = np.hstack([np.eye(n, dtype=complex)] * 2)
+    gates = np.empty((2, n))
+    scratch = np.empty(max(min(_CHUNK_ENTRIES, 2 * n * n), 4 * n))
+    k, cap = 0, n
+    while k < n - 1:
         r = n - k
-        pivot = _pick_pivot(a, rng, standard)
+        eligible, floor = gate = gates[:, :r]
+        pivot = _pick_pivot(a, rng, standard, gate)
         if pivot is None:
             break
-        v, av = pivot
-        # reflector 1 takes v to alpha e1, reflector 2 the rest of a v to beta e2
-        alpha = -cmath.exp(1j * cmath.phase(v[0]))
-        ut = np.empty((2, r), dtype=complex)
-        u1, u2 = ut
-        u1[:] = v
-        u1[0] -= alpha
-        tau1 = 2.0 / np.vdot(u1, u1).real
-        np.subtract(av, (tau1 * np.vdot(u1, av)) * u1, out=u2)  # y = H1 a v
-        y0, y1 = complex(u2[0]), complex(u2[1])
-        beta = -cmath.exp(1j * cmath.phase(y1)) * math.sqrt(np.vdot(u2[1:], u2[1:]).real)
-        u2[0] = 0.0
-        u2[1] -= beta
-        tau2 = 2.0 / np.vdot(u2, u2).real
-        # Q = H1 H2 = I - u T u^H
-        u, uh = ut.T, ut.conj()
-        t12 = -tau1 * tau2 * complex(np.vdot(u1, u2))
-        # left = T^H u^H and right = T u^H for T = [[tau1, t12], [0, tau2]]
-        left, right = np.array(
-            [[tau1, 0.0], [t12.conjugate(), tau2], [tau1, t12], [0.0, tau2]]
-        ).reshape(2, 2, 2) @ uh
-        # P = [[1, p0], [0, p1]] with (p0, p1) = c / |c|, c = (y0, beta) / alpha
-        c0, c1 = y0 / alpha, beta / alpha
-        norm = math.hypot(abs(c0), abs(c1))
+        count = np.count_nonzero(eligible) if standard else 0
+        if count:
+            block = np.argsort(-eligible, kind="stable")[: min(count, cap, max(1, r // 3))]
+            (h, tau), swaps = _front_block(a, block, floor[block])
+            below, v, t = _compact_wy(h, tau)
+            b = lo = len(tau)
+            cap = 2 * b if b < len(block) else n
+            for places, sources in swaps:
+                both[k + places] = both[k + sources]
+            c0 = a.diagonal()[:b]
+        else:
+            # [v, a v] = Q R: column 0 of Q^H a Q is (R_01, R_11, 0, ...) / R_00
+            rv, v, t = _compact_wy(*np.linalg.qr(np.stack(pivot, axis=1), mode="raw"))
+            c0, below = rv[0, 1:] / rv[0, 0], rv[1:, 1:] / rv[0, 0]
+            b, lo = 1, 0
+        # (p0, p1) = c / |c| for c = (a_jj, R_ii) zeroes (i, i) of P^-1 a P
+        c1 = below.diagonal().real
+        norm = np.hypot(np.abs(c0), c1)
         p0, p1 = c0 / norm, c1 / norm
-        # Q^H a Q = a - w z for w = [u, a u - u left a u] and z = [left a; right]
-        au = a @ u
-        w = np.concatenate([u, au - u @ (left @ au)], axis=1)
-        z = np.concatenate([left @ a, right])
-        # rows and columns 1: of diag(P^-1, I) Q^H a Q diag(P, I)
-        kept = flat[(k + 1) % 2][: (r - 1) ** 2].reshape(r - 1, r - 1)
-        np.matmul(w[1:], z[:, 1:], out=kept)
-        np.subtract(a[1:, 1:], kept, out=kept)
-        kept[:, 0] *= p1
-        kept[:, 0] += p0 * (a[1:, 0] - w[1:] @ z[:, 0])
-        kept[0] /= p1
-        a = kept
-        # rows of S: diag(P^-1, I) Q^H;  rows of S^-H: diag(P^H, I) Q^H
-        scratch = flat[k % 2][: r * n].reshape(r, n)
-        for rows in (sim[k:], sim_inv_h[k:]):
-            np.matmul(u, left @ rows, out=scratch)
-            rows -= scratch
-        sim[k] -= (p0 / p1) * sim[k + 1]
-        sim[k + 1] /= p1
-        sim_inv_h[k + 1] *= p1.conjugate()
-        sim_inv_h[k + 1] += p0.conjugate() * sim_inv_h[k]
-    np.conjugate(sim_inv_h, out=sim_inv_h)
-    return sim, sim_inv_h.T
+        # rows and columns b: of Q^H a Q, then of P^-1 . P
+        kept = flat[free][: (r - b) ** 2].reshape(r - b, r - b)
+        th_vh = _conjugate(a[lo:, lo:], v, t, b - lo, kept, scratch)
+        kept[:, :b] *= p1
+        kept[:b, :b] += below * p0
+        kept[:b] /= p1[:, None]
+        a, free = kept, 1 - free
+        rows = both[k + lo :]
+        _subtract_product(rows, v, th_vh @ rows, rows, scratch)
+        # rows of S: P^-1 on the pairs;  rows of S^-H: P^H
+        lead, pair = both[k : k + b], both[k + b : k + 2 * b]
+        lead[:, :n] -= (p0 / p1)[:, None] * pair[:, :n]
+        pair[:, :n] /= p1[:, None]
+        pair[:, n:] *= p1[:, None]
+        pair[:, n:] += p0.conj()[:, None] * lead[:, n:]
+        k += b
+    np.conjugate(both[:, n:], out=both[:, n:])
+    return both[:, :n], both[:, n:].T
 
 
 # the decomposition's measured peak, in n x n complex arrays, the input
-# included; the single-block path sets it, at 8.0 arrays besides the input
-# at n = 128 and 256 (tracemalloc), and the completion path peaks near 6
+# included.  Besides the input, tracemalloc saw 7.7 (n = 128) and 6.9
+# (n = 256) arrays on the single-block path and 8.6 and 7.9 on the
+# completion path, where the similarity's two buffers, [S | S^-H], the N x N
+# image and the temporaries of the first block step meet; a child process's
+# peak RSS at n = 1295, the largest size admitted, was 8.6 and 8.9 arrays,
+# the interpreter included (one BLAS thread)
 _DECOMPOSE_ARRAYS = 10
 # similarities with a larger condition number are refused
 _COND_LIMIT = 1e8
@@ -419,8 +554,15 @@ def commutator_decompose(t: Element, tol: float = 1e-9) -> CommutatorWitness:
         return CommutatorWitness(a=zero, b=zero, residual=0.0)
 
     def witness_of(fa: np.ndarray, fb: np.ndarray) -> CommutatorWitness:
+        # the residual is scored in place and released before the factors
+        # are copied
+        r = fb @ fa
+        r -= fa @ fb
+        r += t.blocks[0]
+        residual = float(np.linalg.norm(r))
+        del r
         a, b = Element(t.spec, (fa,)), Element(t.spec, (fb,))
-        return CommutatorWitness(a=a, b=b, residual=frobenius(t - commutator(a, b)))
+        return CommutatorWitness(a=a, b=b, residual=residual)
 
     return _best_witness(t.blocks[0], 1000, witness_of, tol * max(1.0, scale))
 

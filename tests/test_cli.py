@@ -83,6 +83,19 @@ def test_decompose_reports_certificate_for_multi_block(spec23_file, witness_file
     assert report["block_traces"] == [[6.0, 0.0], [-6.0, 0.0]]
 
 
+def test_decompose_multi_block_rejects_nonzero_trace(tmp_path, spec23_file, capsys):
+    # diag(1, 2) + diag(3, 4, 5) has trace 15: no commutator, in A or in the completion
+    element = tmp_path / "diagonal.json"
+    blocks = [np.diag([1.0, 2.0]), np.diag([3.0, 4.0, 5.0])]
+    element.write_text(json.dumps({"blocks": [[[x, 0.0] for x in b.ravel()] for b in blocks]}))
+    config = CliConfig(command="decompose", spec_path=spec23_file, element_path=str(element))
+    code, report = run(config)
+    assert code == 1
+    assert report["error"] == "NotTraceless"
+    assert main(["decompose", spec23_file, str(element)]) == 1
+    assert '"error": "NotTraceless"' in capsys.readouterr().out
+
+
 def test_decompose_single_block(tmp_path, spec4_file):
     element = tmp_path / "traceless.json"
     flat = [[0.0, 0.0]] * 16

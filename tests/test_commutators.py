@@ -357,6 +357,13 @@ def _traceless_family(family, n):
         m[:p, p:] = g[:p, p:]
     elif family == "diagonal_small_noise":
         m = ramp + 1e-6 * g
+    elif family == "block_diagonal":
+        # the benchmark's three-block completion images: blocks of n // 3,
+        # n // 3 and the rest, shifted below to total trace zero
+        p = n // 3
+        m = np.zeros((n, n), dtype=complex)
+        for lo, hi in [(0, p), (p, 2 * p), (2 * p, n)]:
+            m[lo:hi, lo:hi] = g[lo:hi, lo:hi]
     else:
         m = ramp + g
     m = np.array(m, dtype=complex)
@@ -368,7 +375,7 @@ def _traceless_family(family, n):
     "family",
     [
         "gaussian", "upper_triangular", "jordan", "cyclic_shift", "rank_one", "real",
-        "two_scalar_blocks", "diagonal_small_noise", "diagonal_large_noise",
+        "two_scalar_blocks", "diagonal_small_noise", "diagonal_large_noise", "block_diagonal",
     ],
 )
 def test_similarity_is_well_conditioned(monkeypatch, family, n):
@@ -385,6 +392,21 @@ def test_similarity_is_well_conditioned(monkeypatch, family, n):
     [(sim, _)] = similarities
     assert np.linalg.cond(sim) < 20
     assert np.linalg.norm(a @ b - b @ a - m) <= 1e-12 * max(1.0, np.linalg.norm(m))
+
+
+def test_similarity_blocks_a_dense_input_in_few_steps(monkeypatch):
+    # one pivot per zeroed entry would take 127 steps
+    m = _random_traceless_matrix(128, 7)
+    pivots = []
+
+    def counting_pivot(*args):
+        pivots.append(None)
+        return _pick_pivot(*args)
+
+    monkeypatch.setattr(shoda.commutators, "_pick_pivot", counting_pivot)
+    sim, sim_inv = _zero_diagonal_similarity(m, np.random.default_rng(0))
+    assert len(pivots) <= 20
+    assert np.abs(np.diag(sim @ m @ sim_inv)).max() <= 1e-12 * np.linalg.norm(m)
 
 
 def test_a_retry_is_not_a_copy_of_the_refused_attempt(monkeypatch):
