@@ -278,7 +278,9 @@ def _cmd_path(config: CliConfig) -> dict:
 
 def _check_path_stack(blocks: list[np.ndarray], tol: float) -> tuple[float, int]:
     """Largest idempotency residual |e e - e|_F and rank defect |rank e - 1|
-    over a stack of path samples: one matmul and one SVD call per block."""
+    over a stack of path samples: one matmul and one SVD call per block that
+    is not all zero, as those add exactly 0 to both."""
+    blocks = [stack for stack in blocks if stack.any()]
     residual_sq = 0
     for stack in blocks:
         square = stack @ stack

@@ -26,7 +26,7 @@ class NoSuchSpectralValue(AlgebraError):
 
 
 class ContourTooTight(AlgebraError):
-    """Neighbouring spectral values are too close to place a resolvent contour."""
+    """Neighbouring spectral values are too close to separate by a circle."""
 
 
 class NotRankOne(AlgebraError):

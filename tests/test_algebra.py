@@ -255,39 +255,20 @@ def test_riesz_family_properties(spec23):
         assert total == sum(m for _, m in report.nonzero)
 
 
-def _loop_riesz(a, value, clusters):
-    """The quadrature as computed before it was stacked: one solve per node,
-    added in node order."""
-    centers = [c for c, _ in clusters]
-    center = centers[int(np.argmin([abs(value - c) for c in centers]))]
-    others = [c for c in centers if c != center]
-    radius = min(abs(center - c) for c in others) / 2.0 if others else max(abs(center) / 2.0, 1.0)
-    nodes = center + radius * np.exp(1j * 2.0 * np.pi * np.arange(256) / 256)
-    out = []
-    for m in a.blocks:
-        n = m.shape[0]
-        acc = np.zeros((n, n), dtype=complex)
-        eye = np.eye(n)
-        for z in nodes:
-            acc += np.linalg.solve(z * eye - m, eye) * (z - center)
-        out.append(acc / 256)
-    return out
-
-
 @pytest.mark.parametrize("dims", [(1,), (2, 3), (16,), (256,)])
-def test_stacked_riesz_equals_the_node_loop(dims):
-    # (16,) ends on a one-node chunk; (256,) takes one node per chunk
-    from shoda.algebra import _NODE_ARRAYS, _chunk_size, _riesz_from_clusters
+def test_riesz_equals_the_eigenvector_projection(dims):
+    # the reference is V[:, S] (V^-1)[S, :] over the eigenvalues S at the value
     from shoda.sampling import random_diagonalizable
 
-    assert _chunk_size(_NODE_ARRAYS * 16 * 16 * 16) == 85
-    assert _chunk_size(_NODE_ARRAYS * 256 * 256 * 16) == 1
     a = random_diagonalizable(AlgebraSpec(dims), np.random.default_rng(len(dims)))
-    report = spectrum(a)
-    value = report.nonzero[0][0]
-    p = _riesz_from_clusters(a, value, 1e-9, report.eigenvalues)
-    expected = _loop_riesz(a, value, report.eigenvalues)
-    assert all(np.array_equal(x, y) for x, y in zip(p.blocks, expected))
+    value = spectrum(a).nonzero[0][0]
+    expected = []
+    for m in a.blocks:
+        w, v = np.linalg.eig(m)
+        at = np.abs(w - value) < 1e-6
+        expected.append(v[:, at] @ np.linalg.inv(v)[at, :])
+    p = riesz_projection(a, value)
+    assert frobenius(p - Element(a.spec, tuple(expected))) <= 1e-9 * frobenius(p)
 
 
 # ---------------------------------------------------------------------------

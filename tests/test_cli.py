@@ -207,6 +207,40 @@ def test_riesz_projects_the_tiny_values_spectrum_lists(tmp_path, capsys):
     assert all(p["rank"] == 1 and p["idempotency_residual"] < 1e-9 for p in projections)
 
 
+def test_riesz_projects_a_defective_element(tmp_path, capsys):
+    # diag(J_3(2), J_2(5), 1, 1, -3) conjugated by a dense S: not triangular and
+    # not diagonalizable; at the default tol LAPACK splits the Jordan eigenvalues
+    j = np.diag([2.0, 2, 2, 5, 5, 1, 1, -3]) + np.diag([1.0, 1, 0, 1, 0, 0, 0], 1)
+    s = np.eye(8) + 0.3 * np.random.default_rng(1).normal(size=(8, 8))
+    m = s @ j @ np.linalg.inv(s)
+    spec = tmp_path / "s.json"
+    spec.write_text(json.dumps({"blocks": [8]}))
+    element = tmp_path / "e.json"
+    element.write_text(json.dumps({"blocks": [[[z, 0.0] for z in m.ravel()]]}))
+    assert main(["riesz", str(spec), str(element), "--tol", "1e-4"]) == 0
+    projections = json.loads(capsys.readouterr().out)["projections"]
+    assert sorted(p["multiplicity"] for p in projections) == [1, 2, 2, 3]
+    assert all(p["rank"] == p["multiplicity"] for p in projections)
+    blocks = [np.array(p["projection"]["blocks"][0]) for p in projections]
+    total = sum(b[:, 0] + 1j * b[:, 1] for b in blocks).reshape(8, 8)
+    assert np.allclose(total, np.eye(8), atol=1e-9)
+    x_scale = 1 + np.linalg.norm(m)
+    for p, b in zip(projections, blocks):
+        p_scale = 1 + np.linalg.norm(b)
+        assert p["idempotency_residual"] <= 1e-4 * p_scale**2
+        assert p["commutation_residual"] <= 1e-4 * p_scale * x_scale
+
+
+def test_riesz_sign_iteration_over_its_step_cap_is_exit_one(monkeypatch, spec23_file, tmp_path, capsys):
+    # x = 2 E_00: the Cayley image of block 0 is diag(1, -1/3), which one step does not settle
+    monkeypatch.setattr(shoda.algebra, "_SIGN_STEPS", 1)
+    element = tmp_path / "elt.json"
+    element.write_text(json.dumps({"blocks": [[[2, 0], [0, 0], [0, 0], [0, 0]], [[0, 0]] * 9]}))
+    assert main(["riesz", spec23_file, str(element)]) == 1
+    report = _strict_json(capsys.readouterr().out)
+    assert report["error"] == "NumericalFailure" and "sign iteration" in report["detail"]
+
+
 def test_norm_audit_command(spec23_file):
     code, report = run(
         CliConfig(command="norm-audit", spec_path=spec23_file, samples=200, seed=9)
@@ -564,6 +598,16 @@ def test_path_report_equals_the_sample_loop(tmp_path, blocks):
         "max_rank_defect": max(abs(shoda.algebra.rank(e) - 1) for e in arc),
         "endpoints_exact": True,
     }
+
+
+def test_path_check_skips_all_zero_blocks():
+    # six samples v w^T / (w^T v) of one 3 x 3 block, beside all-zero blocks
+    v, w = np.random.default_rng(3).normal(size=(2, 6, 3))
+    arc = v[:, :, None] * w[:, None, :] / np.sum(v * w, axis=1)[:, None, None]
+    expected = shoda.cli._check_path_stack([arc], 1e-9)
+    assert expected[1] == 0
+    blocks = [np.zeros((6, 2, 2)), arc, np.zeros((6, 4, 4))]
+    assert shoda.cli._check_path_stack(blocks, 1e-9) == expected
 
 
 def test_decompose_needs_no_recursion(tmp_path):
