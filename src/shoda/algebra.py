@@ -15,7 +15,7 @@ concurrent use is safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -405,49 +405,6 @@ def _path_chunk(spec: AlgebraSpec) -> int:
     return _chunk_size(sample_bytes)
 
 
-def _sampled_arc(
-    start: Element, end: Element, samples: int,
-    sample_at: Callable[[np.ndarray], tuple[list[np.ndarray], np.ndarray]],
-    seed: int, chunk: int,
-) -> Iterator[list[np.ndarray]]:
-    """Samples of an arc on linspace(0, 1, samples), endpoints exactly as
-    given, in stacks of at most chunk samples: one array per block with the
-    sample index first.
-
-    sample_at(ts) evaluates the arc at each parameter of ts, as such stacks,
-    and flags the samples off the exceptional set.  A sample on it is pushed
-    off the real axis by a seeded perturbation, at most _PERTURB_RETRIES
-    times, one sample at a time in index order.
-    """
-    rng = np.random.default_rng(seed)
-    grid = np.linspace(0.0, 1.0, samples)
-    ends = {0: start.blocks} if samples == 1 else {0: start.blocks, samples - 1: end.blocks}
-    for lo in range(0, samples, chunk):
-        blocks, ok = sample_at(grid[lo : lo + chunk])
-        for s_idx, matrices in ends.items():
-            if lo <= s_idx < lo + chunk:
-                ok[s_idx - lo] = True
-                _set_sample(blocks, s_idx - lo, matrices)
-        for j in np.flatnonzero(~ok):
-            for _ in range(_PERTURB_RETRIES):
-                t = grid[lo + j] + 1j * (rng.uniform(0.05, 0.5) / samples)
-                retry, retry_ok = sample_at(np.array([t]))
-                if retry_ok[0]:
-                    break
-            else:
-                raise PathDegenerate(f"sample {lo + j} stuck on the exceptional set")
-            _set_sample(blocks, j, [stack[0] for stack in retry])
-        yield blocks
-
-
-def _set_sample(blocks: list[np.ndarray], j: int, matrices: Sequence[np.ndarray]):
-    """Write sample j of a stack.  A loop in _sampled_arc itself would leave
-    its loop variable holding a block of the previous stack while the next
-    one is evaluated."""
-    for stack, m in zip(blocks, matrices):
-        stack[j] = m
-
-
 def projection_path(
     p: Element,
     q: Element,
@@ -463,35 +420,68 @@ def projection_path(
     pushed off the real axis by a seeded perturbation (at most 16 retries);
     endpoints are returned exactly as given.
     """
-    return [
-        Element(p.spec, tuple(stack[k] for stack in blocks))
-        for blocks in _projection_arc(p, q, samples, tol, seed)
-        for k in range(len(blocks[0]))
-    ]
+    ip, stacks = _projection_arc(p, q, samples, tol, seed)
+    zero = p.spec.zero().blocks
+    path = [Element(p.spec, zero[:ip] + (m,) + zero[ip + 1 :]) for stack in stacks for m in stack]
+    path[0] = p
+    if samples > 1:
+        path[-1] = q
+    return path
 
 
 def _projection_arc(
     p: Element, q: Element, samples: int, tol: float, seed: int
-) -> Iterator[list[np.ndarray]]:
-    """The samples of projection_path, as stacks of _path_chunk samples."""
+) -> tuple[int, Iterator[np.ndarray]]:
+    """The samples of projection_path on linspace(0, 1, samples) in the block
+    ip of the endpoints' minimal ideal, every other block being zero: returns
+    ip and the samples' ip blocks as stacks of at most _path_chunk samples,
+    the sample index first.  The endpoints' ip blocks are exactly as given.
+
+    A sample on the exceptional set is pushed off the real axis by a seeded
+    perturbation, at most _PERTURB_RETRIES times, one sample at a time in
+    index order.
+    """
     if samples < 1:
         raise ValueError("samples must be positive")
     chunk = _path_chunk(p.spec)
     ip, (v_p, w_p), (v_q, w_q) = _shared_minimal_ideal(p, q, tol)
-    spec = p.spec
+    n = p.spec.block_dims[ip]
+    ends = {0: p.blocks[ip]} if samples == 1 else {0: p.blocks[ip], samples - 1: q.blocks[ip]}
 
-    def sample_at(ts: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    def sample_at(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The arc at each parameter of ts, and which samples are off the
+        exceptional set."""
         t = ts[:, None]
         v = (1.0 - t) * v_p + t * v_q
         w = (1.0 - t) * w_p + t * w_q
         denom = (w[:, None, :] @ v[:, :, None])[:, 0, 0]
         scale = np.linalg.norm(v, axis=1) * np.linalg.norm(w, axis=1)
         ok = np.abs(denom) > _PAIRING_FLOOR * np.maximum(scale, 1e-300)
-        blocks = [np.zeros((len(ts), n, n), dtype=complex) for n in spec.block_dims]
+        stack = np.zeros((len(ts), n, n), dtype=complex)
         np.divide(
             v[:, :, None] * w[:, None, :], denom[:, None, None],
-            out=blocks[ip], where=ok[:, None, None],
+            out=stack, where=ok[:, None, None],
         )
-        return blocks, ok
+        return stack, ok
 
-    return _sampled_arc(p, q, samples, sample_at, seed, chunk)
+    def stacks() -> Iterator[np.ndarray]:
+        rng = np.random.default_rng(seed)
+        grid = np.linspace(0.0, 1.0, samples)
+        for lo in range(0, samples, chunk):
+            stack, ok = sample_at(grid[lo : lo + chunk])
+            for s_idx, m in ends.items():
+                if lo <= s_idx < lo + chunk:
+                    ok[s_idx - lo] = True
+                    stack[s_idx - lo] = m
+            for j in np.flatnonzero(~ok):
+                for _ in range(_PERTURB_RETRIES):
+                    t = grid[lo + j] + 1j * (rng.uniform(0.05, 0.5) / samples)
+                    retry, retry_ok = sample_at(np.array([t]))
+                    if retry_ok[0]:
+                        break
+                else:
+                    raise PathDegenerate(f"sample {lo + j} stuck on the exceptional set")
+                stack[j] = retry[0]
+            yield stack
+
+    return ip, stacks()

@@ -8,6 +8,7 @@ inputs produce byte-identical reports.
 
 from __future__ import annotations
 
+import itertools
 import json
 from typing import Any
 
@@ -33,6 +34,10 @@ def flat_to_matrix(flat: Any, rows: int, cols: int) -> np.ndarray:
         raise ValueError(f"matrix entries must be finite: {exc}") from None
     if pairs.shape != (rows * cols, 2):
         raise ValueError(f"expected {rows * cols} [re, im] entries, got shape {pairs.shape}")
+    # numpy reads strings such as "1" and booleans as numbers too; JSON numbers only
+    kinds = set(map(type, itertools.chain.from_iterable(flat)))
+    if not kinds <= {int, float}:
+        raise ValueError(f"matrix entries must be numbers, got {sorted(t.__name__ for t in kinds)}")
     # the (re, im) rows viewed as complex keep every value's bits
     m = pairs.view(complex).reshape(rows, cols)
     if not np.isfinite(m).all():
@@ -73,26 +78,9 @@ def aj_to_json(u: AJElement) -> dict:
         terms[f"{i + 1},{j + 1}"] = matrix_to_flat(m)
     return {"terms": terms}
 
-def aj_from_json(spec: AlgebraSpec, data: Any) -> AJElement:
-    if not isinstance(data, dict) or "terms" not in data:
-        raise ValueError('tensor JSON needs a "terms" key')
-    terms = {}
-    for key, flat in data["terms"].items():
-        i_str, j_str = key.split(",")
-        i, j = int(i_str) - 1, int(j_str) - 1
-        if not (0 <= i < spec.num_blocks and 0 <= j < spec.num_blocks):
-            raise ValueError(f"pair key {key!r} outside blocks 1..{spec.num_blocks}")
-        terms[(i, j)] = flat_to_matrix(flat, spec.block_dims[i], spec.block_dims[j])
-    return AJElement(spec, terms)
-
 
 def b_to_json(x: BElement) -> dict:
     return {"a": element_to_json(x.a), "u": aj_to_json(x.u)}
-
-def b_from_json(spec: AlgebraSpec, data: Any) -> BElement:
-    if not isinstance(data, dict) or "a" not in data or "u" not in data:
-        raise ValueError('extension element JSON needs "a" and "u" keys')
-    return BElement(element_from_json(spec, data["a"]), aj_from_json(spec, data["u"]))
 
 
 def dumps(report: dict) -> str:

@@ -483,6 +483,39 @@ def test_stacked_projection_path_equals_the_sample_loop(dims):
         assert chunk == 9
 
 
+def _block_projections(spec, block, rng):
+    """Two random rank-one projections of the given block of spec."""
+    n = spec.block_dims[block]
+    out = []
+    for _ in range(2):
+        v, w = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+        blocks = list(spec.zero().blocks)
+        blocks[block] = np.outer(v, w) / (w @ v)
+        out.append(Element(spec, tuple(blocks)))
+    return out
+
+
+def test_projection_path_in_the_last_block_equals_the_sample_loop():
+    spec = AlgebraSpec((1, 2, 3))
+    p, q = _block_projections(spec, 2, np.random.default_rng(4))
+    for samples in (1, 2, 3, 101):
+        _assert_same_arcs(
+            projection_path(p, q, samples, seed=5),
+            _loop_projection_path(p, q, samples, seed=5),
+        )
+
+
+def test_projection_arc_stacks_only_the_arc_block():
+    # one (chunk, 2, 2) stack per chunk, none for the other 49 blocks
+    spec = AlgebraSpec((2,) * 50)
+    p, q = _block_projections(spec, 7, np.random.default_rng(7))
+    ip, stacks = shoda.algebra._projection_arc(p, q, 1000, 1e-9, 0)
+    assert ip == 7
+    shapes = [stack.shape for stack in stacks]
+    assert len(shapes) > 1 and sum(s[0] for s in shapes) == 1000
+    assert all(s[1:] == (2, 2) for s in shapes)
+
+
 # ---------------------------------------------------------------------------
 # exact orthogonality of the minimal ideals
 

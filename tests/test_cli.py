@@ -17,7 +17,7 @@ import shoda.algebra
 import shoda.cli
 import shoda.commutators
 from shoda.cli import CliConfig, main, run
-from shoda.serialize import dumps
+from shoda.serialize import dumps, element_to_json
 
 
 @pytest.fixture
@@ -374,6 +374,29 @@ def test_malformed_entry_is_exit_two(tmp_path, entry, capsys):
     assert _strict_json(capsys.readouterr().out)["error"] == "ValueError"
 
 
+@pytest.mark.parametrize(
+    "flat",
+    [
+        [["1", "0"], [True, False], [0, 0], ["-1", 0]],
+        [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [True, 0.0]],
+    ],
+    ids=["strings", "boolean"],
+)
+def test_string_or_boolean_entry_is_exit_two(tmp_path, flat, capsys):
+    # numpy reads "1" and true as numbers, so both used to exit 0
+    spec = tmp_path / "spec2.json"
+    spec.write_text(json.dumps({"blocks": [2]}))
+    element = tmp_path / "x.json"
+    element.write_text(json.dumps({"blocks": [flat]}))
+    ends = tmp_path / "ends.json"
+    projection = {"blocks": [[[1, 0], [0, 0], [0, 0], [0, 0]]]}
+    ends.write_text(json.dumps({"p": projection, "q": {"blocks": [flat]}}))
+    for argv in (["rank", str(spec), str(element)], ["path", str(spec), str(ends)]):
+        assert main(argv) == 2
+        report = _strict_json(capsys.readouterr().out)
+        assert report["error"] == "ValueError" and "must be numbers" in report["detail"]
+
+
 def test_numerical_failure_is_exit_one(monkeypatch, spec23_file, witness_file):
     # LinAlgError subclasses ValueError, but it is a numerical failure, not a
     # parse error
@@ -589,9 +612,13 @@ def test_path_report_equals_the_sample_loop(tmp_path, blocks):
     rng = np.random.default_rng(7)
     p = shoda.cli.random_rank_one_projection(spec, 0, rng)
     q = shoda.cli.random_rank_one_projection(spec, 0, rng)
-    arc = shoda.algebra.projection_path(p, q, 1000, 1e-9, seed=7)
-    assert report == {
-        "samples": 1000,
+    assert report == _loop_path_report(shoda.algebra.projection_path(p, q, 1000, 1e-9, seed=7))
+
+
+def _loop_path_report(arc):
+    """The path report of the Elements of an arc, one at a time."""
+    return {
+        "samples": len(arc),
         "max_idempotency_residual": max(
             shoda.algebra.frobenius(shoda.algebra.multiply(e, e) - e) for e in arc
         ),
@@ -600,14 +627,27 @@ def test_path_report_equals_the_sample_loop(tmp_path, blocks):
     }
 
 
-def test_path_check_skips_all_zero_blocks():
-    # six samples v w^T / (w^T v) of one 3 x 3 block, beside all-zero blocks
-    v, w = np.random.default_rng(3).normal(size=(2, 6, 3))
-    arc = v[:, :, None] * w[:, None, :] / np.sum(v * w, axis=1)[:, None, None]
-    expected = shoda.cli._check_path_stack([arc], 1e-9)
-    assert expected[1] == 0
-    blocks = [np.zeros((6, 2, 2)), arc, np.zeros((6, 4, 4))]
-    assert shoda.cli._check_path_stack(blocks, 1e-9) == expected
+@pytest.mark.parametrize("tiny", [0.0, 1e-12])
+def test_path_report_in_the_last_block_equals_the_sample_loop(tmp_path, tiny):
+    # the CLI draws its endpoints in block 0; these lie in block 3 of 3.  With
+    # tiny = 1e-12, p's five entries outside that block, below the rank
+    # threshold, make the largest idempotency residual, sqrt(5) 1e-12.
+    spec = shoda.algebra.AlgebraSpec((1, 2, 3))
+    rng = np.random.default_rng(11)
+    v, w = rng.normal(size=(2, 2, 3)) + 1j * rng.normal(size=(2, 2, 3))
+    p, q = (
+        spec.from_blocks([np.full((1, 1), t), np.full((2, 2), t), np.outer(x, y) / (y @ x)])
+        for x, y, t in zip(v, w, (tiny, 0.0))
+    )
+    spec_path, ends = tmp_path / "spec.json", tmp_path / "ends.json"
+    spec_path.write_text(json.dumps({"blocks": [1, 2, 3]}))
+    ends.write_text(dumps({"p": element_to_json(p), "q": element_to_json(q)}))
+    config = CliConfig(command="path", spec_path=str(spec_path), element_path=str(ends), seed=7)
+    code, report = run(config)
+    assert code == 0
+    assert report == _loop_path_report(shoda.algebra.projection_path(p, q, 1000, 1e-9, seed=7))
+    if tiny:
+        assert report["max_idempotency_residual"] == 2.236068436841561e-12
 
 
 def test_decompose_needs_no_recursion(tmp_path):
