@@ -24,12 +24,10 @@ from .errors import (
     DifferentMinimalIdeal,
     NoSuchSpectralValue,
     NotAProjection,
-    NotRankOne,
     NumericalFailure,
     PathDegenerate,
     ShapeMismatch,
     TooLarge,
-    ZeroElement,
 )
 
 DEFAULT_TOL = 1e-9
@@ -50,12 +48,12 @@ _COMPLEX_BYTES = np.dtype(complex).itemsize  # the unit of the working-set model
 # Stacked work (audit samples, path samples) is taken in chunks of about this
 # many bytes; larger chunks were no faster and only raised the peak memory.
 _CHUNK_BYTES = 2**20
-# Working set of one path sample, in complex entries per coordinate of the
-# algebra.  tracemalloc on one-sample chunks of `shoda path` gives about 5:
-# the endpoints, then their checks and their one SVD each, or the previous
-# sample, the new one and its outer-product temporary.  A child process's
-# peak RSS (getrusage) on [1024] gives about 8, the LAPACK workspaces of the
-# endpoints' SVDs included, which tracemalloc does not see.
+# Working set of a path in complex entries: per coordinate of the algebra for
+# the endpoints, their checks and SVDs, and per entry of the arc's block for
+# each sample of a stack.  A child process's peak RSS (getrusage, one BLAS
+# thread) over start-up gives 8.4 on [1448] with two samples (269 MB).  On
+# tiny blocks the array headers, not counted here, dominate: (2,) * 2000
+# peaks 10 MB over start-up, about 80 per coordinate.
 _PATH_ARRAYS = 8
 
 
@@ -362,39 +360,34 @@ def _riesz_from_clusters(
 
 def _rank_one_block(ranks: np.ndarray) -> int:
     """Block index of the unique minimal two-sided ideal containing a rank-one
-    element with these block ranks."""
+    element with these block ranks; NotAProjection for any other rank."""
     r = int(ranks.sum())
-    if r == 0:
-        raise ZeroElement("zero element lies in every ideal")
     if r != 1:
-        raise NotRankOne(f"rank is {r}")
+        raise NotAProjection(f"rank is {r}, need 1")
     return int(np.argmax(ranks))
 
 
 def _shared_minimal_ideal(p: Element, q: Element, tol: float):
     """Check that p and q are rank-one projections of one minimal ideal; return
-    its block index and each one's block m split as v w^H with w^H v = 1.
-    One SVD per block gives the ranks, the block and v; the factors of p are
-    dropped before q is factorized, so that the n x n factors of only one
-    endpoint are alive at a time."""
-    for x in (p, q):
-        res = frobenius(multiply(x, x) - x)
+    its block index, each one's block split as v w^H with w^H v = 1, and the
+    two idempotency residuals.  One SVD per nonzero block gives the ranks, the
+    block and v; the factors of p are dropped before q is factorized, so that
+    the factors of only one endpoint are alive at a time."""
+    residuals = [frobenius(multiply(x, x) - x) for x in (p, q)]
+    for x, res in zip((p, q), residuals):
         if res > tol * (1.0 + frobenius(x)):
             raise NotAProjection(f"idempotency residual {res}")
 
     def split(x: Element):
-        svds = [np.linalg.svd(m) for m in x.blocks]
-        ranks = _svd_ranks([s for _, s, _ in svds], tol)
-        if ranks.sum() != 1:
-            raise NotAProjection(f"rank is {ranks.sum()}, need 1")
-        i = int(np.argmax(ranks))
+        svds = [np.linalg.svd(m) if m.any() else (None, np.zeros(len(m)), None) for m in x.blocks]
+        i = _rank_one_block(_svd_ranks([s for _, s, _ in svds], tol))
         v = svds[i][0][:, 0].copy()  # a view would keep all of u alive along the path
         return i, (v, v.conj() @ x.blocks[i])
 
     (ip, split_p), (iq, split_q) = split(p), split(q)
     if ip != iq:
         raise DifferentMinimalIdeal(f"blocks {ip} and {iq}")
-    return ip, split_p, split_q
+    return ip, split_p, split_q, residuals
 
 
 def _path_chunk(spec: AlgebraSpec) -> int:
@@ -420,7 +413,7 @@ def projection_path(
     pushed off the real axis by a seeded perturbation (at most 16 retries);
     endpoints are returned exactly as given.
     """
-    ip, stacks = _projection_arc(p, q, samples, tol, seed)
+    ip, _, stacks = _projection_arc(p, q, samples, tol, seed)
     zero = p.spec.zero().blocks
     path = [Element(p.spec, zero[:ip] + (m,) + zero[ip + 1 :]) for stack in stacks for m in stack]
     path[0] = p
@@ -431,11 +424,12 @@ def projection_path(
 
 def _projection_arc(
     p: Element, q: Element, samples: int, tol: float, seed: int
-) -> tuple[int, Iterator[np.ndarray]]:
+) -> tuple[int, list[float], Iterator[np.ndarray]]:
     """The samples of projection_path on linspace(0, 1, samples) in the block
     ip of the endpoints' minimal ideal, every other block being zero: returns
-    ip and the samples' ip blocks as stacks of at most _path_chunk samples,
-    the sample index first.  The endpoints' ip blocks are exactly as given.
+    ip, the idempotency residuals of p and q, and the samples' ip blocks as
+    stacks of at most _path_chunk samples of that n x n block, the sample
+    index first.  The endpoints' ip blocks are exactly as given.
 
     A sample on the exceptional set is pushed off the real axis by a seeded
     perturbation, at most _PERTURB_RETRIES times, one sample at a time in
@@ -443,9 +437,11 @@ def _projection_arc(
     """
     if samples < 1:
         raise ValueError("samples must be positive")
-    chunk = _path_chunk(p.spec)
-    ip, (v_p, w_p), (v_q, w_q) = _shared_minimal_ideal(p, q, tol)
+    _path_chunk(p.spec)
+    _require_budget(f"the grid of {samples} path samples", samples * np.dtype(float).itemsize)
+    ip, (v_p, w_p), (v_q, w_q), residuals = _shared_minimal_ideal(p, q, tol)
     n = p.spec.block_dims[ip]
+    chunk = _path_chunk(AlgebraSpec((n,)))
     ends = {0: p.blocks[ip]} if samples == 1 else {0: p.blocks[ip], samples - 1: q.blocks[ip]}
 
     def sample_at(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -484,4 +480,4 @@ def _projection_arc(
                 stack[j] = retry[0]
             yield stack
 
-    return ip, stacks()
+    return ip, residuals, stacks()

@@ -259,11 +259,10 @@ def _cmd_path(config: CliConfig) -> dict:
         rng = np.random.default_rng(config.seed)
         p = random_rank_one_projection(spec, 0, rng)
         q = random_rank_one_projection(spec, 0, rng)
-    samples = min(config.samples, 1000)
-    ip, stacks = _projection_arc(p, q, samples, config.tol, config.seed)
-    # the endpoint samples are checked whole: entries outside block ip, below
-    # the rank threshold, still count in the residual
-    worst_idem = max(frobenius(multiply(x, x) - x) for x in ((p, q) if samples > 1 else (p,)))
+    ip, residuals, stacks = _projection_arc(p, q, config.samples, config.tol, config.seed)
+    # the endpoints' residuals are of the whole elements, so entries outside
+    # block ip still count; q is a sample only when there are two or more
+    worst_idem = max(residuals[: config.samples])
     count, worst_defect, start_exact = 0, 0, None
     for stack in stacks:
         if start_exact is None:
@@ -271,7 +270,7 @@ def _cmd_path(config: CliConfig) -> dict:
         count += len(stack)
         idem, defect = _check_path_stack(stack, config.tol)
         worst_idem, worst_defect = max(worst_idem, idem), max(worst_defect, defect)
-    end_exact = (stack[-1] == q.blocks[ip]).all()
+    end_exact = count == 1 or (stack[-1] == q.blocks[ip]).all()
     return {
         "samples": count,
         "max_idempotency_residual": worst_idem,

@@ -29,14 +29,6 @@ class ContourTooTight(AlgebraError):
     """Neighbouring spectral values are too close to separate by a circle."""
 
 
-class NotRankOne(AlgebraError):
-    """Input was required to have spectral rank one."""
-
-
-class ZeroElement(AlgebraError):
-    """Input was required to be nonzero."""
-
-
 class NotAProjection(AlgebraError):
     """Input fails the idempotency check."""
 

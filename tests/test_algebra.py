@@ -22,11 +22,9 @@ from shoda.errors import (
     DifferentMinimalIdeal,
     NoSuchSpectralValue,
     NotAProjection,
-    NotRankOne,
     PathDegenerate,
     ShapeMismatch,
     TooLarge,
-    ZeroElement,
 )
 from shoda.sampling import random_element, random_rank_one_projection
 
@@ -277,9 +275,9 @@ def test_riesz_equals_the_eigenvector_projection(dims):
 
 def test_minimal_ideal_index_rejections(spec23):
     two_blocks = spec23.matrix_unit(0, 0, 0) + spec23.matrix_unit(1, 0, 0)
-    with pytest.raises(NotRankOne):
+    with pytest.raises(NotAProjection, match="rank is 2, need 1"):
         _rank_one_block(_block_ranks(two_blocks.blocks, 1e-9))
-    with pytest.raises(ZeroElement):
+    with pytest.raises(NotAProjection, match="rank is 0, need 1"):
         _rank_one_block(_block_ranks(spec23.zero().blocks, 1e-9))
 
 
@@ -292,9 +290,10 @@ def test_minimal_ideal_index_at_large_tol(dims):
     assert _rank_one_block(_block_ranks(p.blocks, 0.5)) == last
 
 
-@pytest.mark.parametrize("dims", [(64,), (64, 3)])
+@pytest.mark.parametrize("dims", [(64,), (64, 3), (2,) * 50])
 def test_endpoints_take_one_svd_per_block(dims, monkeypatch):
-    # each endpoint is checked, located and split from one SVD per block
+    # each endpoint is checked, located and split from one SVD per nonzero
+    # block; both endpoints lie in block 0, and every other block is zero
     spec = AlgebraSpec(dims)
     rng = np.random.default_rng(5)
     p, q = (random_rank_one_projection(spec, 0, rng) for _ in range(2))
@@ -306,7 +305,7 @@ def test_endpoints_take_one_svd_per_block(dims, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     projection_path(p, q, 5)
-    assert len(calls) == 2 * len(dims)
+    assert calls == [(dims[0], dims[0])] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -466,21 +465,22 @@ def test_path_chunks_stay_small():
 
 @pytest.mark.parametrize("dims", [(2,), (2, 30)])
 def test_stacked_projection_path_equals_the_sample_loop(dims):
-    # on (2, 30) a chunk holds 9 samples, so t = 1/2 of 19 samples, which is
-    # on the exceptional set, is the first sample of the second chunk
+    # stacks are sized by the arc's 2 x 2 block, so t = 1/2 of 2 chunk + 1
+    # samples, which is on the exceptional set, is the first sample of the
+    # second chunk
     spec = AlgebraSpec(dims)
-    chunk = shoda.algebra._path_chunk(spec)
+    chunk = shoda.algebra._path_chunk(AlgebraSpec((2,)))
     p, q = _exceptional_endpoints(spec)
     rng = np.random.default_rng(3)
     r, s = random_rank_one_projection(spec, 0, rng), random_rank_one_projection(spec, 0, rng)
-    for samples in sorted({1, 2, 3, 5, chunk, chunk + 1, 2 * chunk + 1}):
+    for samples in (1, 2, 3, 5, chunk, chunk + 1, 2 * chunk + 1):
         for start, end in ((p, q), (r, s)):
             _assert_same_arcs(
                 projection_path(start, end, samples, seed=5),
                 _loop_projection_path(start, end, samples, seed=5),
             )
-    if len(dims) == 2:
-        assert chunk == 9
+    _, _, stacks = shoda.algebra._projection_arc(p, q, 2 * chunk + 1, 1e-9, 5)
+    assert [len(stack) for stack in stacks] == [chunk, chunk, 1]
 
 
 def _block_projections(spec, block, rng):
@@ -506,14 +506,15 @@ def test_projection_path_in_the_last_block_equals_the_sample_loop():
 
 
 def test_projection_arc_stacks_only_the_arc_block():
-    # one (chunk, 2, 2) stack per chunk, none for the other 49 blocks
+    # one stack of the 2 x 2 block holds all 1000 samples, sized by that
+    # block and not by the 50 blocks of the algebra; the residuals are the
+    # endpoints' own
     spec = AlgebraSpec((2,) * 50)
     p, q = _block_projections(spec, 7, np.random.default_rng(7))
-    ip, stacks = shoda.algebra._projection_arc(p, q, 1000, 1e-9, 0)
+    ip, residuals, stacks = shoda.algebra._projection_arc(p, q, 1000, 1e-9, 0)
     assert ip == 7
-    shapes = [stack.shape for stack in stacks]
-    assert len(shapes) > 1 and sum(s[0] for s in shapes) == 1000
-    assert all(s[1:] == (2, 2) for s in shapes)
+    assert residuals == [frobenius(multiply(x, x) - x) for x in (p, q)]
+    assert [stack.shape for stack in stacks] == [(1000, 2, 2)]
 
 
 # ---------------------------------------------------------------------------

@@ -260,6 +260,31 @@ def test_path_command(spec23_file):
     assert report["endpoints_exact"] is True
 
 
+def test_path_with_one_sample_reports_exact_endpoints(spec23_file):
+    # the one sample is p; q is not on a one-sample path
+    code, report = run(CliConfig(command="path", spec_path=spec23_file, samples=1))
+    assert code == 0
+    assert report["samples"] == 1
+    assert report["max_rank_defect"] == 0
+    assert report["endpoints_exact"] is True
+
+
+def test_path_takes_every_sample_asked_for(spec23_file):
+    code, report = run(CliConfig(command="path", spec_path=spec23_file, samples=1500, seed=7))
+    assert code == 0
+    spec = shoda.algebra.AlgebraSpec((2, 3))
+    rng = np.random.default_rng(7)
+    p = shoda.cli.random_rank_one_projection(spec, 0, rng)
+    q = shoda.cli.random_rank_one_projection(spec, 0, rng)
+    assert report == _loop_path_report(shoda.algebra.projection_path(p, q, 1500, 1e-9, seed=7))
+
+
+def test_path_grid_over_the_budget_is_exit_one(spec23_file, capsys):
+    # 2**26 parameters of 8 bytes each are refused before any is drawn
+    assert main(["path", spec23_file, "--samples", str(2**26)]) == 1
+    assert _strict_json(capsys.readouterr().out)["error"] == "TooLarge"
+
+
 def test_path_at_large_tol_finds_the_arc(tmp_path):
     # no entry of the seeded endpoints exceeds half their norm; their block
     # is still found, and --tol, the rank cut, does not make the arc's
