@@ -391,8 +391,9 @@ def _shared_minimal_ideal(p: Element, q: Element, tol: float):
 
 
 def _path_chunk(spec: AlgebraSpec) -> int:
-    """Samples per stack of a path; raises TooLarge, before anything is
-    drawn, when the working set of one sample exceeds the memory budget."""
+    """Samples per stack of a path in a one-block spec; raises TooLarge,
+    before anything is drawn, when the working set of one sample of the
+    whole spec exceeds the memory budget."""
     sample_bytes = _PATH_ARRAYS * spec.dim * _COMPLEX_BYTES
     _require_budget(f"one path sample of {spec.block_dims}", sample_bytes)
     return _chunk_size(sample_bytes)
@@ -428,8 +429,8 @@ def _projection_arc(
     """The samples of projection_path on linspace(0, 1, samples) in the block
     ip of the endpoints' minimal ideal, every other block being zero: returns
     ip, the idempotency residuals of p and q, and the samples' ip blocks as
-    stacks of at most _path_chunk samples of that n x n block, the sample
-    index first.  The endpoints' ip blocks are exactly as given.
+    stacks of that n x n block, the sample index first, each of about
+    _CHUNK_BYTES of working set.  The endpoints' ip blocks are exactly as given.
 
     A sample on the exceptional set is pushed off the real axis by a seeded
     perturbation, at most _PERTURB_RETRIES times, one sample at a time in
@@ -437,11 +438,10 @@ def _projection_arc(
     """
     if samples < 1:
         raise ValueError("samples must be positive")
-    _path_chunk(p.spec)
-    _require_budget(f"the grid of {samples} path samples", samples * np.dtype(float).itemsize)
+    _path_chunk(p.spec)  # the guard alone: TooLarge before the endpoints are read
     ip, (v_p, w_p), (v_q, w_q), residuals = _shared_minimal_ideal(p, q, tol)
     n = p.spec.block_dims[ip]
-    chunk = _path_chunk(AlgebraSpec((n,)))
+    chunk = _chunk_size(_PATH_ARRAYS * n * n * _COMPLEX_BYTES)
     ends = {0: p.blocks[ip]} if samples == 1 else {0: p.blocks[ip], samples - 1: q.blocks[ip]}
 
     def sample_at(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -462,16 +462,17 @@ def _projection_arc(
 
     def stacks() -> Iterator[np.ndarray]:
         rng = np.random.default_rng(seed)
-        grid = np.linspace(0.0, 1.0, samples)
+        step = 1.0 / max(samples - 1, 1)  # linspace's; the last sample is q as given
         for lo in range(0, samples, chunk):
-            stack, ok = sample_at(grid[lo : lo + chunk])
+            grid = np.arange(lo, min(lo + chunk, samples)) * step
+            stack, ok = sample_at(grid)
             for s_idx, m in ends.items():
                 if lo <= s_idx < lo + chunk:
                     ok[s_idx - lo] = True
                     stack[s_idx - lo] = m
             for j in np.flatnonzero(~ok):
                 for _ in range(_PERTURB_RETRIES):
-                    t = grid[lo + j] + 1j * (rng.uniform(0.05, 0.5) / samples)
+                    t = grid[j] + 1j * (rng.uniform(0.05, 0.5) / samples)
                     retry, retry_ok = sample_at(np.array([t]))
                     if retry_ok[0]:
                         break

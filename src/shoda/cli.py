@@ -59,8 +59,8 @@ class CliConfig:
     dump_table: bool = False
 
     def __post_init__(self):
-        if not 0 < self.tol < np.inf:  # also refuses nan
-            raise ValueError("tol must be finite and positive")
+        if not 0 < self.tol < 1:  # also refuses nan; from 1 on every rank is 0
+            raise ValueError("tol must be above 0 and below 1")
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
 

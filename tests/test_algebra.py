@@ -467,7 +467,7 @@ def test_path_chunks_stay_small():
 def test_stacked_projection_path_equals_the_sample_loop(dims):
     # stacks are sized by the arc's 2 x 2 block, so t = 1/2 of 2 chunk + 1
     # samples, which is on the exceptional set, is the first sample of the
-    # second chunk
+    # second chunk; the grid, made one stack at a time, is the loop's linspace
     spec = AlgebraSpec(dims)
     chunk = shoda.algebra._path_chunk(AlgebraSpec((2,)))
     p, q = _exceptional_endpoints(spec)

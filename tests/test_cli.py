@@ -279,10 +279,12 @@ def test_path_takes_every_sample_asked_for(spec23_file):
     assert report == _loop_path_report(shoda.algebra.projection_path(p, q, 1500, 1e-9, seed=7))
 
 
-def test_path_grid_over_the_budget_is_exit_one(spec23_file, capsys):
-    # 2**26 parameters of 8 bytes each are refused before any is drawn
-    assert main(["path", spec23_file, "--samples", str(2**26)]) == 1
-    assert _strict_json(capsys.readouterr().out)["error"] == "TooLarge"
+@pytest.mark.parametrize("command", ["check", "info"])
+def test_tol_of_one_is_exit_two(spec23_file, command, capsys):
+    # at tol 1 no matrix unit has rank 1, and the commands that take no
+    # element used to fail inside the rank-one check
+    assert main([command, spec23_file, "--tol", "1"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
 
 
 def test_path_at_large_tol_finds_the_arc(tmp_path):
