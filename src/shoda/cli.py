@@ -228,10 +228,14 @@ def _cmd_riesz(config: CliConfig) -> dict:
     return {"projections": out}
 
 
+# the isometry check of `norm-audit` takes at most this many samples
+_ISOMETRY_SAMPLES = 200
+
+
 def _cmd_norm_audit(config: CliConfig) -> dict:
     spec = _load_spec(config)
     audit = submultiplicativity_audit(spec, config.samples, config.seed)
-    deviation = isometry_check(spec, min(config.samples, 200), config.seed)
+    deviation = isometry_check(spec, min(config.samples, _ISOMETRY_SAMPLES), config.seed)
     return {
         "worst_ratio": audit.worst_ratio,
         "isometry_dev": deviation,
@@ -335,7 +339,10 @@ def _build_parser() -> argparse.ArgumentParser:
                              help='JSON file with "p" and "q" endpoint elements')
         cmd.add_argument("--tol", type=float, default=CliConfig.tol)
         cmd.add_argument("--seed", type=int, default=CliConfig.seed)
-        cmd.add_argument("--samples", type=int, default=CliConfig.samples)
+        cmd.add_argument("--samples", type=int, default=CliConfig.samples, help=(
+            f"samples of the submultiplicativity audit; the isometry check "
+            f"draws min(samples, {_ISOMETRY_SAMPLES}) of its own"
+            if name == "norm-audit" else None))
         cmd.add_argument("-o", "--output", dest="output_path", default=None)
         if name == "decompose":
             cmd.add_argument("--in-completion", action="store_true", dest="in_completion")

@@ -18,8 +18,10 @@ import numpy as np
 
 from .algebra import (
     _COMPLEX_BYTES,
+    _GRAM_MAX_SIDE,
     AlgebraSpec,
     _chunk_size,
+    _gram_eigenvalues,
     _require_budget,
     _shape_stacks,
     block_operator_norm,
@@ -35,25 +37,61 @@ A_NORM_MODEL = "max-block-operator-norm"
 # norms) plus 2000 bytes per ordered block pair for the array objects of the
 # coordinate dicts.  A child process's peak RSS (getrusage, one BLAS thread),
 # the interpreter included, on one-sample audits at the largest admitted
-# sizes: 206 MiB at (1182,), 208 MiB at (591, 591), 209 MiB at (394, 394,
-# 394), 208 MiB at (30,) * 39, 225 MiB at (10,) * 112, 213 MiB at (2,) * 311
-# and 212 MiB at (1,) * 349.  At 1200 bytes per pair (1,) * 439 was admitted
+# sizes: 206 MiB at (1182,), 209 MiB at (591, 591), 210 MiB at (394, 394,
+# 394), 209 MiB at (30,) * 39, 226 MiB at (10,) * 112, 221 MiB at (2,) * 311
+# and 215 MiB at (1,) * 349.  At 1200 bytes per pair (1,) * 439 was admitted
 # and peaked at 365 MiB.
 _AUDIT_ARRAYS = 12
 _PAIR_BYTES = 2000
+
+
+# Relative error allowed to the nuclear norm of a block taken from its Gram
+# eigenvalues; a block whose rounding bound exceeds it takes the SVD.
+_GRAM_RTOL = 1e-12
 
 
 def pair_nuclear_norm(m: np.ndarray) -> np.floating | np.ndarray:
     """Sum of singular values, the projective norm between Euclidean factors.
 
     Leading axes of m, if any, index a stack of matrices, one norm each.
+    The sum is taken as sum_i sqrt(lam_i) over the eigenvalues of the
+    matrix's Gram G where a rounding bound allows it: an eigenvalue is taken
+    to be within eps = (max(m, n) + 2 min(m, n)) u tr(G) of the exact one
+    (Weyl, with the Gram's rounding bound, Higham, Accuracy and Stability of
+    Numerical Algorithms, 3.5 and 3.6, and 2 min(m, n) u tr(G) for the
+    backward error of eigvalsh, for which LAPACK states only a modest p(n)),
+    so its root is within min(sqrt(eps), eps / sigma_i), and the sum of
+    these must stay within _GRAM_RTOL of the norm.  The bound is a heuristic,
+    checked against the SVD in the tests up to the shape cuts below.  The
+    matrices that fail it, rank-deficient or ill-conditioned ones, take one
+    SVD call between them, and so does a stack whose matrices' shorter side
+    exceeds _GRAM_MAX_SIDE.
     """
-    return np.sum(np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False), axis=-1)
+    m = np.asarray(m, dtype=complex)
+    k, long = sorted(m.shape[-2:])
+    width = (long + 2 * k) * 2.0**-53  # eps / tr(G)
+    # sum_i sigma_i <= sqrt(k tr G) and each root's bound is at least
+    # eps / sigma_1 >= width sqrt(tr G), so with sqrt(k) width above
+    # _GRAM_RTOL no matrix of this shape but 0 meets the bound
+    if k > _GRAM_MAX_SIDE or np.sqrt(k) * width > _GRAM_RTOL:
+        return np.sum(np.linalg.svd(m, compute_uv=False), axis=-1)
+    flat = m.reshape(-1, *m.shape[-2:])
+    lam, exp = _gram_eigenvalues(flat)
+    sigma = np.sqrt(lam)
+    norms = np.sum(sigma, axis=-1)
+    eps = width * np.sum(lam, axis=-1)
+    root = np.sqrt(eps)[:, None]
+    err = np.divide(eps[:, None], np.maximum(sigma, root), out=np.zeros_like(sigma), where=root > 0)
+    loose = np.sum(err, axis=-1) > _GRAM_RTOL * norms
+    norms = np.ldexp(norms, exp)
+    if loose.any():
+        norms[loose] = np.sum(np.linalg.svd(flat[loose], compute_uv=False), axis=-1)
+    return norms.reshape(m.shape[:-2])[()]
 
 
 def _nuclear_norms(terms: dict) -> np.ndarray:
     """Nuclear norm of every coordinate block, in key order along the last
-    axis, from one SVD call per block shape (stacks allowed)."""
+    axis, from one pair_nuclear_norm call per block shape (stacks allowed)."""
     mats = list(terms.values())
     if not mats:
         return np.zeros(0)
@@ -224,7 +262,9 @@ def isometry_check(spec: AlgebraSpec, samples: int = 100, seed: int = 42) -> flo
         count = min(chunk, samples - start)
         x = _draw_stacks(rng, count, shapes)
         nx = block_operator_norm(x)
-        image = block_operator_norm([_assemble(spec.block_dims, x, {})])
+        # the image by LAPACK's SVD, so that the check also compares the
+        # Gram route of block_operator_norm with an independent one
+        image = np.linalg.svd(_assemble(spec.block_dims, x, {}), compute_uv=False)[..., 0]
         gap = np.abs(image - nx) / np.maximum(nx, 1e-300)
         worst = max(worst, float(np.max(gap)))
     return worst

@@ -134,6 +134,16 @@ def test_spectrum_is_scale_invariant(spec23):
     assert [m for _, m in scaled.nonzero] == [m for _, m in expected.nonzero]
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_spectrum_keeps_values_at_the_ends_of_the_range(scale):
+    # the merge radius is tol times the operator norm, from a Gram that must
+    # neither overflow nor underflow on finite entries
+    a = AlgebraSpec((1,)).from_blocks([np.array([[scale]])])
+    assert largest_singular_value(a) == scale
+    assert spectrum(a).nonzero == ((scale, 1),)
+    assert allclose(riesz_projection(a, scale), a.spec.identity())
+
+
 def test_nonzero_spectrum_invariant_under_swap(spec23):
     # sigma'(xy) = sigma'(yx) as multisets
     rng = np.random.default_rng(99)
@@ -461,6 +471,16 @@ def test_path_chunks_stay_small():
     for dims in [(1449,), (30000,), (1100, 1100)]:
         with pytest.raises(TooLarge):
             shoda.algebra._path_chunk(AlgebraSpec(dims))
+
+
+def test_path_budget_counts_each_block():
+    # many tiny blocks cost per block, not per entry: 1000 bytes a block on
+    # top of 8 complex entries per coordinate admits (1,) * 237974 and
+    # (2,) * 177536, and not one block more
+    for n, most in ((1, 237974), (2, 177536)):
+        assert shoda.algebra._path_chunk(AlgebraSpec((n,) * most)) >= 1
+        with pytest.raises(TooLarge):
+            shoda.algebra._path_chunk(AlgebraSpec((n,) * (most + 1)))
 
 
 @pytest.mark.parametrize("dims", [(2,), (2, 30)])

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+import shoda.algebra
 import shoda.norms
 from shoda import AlgebraSpec, a_norm, b_norm, isometry_check, pair_nuclear_norm
 from shoda import submultiplicativity_audit
-from shoda.algebra import Element, multiply
+from shoda.algebra import Element, block_operator_norm, multiply
 from shoda.completion import extension_to_matrix, matrix_to_extension
 from shoda.errors import TooLarge
 from shoda.norms import A_NORM_MODEL, NormAudit, _audit_chunk, _ratio
@@ -52,6 +53,102 @@ def test_nuclear_dominates_operator_norm(rng):
     m1 = np.outer(rng.normal(size=3), rng.normal(size=2))
     svals = np.linalg.svd(m1, compute_uv=False)
     assert abs(pair_nuclear_norm(m1) - svals[0]) < 1e-12 * svals[0]
+
+
+# ---------------------------------------------------------------------------
+# Gram eigenvalues against an SVD oracle
+
+# the last four lie just inside the shape cuts of pair_nuclear_norm, where
+# the Gram's rounding error is largest; 16 x 16 takes the SVD
+ORACLE_SHAPES = [(1, 6), (6, 1), (2, 2), (4, 4), (5, 3), (3, 5), (16, 16),
+                 (10, 10), (10, 2828), (1, 9000), (9000, 1)]
+ORACLE_KINDS = ["gaussian", "rank_deficient", "ill_conditioned", "zero"]
+
+
+def _cmatrix(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _oracle_matrix(kind, shape, rng):
+    r, c = shape
+    k = min(r, c)
+    if kind == "gaussian":
+        return _cmatrix(rng, shape)
+    if kind == "rank_deficient":  # a thin product, of rank k // 2 (one for a vector)
+        return _cmatrix(rng, (r, max(1, k // 2))) @ _cmatrix(rng, (max(1, k // 2), c))
+    if kind == "ill_conditioned":  # singular values from 1 down to 1e-9 exactly by construction
+        u, _ = np.linalg.qr(_cmatrix(rng, (r, k)))
+        v, _ = np.linalg.qr(_cmatrix(rng, (c, k)))
+        return (u * np.geomspace(1.0, 1e-9, k)) @ v.conj().T
+    return np.zeros(shape, dtype=complex)
+
+
+@pytest.mark.parametrize("shape", ORACLE_SHAPES)
+@pytest.mark.parametrize("kind", ORACLE_KINDS)
+def test_norms_agree_with_the_svd(kind, shape, monkeypatch):
+    rng = np.random.default_rng([ORACLE_KINDS.index(kind), *shape])
+    stack = np.array([_oracle_matrix(kind, shape, rng) for _ in range(8)])
+    svals = np.linalg.svd(stack, compute_uv=False)
+    top = block_operator_norm([stack])
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda m, **kw: calls.append(len(m)) or svd(m, **kw))
+    nuclear = pair_nuclear_norm(stack)
+    assert np.all(np.abs(nuclear - svals.sum(axis=-1)) <= 1e-12 * svals.sum(axis=-1))
+    assert np.all(np.abs(top - svals[:, 0]) <= 1e-14 * svals[:, 0])
+    if kind == "zero":
+        assert np.all(nuclear == 0.0) and np.all(top == 0.0)
+    # a matrix with a zero or tiny singular value takes the SVD, unless its
+    # Gram is of order 1, whose one eigenvalue is the squared Frobenius norm
+    if min(shape) == 1:
+        assert calls == []
+    elif kind in ("rank_deficient", "ill_conditioned"):
+        assert calls == [len(stack)]
+    # alone or in a stack, a matrix gets the same norms
+    assert [pair_nuclear_norm(m) for m in stack] == nuclear.tolist()
+    assert [block_operator_norm([m]) for m in stack] == top.tolist()
+
+
+def test_shapes_past_the_cuts_take_the_svd(monkeypatch):
+    # sqrt(k) (long + 2 k) u exceeds 1e-12 from 1 x 9006 and from 10 x 2829
+    # on, and a block whose shorter side exceeds 10 takes the SVD anyway
+    rng = np.random.default_rng(4)
+    gram, seen = shoda.norms._gram_eigenvalues, []
+    monkeypatch.setattr(shoda.norms, "_gram_eigenvalues", lambda m: seen.append(m.shape[-2:]) or gram(m))
+    monkeypatch.setattr(shoda.algebra, "_gram_eigenvalues", lambda m: seen.append(m.shape[-2:]) or gram(m))
+    for shape in [(1, 9005), (1, 9006), (10, 2828), (10, 2829), (10, 10), (11, 11)]:
+        m = _cmatrix(rng, shape)
+        svals = np.linalg.svd(m, compute_uv=False)
+        assert abs(pair_nuclear_norm(m) - svals.sum()) <= 1e-12 * svals.sum()
+    assert seen == [(1, 9005), (10, 2828), (10, 10)]
+    seen.clear()
+    for shape in [(10, 10), (11, 11), (11, 30)]:
+        m = _cmatrix(rng, shape)
+        assert abs(block_operator_norm([m]) - np.linalg.norm(m, 2)) <= 1e-14 * np.linalg.norm(m, 2)
+    assert seen == [(10, 10)]
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_norms_agree_with_the_svd_at_the_ends_of_the_range(scale):
+    # each matrix is scaled by a power of two before its Gram is formed,
+    # whose entries would otherwise overflow or underflow; half the stack
+    # is of order 1, and scaling with its chunk changes none of its bits
+    stack = _cmatrix(np.random.default_rng(9), (8, 4, 5))
+    stack[::2] *= scale
+    svals = np.linalg.svd(stack, compute_uv=False)
+    nuclear, top = pair_nuclear_norm(stack), block_operator_norm([stack])
+    assert np.all(np.abs(nuclear - svals.sum(axis=-1)) <= 1e-12 * svals.sum(axis=-1))
+    assert np.all(np.abs(top - svals[:, 0]) <= 1e-14 * svals[:, 0])
+    assert [pair_nuclear_norm(m) for m in stack] == nuclear.tolist()
+    assert [block_operator_norm([m]) for m in stack] == top.tolist()
+    x = Element(AlgebraSpec((4,)), (stack[0, :, :4],))
+    assert abs(a_norm(x) - np.linalg.norm(x.blocks[0], 2)) <= 1e-14 * a_norm(x)
+
+
+def test_exact_norms_stay_exact(spec23):
+    assert pair_nuclear_norm(np.diag([3.0, 4.0])) == 7.0
+    assert block_operator_norm([np.diag([3.0, -4.0])]) == 4.0
+    assert a_norm(spec23.identity()) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +206,27 @@ def test_equality_case_ratio_is_one(spec23):
     prod = multiply_B(x, y)
     assert b_norm(prod).total == 1.0
     assert b_norm(x).total * b_norm(y).total == 1.0
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (1, 2, 2)])
+def test_each_family_reaches_ratio_one(dims):
+    # every family's supremum is 1, reached by these pairs; a mis-scaled norm
+    # that stays submultiplicative passes a random audit but not these: a
+    # doubled tensor part reads 1/4 on the unit tensors, a doubled algebra
+    # norm 1/2 on the mixed pairs
+    spec = AlgebraSpec(dims)
+    one = BElement(spec.identity(), aj_zero(spec))
+    tensors = [BElement(spec.zero(), random_aj(spec, np.random.default_rng(3))),
+               BElement(spec.zero(), tensor_unit(spec, 0, 1, 0, 0))]
+    for u in tensors:
+        u_l1 = b_norm(u).u_l1
+        assert abs(b_norm(multiply_B(u, one)).u_l1 / (u_l1 * a_norm(one.a)) - 1) <= 1e-12
+        assert abs(b_norm(multiply_B(one, u)).u_l1 / (u_l1 * a_norm(one.a)) - 1) <= 1e-12
+    u = BElement(spec.zero(), tensor_unit(spec, 0, 1, 0, 0))
+    v = BElement(spec.zero(), tensor_unit(spec, 1, 0, 0, 0))
+    uv = b_norm(multiply_B(u, v)).total / (b_norm(u).u_l1 * b_norm(v).u_l1)
+    assert abs(uv - 1) <= 1e-12
+    assert abs(b_norm(multiply_B(one, one)).total / b_norm(one).total ** 2 - 1) <= 1e-12
 
 
 def test_b_norm_does_not_depend_on_how_the_element_was_built():
