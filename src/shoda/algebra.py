@@ -14,6 +14,9 @@ concurrent use is safe.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -50,15 +53,13 @@ _COMPLEX_BYTES = np.dtype(complex).itemsize  # the unit of the working-set model
 _CHUNK_BYTES = 2**20
 # Working set of a path in complex entries: per coordinate of the algebra for
 # the endpoints, their checks and SVDs, and per entry of the arc's block for
-# each sample of a stack; plus bytes per block of the algebra for the
-# endpoints' block arrays and the per-block temporaries of their checks.  A
-# child process's peak RSS (getrusage, one BLAS thread) over start-up with
-# two samples gives 8.4 entries per coordinate on [1448] (269 MB), and on
-# many tiny blocks, net of 8 entries per coordinate, 900 bytes per block on
-# (2,) * 50000, 730 on (2,) * 100000 and 880 on (1,) * 200000; (1,) * 237974,
-# the most blocks of 1 admitted, peaks 229 MiB over start-up.
+# each sample of a stack.  A child process's peak RSS (wait4, one BLAS
+# thread) over start-up with two samples gives 8.4 entries per coordinate on
+# [1448] (269 MB).  Blocks cost nothing beyond their entries: two random
+# endpoints and two samples peak at 148 MiB on (1,) * 2097152 and 113 MiB on
+# (2,) * 524288, the most blocks of 1 and of 2 admitted, the interpreter
+# included.
 _PATH_ARRAYS = 8
-_PATH_BLOCK_BYTES = 1000
 
 
 def _require_budget(what: str, nbytes: int):
@@ -100,20 +101,45 @@ class AlgebraSpec:
         """Side length of the single matrix block the extension identifies with."""
         return sum(self.block_dims)
 
+    def describe(self) -> str:
+        """The block sizes, or for many blocks their count, N and dim."""
+        if self.num_blocks <= 8:
+            return str(self.block_dims)
+        return f"{self.num_blocks} blocks (N = {self.matrix_size}, dim = {self.dim})"
+
+    @functools.cached_property
+    def runs(self) -> tuple[tuple[int, int, int, int], ...]:
+        """The consecutive runs of equal block sizes, each as (first block,
+        block count, block size, place of its first coordinate)."""
+        runs, first, start = [], 0, 0
+        for n, group in itertools.groupby(self.block_dims):
+            runs.append((first, count := len(list(group)), n, start))
+            first, start = first + count, start + count * n * n
+        return tuple(runs)
+
+    def run_views(self, vector: np.ndarray) -> tuple[np.ndarray, ...]:
+        """One (count, n, n) view of a coordinate vector per run."""
+        return tuple(vector[o : o + c * n * n].reshape(c, n, n) for _, c, n, o in self.runs)
+
+    def offset(self, block: int) -> int:
+        """Place of the first coordinate of a block in an element's vector."""
+        first, _, n, start = next(run for run in self.runs if block < run[0] + run[1])
+        return start + (block - first) * n * n
+
     def zero(self) -> "Element":
-        return Element(self, tuple(np.zeros((n, n), dtype=complex) for n in self.block_dims))
+        return Element(self, vector=np.zeros(self.dim, dtype=complex))
 
     def identity(self) -> "Element":
-        return Element(self, tuple(np.eye(n, dtype=complex) for n in self.block_dims))
+        vector = np.zeros(self.dim, dtype=complex)
+        for _, count, n, start in self.runs:
+            vector[start : start + count * n * n].reshape(count, n * n)[:, :: n + 1] = 1.0
+        return Element(self, vector=vector)
 
     def matrix_unit(self, block: int, row: int, col: int) -> "Element":
         """The element that is E_{row,col} in the given block and zero elsewhere."""
-        n = self.block_dims[block]
-        m = np.zeros((n, n), dtype=complex)
-        m[row, col] = 1.0
-        blocks = [np.zeros((d, d), dtype=complex) for d in self.block_dims]
-        blocks[block] = m
-        return Element(self, tuple(blocks))
+        vector = np.zeros(self.dim, dtype=complex)
+        vector[self.offset(block) + row * self.block_dims[block] + col] = 1.0
+        return Element(self, vector=vector)
 
     def canonical_projections(self) -> tuple["Element", ...]:
         """One rank-one projection per block: the first diagonal matrix unit."""
@@ -126,28 +152,40 @@ class AlgebraSpec:
                 for l in range(n):
                     yield self.matrix_unit(i, k, l)
 
-    def from_blocks(self, blocks: Sequence[np.ndarray]) -> "Element":
-        return Element(self, tuple(np.asarray(b, dtype=complex) for b in blocks))
 
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Element:
-    """A member of a block algebra: one complex matrix per block."""
+    """A member of a block algebra: one complex matrix per block, held as one
+    read-only coordinate vector, block by block, each block row-major.
+    blocks and runs are views of it: each block, and each run of equal
+    blocks as (count, n, n)."""
 
     spec: AlgebraSpec
-    blocks: tuple[np.ndarray, ...]
+    vector: np.ndarray
 
-    def __post_init__(self):
-        if len(self.blocks) != self.spec.num_blocks:
-            raise ValueError("block count does not match the algebra")
-        frozen = []
-        for mat, n in zip(self.blocks, self.spec.block_dims):
-            arr = np.array(mat, dtype=complex)
-            if arr.shape != (n, n):
-                raise ValueError(f"block of shape {arr.shape}, expected ({n}, {n})")
-            arr.setflags(write=False)
-            frozen.append(arr)
-        object.__setattr__(self, "blocks", tuple(frozen))
+    def __init__(self, spec: AlgebraSpec, blocks: Sequence[np.ndarray] = (), vector=None):
+        """The element with these blocks, copied into one vector, or with this
+        complex coordinate vector, kept without a copy."""
+        if vector is None:
+            shapes = [np.shape(m) for m in blocks]
+            if shapes != [(n, n) for n in spec.block_dims]:
+                raise ValueError(f"blocks of shapes {shapes} for the blocks of {spec.describe()}")
+            vector = np.concatenate([np.ravel(m) for m in blocks], dtype=complex)
+        vector.setflags(write=False)
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "vector", vector)
+
+    @functools.cached_property
+    def runs(self) -> tuple[np.ndarray, ...]:
+        return self.spec.run_views(self.vector)
+
+    @functools.cached_property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        return tuple(m for run in self.runs for m in run)
+
+    def block(self, i: int) -> np.ndarray:
+        n, start = self.spec.block_dims[i], self.spec.offset(i)
+        return self.vector[start : start + n * n].reshape(n, n)
 
     def _require_same_spec(self, other: "Element"):
         if self.spec != other.spec:
@@ -155,50 +193,35 @@ class Element:
 
     def __add__(self, other: "Element") -> "Element":
         self._require_same_spec(other)
-        return Element(self.spec, tuple(a + b for a, b in zip(self.blocks, other.blocks)))
+        return Element(self.spec, vector=self.vector + other.vector)
 
     def __sub__(self, other: "Element") -> "Element":
         self._require_same_spec(other)
-        return Element(self.spec, tuple(a - b for a, b in zip(self.blocks, other.blocks)))
+        return Element(self.spec, vector=self.vector - other.vector)
 
     def __neg__(self) -> "Element":
-        return Element(self.spec, tuple(-a for a in self.blocks))
+        return Element(self.spec, vector=-self.vector)
 
     def __mul__(self, other):
         if isinstance(other, Element):
             return multiply(self, other)
-        return Element(self.spec, tuple(complex(other) * a for a in self.blocks))
+        return Element(self.spec, vector=complex(other) * self.vector)
 
     def __rmul__(self, scalar) -> "Element":
-        return Element(self.spec, tuple(complex(scalar) * a for a in self.blocks))
+        return Element(self.spec, vector=complex(scalar) * self.vector)
 
 
 def multiply(a: Element, b: Element) -> Element:
-    """Blockwise matrix product, the algebra multiplication."""
+    """Blockwise matrix product, the algebra multiplication: one matmul per run."""
     a._require_same_spec(b)
-    return Element(a.spec, tuple(x @ y for x, y in zip(a.blocks, b.blocks)))
+    out = np.empty(a.spec.dim, dtype=complex)
+    for x, y, z in zip(a.runs, b.runs, a.spec.run_views(out)):
+        np.matmul(x, y, out=z)
+    return Element(a.spec, vector=out)
 
 
 def commutator(a: Element, b: Element) -> Element:
     return multiply(a, b) - multiply(b, a)
-
-
-def frobenius(a: Element) -> float:
-    """Frobenius norm across all blocks."""
-    return float(np.sqrt(sum(np.sum(np.abs(m) ** 2) for m in a.blocks)))
-
-
-def _shape_stacks(mats: list) -> list[tuple[list[int], np.ndarray]]:
-    """The matrices stacked by shape along a new first axis, one stack per
-    shape in order of first appearance, each with the places of its members
-    in mats; a lone matrix is stacked as a view."""
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for q, m in enumerate(mats):
-        groups.setdefault(m.shape, []).append(q)
-    return [
-        (places, mats[places[0]][None] if len(places) == 1 else np.array([mats[q] for q in places]))
-        for places in groups.values()
-    ]
 
 
 # A chunk whose nonzero real and imaginary parts all have a binary exponent
@@ -211,6 +234,21 @@ _GRAM_SAFE_EXPONENT = 480
 # 12 to 24, where noise blocks, such as a decomposition residual's, fail the
 # nuclear norm's rounding bound and pay both.
 _GRAM_MAX_SIDE = 10
+
+
+def frobenius(a: Element) -> float:
+    """Frobenius norm across all blocks, the blocks' sums of squares added in
+    block order.  When the largest modulus lies outside 2**-481 to 2**480,
+    the moduli are first scaled by the power of two that brings it into
+    [1/2, 1), so that their squares neither overflow nor underflow."""
+    moduli = np.abs(a.vector)
+    e = int(np.frexp(moduli.max())[1])
+    if abs(e) > _GRAM_SAFE_EXPONENT:
+        moduli = np.ldexp(moduli, -e)
+    else:
+        e = 0
+    sums = np.concatenate([run.sum(axis=(1, 2)) for run in a.spec.run_views(moduli**2)])
+    return math.ldexp(math.sqrt(np.cumsum(sums)[-1]), e)
 
 
 def _gram_eigenvalues(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -243,53 +281,50 @@ def _gram_eigenvalues(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam.reshape(stack.shape[:-2] + lam.shape[-1:]), exp.reshape(stack.shape[:-2])
 
 
-def block_operator_norm(blocks) -> np.ndarray:
+def block_operator_norm(runs) -> np.ndarray:
     """Max over blocks of the largest singular value.
 
-    Leading axes of the blocks, if any, index a stack of elements, one norm
-    each.  The blocks of one shape share one Gram eigensolve, or one SVD
-    call past _GRAM_MAX_SIDE; the root of the largest Gram eigenvalue
-    agrees with LAPACK's SVD to within 1e-14 relative on the tested blocks,
-    from 1 x 1 to 10 x 2828 and 1 x 9000.
+    Each run is a (..., count, m, n) stack of count blocks of one shape;
+    leading axes, if any, index a stack of elements, one norm each.  A run
+    takes one Gram eigensolve, or one SVD call past _GRAM_MAX_SIDE; the root
+    of the largest Gram eigenvalue agrees with LAPACK's SVD to within 1e-14
+    relative on the tested blocks, from 1 x 1 to 10 x 2828 and 1 x 9000.
     """
     tops = []
-    for _, stack in _shape_stacks(list(blocks)):
-        if min(stack.shape[-2:]) > _GRAM_MAX_SIDE:
-            tops.append(np.linalg.svd(stack, compute_uv=False)[..., 0])
+    for run in runs:
+        if min(run.shape[-2:]) > _GRAM_MAX_SIDE:
+            tops.append(np.linalg.svd(run, compute_uv=False)[..., 0])
         else:
-            lam, exp = _gram_eigenvalues(stack)
+            lam, exp = _gram_eigenvalues(run)
             tops.append(np.ldexp(np.sqrt(lam[..., -1]), exp))
-    return np.max(np.concatenate(tops), axis=0)
+    return np.max(np.concatenate(tops, axis=-1), axis=-1)
 
 
 def largest_singular_value(a: Element) -> float:
     """Operator norm of the element: max over blocks of the largest singular value."""
-    return float(block_operator_norm(a.blocks))
-
-
-def flatten(a: Element) -> np.ndarray:
-    """Coordinate vector of an element: each block row-major, block by block."""
-    return np.concatenate([m.ravel() for m in a.blocks])
+    return float(block_operator_norm(a.runs))
 
 
 def allclose(a: Element, b: Element, tol: float = 1e-12) -> bool:
     a._require_same_spec(b)
-    return all(np.allclose(x, y, rtol=0.0, atol=tol) for x, y in zip(a.blocks, b.blocks))
+    return np.allclose(a.vector, b.vector, rtol=0.0, atol=tol)
+
+
+def block_traces(a: Element) -> np.ndarray:
+    """Trace of each block, one call per run."""
+    return np.concatenate([run.diagonal(axis1=-2, axis2=-1).sum(axis=-1) for run in a.runs])
 
 
 def trace(a: Element) -> complex:
-    """Spectral trace; for block matrices this is the sum of the block traces."""
-    return complex(sum(np.trace(m) for m in a.blocks))
+    """Spectral trace, the sum of the block traces in block order."""
+    return complex(np.cumsum(block_traces(a))[-1])
 
 
 def _all_eigenvalues(a: Element) -> np.ndarray:
-    values = []
-    for m in a.blocks:
-        try:
-            values.append(np.linalg.eigvals(m))
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailure(f"eigensolver failed: {exc}") from exc
-    return np.concatenate(values)
+    try:
+        return np.concatenate([np.linalg.eigvals(run).ravel() for run in a.runs])
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"eigensolver failed: {exc}") from exc
 
 
 def _cluster(values: np.ndarray, radius: float) -> list[tuple[complex, int]]:
@@ -318,10 +353,6 @@ class SpectrumReport:
     eigenvalues: tuple[tuple[complex, int], ...]
     nonzero: tuple[tuple[complex, int], ...]
 
-    @property
-    def total_multiplicity(self) -> int:
-        return sum(m for _, m in self.eigenvalues)
-
 
 def spectrum(a: Element, tol: float = DEFAULT_TOL) -> SpectrumReport:
     """Union of block eigenvalues; values within tol of each other (relative to
@@ -337,26 +368,26 @@ def spectrum(a: Element, tol: float = DEFAULT_TOL) -> SpectrumReport:
     return SpectrumReport(eigenvalues=tuple(clusters), nonzero=nonzero)
 
 
-def _svd_ranks(svals: Sequence[np.ndarray], tol: float) -> np.ndarray:
-    """Rank of each block from its descending singular values: those above tol
-    times the largest of the whole element.  The last axis is the block, and
-    leading axes of the values, if any, index a stack of elements."""
-    thr = tol * np.max([s[..., 0] for s in svals], axis=0)
-    return np.stack([np.sum(s > thr[..., None], axis=-1) for s in svals], axis=-1)
-
-
-def _block_ranks(blocks: Sequence[np.ndarray], tol: float) -> np.ndarray:
-    """_svd_ranks of the blocks, one SVD call per block for a whole stack; an
-    all-zero block has zero singular values without one."""
-    return _svd_ranks(
-        [np.linalg.svd(m, compute_uv=False) if m.any() else np.zeros(m.shape[:-1]) for m in blocks],
-        tol,
-    )
+def _block_ranks(runs, tol: float) -> np.ndarray:
+    """Rank of each block, the block the last axis: its singular values above
+    tol times the largest of the element.  Runs as block_operator_norm takes
+    them, one SVD call each, of its nonzero blocks."""
+    svals = []
+    for run in runs:
+        nonzero = run.any(axis=(-2, -1))
+        s = np.zeros(run.shape[:-1])
+        if nonzero.all():  # no copy of a run whose blocks are all nonzero
+            s = np.linalg.svd(run, compute_uv=False)
+        elif nonzero.any():
+            s[nonzero] = np.linalg.svd(run[nonzero], compute_uv=False)
+        svals.append(s)
+    thr = tol * np.max(np.concatenate([s[..., 0] for s in svals], axis=-1), axis=-1)
+    return np.concatenate([np.sum(s > thr[..., None, None], axis=-1) for s in svals], axis=-1)
 
 
 def rank(a: Element, tol: float = DEFAULT_TOL) -> int:
     """Spectral rank; realized as the sum of the block matrix ranks."""
-    return int(_block_ranks(a.blocks, tol).sum())
+    return int(_block_ranks(a.runs, tol).sum())
 
 
 def riesz_projection(a: Element, value: complex, tol: float = DEFAULT_TOL) -> Element:
@@ -413,31 +444,32 @@ def _riesz_from_clusters(
     return Element(a.spec, tuple(out))
 
 
-def _rank_one_block(ranks: np.ndarray) -> int:
+def _rank_one_block(ranks: np.ndarray) -> np.ndarray:
     """Block index of the unique minimal two-sided ideal containing a rank-one
-    element with these block ranks; NotAProjection for any other rank."""
-    r = int(ranks.sum())
-    if r != 1:
-        raise NotAProjection(f"rank is {r}, need 1")
-    return int(np.argmax(ranks))
+    element with these block ranks (the last axis; leading axes index a
+    stack); NotAProjection for any other rank."""
+    r = np.sum(ranks, axis=-1)
+    if np.any(r != 1):
+        raise NotAProjection(f"rank is {np.extract(r != 1, r)[0]}, need 1")
+    return np.argmax(ranks, axis=-1)
 
 
 def _shared_minimal_ideal(p: Element, q: Element, tol: float):
     """Check that p and q are rank-one projections of one minimal ideal; return
     its block index, each one's block split as v w^H with w^H v = 1, and the
-    two idempotency residuals.  One SVD per nonzero block gives the ranks, the
-    block and v; the factors of p are dropped before q is factorized, so that
-    the factors of only one endpoint are alive at a time."""
+    two idempotency residuals.  One SVD call per run gives the ranks and the
+    block, one more of the block gives v; the factors of p are dropped before
+    q is factorized, so that those of only one endpoint are alive at a time."""
     residuals = [frobenius(multiply(x, x) - x) for x in (p, q)]
     for x, res in zip((p, q), residuals):
         if res > tol * (1.0 + frobenius(x)):
             raise NotAProjection(f"idempotency residual {res}")
 
     def split(x: Element):
-        svds = [np.linalg.svd(m) if m.any() else (None, np.zeros(len(m)), None) for m in x.blocks]
-        i = _rank_one_block(_svd_ranks([s for _, s, _ in svds], tol))
-        v = svds[i][0][:, 0].copy()  # a view would keep all of u alive along the path
-        return i, (v, v.conj() @ x.blocks[i])
+        i = int(_rank_one_block(_block_ranks(x.runs, tol)))
+        m = x.block(i)
+        v = np.linalg.svd(m)[0][:, 0].copy()  # a view would keep all of u alive along the path
+        return i, (v, v.conj() @ m)
 
     (ip, split_p), (iq, split_q) = split(p), split(q)
     if ip != iq:
@@ -450,8 +482,7 @@ def _path_chunk(spec: AlgebraSpec) -> int:
     before anything is drawn, when the working set of one sample of the
     whole spec exceeds the memory budget."""
     entry_bytes = _PATH_ARRAYS * spec.dim * _COMPLEX_BYTES
-    _require_budget(f"one path sample of {spec.block_dims}",
-                    entry_bytes + _PATH_BLOCK_BYTES * spec.num_blocks)
+    _require_budget(f"one path sample of {spec.describe()}", entry_bytes)
     return _chunk_size(entry_bytes)
 
 
@@ -471,8 +502,11 @@ def projection_path(
     endpoints are returned exactly as given.
     """
     ip, _, stacks = _projection_arc(p, q, samples, tol, seed)
-    zero = p.spec.zero().blocks
-    path = [Element(p.spec, zero[:ip] + (m,) + zero[ip + 1 :]) for stack in stacks for m in stack]
+    start, path = p.spec.offset(ip), []
+    for m in (m for stack in stacks for m in stack):
+        vector = np.zeros(p.spec.dim, dtype=complex)
+        vector[start : start + m.size] = m.ravel()
+        path.append(Element(p.spec, vector=vector))
     path[0] = p
     if samples > 1:
         path[-1] = q
@@ -498,7 +532,7 @@ def _projection_arc(
     ip, (v_p, w_p), (v_q, w_q), residuals = _shared_minimal_ideal(p, q, tol)
     n = p.spec.block_dims[ip]
     chunk = _chunk_size(_PATH_ARRAYS * n * n * _COMPLEX_BYTES)
-    ends = {0: p.blocks[ip]} if samples == 1 else {0: p.blocks[ip], samples - 1: q.blocks[ip]}
+    ends = {0: p.block(ip)} if samples == 1 else {0: p.block(ip), samples - 1: q.block(ip)}
 
     def sample_at(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The arc at each parameter of ts, and which samples are off the

@@ -103,7 +103,7 @@ _DECOMPOSE_ENTRY_BYTES = 480
 def _cmd_complete(config: CliConfig) -> dict:
     spec = _load_spec(config)
     if config.dump_table:
-        _require_budget(f"the table dump of {spec.block_dims}",
+        _require_budget(f"the table dump of {spec.describe()}",
                         spec.matrix_size**6 * _JSON_ENTRY_BYTES)
     result = complete(spec, config.tol, seed=config.seed)
     report = {
@@ -126,7 +126,7 @@ def _cmd_complete(config: CliConfig) -> dict:
 def _cmd_check(config: CliConfig) -> dict:
     spec = _load_spec(config)
     if spec.num_blocks >= 2:
-        _require_budget(f"the witness report of {spec.block_dims}", spec.dim * _JSON_ENTRY_BYTES)
+        _require_budget(f"the witness report of {spec.describe()}", spec.dim * _JSON_ENTRY_BYTES)
     report = is_shoda_complete(spec, config.tol, config.seed)
     return {
         "verdict": report.verdict,
@@ -143,7 +143,7 @@ def _cmd_decompose(config: CliConfig) -> dict:
     # size first, before the element is parsed: the report holds the input and
     # both factors, N x N each, and is refused below the decomposition's bound
     if config.in_completion or spec.num_blocks == 1:
-        _require_budget(f"the decompose report of {spec.block_dims}",
+        _require_budget(f"the decompose report of {spec.describe()}",
                         3 * spec.matrix_size**2 * _DECOMPOSE_ENTRY_BYTES)
     t = _load_element(config, spec)
     if config.in_completion:
@@ -201,7 +201,7 @@ def _cmd_riesz(config: CliConfig) -> dict:
     x = _load_element(config, spec)
     report = spectrum(x, config.tol)
     # one projection of dim entries per distinct nonzero eigenvalue: n**3 for one block
-    _require_budget(f"the riesz report of {spec.block_dims}",
+    _require_budget(f"the riesz report of {spec.describe()}",
                     len(report.nonzero) * spec.dim * _JSON_ENTRY_BYTES)
     out = []
     x_scale = 1.0 + frobenius(x)
@@ -254,6 +254,9 @@ def _cmd_path(config: CliConfig) -> dict:
     # size first: a spec too large to sample never has its endpoints drawn or read
     _path_chunk(spec)
     if config.element_path is not None:
+        # two endpoints of dim entries each as nested JSON lists, which cost
+        # a few hundred bytes per entry and about 900 more per block to read
+        _require_budget(f"the path endpoints of {spec.describe()}", 2 * spec.dim * _JSON_ENTRY_BYTES)
         data = serialize.load_json_file(config.element_path)
         if not isinstance(data, dict) or "p" not in data or "q" not in data:
             raise ValueError('path endpoints JSON needs "p" and "q" keys')
@@ -270,11 +273,11 @@ def _cmd_path(config: CliConfig) -> dict:
     count, worst_defect, start_exact = 0, 0, None
     for stack in stacks:
         if start_exact is None:
-            start_exact = (stack[0] == p.blocks[ip]).all()
+            start_exact = (stack[0] == p.block(ip)).all()
         count += len(stack)
         idem, defect = _check_path_stack(stack, config.tol)
         worst_idem, worst_defect = max(worst_idem, idem), max(worst_defect, defect)
-    end_exact = count == 1 or (stack[-1] == q.blocks[ip]).all()
+    end_exact = count == 1 or (stack[-1] == q.block(ip)).all()
     return {
         "samples": count,
         "max_idempotency_residual": worst_idem,
@@ -289,7 +292,7 @@ def _check_path_stack(stack: np.ndarray, tol: float) -> tuple[float, int]:
     square = stack @ stack
     square -= stack
     residual = np.sqrt(np.sum(np.abs(square.reshape(len(stack), -1)) ** 2, axis=1))
-    ranks = _block_ranks([stack], tol)[:, 0]
+    ranks = _block_ranks([stack[:, None]], tol)[:, 0]
     return float(np.max(residual)), int(np.max(np.abs(ranks - 1)))
 
 

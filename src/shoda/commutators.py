@@ -51,15 +51,15 @@ from .algebra import (
     Element,
     _block_ranks,
     _rank_one_block,
+    block_traces,
     _require_budget,
     commutator,
-    flatten,
     frobenius,
     trace,
 )
 from .errors import NotShodaComplete, NotTraceless, NumericalFailure
 from .norms import b_norm
-from .sampling import random_element, random_idempotent, random_rank_one_projection
+from .sampling import random_element, random_idempotents
 from .tensor import BElement, aj_zero, extension_to_matrix, matrix_to_extension
 from .tensor import multiply_B  # unused here, but perfbench/tracing.py binds it by name
 
@@ -85,24 +85,29 @@ class CommutatorWitness:
 # temporaries of one random idempotent (the similarity, its inverse, the
 # products) and the copy one SVD takes.  A child process's peak RSS
 # (getrusage, one BLAS thread), the interpreter included, was 10.0 arrays of
-# dim complex entries at [1024], 9.3 at [1234] and 7.8 at (870, 870).  Blocks
-# cost objects too (the witness, the samples), about 620 bytes per block in all
-# on (1,) * 112977, the most blocks admitted.
+# dim complex entries at [1024], 9.3 at [1234] and 7.8 at (870, 870).  On
+# many tiny blocks the stacked checks take about 320 bytes per block (wait4,
+# one BLAS thread): `info` peaks at 73 MiB on (1,) * 112977, the most blocks
+# admitted.  `check` writes the witness too, about 1500 bytes per block on
+# blocks of 1, and peaks at 202 MiB there, so the term stays at 200 bytes per
+# block of each of the eleven arrays.
 _CHECK_ARRAYS = 11
 _BLOCK_BYTES = 200
 
 
-def _ideal_dim(spec: AlgebraSpec, ranks: np.ndarray) -> int:
+def _ideal_dim(spec: AlgebraSpec, ranks: np.ndarray) -> np.ndarray:
     """Dimension of the two-sided ideal generated by an element with these
-    block ranks.  With matrix units, E_ab p E_cd = p_bc E_ad, so the ideal is
-    the sum of the blocks where p is nonzero."""
-    return sum(n * n for n, r in zip(spec.block_dims, ranks) if r)
+    block ranks (the last axis; leading axes index a stack of elements).
+    With matrix units, E_ab p E_cd = p_bc E_ad, so the ideal is the sum of
+    the blocks where p is nonzero."""
+    return np.sum(np.square(spec.block_dims) * (ranks > 0), axis=-1)
 
 
-def _corner_dim(p: Element, tol: float) -> int:
-    """Dimension of the corner p A p: the map x -> p_i x p_i of a block has
-    rank rank(p_i)^2, so one SVD per block decides it."""
-    return int(np.sum(_block_ranks(p.blocks, tol) ** 2))
+def _corner_dim(runs, tol: float) -> np.ndarray:
+    """Dimension of the corner p A p of a projection p given by its runs, as
+    _block_ranks takes them: the map x -> p_i x p_i of a block has rank
+    rank(p_i)^2, so one SVD call per run decides it."""
+    return np.sum(_block_ranks(runs, tol) ** 2, axis=-1)
 
 
 def is_shoda_complete(spec: AlgebraSpec, tol: float = 1e-9, seed: int = 42) -> ShodaReport:
@@ -113,34 +118,42 @@ def is_shoda_complete(spec: AlgebraSpec, tol: float = 1e-9, seed: int = 42) -> S
     per-block trace certificate shows cannot be a commutator.  A spec whose
     checks would exceed the memory budget raises TooLarge before allocating.
     """
-    dim = spec.dim
+    dim, dims = spec.dim, np.array(spec.block_dims)
     nbytes = _CHECK_ARRAYS * (dim * _COMPLEX_BYTES + spec.num_blocks * _BLOCK_BYTES)
-    _require_budget(f"the completeness check of {spec.block_dims}", nbytes)
+    _require_budget(f"the completeness check of {spec.describe()}", nbytes)
     # Each projection lives in the algebra of the blocks where it is nonzero,
-    # since a zero block adds nothing and draws nothing, so k blocks cost O(k).
-    # The block ranks of a canonical projection give the ideal it generates
-    # and, as rank-one idempotents split into one similarity class per
-    # minimal ideal, its class.
-    ideal_dims, classes = [], set()
-    for i, n in enumerate(spec.block_dims):
-        own = AlgebraSpec((n,))
-        ranks = _block_ranks(own.matrix_unit(0, 0, 0).blocks, tol)
-        ideal_dims.append(_ideal_dim(own, ranks))
-        classes.add(i + _rank_one_block(ranks))
-    criterion_minimal = all(d == dim for d in ideal_dims)
-    criterion_single = any(d == dim for d in ideal_dims)
-    criterion_connectivity = len(classes) == 1
-
+    # since a zero block adds nothing and draws nothing.  The blocks of one
+    # size are checked as one stack of one-block elements, each block with
+    # its own projection, with one SVD call per size and criterion.  The
+    # block ranks of a canonical projection give the ideal it generates and,
+    # as rank-one idempotents split into one similarity class per minimal
+    # ideal, its class.
+    ideal_dims, classes, rank_one, rank_two = np.zeros((4, len(dims)), dtype=int)
     rng = np.random.default_rng(seed)
-    corner_samples: list[tuple[int, int]] = []
-    for n in spec.block_dims:
-        own = AlgebraSpec((n,))
-        corner_samples.append((1, _corner_dim(random_rank_one_projection(own, 0, rng), tol)))
+    for n in dict.fromkeys(spec.block_dims):
+        where = np.flatnonzero(dims == n)
+        units = np.zeros((len(where), 1, n, n), dtype=complex)
+        units[..., 0, 0] = 1.0
+        ranks = _block_ranks([units], tol)
+        ideal_dims[where] = _ideal_dim(AlgebraSpec((n,)), ranks)
+        classes[where] = where + _rank_one_block(ranks)
+        rank_one[where] = _corner_dim([random_idempotents(rng, len(where), n, 1)[:, None]], tol)
         if n >= 2:
-            corner_samples.append((2, _corner_dim(random_idempotent(own, (2,), rng), tol)))
-    for n in spec.block_dims[1:]:
-        pair = AlgebraSpec((spec.block_dims[0], n))
-        corner_samples.append((2, _corner_dim(random_idempotent(pair, (1, 1), rng), tol)))
+            rank_two[where] = _corner_dim([random_idempotents(rng, len(where), n, 2)[:, None]], tol)
+    criterion_minimal = bool(np.all(ideal_dims == dim))
+    criterion_single = bool(np.any(ideal_dims == dim))
+    criterion_connectivity = len(set(classes.tolist())) == 1
+
+    # the blocks 0 and i, each of rank one, for every block i after 0
+    pairs = np.zeros(len(dims) - 1, dtype=int)
+    for n in dict.fromkeys(spec.block_dims[1:]):
+        where = np.flatnonzero(dims[1:] == n)
+        pair = [random_idempotents(rng, len(where), m, 1)[:, None] for m in (dims[0], n)]
+        pairs[where] = _corner_dim(pair, tol)
+    corner_samples = []
+    for n, one, two in zip(spec.block_dims, rank_one.tolist(), rank_two.tolist()):
+        corner_samples += [(1, one), (2, two)] if n >= 2 else [(1, one)]
+    corner_samples += [(2, d) for d in pairs.tolist()]
     criterion_corner = all(d == r * r for r, d in corner_samples)
 
     votes = {criterion_minimal, criterion_single, criterion_corner, criterion_connectivity}
@@ -155,10 +168,10 @@ def is_shoda_complete(spec: AlgebraSpec, tol: float = 1e-9, seed: int = 42) -> S
     witness = None
     if not verdict:
         n0, n1 = spec.block_dims[0], spec.block_dims[1]
-        blocks = [np.zeros((n, n), dtype=complex) for n in spec.block_dims]
-        blocks[0] = float(n1) * np.eye(n0, dtype=complex)
-        blocks[1] = -float(n0) * np.eye(n1, dtype=complex)
-        witness = Element(spec, tuple(blocks))
+        vector = np.zeros(dim, dtype=complex)
+        vector[: n0 * n0] = (float(n1) * np.eye(n0, dtype=complex)).ravel()
+        vector[n0 * n0 : n0 * n0 + n1 * n1] = (-float(n0) * np.eye(n1, dtype=complex)).ravel()
+        witness = Element(spec, vector=vector)
 
     return ShodaReport(
         verdict=verdict,
@@ -174,7 +187,7 @@ def infeasibility_certificate(t: Element) -> np.ndarray:
     """Per-block traces of t.  A commutator has zero trace in every block, so
     a zero total trace together with a nonzero block trace certifies that t
     is not a commutator in the base algebra."""
-    return np.array([np.trace(m) for m in t.blocks])
+    return block_traces(t)
 
 
 def certifies_non_commutator(t: Element, tol: float = 1e-9) -> bool:
@@ -455,8 +468,9 @@ def _zero_diagonal_similarity(
 # (n = 256) arrays on the single-block path and 8.6 and 7.9 on the
 # completion path, where the similarity's two buffers, [S | S^-H], the N x N
 # image and the temporaries of the first block step meet; a child process's
-# peak RSS at n = 1295, the largest size admitted, was 8.6 and 8.9 arrays,
-# the interpreter included (one BLAS thread)
+# peak RSS at n = 1295, the largest size admitted, was 8.6 arrays and, on
+# three blocks in the completion, 9.6 with the pair layout of its residual
+# norm, the interpreter included (one BLAS thread)
 _DECOMPOSE_ARRAYS = 10
 # similarities with a larger condition number are refused
 _COND_LIMIT = 1e8
@@ -561,7 +575,7 @@ def commutator_decompose(t: Element, tol: float = 1e-9) -> CommutatorWitness:
         r += t.blocks[0]
         residual = float(np.linalg.norm(r))
         del r
-        a, b = Element(t.spec, (fa,)), Element(t.spec, (fb,))
+        a, b = (Element(t.spec, vector=f.reshape(-1)) for f in (fa, fb))
         return CommutatorWitness(a=a, b=b, residual=residual)
 
     return _best_witness(t.blocks[0], 1000, witness_of, tol * max(1.0, scale))
@@ -604,10 +618,10 @@ def random_commutator_search(
     every commutator has zero trace in every block."""
     rng = np.random.default_rng(seed)
     spec = t.spec
-    t_vec = flatten(t)
+    t_vec = t.vector
     best = np.inf
     for _ in range(pairs):
-        c_vec = flatten(commutator(random_element(spec, rng), random_element(spec, rng)))
+        c_vec = commutator(random_element(spec, rng), random_element(spec, rng)).vector
         denom = np.vdot(c_vec, c_vec).real
         coeff = np.vdot(c_vec, t_vec) / denom if denom > 0 else 0.0
         best = min(best, float(np.linalg.norm(t_vec - coeff * c_vec)))

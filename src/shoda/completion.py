@@ -135,7 +135,7 @@ class CompletionResult:
         """Dense (dim, size, size) stack of the witness: the image of each
         basis element, built on each read.  The d x d identity and the stack
         it is placed into, two d x d arrays, are checked against the budget."""
-        _require_budget(f"the witness images of {self.spec.block_dims}",
+        _require_budget(f"the witness images of {self.spec.describe()}",
                         2 * self.total_dim**2 * _COMPLEX_BYTES)
         return _place(self.positions, np.eye(self.total_dim))
 
@@ -148,7 +148,7 @@ def complete(spec: AlgebraSpec, tol: float = 1e-9, seed: int = 42) -> Completion
     """Run the whole pipeline: structure constants, radical, Wedderburn
     identification, and the verified full-matrix witness."""
     d = spec.matrix_size**2
-    _require_budget(f"the completion of {spec.block_dims}", _RECORD_BYTES * spec.matrix_size**3)
+    _require_budget(f"the completion of {spec.describe()}", _RECORD_BYTES * spec.matrix_size**3)
     alg = build_B(spec)
     radical_dim = int(radical(alg, tol).shape[0])
     if radical_dim != 0:

@@ -11,7 +11,6 @@ here is seed-deterministic.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,26 +22,25 @@ from .algebra import (
     _chunk_size,
     _gram_eigenvalues,
     _require_budget,
-    _shape_stacks,
     block_operator_norm,
 )
 from .algebra import largest_singular_value as a_norm
-from .tensor import BElement, _assemble, _cut, aj_pairs
+from .tensor import BElement, _assemble, _cut, _pair_layout, _term_groups, aj_pairs
 from .tensor import multiply_B  # unused here, but perfbench/tracing.py binds it by name
 
 A_NORM_MODEL = "max-block-operator-norm"
 
 # Working set of one audit sample: 12 complex entries per entry of an N x N
 # matrix (the draws, the block matrices and their products, the stacked
-# norms) plus 2000 bytes per ordered block pair for the array objects of the
-# coordinate dicts.  A child process's peak RSS (getrusage, one BLAS thread),
+# norms) plus 100 bytes per ordered block pair for the index arrays of
+# tensor._pair_layout.  A child process's peak RSS (wait4, one BLAS thread),
 # the interpreter included, on one-sample audits at the largest admitted
-# sizes: 206 MiB at (1182,), 209 MiB at (591, 591), 210 MiB at (394, 394,
-# 394), 209 MiB at (30,) * 39, 226 MiB at (10,) * 112, 221 MiB at (2,) * 311
-# and 215 MiB at (1,) * 349.  At 1200 bytes per pair (1,) * 439 was admitted
-# and peaked at 365 MiB.
+# sizes: 207 MiB at (1182,), 223 MiB at (591, 591), 221 MiB at (394, 394,
+# 394), 242 MiB at (30,) * 39, 227 MiB at (10,) * 112, 241 MiB at (3,) * 383,
+# 232 MiB at (2,) * 556 and 236 MiB at (1,) * 958, about 35 bytes per pair
+# over the entries on blocks of 1.
 _AUDIT_ARRAYS = 12
-_PAIR_BYTES = 2000
+_PAIR_BYTES = 100
 
 
 # Relative error allowed to the nuclear norm of a block taken from its Gram
@@ -89,15 +87,16 @@ def pair_nuclear_norm(m: np.ndarray) -> np.floating | np.ndarray:
     return norms.reshape(m.shape[:-2])[()]
 
 
-def _nuclear_norms(terms: dict) -> np.ndarray:
-    """Nuclear norm of every coordinate block, in key order along the last
-    axis, from one pair_nuclear_norm call per block shape (stacks allowed)."""
-    mats = list(terms.values())
-    if not mats:
+def _nuclear_norms(groups) -> np.ndarray:
+    """Nuclear norm of every off-diagonal coordinate block, in aj_pairs order
+    along the last axis up to the last one given, from one pair_nuclear_norm
+    call per shape group of tensor._cut's form (stacks allowed); a pair left
+    out of its group has norm 0."""
+    if not groups:
         return np.zeros(0)
-    norms = np.empty(mats[0].shape[:-2] + (len(mats),))
-    for places, stack in _shape_stacks(mats):
-        norms[..., places] = np.moveaxis(pair_nuclear_norm(stack), 0, -1)
+    norms = np.zeros(groups[0][1].shape[:-3] + (1 + max(places[-1] for places, _ in groups),))
+    for places, stack in groups:
+        norms[..., places] = pair_nuclear_norm(stack)
     return norms
 
 
@@ -107,14 +106,14 @@ def _key_order_sum(norms: np.ndarray) -> float | np.ndarray:
     return np.cumsum(norms, axis=-1)[..., -1] if norms.shape[-1] else 0.0
 
 
-def _tensor_l1(terms: dict) -> float | np.ndarray:
+def _tensor_l1(groups) -> float | np.ndarray:
     """l1 sum of the per-pair nuclear norms, in key order (stacks allowed)."""
-    return _key_order_sum(_nuclear_norms(terms))
+    return _key_order_sum(_nuclear_norms(groups))
 
 
-def _pair_norm(blocks, terms: dict) -> float | np.ndarray:
-    """Algebra norm plus l1 tensor norm of coordinate blocks (stacks allowed)."""
-    return block_operator_norm(blocks) + _tensor_l1(terms)
+def _pair_norm(runs, groups) -> float | np.ndarray:
+    """Algebra norm plus l1 tensor norm of blocks in tensor._cut's form (stacks allowed)."""
+    return block_operator_norm(runs) + _tensor_l1(groups)
 
 
 @dataclass(frozen=True)
@@ -127,8 +126,8 @@ class NormReport:
 
 def b_norm(x: BElement) -> NormReport:
     """Pair norm of an extension element: algebra part plus l1 tensor part."""
-    norms = _nuclear_norms(x.u.terms)
-    per_pair = dict(zip(x.u.terms, norms.tolist()))
+    norms = _nuclear_norms(_term_groups(x.u))
+    per_pair = {p: norm for p, norm in zip(aj_pairs(x.spec), norms.tolist()) if p in x.u.terms}
     u_l1 = float(_key_order_sum(norms))
     an = a_norm(x.a)
     return NormReport(a_norm=an, u_l1=u_l1, total=an + u_l1, per_pair=per_pair)
@@ -164,30 +163,31 @@ def _audit_chunk(spec: AlgebraSpec) -> int:
     drawn, when the working set of one sample exceeds the memory budget."""
     entry_bytes = _AUDIT_ARRAYS * spec.matrix_size**2 * _COMPLEX_BYTES
     sample_bytes = entry_bytes + _PAIR_BYTES * spec.num_blocks**2
-    _require_budget(f"one norm-audit sample of {spec.block_dims}", sample_bytes)
+    _require_budget(f"one norm-audit sample of {spec.describe()}", sample_bytes)
     return _chunk_size(entry_bytes)
 
 
-def _draw_stacks(rng: np.random.Generator, count: int, shapes: list[tuple[int, int]]):
-    """Stacks of standard complex normal matrices, `count` deep, one per shape.
+def _draw_runs(spec: AlgebraSpec, reals: np.ndarray) -> list[np.ndarray]:
+    """The runs of a stack of algebra elements from its (count, 2 dim) real
+    draws, drawn as `sampling.random_element` draws each: block by block, all
+    real parts, then all imaginary parts.  Consecutive normal draws form one
+    stream, so one call for the whole stack gives the same matrices."""
+    runs = []
+    for _, c, n, start in spec.runs:
+        parts = reals[:, 2 * start : 2 * (start + c * n * n)].reshape(len(reals), c, 2, n, n)
+        runs.append(parts[:, :, 0] + 1j * parts[:, :, 1])
+    return runs
 
-    One sample draws its matrices in the order of `shapes`, each as
-    `sampling._cnormal` draws it: all real parts, then all imaginary parts.
-    Consecutive normal draws form one stream, so taking every sample of the
-    stack from one call gives the same matrices as drawing them one by one.
-    A run of consecutive shapes that agree is split from one array, and the
-    normals are released before the stacks are used.
-    """
-    z = rng.normal(size=(count, 2 * sum(r * c for r, c in shapes)))
-    stacks, pos = [], 0
-    for shape, group in itertools.groupby(shapes):
-        k, size = len(list(group)), shape[0] * shape[1]
-        parts = z[:, pos : pos + 2 * k * size].reshape(count, k, 2, *shape).swapaxes(0, 1)
-        pos += 2 * k * size
-        # matrix-major, so that each stack is contiguous, and in one buffer
-        run = np.multiply(1j, parts[:, :, 1], out=np.empty((k, count, *shape), dtype=complex))
-        stacks.extend(np.add(parts[:, :, 0], run, out=run))
-    return stacks
+
+def _draw_groups(spec: AlgebraSpec, reals: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """A stack of tensors from its (count, 2 (N^2 - dim)) real draws, as
+    `sampling.random_aj` draws one sample: pair by pair in aj_pairs order,
+    all real parts, then all imaginary parts; in tensor._cut's form."""
+    groups = []
+    for places, _, draws in _pair_layout(spec):
+        values = np.multiply(1j, reals[:, draws + draws[0].size])
+        groups.append((places, np.add(reals[:, draws], values, out=values)))
+    return groups
 
 
 def submultiplicativity_audit(
@@ -210,35 +210,32 @@ def submultiplicativity_audit(
         raise ValueError("samples must be at least 1")
     chunk = _audit_chunk(spec)
     rng = np.random.default_rng(seed)
-    dims, pairs = spec.block_dims, aj_pairs(spec)
-    element_shapes = [(n, n) for n in dims]
-    tensor_shapes = [(dims[i], dims[j]) for i, j in pairs]
-    shapes = 2 * tensor_shapes + 2 * element_shapes + 2 * (element_shapes + tensor_shapes)
+    tensor, element = 2 * (spec.matrix_size**2 - spec.dim), 2 * spec.dim
+    ends = np.cumsum([tensor, tensor, element, element, element, tensor, element])
 
     worst_ub = worst_av = worst_uv = worst_full = 0.0
     for start in range(0, samples, chunk):
         count = min(chunk, samples - start)
-        draws = iter(_draw_stacks(rng, count, shapes))
-        u = {p: next(draws) for p in pairs}
-        v = {p: next(draws) for p in pairs}
-        x = [next(draws) for _ in dims]
-        y = [next(draws) for _ in dims]
-        s_a, s_u = [next(draws) for _ in dims], {p: next(draws) for p in pairs}
-        t_a, t_u = [next(draws) for _ in dims], {p: next(draws) for p in pairs}
+        # one stream of normals per chunk, released before the stacks are used
+        z = rng.normal(size=(count, ends[-1] + tensor))
+        u, v, x, y, s_a, s_u, t_a, t_u = np.split(z, ends, axis=1)
+        del z
+        u, v, s_u, t_u = (_draw_groups(spec, f) for f in (u, v, s_u, t_u))
+        x, y, s_a, t_a = (_draw_runs(spec, f) for f in (x, y, s_a, t_a))
         # each factor is placed once; the full pairs go first, so that the
         # placed s and t are released before u and v are placed
-        st = _pair_norm(*_cut(dims, _assemble(dims, s_a, s_u) @ _assemble(dims, t_a, t_u)))
+        st = _pair_norm(*_cut(spec, _assemble(spec, s_a, s_u) @ _assemble(spec, t_a, t_u)))
         ratio = _ratio(st, _pair_norm(s_a, s_u), _pair_norm(t_a, t_u))
         worst_full = max(worst_full, float(np.max(ratio)))
         # with one block there are no tensors, so the first three ratios are 0
-        if pairs:
+        if u:
             u_l1, v_l1 = _tensor_l1(u), _tensor_l1(v)
-            u, v = _assemble(dims, (), u), _assemble(dims, (), v)
-            ub = _tensor_l1(_cut(dims, u @ _assemble(dims, x, {}))[1])
+            u, v = _assemble(spec, (), u), _assemble(spec, (), v)
+            ub = _tensor_l1(_cut(spec, u @ _assemble(spec, x, ()))[1])
             worst_ub = max(worst_ub, float(np.max(_ratio(ub, u_l1, block_operator_norm(x)))))
-            av = _tensor_l1(_cut(dims, _assemble(dims, y, {}) @ v)[1])
+            av = _tensor_l1(_cut(spec, _assemble(spec, y, ()) @ v)[1])
             worst_av = max(worst_av, float(np.max(_ratio(av, v_l1, block_operator_norm(y)))))
-            uv = _pair_norm(*_cut(dims, u @ v))
+            uv = _pair_norm(*_cut(spec, u @ v))
             worst_uv = max(worst_uv, float(np.max(_ratio(uv, u_l1, v_l1))))
     return NormAudit(
         tensor_times_algebra=worst_ub,
@@ -256,15 +253,14 @@ def isometry_check(spec: AlgebraSpec, samples: int = 100, seed: int = 42) -> flo
     checked on stacks, a chunk at a time."""
     chunk = _audit_chunk(spec)
     rng = np.random.default_rng(seed)
-    shapes = [(n, n) for n in spec.block_dims]
     worst = 0.0
     for start in range(0, samples, chunk):
         count = min(chunk, samples - start)
-        x = _draw_stacks(rng, count, shapes)
+        x = _draw_runs(spec, rng.normal(size=(count, 2 * spec.dim)))
         nx = block_operator_norm(x)
         # the image by LAPACK's SVD, so that the check also compares the
         # Gram route of block_operator_norm with an independent one
-        image = np.linalg.svd(_assemble(spec.block_dims, x, {}), compute_uv=False)[..., 0]
+        image = np.linalg.svd(_assemble(spec, x, ()), compute_uv=False)[..., 0]
         gap = np.abs(image - nx) / np.maximum(nx, 1e-300)
         worst = max(worst, float(np.max(gap)))
     return worst

@@ -16,7 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Element, flatten, multiply
+from .algebra import AlgebraSpec, Element, multiply
 from .structure import StructureConstantAlgebra
 from .tensor import AJElement
 
@@ -274,8 +274,8 @@ def _block_units(spec: AlgebraSpec, i: int):
 def block_algebra(spec: AlgebraSpec) -> StructureConstantAlgebra:
     """Structure constants of the block algebra itself on its matrix-unit basis."""
     basis = list(spec.basis())
-    table = np.array([[flatten(multiply(x, y)) for y in basis] for x in basis])
-    return StructureConstantAlgebra(table, flatten(spec.identity()))
+    table = np.array([[multiply(x, y).vector for y in basis] for x in basis])
+    return StructureConstantAlgebra(table, spec.identity().vector)
 
 
 def associativity_residual(alg: StructureConstantAlgebra) -> float:

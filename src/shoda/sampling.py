@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Element
+from .algebra import AlgebraSpec, Element, trace
 from .tensor import AJElement, BElement, aj_pairs
 
 
@@ -28,7 +28,7 @@ def random_element(spec: AlgebraSpec, rng: np.random.Generator) -> Element:
 def random_traceless(spec: AlgebraSpec, rng: np.random.Generator) -> Element:
     """Standard complex normal blocks, recentred to total trace zero."""
     x = random_element(spec, rng)
-    shift = sum(np.trace(m) for m in x.blocks) / spec.matrix_size
+    shift = trace(x) / spec.matrix_size
     return x - complex(shift) * spec.identity()
 
 
@@ -64,9 +64,9 @@ def random_rank_one_projection(
         w = w / np.linalg.norm(w) + v / np.linalg.norm(v)
         pairing = w.conj() @ v
     w = w / np.conj(pairing)
-    blocks = [np.zeros((d, d), dtype=complex) for d in spec.block_dims]
-    blocks[block] = np.outer(v, w.conj())
-    return Element(spec, tuple(blocks))
+    vector, start = np.zeros(spec.dim, dtype=complex), spec.offset(block)
+    vector[start : start + n * n] = np.outer(v, w.conj()).ravel()
+    return Element(spec, vector=vector)
 
 
 def random_idempotent(
@@ -74,18 +74,20 @@ def random_idempotent(
 ) -> Element:
     """Idempotent with prescribed rank in each block, conjugated by a
     well-conditioned random similarity."""
-    blocks = []
-    for n, r in zip(spec.block_dims, block_ranks):
-        if r == 0:
-            blocks.append(np.zeros((n, n), dtype=complex))
-            continue
-        diag = np.diag(np.array([1.0] * r + [0.0] * (n - r), dtype=complex))
-        while True:
-            v = np.eye(n) + 0.35 * _cnormal(rng, (n, n))
-            if np.linalg.cond(v) < 1e4:
-                break
-        blocks.append(v @ diag @ np.linalg.inv(v))
+    blocks = [random_idempotents(rng, 1, n, r)[0] if r else np.zeros((n, n), dtype=complex)
+              for n, r in zip(spec.block_dims, block_ranks)]
     return Element(spec, tuple(blocks))
+
+
+def random_idempotents(rng: np.random.Generator, count: int, n: int, r: int) -> np.ndarray:
+    """A (count, n, n) stack of idempotents V diag(I_r, 0) V^-1 of rank r, V
+    = I + 0.35 G for a standard complex normal G drawn again until cond(V) <
+    1e4; one of them is drawn as random_idempotent draws a block."""
+    diag = np.diag(np.array([1.0] * r + [0.0] * (n - r), dtype=complex))
+    v = np.eye(n) + 0.35 * _cnormal(rng, (count, n, n))
+    while (redraw := np.flatnonzero(np.linalg.cond(v) >= 1e4)).size:
+        v[redraw] = np.eye(n) + 0.35 * _cnormal(rng, (len(redraw), n, n))
+    return v @ diag @ np.linalg.inv(v)
 
 
 def random_diagonalizable(

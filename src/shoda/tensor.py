@@ -22,10 +22,11 @@ Block i of x is the diagonal coordinate (i, i), so the algebra acts on
 tensors through the same pairing: placing every coordinate block at its
 block pair in one N x N matrix (N the sum of the block sizes) identifies the
 extension with M_N, and the product is the matmul of the two images.  This
-module owns that block layout: _assemble places coordinate blocks and _cut
-reads them back as views, and extension_to_matrix and matrix_to_extension
-are the identification.  The socle-plus-tensor algebra A_J' needs no type of
-its own, because in finite dimensions the socle is the whole algebra and the
+module owns that block layout: _assemble places coordinate blocks, _cut
+reads them back, the diagonal ones as one view per run of equal blocks and
+the off-diagonal ones gathered once per block shape, and extension_to_matrix
+and matrix_to_extension are the identification.  The socle-plus-tensor
+algebra A_J' needs no type of its own, because in finite dimensions the socle is the whole algebra and the
 isomorphism A_J' -> B is the identity on coordinates.
 """
 
@@ -133,30 +134,71 @@ def _block_slices(dims: tuple[int, ...]) -> tuple[slice, ...]:
     return tuple(slice(end - n, end) for end, n in zip(ends, dims))
 
 
-def _assemble(dims: tuple[int, ...], blocks, terms: dict) -> np.ndarray:
-    """The (..., N, N) block matrix with algebra block i at (i, i) and the
-    tensor coordinate of each pair (i, j) at (i, j); absent blocks are zero.
+@functools.lru_cache(maxsize=8)  # its arrays hold three integers per tensor entry
+def _pair_layout(spec: AlgebraSpec) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """The pairs of aj_pairs grouped by block shape, in order of first
+    appearance, each group of P pairs of r x c blocks as its places in
+    aj_pairs, the flat places of its entries in the N x N matrix and those
+    of their real parts among the real draws of a tensor, which come pair by
+    pair, all real parts, then all imaginary parts; the last two (P, r, c)."""
+    dims = np.array(spec.block_dims)
+    k, size, base, starts = len(dims), dims.sum(), dims.max() + 1, np.cumsum(dims) - dims
+    i, j = np.repeat(np.arange(k), k - 1), np.tile(np.arange(k - 1), k)
+    j += j >= i
+    rows, cols = dims[i], dims[j]
+    draws, shape = 2 * (np.cumsum(rows * cols) - rows * cols), rows * base + cols
+    groups = []
+    for key in shape[np.sort(np.unique(shape, return_index=True)[1])]:
+        places, (r, c) = np.flatnonzero(shape == key), divmod(key, base)
+        row, col = np.divmod(local := np.arange(r * c), c)
+        positions = (starts[i[places], None] + row) * size + starts[j[places], None] + col
+        groups.append((places, positions.reshape(-1, r, c), (draws[places, None] + local).reshape(-1, r, c)))
+    return tuple(groups)
 
-    Leading axes of the arrays, if any, index a stack; the stack shape is
-    taken from the first array.
-    """
-    rows = _block_slices(dims)
-    first = next(itertools.chain(blocks, terms.values()))
-    out = np.zeros(np.shape(first)[:-2] + (sum(dims),) * 2, dtype=complex)
-    for r, m in zip(rows, blocks):
-        out[..., r, r] = m
-    for (i, j), m in terms.items():
-        out[..., rows[i], rows[j]] = m
+
+def _term_groups(u: AJElement) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The coordinate blocks of a tensor's terms grouped as _cut groups
+    them, absent pairs left out."""
+    pairs, groups = aj_pairs(u.spec), []
+    for places, _, _ in _pair_layout(u.spec):
+        if present := [p for p in places.tolist() if pairs[p] in u.terms]:
+            groups.append((np.array(present), np.array([u.terms[pairs[p]] for p in present])))
+    return groups
+
+
+def _diagonal_runs(spec: AlgebraSpec, mat: np.ndarray) -> list[np.ndarray]:
+    """The diagonal blocks of a C-contiguous (..., N, N) block matrix as one
+    (..., count, n, n) view per run of the spec, writable when mat is."""
+    step = mat.strides[-2] + mat.strides[-1]  # from one diagonal entry to the next
+    views, row = [], 0
+    for _, count, n, _ in spec.runs:
+        shape, strides = (*mat.shape[:-2], count, n, n), (*mat.strides[:-2], n * step, *mat.strides[-2:])
+        views.append(np.ndarray(shape, mat.dtype, mat, row * step, strides))
+        row += count * n
+    return views
+
+
+def _assemble(spec: AlgebraSpec, runs, groups=()) -> np.ndarray:
+    """The (..., N, N) block matrix with the (..., count, n, n) runs on the
+    diagonal and the coordinate blocks of groups of _cut's form at their
+    pairs; absent blocks are zero.  Leading axes index a stack."""
+    lead = (runs[0] if len(runs) else groups[0][1]).shape[:-3]
+    size = spec.matrix_size
+    out = np.zeros(lead + (size, size), dtype=complex)
+    for view, run in zip(_diagonal_runs(spec, out), runs):
+        view[...] = run
+    flat = out.reshape(lead + (size * size,))
+    for (_, positions, _), (_, blocks) in zip(_pair_layout(spec), groups):
+        flat[..., positions] = blocks
     return out
 
 
-def _cut(dims: tuple[int, ...], mat: np.ndarray) -> tuple[list[np.ndarray], dict]:
-    """Views of a (..., N, N) block matrix: the diagonal blocks, and the
-    block of every ordered pair (i, j), i != j, in aj_pairs order."""
-    rows = _block_slices(dims)
-    pairs = itertools.permutations(range(len(dims)), 2)
-    off = {(i, j): mat[..., rows[i], rows[j]] for i, j in pairs}
-    return [mat[..., r, r] for r in rows], off
+def _cut(spec: AlgebraSpec, mat: np.ndarray) -> tuple[list[np.ndarray], list[tuple[np.ndarray, np.ndarray]]]:
+    """The diagonal blocks of a contiguous (..., N, N) block matrix as
+    _diagonal_runs views, and its off-diagonal coordinate blocks gathered
+    per shape group of _pair_layout as (places, (..., P, r, c) stack)."""
+    flat = mat.reshape(mat.shape[:-2] + (-1,))
+    return _diagonal_runs(spec, mat), [(places, flat[..., positions]) for places, positions, _ in _pair_layout(spec)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,16 +243,23 @@ def b_allclose(x: BElement, y: BElement, tol: float = 1e-12) -> bool:
 
 def extension_to_matrix(x: BElement) -> np.ndarray:
     """Image of an extension element under the full-matrix identification."""
-    return _assemble(x.spec.block_dims, x.a.blocks, x.u.terms)
+    out, rows = _assemble(x.spec, x.a.runs), _block_slices(x.spec.block_dims)
+    for (i, j), m in x.u.terms.items():
+        out[rows[i], rows[j]] = m
+    return out
 
 
 def matrix_to_extension(spec: AlgebraSpec, mat: np.ndarray) -> BElement:
-    mat = np.asarray(mat, dtype=complex)
+    mat = np.ascontiguousarray(mat, dtype=complex)
     size = spec.matrix_size
     if mat.shape != (size, size):
         raise ValueError(f"expected a {size} x {size} matrix, got {mat.shape}")
-    blocks, terms = _cut(spec.block_dims, mat)
-    return BElement(Element(spec, tuple(blocks)), AJElement(spec, terms))
+    vector = np.empty(spec.dim, dtype=complex)
+    for view, run in zip(spec.run_views(vector), _diagonal_runs(spec, mat)):
+        view[...] = run
+    rows = _block_slices(spec.block_dims)
+    terms = {(i, j): mat[rows[i], rows[j]] for i, j in aj_pairs(spec)}
+    return BElement(Element(spec, vector=vector), AJElement(spec, terms))
 
 
 def multiply_B(x: BElement, y: BElement) -> BElement:

@@ -89,7 +89,7 @@ def test_multiply_associative_and_bilinear(seed, dims):
 def test_spectrum_of_identity(spec23):
     report = spectrum(spec23.identity())
     assert report.eigenvalues == ((1 + 0j, 5),)
-    assert report.total_multiplicity == 5
+    assert sum(m for _, m in report.eigenvalues) == 5
 
 
 def test_spectrum_of_partial_diagonal(spec23):
@@ -120,14 +120,14 @@ def test_spectrum_zero_detects_singular_blocks(spec23, rng):
 def test_spectrum_counts_tiny_values_like_rank():
     # merged within tol but cut at tol times the scale, these three values
     # used to read as one nonzero value of multiplicity 3 at rank 2
-    a = AlgebraSpec((3,)).from_blocks([np.diag([0.0, 1e-12, 2e-12])])
+    a = Element(AlgebraSpec((3,)), [np.diag([0.0, 1e-12, 2e-12])])
     assert sum(m for _, m in spectrum(a).nonzero) == rank(a) == 2
 
 
 def test_spectrum_is_scale_invariant(spec23):
     rng = np.random.default_rng(5)
     s = rng.normal(size=(3, 3))
-    x = spec23.from_blocks([np.diag([2.0, 0.0]), s @ np.diag([1.0, 1.0, 3.0]) @ np.linalg.inv(s)])
+    x = Element(spec23, [np.diag([2.0, 0.0]), s @ np.diag([1.0, 1.0, 3.0]) @ np.linalg.inv(s)])
     expected, scaled = spectrum(x), spectrum(1e-12 * x)
     assert [m for _, m in expected.eigenvalues] == [1, 1, 2, 1]
     assert [m for _, m in scaled.eigenvalues] == [m for _, m in expected.eigenvalues]
@@ -138,7 +138,7 @@ def test_spectrum_is_scale_invariant(spec23):
 def test_spectrum_keeps_values_at_the_ends_of_the_range(scale):
     # the merge radius is tol times the operator norm, from a Gram that must
     # neither overflow nor underflow on finite entries
-    a = AlgebraSpec((1,)).from_blocks([np.array([[scale]])])
+    a = Element(AlgebraSpec((1,)), [np.array([[scale]])])
     assert largest_singular_value(a) == scale
     assert spectrum(a).nonzero == ((scale, 1),)
     assert allclose(riesz_projection(a, scale), a.spec.identity())
@@ -238,7 +238,7 @@ def test_riesz_rejects_too_tight_contour():
     # gap wide enough to keep two spectral values apart, narrower than the
     # four-tolerance guard band for the contour radius
     m3 = AlgebraSpec((3,))
-    a = m3.from_blocks([np.diag([2.0, 2.0 + 1.2e-8, 5.0])])
+    a = Element(m3, [np.diag([2.0, 2.0 + 1.2e-8, 5.0])])
     with pytest.raises(ContourTooTight):
         riesz_projection(a, 2.0)
 
@@ -286,9 +286,9 @@ def test_riesz_equals_the_eigenvector_projection(dims):
 def test_minimal_ideal_index_rejections(spec23):
     two_blocks = spec23.matrix_unit(0, 0, 0) + spec23.matrix_unit(1, 0, 0)
     with pytest.raises(NotAProjection, match="rank is 2, need 1"):
-        _rank_one_block(_block_ranks(two_blocks.blocks, 1e-9))
+        _rank_one_block(_block_ranks(two_blocks.runs, 1e-9))
     with pytest.raises(NotAProjection, match="rank is 0, need 1"):
-        _rank_one_block(_block_ranks(spec23.zero().blocks, 1e-9))
+        _rank_one_block(_block_ranks(spec23.zero().runs, 1e-9))
 
 
 @pytest.mark.parametrize("dims", [(8,), (2, 8), (3, 5, 8)])
@@ -297,13 +297,14 @@ def test_minimal_ideal_index_at_large_tol(dims):
     # block is found: it is the one of rank 1
     last = len(dims) - 1
     p = random_rank_one_projection(AlgebraSpec(dims), last, np.random.default_rng(42))
-    assert _rank_one_block(_block_ranks(p.blocks, 0.5)) == last
+    assert _rank_one_block(_block_ranks(p.runs, 0.5)) == last
 
 
 @pytest.mark.parametrize("dims", [(64,), (64, 3), (2,) * 50])
 def test_endpoints_take_one_svd_per_block(dims, monkeypatch):
-    # each endpoint is checked, located and split from one SVD per nonzero
-    # block; both endpoints lie in block 0, and every other block is zero
+    # each endpoint is checked and located from one SVD call per run of
+    # blocks, of its nonzero blocks only, and split by one more of its
+    # rank-one block; both endpoints lie in block 0, and every other block is zero
     spec = AlgebraSpec(dims)
     rng = np.random.default_rng(5)
     p, q = (random_rank_one_projection(spec, 0, rng) for _ in range(2))
@@ -315,7 +316,7 @@ def test_endpoints_take_one_svd_per_block(dims, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     projection_path(p, q, 5)
-    assert calls == [(dims[0], dims[0])] * 2
+    assert calls == [(1, dims[0], dims[0]), (dims[0], dims[0])] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +388,7 @@ def test_projection_path_rejects_cross_block(spec23):
 def test_projection_path_rejects_non_projections(spec23, diagonal, detail):
     # 2 E_11 fails the idempotency check; E_11 + E_22 passes it and fails
     # the rank check
-    x = spec23.from_blocks([np.zeros((2, 2)), np.diag(diagonal)])
+    x = Element(spec23, [np.zeros((2, 2)), np.diag(diagonal)])
     p = spec23.canonical_projections()[1]
     for start, end in ((x, p), (p, x)):
         with pytest.raises(NotAProjection, match=detail):
@@ -411,7 +412,7 @@ def _loop_arc(start, end, samples, sample_at, seed):
 
 
 def _loop_projection_path(p, q, samples, tol=1e-9, seed=0):
-    ip = int(np.argmax(_block_ranks(p.blocks, tol)))
+    ip = int(np.argmax(_block_ranks(p.runs, tol)))
     v_p, v_q = (np.linalg.svd(x.blocks[ip])[0][:, 0] for x in (p, q))
     w_p, w_q = v_p.conj() @ p.blocks[ip], v_q.conj() @ q.blocks[ip]
 
@@ -474,10 +475,9 @@ def test_path_chunks_stay_small():
 
 
 def test_path_budget_counts_each_block():
-    # many tiny blocks cost per block, not per entry: 1000 bytes a block on
-    # top of 8 complex entries per coordinate admits (1,) * 237974 and
-    # (2,) * 177536, and not one block more
-    for n, most in ((1, 237974), (2, 177536)):
+    # many tiny blocks cost no more than their entries: 8 complex entries per
+    # coordinate admit (1,) * 2097152 and (2,) * 524288, and not one block more
+    for n, most in ((1, 2097152), (2, 524288)):
         assert shoda.algebra._path_chunk(AlgebraSpec((n,) * most)) >= 1
         with pytest.raises(TooLarge):
             shoda.algebra._path_chunk(AlgebraSpec((n,) * (most + 1)))
@@ -551,3 +551,57 @@ def test_minimal_ideals_are_orthogonal_exactly(dims):
             if bx != by:
                 assert frobenius(multiply(x, y)) == 0.0
                 assert frobenius(multiply(y, x)) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# one coordinate vector, one numpy call per run, against a per-block reference
+
+
+_RUN_SPECS = st.one_of(
+    st.sampled_from([(2, 3, 2), (1, 1, 1, 3, 1), (3, 3, 1, 3), (2,)]),
+    st.lists(st.integers(1, 4), min_size=1, max_size=6).map(tuple),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_RUN_SPECS, st.integers(0, 2**32 - 1))
+def test_run_operations_equal_a_per_block_reference(dims, seed):
+    spec, rng = AlgebraSpec(dims), np.random.default_rng(seed)
+    x, y = random_element(spec, rng), random_element(spec, rng)
+    # a rank-one block in every other block, so ranks are not all full, and
+    # block 0 far below the rank threshold of the element, though not of
+    # its own run when it is one
+    blocks = [m if i % 2 else m[:, :1] @ m[:1, :] for i, m in enumerate(random_element(spec, rng).blocks)]
+    blocks[0] = blocks[0] * (1e-12 if len(blocks) > 1 else 1.0)
+    z = Element(spec, blocks)
+    xs, ys = [np.array(m) for m in x.blocks], [np.array(m) for m in y.blocks]
+    for got, want in [(x + y, [a + b for a, b in zip(xs, ys)]),
+                      (x - y, [a - b for a, b in zip(xs, ys)]),
+                      (x * (2 - 1j), [(2 - 1j) * a for a in xs]),
+                      (multiply(x, y), [a @ b for a, b in zip(xs, ys)])]:
+        assert all(np.array_equal(g, w) for g, w in zip(got.blocks, want))
+    assert trace(x) == complex(sum(np.trace(a) for a in xs))
+    assert frobenius(x) == float(np.sqrt(sum(np.sum(np.abs(a) ** 2) for a in xs)))
+    top = max(np.linalg.svd(a, compute_uv=False)[0] for a in xs)
+    assert abs(largest_singular_value(x) - top) <= 1e-14 * top
+    svals = [np.linalg.svd(m, compute_uv=False) for m in blocks]
+    thr = 1e-9 * max(s[0] for s in svals)
+    assert rank(z) == sum(int(np.sum(s > thr)) for s in svals)
+    values = np.sort_complex(np.concatenate([np.linalg.eigvals(a) for a in xs]))
+    got = np.sort_complex(np.array([v for v, m in spectrum(x).eigenvalues for _ in range(m)]))
+    assert np.allclose(got, values, rtol=0.0, atol=1e-9 * (1 + top))
+
+
+def test_blocks_are_read_only_views_of_one_vector():
+    spec = AlgebraSpec((2, 3, 2))
+    mats = [np.full((n, n), float(n)) for n in spec.block_dims]
+    x = Element(spec, mats)
+    assert x.vector.shape == (spec.dim,) and not x.vector.flags.writeable
+    for m in (*x.blocks, *x.runs):
+        assert np.shares_memory(m, x.vector) and not m.flags.writeable
+    with pytest.raises(ValueError):
+        x.blocks[0][0, 0] = 1.0
+    # the caller's arrays were copied once
+    mats[0][0, 0] = -1.0
+    assert x.blocks[0][0, 0] == 2.0
+    assert [run.shape for run in x.runs] == [(1, 2, 2), (1, 3, 3), (1, 2, 2)]

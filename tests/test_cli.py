@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -663,7 +664,7 @@ def test_path_report_in_the_last_block_equals_the_sample_loop(tmp_path, tiny):
     rng = np.random.default_rng(11)
     v, w = rng.normal(size=(2, 2, 3)) + 1j * rng.normal(size=(2, 2, 3))
     p, q = (
-        spec.from_blocks([np.full((1, 1), t), np.full((2, 2), t), np.outer(x, y) / (y @ x)])
+        shoda.algebra.Element(spec, [np.full((1, 1), t), np.full((2, 2), t), np.outer(x, y) / (y @ x)])
         for x, y, t in zip(v, w, (tiny, 0.0))
     )
     spec_path, ends = tmp_path / "spec.json", tmp_path / "ends.json"
@@ -807,3 +808,71 @@ def test_cli_fuzz_exit_codes_and_strict_json(case):
     assert code in (0, 1, 2)
     report = _strict_json(out.getvalue())
     assert ("error" in report) == (code != 0)
+
+
+# ---------------------------------------------------------------------------
+# entries near the ends of the float range, short refusals, pinned checks
+
+
+@pytest.mark.parametrize("blocks", [[2, 1], [2]])
+def test_a_huge_trace_is_not_traceless(tmp_path, blocks, capsys):
+    # the trace 1e200 is measured against 1 + |x|_F = 1e200, not against
+    # an overflowed |x|_F, so the element is refused as not traceless
+    spec, element = tmp_path / "spec.json", tmp_path / "x.json"
+    spec.write_text(json.dumps({"blocks": blocks}))
+    flats = [[[1e200, 0], [0, 0], [0, 0], [0, 0]], [[0, 0]]][: len(blocks)]
+    element.write_text(json.dumps({"blocks": flats}))
+    assert main(["decompose", str(spec), str(element)]) == 1
+    assert _strict_json(capsys.readouterr().out)["error"] == "NotTraceless"
+
+
+def test_riesz_of_a_huge_entry_overflows_nothing(tmp_path, capsys):
+    spec, element = tmp_path / "spec.json", tmp_path / "x.json"
+    spec.write_text(json.dumps({"blocks": [1]}))
+    element.write_text(json.dumps({"blocks": [[[1e200, 0]]]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["riesz", str(spec), str(element)]) == 0
+    (projection,) = _strict_json(capsys.readouterr().out)["projections"]
+    assert projection["eigenvalue"] == [1e200, 0.0] and projection["rank"] == 1
+
+
+def test_path_endpoint_files_count_their_json(tmp_path, capsys):
+    # two endpoints of 458 * 458 entries are refused before the file is read,
+    # at 640 bytes per entry of each; the file here is not even JSON
+    spec, ends = tmp_path / "spec.json", tmp_path / "ends.json"
+    spec.write_text(json.dumps({"blocks": [458]}))
+    ends.write_text("not read")
+    assert main(["path", str(spec), str(ends)]) == 1
+    report = _strict_json(capsys.readouterr().out)
+    assert report["error"] == "TooLarge" and "path endpoints" in report["detail"]
+
+
+def test_refusals_of_many_blocks_are_short(tmp_path, capsys):
+    # the detail names the block count, N and dim, not every block
+    spec = tmp_path / "many.json"
+    spec.write_text(json.dumps({"blocks": [1] * 3 * 10**6}))
+    assert main(["path", str(spec)]) == 1
+    text = capsys.readouterr().out
+    assert len(text.encode()) < 1024
+    report = _strict_json(text)
+    assert report["error"] == "TooLarge" and "3000000 blocks" in report["detail"]
+
+
+@pytest.mark.parametrize(
+    "blocks, corner, verdict",
+    [
+        ([1] * 20000, [[1, 1]] * 20000 + [[2, 2]] * 19999, False),
+        ([2, 3], [[1, 1], [2, 4], [1, 1], [2, 4], [2, 2]], False),
+        ([1, 2, 2], [[1, 1], [1, 1], [2, 4], [1, 1], [2, 4], [2, 2], [2, 2]], False),
+        ([512], [[1, 1], [2, 4]], True),
+    ],
+)
+def test_check_reports_pinned_integers(tmp_path, blocks, corner, verdict):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"blocks": blocks}))
+    code, report = run(CliConfig(command="check", spec_path=str(spec)))
+    assert code == 0 and report["criterion_corner"] == corner
+    for criterion in ("verdict", "criterion_minimal_ideal", "criterion_single_generator",
+                      "criterion_connectivity"):
+        assert report[criterion] is verdict

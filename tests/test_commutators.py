@@ -18,7 +18,7 @@ from shoda import (
     multiply,
     trace,
 )
-from shoda.algebra import _block_ranks, allclose, flatten
+from shoda.algebra import _block_ranks, allclose
 from shoda.commutators import (
     _corner_dim,
     _ideal_dim,
@@ -87,13 +87,13 @@ def _loop_stacks(spec, p, tol):
         chunks = np.split(row, np.cumsum([n * n for n in spec.block_dims])[:-1])
         return Element(spec, tuple(c.reshape(n, n) for c, n in zip(chunks, spec.block_dims)))
 
-    left = np.stack([flatten(multiply(x, p)) for x in spec.basis()])
+    left = np.stack([multiply(x, p).vector for x in spec.basis()])
     _, s, vh = np.linalg.svd(left, full_matrices=False)
     reduced = vh[s > tol * s[0]]
     ideal = np.stack(
-        [flatten(multiply(element_of(row), y)) for row in reduced for y in spec.basis()]
+        [multiply(element_of(row), y).vector for row in reduced for y in spec.basis()]
     )
-    corner = np.stack([flatten(multiply(multiply(p, x), p)) for x in spec.basis()])
+    corner = np.stack([multiply(multiply(p, x), p).vector for x in spec.basis()])
     return left, ideal, corner
 
 
@@ -133,9 +133,9 @@ def _criteria_projections(spec, rng):
 
 def _assert_block_ranks_match_the_oracles(spec, rng):
     for p in _criteria_projections(spec, rng):
-        ranks = _block_ranks(p.blocks, 1e-9)
+        ranks = _block_ranks(p.runs, 1e-9)
         assert _ideal_dim(spec, ranks) == dense_ideal_dim(spec, p, 1e-9)
-        assert _corner_dim(p, 1e-9) == dense_corner_dim(spec, p, 1e-9)
+        assert _corner_dim(p.runs, 1e-9) == dense_corner_dim(spec, p, 1e-9)
 
 
 @pytest.mark.parametrize("dims", [(1,), (6,), (2, 3), (1, 1, 1), (3, 1, 2)])
@@ -170,13 +170,13 @@ def test_projections_span_only_their_own_blocks(monkeypatch):
     # every criterion depends on the one or two blocks where its projection
     # is nonzero, so no element but the witness spans all fifty blocks
     widths = []
-    post_init = Element.__post_init__
+    init = Element.__init__
 
-    def recording_post_init(self):
-        widths.append(len(self.blocks))
-        post_init(self)
+    def recording_init(self, spec, *args, **kwargs):
+        widths.append(spec.num_blocks)
+        init(self, spec, *args, **kwargs)
 
-    monkeypatch.setattr(Element, "__post_init__", recording_post_init)
+    monkeypatch.setattr(Element, "__init__", recording_init)
     report = is_shoda_complete(AlgebraSpec((1,) * 50))
     assert not report.verdict and len(report.witness.blocks) == 50
     assert [w for w in widths if w > 2] == [50]

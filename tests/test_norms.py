@@ -89,7 +89,7 @@ def test_norms_agree_with_the_svd(kind, shape, monkeypatch):
     rng = np.random.default_rng([ORACLE_KINDS.index(kind), *shape])
     stack = np.array([_oracle_matrix(kind, shape, rng) for _ in range(8)])
     svals = np.linalg.svd(stack, compute_uv=False)
-    top = block_operator_norm([stack])
+    top = block_operator_norm([stack[:, None]])
     calls = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda m, **kw: calls.append(len(m)) or svd(m, **kw))
@@ -106,7 +106,7 @@ def test_norms_agree_with_the_svd(kind, shape, monkeypatch):
         assert calls == [len(stack)]
     # alone or in a stack, a matrix gets the same norms
     assert [pair_nuclear_norm(m) for m in stack] == nuclear.tolist()
-    assert [block_operator_norm([m]) for m in stack] == top.tolist()
+    assert [block_operator_norm([m[None]]) for m in stack] == top.tolist()
 
 
 def test_shapes_past_the_cuts_take_the_svd(monkeypatch):
@@ -124,7 +124,7 @@ def test_shapes_past_the_cuts_take_the_svd(monkeypatch):
     seen.clear()
     for shape in [(10, 10), (11, 11), (11, 30)]:
         m = _cmatrix(rng, shape)
-        assert abs(block_operator_norm([m]) - np.linalg.norm(m, 2)) <= 1e-14 * np.linalg.norm(m, 2)
+        assert abs(block_operator_norm([m[None]]) - np.linalg.norm(m, 2)) <= 1e-14 * np.linalg.norm(m, 2)
     assert seen == [(10, 10)]
 
 
@@ -136,18 +136,18 @@ def test_norms_agree_with_the_svd_at_the_ends_of_the_range(scale):
     stack = _cmatrix(np.random.default_rng(9), (8, 4, 5))
     stack[::2] *= scale
     svals = np.linalg.svd(stack, compute_uv=False)
-    nuclear, top = pair_nuclear_norm(stack), block_operator_norm([stack])
+    nuclear, top = pair_nuclear_norm(stack), block_operator_norm([stack[:, None]])
     assert np.all(np.abs(nuclear - svals.sum(axis=-1)) <= 1e-12 * svals.sum(axis=-1))
     assert np.all(np.abs(top - svals[:, 0]) <= 1e-14 * svals[:, 0])
     assert [pair_nuclear_norm(m) for m in stack] == nuclear.tolist()
-    assert [block_operator_norm([m]) for m in stack] == top.tolist()
+    assert [block_operator_norm([m[None]]) for m in stack] == top.tolist()
     x = Element(AlgebraSpec((4,)), (stack[0, :, :4],))
     assert abs(a_norm(x) - np.linalg.norm(x.blocks[0], 2)) <= 1e-14 * a_norm(x)
 
 
 def test_exact_norms_stay_exact(spec23):
     assert pair_nuclear_norm(np.diag([3.0, 4.0])) == 7.0
-    assert block_operator_norm([np.diag([3.0, -4.0])]) == 4.0
+    assert block_operator_norm([np.diag([3.0, -4.0])[None]]) == 4.0
     assert a_norm(spec23.identity()) == 1.0
 
 
@@ -333,7 +333,7 @@ def test_audit_chunks_stay_small():
     assert _audit_chunk(AlgebraSpec((300, 300))) == 1
 
 
-@pytest.mark.parametrize("dims", [(1183,), (30000,), (592, 592), (100000, 3), (1,) * 350])
+@pytest.mark.parametrize("dims", [(1183,), (30000,), (592, 592), (100000, 3), (1,) * 959])
 def test_audits_over_budget_raise_before_drawing(dims):
     spec = AlgebraSpec(dims)
     with pytest.raises(TooLarge):
@@ -344,4 +344,4 @@ def test_audits_over_budget_raise_before_drawing(dims):
 
 def test_largest_audited_block_is_within_budget():
     assert _audit_chunk(AlgebraSpec((1182,))) == 1
-    assert _audit_chunk(AlgebraSpec((1,) * 349)) == 1
+    assert _audit_chunk(AlgebraSpec((1,) * 958)) == 1
