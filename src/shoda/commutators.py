@@ -468,9 +468,8 @@ def _zero_diagonal_similarity(
 # (n = 256) arrays on the single-block path and 8.6 and 7.9 on the
 # completion path, where the similarity's two buffers, [S | S^-H], the N x N
 # image and the temporaries of the first block step meet; a child process's
-# peak RSS at n = 1295, the largest size admitted, was 8.6 arrays and, on
-# three blocks in the completion, 9.6 with the pair layout of its residual
-# norm, the interpreter included (one BLAS thread)
+# peak RSS at n = 1295, the largest size admitted, was 8.6 and 8.9 arrays,
+# the interpreter included (one BLAS thread)
 _DECOMPOSE_ARRAYS = 10
 # similarities with a larger condition number are refused
 _COND_LIMIT = 1e8

@@ -243,23 +243,23 @@ def b_allclose(x: BElement, y: BElement, tol: float = 1e-12) -> bool:
 
 def extension_to_matrix(x: BElement) -> np.ndarray:
     """Image of an extension element under the full-matrix identification."""
-    out, rows = _assemble(x.spec, x.a.runs), _block_slices(x.spec.block_dims)
+    rows = _block_slices(x.spec.block_dims)
+    out = np.zeros((x.spec.matrix_size,) * 2, dtype=complex)
+    for r, m in zip(rows, x.a.blocks):
+        out[r, r] = m
     for (i, j), m in x.u.terms.items():
         out[rows[i], rows[j]] = m
     return out
 
 
 def matrix_to_extension(spec: AlgebraSpec, mat: np.ndarray) -> BElement:
-    mat = np.ascontiguousarray(mat, dtype=complex)
+    mat = np.asarray(mat, dtype=complex)
     size = spec.matrix_size
     if mat.shape != (size, size):
         raise ValueError(f"expected a {size} x {size} matrix, got {mat.shape}")
-    vector = np.empty(spec.dim, dtype=complex)
-    for view, run in zip(spec.run_views(vector), _diagonal_runs(spec, mat)):
-        view[...] = run
     rows = _block_slices(spec.block_dims)
     terms = {(i, j): mat[rows[i], rows[j]] for i, j in aj_pairs(spec)}
-    return BElement(Element(spec, vector=vector), AJElement(spec, terms))
+    return BElement(Element(spec, [mat[r, r] for r in rows]), AJElement(spec, terms))
 
 
 def multiply_B(x: BElement, y: BElement) -> BElement:
