@@ -130,10 +130,7 @@ class AlgebraSpec:
         return Element(self, vector=np.zeros(self.dim, dtype=complex))
 
     def identity(self) -> "Element":
-        vector = np.zeros(self.dim, dtype=complex)
-        for _, count, n, start in self.runs:
-            vector[start : start + count * n * n].reshape(count, n * n)[:, :: n + 1] = 1.0
-        return Element(self, vector=vector)
+        return Element(self, tuple(np.eye(n, dtype=complex) for n in self.block_dims))
 
     def matrix_unit(self, block: int, row: int, col: int) -> "Element":
         """The element that is E_{row,col} in the given block and zero elsewhere."""
@@ -502,11 +499,8 @@ def projection_path(
     endpoints are returned exactly as given.
     """
     ip, _, stacks = _projection_arc(p, q, samples, tol, seed)
-    start, path = p.spec.offset(ip), []
-    for m in (m for stack in stacks for m in stack):
-        vector = np.zeros(p.spec.dim, dtype=complex)
-        vector[start : start + m.size] = m.ravel()
-        path.append(Element(p.spec, vector=vector))
+    zero = p.spec.zero().blocks
+    path = [Element(p.spec, zero[:ip] + (m,) + zero[ip + 1 :]) for stack in stacks for m in stack]
     path[0] = p
     if samples > 1:
         path[-1] = q
