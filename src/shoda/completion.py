@@ -7,6 +7,8 @@ computes the radical (verified zero, not assumed), identifies the Wedderburn
 structure, and checks the explicit isomorphism witness onto one full matrix
 block, kept as the matrix unit of each basis element: algebra block i sits
 at diagonal position i, the tensor pair (i, j) at off-diagonal position (i, j).
+It also checks multiply_B, the matmul of that picture, against the paper's
+trace-pairing product on seeded elementary tensors.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import _COMPLEX_BYTES, AlgebraSpec, Element, _chunk_size, _require_budget
+from .algebra import _COMPLEX_BYTES, AlgebraSpec, Element, _chunk_size, _require_budget, frobenius, multiply, trace
 from .errors import NumericalFailure
 from .structure import (
     RECORD,
@@ -27,12 +29,13 @@ from .structure import (
     radical,
     wedderburn_identify,
 )
-from .tensor import BElement, aj_zero, extension_to_matrix, matrix_to_extension, multiply_B
+from .tensor import AJElement, BElement, aj_zero, extension_to_matrix, multiply_B
 
 # seeded random pairs checked against the witness on top of every basis pair
 _CHECK_PAIRS = 100
-# the first seeded pairs also check multiply_B's block layout against them
-_PRODUCT_PAIRS = 8
+# seeded pairs of elementary tensors whose multiply_B product is checked
+# against the trace pairing, drawn after the random pairs
+_PAIRING_CHECKS = 8
 # complete() counts this many bytes per structure-constant record (N**3 of
 # them) against the memory budget, so N <= 86.  A child process's peak RSS
 # (getrusage, one BLAS thread), the interpreter included, over the record
@@ -55,10 +58,6 @@ def extension_positions(spec: AlgebraSpec) -> tuple[np.ndarray, np.ndarray]:
     # the stable sort keeps each block row-major
     key = np.where(bi == bj, bi, spec.num_blocks * (1 + bi) + bj)
     return np.divmod(np.argsort(key, axis=None, kind="stable"), size)
-
-
-def extension_from_coordinates(spec: AlgebraSpec, vec: np.ndarray) -> BElement:
-    return matrix_to_extension(spec, _place(extension_positions(spec), vec))
 
 
 def _place(positions: tuple[np.ndarray, np.ndarray], coords: np.ndarray) -> np.ndarray:
@@ -115,6 +114,44 @@ def _basis_residual(alg: StructureConstantAlgebra, rows: np.ndarray, cols: np.nd
     return float(np.abs(diff).max(initial=0.0))
 
 
+def _ideal_element(spec: AlgebraSpec, block: int, column: bool, rng: np.random.Generator) -> Element:
+    """A standard complex normal element of the minimal left ideal of a
+    block (its column 0) or of its minimal right ideal (its row 0)."""
+    n = spec.block_dims[block]
+    z = rng.normal(size=(2, n))
+    vector = np.zeros(spec.dim, dtype=complex)
+    vector[spec.offset(block) + np.arange(n) * (n if column else 1)] = z[0] + 1j * z[1]
+    return Element(spec, vector=vector)
+
+
+def _elementary(a: Element, i: int, b: Element, j: int) -> BElement:
+    """The extension element a (x) b for a in the left ideal of block i and
+    b in the right ideal of block j: the algebra element ab when i == j,
+    else the tensor with coordinate matrix (column of a)(row of b) at (i, j)."""
+    spec = a.spec
+    if i == j:
+        return BElement(multiply(a, b), aj_zero(spec))
+    return BElement(spec.zero(), AJElement(spec, {(i, j): np.outer(a.block(i)[:, 0], b.block(j)[0])}))
+
+
+def _pairing_residual(spec: AlgebraSpec, rng: np.random.Generator) -> float:
+    """Worst relative gap between multiply_B and the paper's product
+    (a (x) b)(c (x) d) = Tr(bc) a (x) d, formed with the algebra's own
+    multiply and trace, on _PAIRING_CHECKS seeded elementary tensors: a, c
+    in the left ideals of blocks i, j and b, d in the right ideals of blocks
+    j, l, with the blocks drawn, so that the pairing Tr(bc) is not 0."""
+    worst = 0.0
+    for _ in range(_PAIRING_CHECKS):
+        i, j, l = rng.integers(spec.num_blocks, size=3).tolist()
+        a, b = _ideal_element(spec, i, True, rng), _ideal_element(spec, j, False, rng)
+        c, d = _ideal_element(spec, j, True, rng), _ideal_element(spec, l, False, rng)
+        want = complex(trace(multiply(b, c))) * _elementary(a, i, d, l)
+        gap = multiply_B(_elementary(a, i, b, j), _elementary(c, j, d, l)) - want
+        scale = 1.0 + frobenius(want.a) + float(np.linalg.norm(want.u.matrix))
+        worst = max(worst, float(max(np.abs(gap.a.vector).max(), np.abs(gap.u.matrix).max())) / scale)
+    return worst
+
+
 @dataclass(frozen=True, eq=False)
 class CompletionResult:
     """Outcome of the completion pipeline, with the identification witness."""
@@ -161,8 +198,7 @@ def complete(spec: AlgebraSpec, tol: float = 1e-9, seed: int = 42) -> Completion
     basis_residual = _basis_residual(alg, *positions)
 
     # seeded pairs in stacks, each pair about four complex entries per record
-    # and nine per coordinate; the first pairs also cross-check the block
-    # slices of multiply_B against extension_positions
+    # and nine per coordinate
     rng = np.random.default_rng(seed)
     chunk = _chunk_size((4 * alg.table.size + 9 * d) * _COMPLEX_BYTES)
     random_residual = 0.0
@@ -170,17 +206,13 @@ def complete(spec: AlgebraSpec, tol: float = 1e-9, seed: int = 42) -> Completion
         draw = rng.normal(size=(min(chunk, _CHECK_PAIRS - lo), 4, d))
         x, y = draw[:, 0] + 1j * draw[:, 1], draw[:, 2] + 1j * draw[:, 3]
         lhs = _place(positions, alg.product(x, y))
-        x, y = _place(positions, x), _place(positions, y)
-        rhs = x @ y
+        rhs = _place(positions, x) @ _place(positions, y)
         worst = np.abs(lhs - rhs).max(axis=(1, 2))
         denom = 1.0 + np.linalg.norm(lhs, axis=(1, 2))
         random_residual = max(random_residual, float((worst / denom).max()))
-        for k in range(min(_PRODUCT_PAIRS - lo, len(x))):
-            xk, yk = (matrix_to_extension(spec, m[k]) for m in (x, y))
-            product = extension_to_matrix(multiply_B(xk, yk))
-            residual = float(np.abs(product - rhs[k]).max()) / (1.0 + np.linalg.norm(product))
-            if residual > tol:
-                raise NumericalFailure(f"multiply_B is off the matrix product by {residual}")
+    residual = _pairing_residual(spec, rng)
+    if residual > tol:
+        raise NumericalFailure(f"multiply_B is off the trace pairing by {residual}")
 
     iso_residual = max(basis_residual, random_residual)
     if not iso_residual <= tol:

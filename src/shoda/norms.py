@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .algebra import (
     _COMPLEX_BYTES,
@@ -25,7 +26,7 @@ from .algebra import (
     block_operator_norm,
 )
 from .algebra import largest_singular_value as a_norm
-from .tensor import BElement, _assemble, _cut, _pair_layout, _term_groups, aj_pairs
+from .tensor import BElement, _assemble, _cut, _pair_layout, aj_pairs
 from .tensor import multiply_B  # unused here, but perfbench/tracing.py binds it by name
 
 A_NORM_MODEL = "max-block-operator-norm"
@@ -126,8 +127,13 @@ class NormReport:
 
 def b_norm(x: BElement) -> NormReport:
     """Pair norm of an extension element: algebra part plus l1 tensor part."""
-    norms = _nuclear_norms(_term_groups(x.u))
-    per_pair = {p: norm for p, norm in zip(aj_pairs(x.spec), norms.tolist()) if p in x.u.terms}
+    groups = _cut(x.spec, x.u.matrix)[1]
+    norms = _nuclear_norms(groups)
+    nonzero = np.zeros(norms.shape, dtype=bool)
+    for places, stack in groups:
+        nonzero[places] = stack.any(axis=(1, 2))
+    pairs, values = aj_pairs(x.spec), norms.tolist()
+    per_pair = {pairs[p]: values[p] for p in np.flatnonzero(nonzero).tolist()}
     u_l1 = float(_key_order_sum(norms))
     an = a_norm(x.a)
     return NormReport(a_norm=an, u_l1=u_l1, total=an + u_l1, per_pair=per_pair)
@@ -183,10 +189,18 @@ def _draw_groups(spec: AlgebraSpec, reals: np.ndarray) -> list[tuple[np.ndarray,
     """A stack of tensors from its (count, 2 (N^2 - dim)) real draws, as
     `sampling.random_aj` draws one sample: pair by pair in aj_pairs order,
     all real parts, then all imaginary parts; in tensor._cut's form."""
-    groups = []
-    for places, _, draws in _pair_layout(spec):
-        values = np.multiply(1j, reals[:, draws + draws[0].size])
-        groups.append((places, np.add(reals[:, draws], values, out=values)))
+    layout = _pair_layout(spec)
+    sizes = np.zeros(spec.num_blocks * (spec.num_blocks - 1), dtype=np.intp)
+    for places, r, c, _, _ in layout:
+        sizes[places] = r * c
+    firsts, groups = 2 * (np.cumsum(sizes) - sizes), []
+    for places, r, c, _, _ in layout:
+        # each pair's real parts, and then its imaginary parts, are one
+        # window of r c draws; one gather per part, with O(pairs) indices
+        windows, first = sliding_window_view(reals, r * c, axis=1), firsts[places]
+        values = np.multiply(1j, windows[:, first + r * c])
+        values += windows[:, first]
+        groups.append((places, values.reshape(len(reals), len(places), r, c)))
     return groups
 
 

@@ -21,13 +21,16 @@ off-diagonal tensor part and multiplies by
 Block i of x is the diagonal coordinate (i, i), so the algebra acts on
 tensors through the same pairing: placing every coordinate block at its
 block pair in one N x N matrix (N the sum of the block sizes) identifies the
-extension with M_N, and the product is the matmul of the two images.  This
-module owns that block layout: _assemble places coordinate blocks, _cut
-reads them back, the diagonal ones as one view per run of equal blocks and
-the off-diagonal ones gathered once per block shape, and extension_to_matrix
-and matrix_to_extension are the identification.  The socle-plus-tensor
-algebra A_J' needs no type of its own, because in finite dimensions the socle is the whole algebra and the
-isomorphism A_J' -> B is the identity on coordinates.
+extension with M_N, and the product is the matmul of the two images.  An
+off-diagonal tensor is held as that N x N matrix with zero diagonal blocks,
+so the extension's arithmetic is array arithmetic.  This module owns the
+block layout: _assemble places coordinate blocks, _cut reads them back, the
+diagonal ones as one view per run of equal blocks and the off-diagonal ones
+gathered once per block shape, and extension_to_matrix and
+matrix_to_extension are the identification.  The socle-plus-tensor algebra
+A_J' needs no type of its own, because in finite dimensions the socle is
+the whole algebra and the isomorphism A_J' -> B is the identity on
+coordinates.
 """
 
 from __future__ import annotations
@@ -42,89 +45,57 @@ from .algebra import AlgebraSpec, Element
 from .errors import ShapeMismatch
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class AJElement:
-    """Off-diagonal tensor: coordinate matrices keyed by ordered block pairs.
-
-    An absent key means a zero coordinate block; diagonal keys are forbidden
-    (those coordinates live in the algebra itself).  The representation by
-    coordinate matrices is unique.
+    """Off-diagonal tensor: one read-only complex N x N matrix with the
+    coordinate matrix of each ordered block pair (i, j), i != j, at its
+    block position and zero diagonal blocks (those coordinates live in the
+    algebra itself).  The representation by coordinate matrices is unique.
     """
 
     spec: AlgebraSpec
-    terms: dict[tuple[int, int], np.ndarray]
+    matrix: np.ndarray
 
-    def __post_init__(self):
-        frozen = {}
-        dims = self.spec.block_dims
-        for (i, j), m in self.terms.items():
-            if i == j:
-                raise ValueError("diagonal pairs do not belong to the off-diagonal part")
-            arr = np.array(m, dtype=complex)
-            if arr.shape != (dims[i], dims[j]):
-                raise ValueError(
-                    f"pair ({i}, {j}) needs shape ({dims[i]}, {dims[j]}), got {arr.shape}"
-                )
-            if np.count_nonzero(arr):
-                arr.setflags(write=False)
-                frozen[(i, j)] = arr
-        object.__setattr__(self, "terms", frozen)
+    def __init__(self, spec: AlgebraSpec, terms=None, matrix=None):
+        """The tensor with these coordinate matrices keyed by block pair
+        (absent pairs are zero), placed into one matrix, or with this matrix,
+        kept without a copy."""
+        if matrix is None:
+            dims, rows = spec.block_dims, _block_slices(spec.block_dims)
+            matrix = np.zeros((spec.matrix_size,) * 2, dtype=complex)
+            for (i, j), m in (terms or {}).items():
+                if i == j:
+                    raise ValueError("diagonal pairs do not belong to the off-diagonal part")
+                if np.shape(m) != (dims[i], dims[j]):
+                    raise ValueError(
+                        f"pair ({i}, {j}) needs shape ({dims[i]}, {dims[j]}), got {np.shape(m)}"
+                    )
+                matrix[rows[i], rows[j]] = m
+        matrix.setflags(write=False)
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "matrix", matrix)
 
-    def _require_same_spec(self, other):
-        if self.spec != other.spec:
-            raise ShapeMismatch(f"{self.spec.block_dims} vs {other.spec.block_dims}")
-
-    def coordinate(self, i: int, j: int) -> np.ndarray:
-        """Dense coordinate matrix of the (i, j) pair (zeros when absent)."""
-        if (i, j) in self.terms:
-            return self.terms[(i, j)]
-        return np.zeros((self.spec.block_dims[i], self.spec.block_dims[j]), dtype=complex)
-
-    def __add__(self, other: "AJElement") -> "AJElement":
-        self._require_same_spec(other)
-        # in aj_pairs order, so that b_norm adds the same terms in the same order
-        keys = sorted(set(self.terms) | set(other.terms))
-        return AJElement(
-            self.spec, {k: self.coordinate(*k) + other.coordinate(*k) for k in keys}
-        )
-
-    def __sub__(self, other: "AJElement") -> "AJElement":
-        return self + (-1.0) * other
-
-    def __rmul__(self, scalar) -> "AJElement":
-        return AJElement(self.spec, {k: complex(scalar) * m for k, m in self.terms.items()})
-
-    def __neg__(self) -> "AJElement":
-        return (-1.0) * self
+    @functools.cached_property
+    def terms(self) -> dict[tuple[int, int], np.ndarray]:
+        """The nonzero coordinate matrices as read-only views of matrix,
+        keyed by block pair in aj_pairs order."""
+        rows = _block_slices(self.spec.block_dims)
+        starts = [r.start for r in rows]
+        nonzero = np.logical_or.reduceat(self.matrix != 0, starts, axis=0)
+        nonzero = np.logical_or.reduceat(nonzero, starts, axis=1)
+        np.fill_diagonal(nonzero, False)
+        pairs = zip(*(axis.tolist() for axis in np.nonzero(nonzero)))
+        return {(i, j): self.matrix[rows[i], rows[j]] for i, j in pairs}
 
 
 def aj_zero(spec: AlgebraSpec) -> AJElement:
-    return AJElement(spec, {})
-
-
-def tensor_unit(spec: AlgebraSpec, i: int, j: int, k: int, l: int) -> AJElement:
-    """The elementary off-diagonal tensor with a single unit coordinate."""
-    m = np.zeros((spec.block_dims[i], spec.block_dims[j]), dtype=complex)
-    m[k, l] = 1.0
-    return AJElement(spec, {(i, j): m})
+    return AJElement(spec, matrix=np.zeros((spec.matrix_size,) * 2, dtype=complex))
 
 
 def aj_pairs(spec: AlgebraSpec) -> list[tuple[int, int]]:
     """All ordered block pairs (i, j) with i != j."""
     k = spec.num_blocks
     return [(i, j) for i in range(k) for j in range(k) if i != j]
-
-
-def aj_frobenius(u: AJElement) -> float:
-    return float(np.sqrt(sum(np.sum(np.abs(m) ** 2) for m in u.terms.values())))
-
-
-def aj_allclose(u: AJElement, v: AJElement, tol: float = 1e-12) -> bool:
-    u._require_same_spec(v)
-    keys = set(u.terms) | set(v.terms)
-    return all(
-        np.allclose(u.coordinate(*k), v.coordinate(*k), rtol=0.0, atol=tol) for k in keys
-    )
 
 
 @functools.lru_cache(maxsize=16)
@@ -134,36 +105,31 @@ def _block_slices(dims: tuple[int, ...]) -> tuple[slice, ...]:
     return tuple(slice(end - n, end) for end, n in zip(ends, dims))
 
 
-@functools.lru_cache(maxsize=8)  # its arrays hold three integers per tensor entry
-def _pair_layout(spec: AlgebraSpec) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+@functools.lru_cache(maxsize=8)
+def _pair_layout(spec: AlgebraSpec) -> tuple[tuple[np.ndarray, int, int, np.ndarray, np.ndarray], ...]:
     """The pairs of aj_pairs grouped by block shape, in order of first
-    appearance, each group of P pairs of r x c blocks as its places in
-    aj_pairs, the flat places of its entries in the N x N matrix and those
-    of their real parts among the real draws of a tensor, which come pair by
-    pair, all real parts, then all imaginary parts; the last two (P, r, c)."""
+    appearance, each group of r x c blocks as (places in aj_pairs, r, c,
+    first rows, first columns), the last two of each block in the N x N
+    matrix; O(pairs) integers, none per entry."""
     dims = np.array(spec.block_dims)
-    k, size, base, starts = len(dims), dims.sum(), dims.max() + 1, np.cumsum(dims) - dims
+    k, base, starts = len(dims), dims.max() + 1, np.cumsum(dims) - dims
     i, j = np.repeat(np.arange(k), k - 1), np.tile(np.arange(k - 1), k)
     j += j >= i
-    rows, cols = dims[i], dims[j]
-    draws, shape = 2 * (np.cumsum(rows * cols) - rows * cols), rows * base + cols
+    shape = dims[i] * base + dims[j]
     groups = []
     for key in shape[np.sort(np.unique(shape, return_index=True)[1])]:
-        places, (r, c) = np.flatnonzero(shape == key), divmod(key, base)
-        row, col = np.divmod(local := np.arange(r * c), c)
-        positions = (starts[i[places], None] + row) * size + starts[j[places], None] + col
-        groups.append((places, positions.reshape(-1, r, c), (draws[places, None] + local).reshape(-1, r, c)))
+        places = np.flatnonzero(shape == key)
+        groups.append((places, *divmod(int(key), int(base)), starts[i[places]], starts[j[places]]))
     return tuple(groups)
 
 
-def _term_groups(u: AJElement) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The coordinate blocks of a tensor's terms grouped as _cut groups
-    them, absent pairs left out."""
-    pairs, groups = aj_pairs(u.spec), []
-    for places, _, _ in _pair_layout(u.spec):
-        if present := [p for p in places.tolist() if pairs[p] in u.terms]:
-            groups.append((np.array(present), np.array([u.terms[pairs[p]] for p in present])))
-    return groups
+def _windows(mat: np.ndarray, r: int, c: int) -> np.ndarray:
+    """Every r x c block of a C-contiguous (..., N, N) block matrix as a
+    (..., N - r + 1, N - c + 1, r, c) view indexed by its first row and
+    column, writable when mat is."""
+    *lead, size, _ = mat.shape
+    *outer, row, col = mat.strides
+    return np.ndarray((*lead, size - r + 1, size - c + 1, r, c), mat.dtype, mat, 0, (*outer, row, col, row, col))
 
 
 def _diagonal_runs(spec: AlgebraSpec, mat: np.ndarray) -> list[np.ndarray]:
@@ -187,18 +153,17 @@ def _assemble(spec: AlgebraSpec, runs, groups=()) -> np.ndarray:
     out = np.zeros(lead + (size, size), dtype=complex)
     for view, run in zip(_diagonal_runs(spec, out), runs):
         view[...] = run
-    flat = out.reshape(lead + (size * size,))
-    for (_, positions, _), (_, blocks) in zip(_pair_layout(spec), groups):
-        flat[..., positions] = blocks
+    for (_, r, c, rows, cols), (_, blocks) in zip(_pair_layout(spec), groups):
+        _windows(out, r, c)[..., rows, cols, :, :] = blocks
     return out
 
 
 def _cut(spec: AlgebraSpec, mat: np.ndarray) -> tuple[list[np.ndarray], list[tuple[np.ndarray, np.ndarray]]]:
-    """The diagonal blocks of a contiguous (..., N, N) block matrix as
+    """The diagonal blocks of a C-contiguous (..., N, N) block matrix as
     _diagonal_runs views, and its off-diagonal coordinate blocks gathered
     per shape group of _pair_layout as (places, (..., P, r, c) stack)."""
-    flat = mat.reshape(mat.shape[:-2] + (-1,))
-    return _diagonal_runs(spec, mat), [(places, flat[..., positions]) for places, positions, _ in _pair_layout(spec)]
+    groups = [(places, _windows(mat, r, c)[..., rows, cols, :, :]) for places, r, c, rows, cols in _pair_layout(spec)]
+    return _diagonal_runs(spec, mat), groups
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,49 +182,42 @@ class BElement:
         return self.a.spec
 
     def __add__(self, other: "BElement") -> "BElement":
-        return BElement(self.a + other.a, self.u + other.u)
+        return BElement(self.a + other.a, AJElement(self.spec, matrix=self.u.matrix + other.u.matrix))
 
     def __sub__(self, other: "BElement") -> "BElement":
-        return BElement(self.a - other.a, self.u - other.u)
+        return BElement(self.a - other.a, AJElement(self.spec, matrix=self.u.matrix - other.u.matrix))
 
     def __rmul__(self, scalar) -> "BElement":
-        return BElement(complex(scalar) * self.a, complex(scalar) * self.u)
+        scalar = complex(scalar)
+        return BElement(scalar * self.a, AJElement(self.spec, matrix=scalar * self.u.matrix))
 
     def __mul__(self, other):
         if isinstance(other, BElement):
             return multiply_B(self, other)
-        return BElement(complex(other) * self.a, complex(other) * self.u)
-
-
-def b_identity(spec: AlgebraSpec) -> BElement:
-    return BElement(spec.identity(), aj_zero(spec))
-
-
-def b_allclose(x: BElement, y: BElement, tol: float = 1e-12) -> bool:
-    from .algebra import allclose
-
-    return allclose(x.a, y.a, tol) and aj_allclose(x.u, y.u, tol)
+        return complex(other) * self
 
 
 def extension_to_matrix(x: BElement) -> np.ndarray:
     """Image of an extension element under the full-matrix identification."""
-    rows = _block_slices(x.spec.block_dims)
-    out = np.zeros((x.spec.matrix_size,) * 2, dtype=complex)
-    for r, m in zip(rows, x.a.blocks):
-        out[r, r] = m
-    for (i, j), m in x.u.terms.items():
-        out[rows[i], rows[j]] = m
+    out = x.u.matrix.copy()
+    for view, run in zip(_diagonal_runs(x.spec, out), x.a.runs):
+        view[...] = run
     return out
 
 
 def matrix_to_extension(spec: AlgebraSpec, mat: np.ndarray) -> BElement:
-    mat = np.asarray(mat, dtype=complex)
+    """The extension element with this full-matrix image: the matrix is
+    copied once, its diagonal runs read into the algebra part and zeroed,
+    and the rest kept as the tensor part."""
     size = spec.matrix_size
-    if mat.shape != (size, size):
-        raise ValueError(f"expected a {size} x {size} matrix, got {mat.shape}")
-    rows = _block_slices(spec.block_dims)
-    terms = {(i, j): mat[rows[i], rows[j]] for i, j in aj_pairs(spec)}
-    return BElement(Element(spec, [mat[r, r] for r in rows]), AJElement(spec, terms))
+    if np.shape(mat) != (size, size):
+        raise ValueError(f"expected a {size} x {size} matrix, got {np.shape(mat)}")
+    mat = np.array(mat, dtype=complex, order="C")
+    vector = np.empty(spec.dim, dtype=complex)
+    for out, run in zip(spec.run_views(vector), _diagonal_runs(spec, mat)):
+        out[...] = run
+        run[...] = 0.0
+    return BElement(Element(spec, vector=vector), AJElement(spec, matrix=mat))
 
 
 def multiply_B(x: BElement, y: BElement) -> BElement:

@@ -40,9 +40,10 @@ from shoda.sampling import (
     random_rank_one_projection,
     random_traceless,
 )
-from shoda.tensor import BElement, aj_allclose
+from shoda.tensor import BElement
 
 from completion_survey import compositions
+from test_tensor import aj_allclose
 
 
 def _announce(number: int, name: str):

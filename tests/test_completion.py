@@ -5,22 +5,18 @@ import pytest
 
 import shoda.algebra
 import shoda.completion
+import shoda.tensor
 from shoda import AlgebraSpec, build_B, complete, multiply
 from shoda.algebra import Element
-from shoda.completion import (
-    extension_from_coordinates,
-    extension_positions,
-    extension_to_matrix,
-    matrix_to_extension,
-    _basis_residual,
-)
+from shoda.completion import _basis_residual, _place, extension_positions
 from shoda.errors import NumericalFailure, TooLarge
 from shoda.oracles import _naive_b_basis, compress
 from shoda.sampling import random_b, random_element
 from shoda.structure import StructureConstantAlgebra
-from shoda.tensor import BElement, b_allclose, multiply_B
+from shoda.tensor import BElement, extension_to_matrix, matrix_to_extension, multiply_B
 
 from test_structure import upper_triangular_2x2
+from test_tensor import b_allclose
 
 
 def test_complete_two_by_three(spec23):
@@ -122,7 +118,7 @@ def test_extension_coordinates_round_trip(dims):
     x = random_b(spec, rng)
     vec = extension_to_matrix(x)[rows, cols]
     assert vec.shape == (size * size,)
-    back = extension_from_coordinates(spec, vec)
+    back = matrix_to_extension(spec, _place((rows, cols), vec))
     assert b_allclose(back, x, tol=0.0)
 
 
@@ -144,6 +140,40 @@ def test_extension_product_matches_matrix_product(dims):
         lhs = extension_to_matrix(multiply_B(x, y))
         rhs = extension_to_matrix(x) @ extension_to_matrix(y)
         assert np.abs(lhs - rhs).max() < 1e-10 * (1 + np.abs(lhs).max())
+
+
+def test_complete_catches_a_layout_that_swaps_two_pairs(monkeypatch):
+    # the tensor pairs (0, 1) and (1, 0) of (2, 2) trade places in M_N, on
+    # the way in and on the way out, so the maps still round-trip and
+    # multiply_B is still a matmul; only the trace pairing tells
+    spec = AlgebraSpec((2, 2))
+
+    def swap(mat):
+        out = np.array(mat)
+        out[:2, 2:], out[2:, :2] = mat[2:, :2], mat[:2, 2:]
+        return out
+
+    to_matrix, to_extension = extension_to_matrix, matrix_to_extension
+    monkeypatch.setattr(shoda.tensor, "extension_to_matrix", lambda x: swap(to_matrix(x)))
+    monkeypatch.setattr(shoda.tensor, "matrix_to_extension", lambda spec, m: to_extension(spec, swap(m)))
+    mat = np.arange(16.0).reshape(4, 4)
+    assert np.array_equal(shoda.tensor.extension_to_matrix(shoda.tensor.matrix_to_extension(spec, mat)), mat)
+    with pytest.raises(NumericalFailure, match="trace pairing"):
+        complete(spec)
+
+
+def test_complete_checks_the_trace_pairing_on_eight_products(monkeypatch):
+    calls = []
+
+    def counting(x, y):
+        calls.append(x.spec)
+        return multiply_B(x, y)
+
+    monkeypatch.setattr(shoda.completion, "multiply_B", counting)
+    for dims in [(1,), (2, 3), (1,) * 8]:
+        calls.clear()
+        assert complete(AlgebraSpec(dims)).iso_residual < 1e-12
+        assert len(calls) == 8
 
 
 def test_radical_vectors_would_have_zero_algebra_part(spec23):
@@ -204,7 +234,7 @@ def test_complete_checks_multiply_B(monkeypatch, spec23):
         return multiply_B(y, x)
 
     monkeypatch.setattr(shoda.completion, "multiply_B", wrong_product)
-    with pytest.raises(NumericalFailure, match="multiply_B is off the matrix product"):
+    with pytest.raises(NumericalFailure, match="multiply_B is off the trace pairing"):
         complete(spec23)
 
 

@@ -6,11 +6,12 @@ import shoda.norms
 from shoda import AlgebraSpec, a_norm, b_norm, isometry_check, pair_nuclear_norm
 from shoda import submultiplicativity_audit
 from shoda.algebra import Element, block_operator_norm, multiply
-from shoda.completion import extension_to_matrix, matrix_to_extension
 from shoda.errors import TooLarge
 from shoda.norms import A_NORM_MODEL, NormAudit, _audit_chunk, _ratio
 from shoda.sampling import random_aj, random_b, random_element
-from shoda.tensor import BElement, aj_zero, multiply_B, tensor_unit
+from shoda.tensor import BElement, aj_zero, extension_to_matrix, matrix_to_extension, multiply_B
+
+from test_tensor import tensor_unit
 
 
 def test_a_norm_of_identity(spec23):

@@ -29,9 +29,10 @@ from shoda.oracles import (
 )
 from shoda.sampling import random_element
 from shoda.structure import StructureConstantAlgebra, _center_basis
-from shoda.tensor import BElement, aj_allclose
+from shoda.tensor import BElement
 
 from test_structure import upper_triangular_2x2
+from test_tensor import aj_allclose
 
 
 def _random_tensor_list(spec, rng, n_terms=3):

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import shoda.structure
 from shoda import AlgebraSpec, build_B, multiply_B, quotient, radical, wedderburn_identify
-from shoda.completion import extension_from_coordinates, extension_positions, extension_to_matrix
+from shoda.completion import _place, extension_positions
+from shoda.tensor import extension_to_matrix, matrix_to_extension
 from shoda.errors import NotAnIdeal, NotSemisimple, NumericalFailure
 from shoda.oracles import associativity_residual, block_algebra, unit_residual
 from shoda.structure import StructureConstantAlgebra, _center_basis, _components
@@ -48,8 +49,8 @@ def test_extension_dimension_two_plus_three():
 def reference_table(spec: AlgebraSpec) -> np.ndarray:
     """The extension table from multiply_B over every pair of basis elements."""
     d = spec.matrix_size**2
-    basis = [extension_from_coordinates(spec, e) for e in np.eye(d)]
     positions = extension_positions(spec)
+    basis = [matrix_to_extension(spec, _place(positions, e)) for e in np.eye(d)]
     return np.array(
         [[extension_to_matrix(multiply_B(x, y))[positions] for y in basis] for x in basis]
     )

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from shoda import AlgebraSpec, frobenius, multiply_B
 from shoda.algebra import Element, allclose
-from shoda.completion import extension_positions, extension_to_matrix
+from shoda.completion import extension_positions
 from shoda.errors import ShapeMismatch
+from shoda.norms import NormReport, _key_order_sum, _nuclear_norms, a_norm, b_norm
 from shoda.oracles import (
     ElementaryTensorList,
     _naive_b_coordinates,
@@ -18,19 +19,34 @@ from shoda.sampling import random_aj, random_b
 from shoda.tensor import (
     AJElement,
     BElement,
-    aj_allclose,
     aj_pairs,
     aj_zero,
-    b_allclose,
-    b_identity,
-    tensor_unit,
+    extension_to_matrix,
+    matrix_to_extension,
 )
 
 
-def _parts_norm(x):
-    from shoda.tensor import aj_frobenius
+def tensor_unit(spec, i, j, k, l):
+    """The elementary off-diagonal tensor with a single unit coordinate."""
+    m = np.zeros((spec.block_dims[i], spec.block_dims[j]), dtype=complex)
+    m[k, l] = 1.0
+    return AJElement(spec, {(i, j): m})
 
-    return frobenius(x.a) + aj_frobenius(x.u)
+
+def aj_allclose(u, v, tol=1e-12):
+    return u.spec == v.spec and np.allclose(u.matrix, v.matrix, rtol=0.0, atol=tol)
+
+
+def b_identity(spec):
+    return BElement(spec.identity(), aj_zero(spec))
+
+
+def b_allclose(x, y, tol=1e-12):
+    return allclose(x.a, y.a, tol) and aj_allclose(x.u, y.u, tol)
+
+
+def _parts_norm(x):
+    return frobenius(x.a) + float(np.linalg.norm(x.u.matrix))
 
 
 def _off_tensor(spec, u):
@@ -100,16 +116,14 @@ def test_bracket_operations_are_bilinear(spec23):
         )
 
     for _ in range(20):
-        u, v, w = integer_aj(), integer_aj(), integer_aj()
+        u, v, w = (_off_tensor(spec23, integer_aj()) for _ in range(3))
         alpha = 3.0
-        scaled = multiply_B(_off_tensor(spec23, alpha * u), _off_tensor(spec23, v))
-        plain = multiply_B(_off_tensor(spec23, u), _off_tensor(spec23, v))
+        scaled = multiply_B(alpha * u, v)
+        plain = multiply_B(u, v)
         assert allclose(scaled.a, alpha * plain.a, tol=0.0)
-        assert aj_allclose(scaled.u, alpha * plain.u, tol=0.0)
-        dist = multiply_B(_off_tensor(spec23, u), _off_tensor(spec23, v + w))
-        sum_of = multiply_B(_off_tensor(spec23, u), _off_tensor(spec23, v)) + multiply_B(
-            _off_tensor(spec23, u), _off_tensor(spec23, w)
-        )
+        assert aj_allclose(scaled.u, (alpha * plain).u, tol=0.0)
+        dist = multiply_B(u, v + w)
+        sum_of = multiply_B(u, v) + multiply_B(u, w)
         assert allclose(dist.a, sum_of.a, tol=0.0)
         assert aj_allclose(dist.u, sum_of.u, tol=0.0)
 
@@ -284,7 +298,125 @@ def test_aj_element_rejects_wrong_shape(spec23):
 
 def test_aj_addition_and_scaling(spec23, rng):
     u, v = random_aj(spec23, rng), random_aj(spec23, rng)
-    w = 2.0 * u + v
-    for key in w.terms:
-        expected = 2.0 * u.coordinate(*key) + v.coordinate(*key)
-        assert np.allclose(w.coordinate(*key), expected, atol=0.0)
+    w = (2.0 * _off_tensor(spec23, u) + _off_tensor(spec23, v)).u
+    assert list(w.terms) == aj_pairs(spec23)
+    for key, m in w.terms.items():
+        assert np.array_equal(m, 2.0 * u.terms[key] + v.terms[key])
+
+
+def test_terms_are_read_only_views_of_the_matrix(spec23, rng):
+    u = random_aj(spec23, rng)
+    assert list(u.terms) == aj_pairs(spec23)
+    for m in u.terms.values():
+        assert np.shares_memory(m, u.matrix)
+        assert not m.flags.writeable
+    assert not u.matrix.flags.writeable
+    # a zero pair has no term; the matrix keeps its zero blocks
+    single = AJElement(spec23, {(1, 0): u.terms[(1, 0)]})
+    assert list(single.terms) == [(1, 0)]
+    assert np.array_equal(single.matrix[:2, :2], np.zeros((2, 2)))
+
+
+def test_a_term_written_after_construction_leaves_the_element_alone(spec23):
+    m = np.arange(6, dtype=complex).reshape(2, 3)
+    u = AJElement(spec23, {(0, 1): m})
+    m[0, 0] = 99.0
+    assert u.terms[(0, 1)][0, 0] == 0.0
+    matrix = np.zeros((5, 5), dtype=complex)
+    kept = AJElement(spec23, matrix=matrix)
+    assert kept.matrix is matrix and not matrix.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# the array arithmetic against the per-pair dict arithmetic it replaced
+
+
+def _dict_terms(u):
+    """A tensor's nonzero coordinate matrices as a plain dict of copies."""
+    return {key: np.array(m) for key, m in u.terms.items()}
+
+
+def _dict_combine(spec, u, v, op):
+    """The tensor arithmetic as a dict of coordinate matrices: keys in
+    aj_pairs order, all-zero results dropped."""
+    dims = spec.block_dims
+    out = {}
+    for key in sorted(set(u) | set(v)):
+        zero = np.zeros((dims[key[0]], dims[key[1]]), dtype=complex)
+        m = op(u.get(key, zero), v.get(key, zero))
+        if np.count_nonzero(m):
+            out[key] = m
+    return out
+
+
+def _dict_norm(spec, a, terms):
+    """b_norm over a dict of terms: the present pairs stacked by shape, one
+    nuclear norm per pair, the norms added in key order."""
+    pairs, shapes = aj_pairs(spec), {}
+    for place, key in enumerate(pairs):
+        if key in terms:
+            shapes.setdefault(terms[key].shape, []).append(place)
+    groups = [(np.array(places), np.array([terms[pairs[p]] for p in places])) for places in shapes.values()]
+    norms = _nuclear_norms(groups)
+    per_pair = {p: norm for p, norm in zip(pairs, norms.tolist()) if p in terms}
+    u_l1 = float(_key_order_sum(norms))
+    an = a_norm(a)
+    return NormReport(a_norm=an, u_l1=u_l1, total=an + u_l1, per_pair=per_pair)
+
+
+def _dict_product(x, y):
+    """multiply_B on dict operands: both placed block by block into M_N,
+    one matmul, the product cut back into blocks."""
+    spec = x.spec
+    rows, start = [], 0
+    for n in spec.block_dims:
+        rows.append(slice(start, start + n))
+        start += n
+
+    def place(a, terms):
+        out = np.zeros((start, start), dtype=complex)
+        for r, m in zip(rows, a.blocks):
+            out[r, r] = m
+        for (i, j), m in terms.items():
+            out[rows[i], rows[j]] = m
+        return out
+
+    mat = place(x.a, _dict_terms(x.u)) @ place(y.a, _dict_terms(y.u))
+    a = Element(spec, [mat[r, r] for r in rows])
+    terms = {(i, j): mat[rows[i], rows[j]] for i, j in aj_pairs(spec) if np.count_nonzero(mat[rows[i], rows[j]])}
+    return a, terms
+
+
+def _assert_same(x, a, terms):
+    assert np.array_equal(x.a.vector, a.vector)
+    assert list(x.u.terms) == list(terms)
+    for key, m in terms.items():
+        assert np.array_equal(x.u.terms[key], m)
+
+
+def _sparse_b(spec, rng, keep):
+    """A random extension element with about a share keep of its pairs."""
+    terms = {key: m for key, m in random_aj(spec, rng).terms.items() if rng.random() < keep}
+    return BElement(random_b(spec, rng).a, AJElement(spec, terms))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([(2, 3, 2), (1, 1, 1, 3, 1), (1,) * 6]),
+    st.integers(0, 2**31),
+    st.sampled_from([0.0, 0.5, 1.0]),
+    st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
+)
+def test_array_arithmetic_equals_the_dict_arithmetic(dims, seed, keep, alpha):
+    spec = AlgebraSpec(dims)
+    rng = np.random.default_rng(seed)
+    x, y = _sparse_b(spec, rng, keep), _sparse_b(spec, rng, keep)
+    xu, yu = _dict_terms(x.u), _dict_terms(y.u)
+    _assert_same(x + y, x.a + y.a, _dict_combine(spec, xu, yu, np.add))
+    negated = _dict_combine(spec, {}, yu, lambda p, q: complex(-1.0) * q)
+    _assert_same(x - y, x.a - y.a, _dict_combine(spec, xu, negated, np.add))
+    scaled = {key: complex(alpha) * m for key, m in xu.items() if np.count_nonzero(complex(alpha) * m)}
+    _assert_same(alpha * x, complex(alpha) * x.a, scaled)
+    _assert_same(multiply_B(x, y), *_dict_product(x, y))
+    for z in (x, y, x - y, multiply_B(x, y)):
+        assert b_norm(z) == _dict_norm(spec, z.a, _dict_terms(z.u))
