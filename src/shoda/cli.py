@@ -93,6 +93,11 @@ def _cmd_info(config: CliConfig) -> dict:
 # bytes for the table dump at N = 9 and 639 for the witness of `check` on
 # (362, 362).
 _JSON_ENTRY_BYTES = 640
+# `check`'s witness report per block beside its entries: a child process's
+# peak RSS (wait4) less _JSON_ENTRY_BYTES per entry was 1550 bytes per block
+# on (1,) * 60000 and 2020 on (2,) * 30000.  The most blocks admitted peak at
+# 243 MiB on (2,) * 66117 and 241 MiB on (1, 2) * 43296.
+_WITNESS_BLOCK_BYTES = 1500
 # Peak memory of `decompose` per complex entry of its input and two factors,
 # the decomposition and the JSON text included.  A child process's peak RSS
 # over the entry count was 583 bytes at n = 256, 463 at 384 and 439 at 448;
@@ -126,7 +131,8 @@ def _cmd_complete(config: CliConfig) -> dict:
 def _cmd_check(config: CliConfig) -> dict:
     spec = _load_spec(config)
     if spec.num_blocks >= 2:
-        _require_budget(f"the witness report of {spec.describe()}", spec.dim * _JSON_ENTRY_BYTES)
+        _require_budget(f"the witness report of {spec.describe()}",
+                        spec.dim * _JSON_ENTRY_BYTES + spec.num_blocks * _WITNESS_BLOCK_BYTES)
     report = is_shoda_complete(spec, config.tol, config.seed)
     return {
         "verdict": report.verdict,

@@ -33,8 +33,7 @@ from .tensor import AJElement, BElement, aj_zero, extension_to_matrix, multiply_
 
 # seeded random pairs checked against the witness on top of every basis pair
 _CHECK_PAIRS = 100
-# seeded pairs of elementary tensors whose multiply_B product is checked
-# against the trace pairing, drawn after the random pairs
+# seeded pairs of elementary tensors checked against the trace pairing
 _PAIRING_CHECKS = 8
 # complete() counts this many bytes per structure-constant record (N**3 of
 # them) against the memory budget, so N <= 86.  A child process's peak RSS
@@ -114,42 +113,34 @@ def _basis_residual(alg: StructureConstantAlgebra, rows: np.ndarray, cols: np.nd
     return float(np.abs(diff).max(initial=0.0))
 
 
-def _ideal_element(spec: AlgebraSpec, block: int, column: bool, rng: np.random.Generator) -> Element:
-    """A standard complex normal element of the minimal left ideal of a
-    block (its column 0) or of its minimal right ideal (its row 0)."""
-    n = spec.block_dims[block]
-    z = rng.normal(size=(2, n))
-    vector = np.zeros(spec.dim, dtype=complex)
-    vector[spec.offset(block) + np.arange(n) * (n if column else 1)] = z[0] + 1j * z[1]
-    return Element(spec, vector=vector)
-
-
-def _elementary(a: Element, i: int, b: Element, j: int) -> BElement:
-    """The extension element a (x) b for a in the left ideal of block i and
-    b in the right ideal of block j: the algebra element ab when i == j,
-    else the tensor with coordinate matrix (column of a)(row of b) at (i, j)."""
-    spec = a.spec
-    if i == j:
-        return BElement(multiply(a, b), aj_zero(spec))
-    return BElement(spec.zero(), AJElement(spec, {(i, j): np.outer(a.block(i)[:, 0], b.block(j)[0])}))
-
-
 def _pairing_residual(spec: AlgebraSpec, rng: np.random.Generator) -> float:
     """Worst relative gap between multiply_B and the paper's product
-    (a (x) b)(c (x) d) = Tr(bc) a (x) d, formed with the algebra's own
-    multiply and trace, on _PAIRING_CHECKS seeded elementary tensors: a, c
-    in the left ideals of blocks i, j and b, d in the right ideals of blocks
-    j, l, with the blocks drawn, so that the pairing Tr(bc) is not 0."""
+    (a (x) b)(c (x) d) = Tr(bc) a (x) d, formed with the algebra's multiply
+    and trace, on seeded elementary tensors: a, c in the minimal left ideals
+    (column 0) of drawn blocks i, j and b, d in the right ideals (row 0) of
+    blocks j, l, c in b's block so that Tr(bc) is not 0."""
+
+    def ideal(block: int, column: bool) -> Element:
+        n, z = spec.block_dims[block], rng.normal(size=(2, spec.block_dims[block]))
+        vector = np.zeros(spec.dim, dtype=complex)
+        vector[spec.offset(block) + np.arange(n) * (n if column else 1)] = z[0] + 1j * z[1]
+        return Element(spec, vector=vector)
+
+    def tensor(a: Element, i: int, b: Element, j: int) -> BElement:
+        # ab in the algebra when i == j, else (column of a)(row of b) at (i, j)
+        if i == j:
+            return BElement(multiply(a, b), aj_zero(spec))
+        return BElement(spec.zero(), AJElement(spec, {(i, j): np.outer(a.block(i)[:, 0], b.block(j)[0])}))
+
     worst = 0.0
     for _ in range(_PAIRING_CHECKS):
         i, j, l = rng.integers(spec.num_blocks, size=3).tolist()
-        a, b = _ideal_element(spec, i, True, rng), _ideal_element(spec, j, False, rng)
-        c, d = _ideal_element(spec, j, True, rng), _ideal_element(spec, l, False, rng)
-        want = complex(trace(multiply(b, c))) * _elementary(a, i, d, l)
-        gap = multiply_B(_elementary(a, i, b, j), _elementary(c, j, d, l)) - want
-        scale = 1.0 + frobenius(want.a) + float(np.linalg.norm(want.u.matrix))
-        worst = max(worst, float(max(np.abs(gap.a.vector).max(), np.abs(gap.u.matrix).max())) / scale)
-    return worst
+        a, b, c, d = ideal(i, True), ideal(j, False), ideal(j, True), ideal(l, False)
+        want = complex(trace(multiply(b, c))) * tensor(a, i, d, l)
+        gap = multiply_B(tensor(a, i, b, j), tensor(c, j, d, l)) - want
+        scale = 1.0 + frobenius(want.a) + np.linalg.norm(want.u.matrix)
+        worst = max(worst, max(np.abs(gap.a.vector).max(), np.abs(gap.u.matrix).max()) / scale)
+    return float(worst)
 
 
 @dataclass(frozen=True, eq=False)

@@ -26,7 +26,7 @@ from .algebra import (
     block_operator_norm,
 )
 from .algebra import largest_singular_value as a_norm
-from .tensor import BElement, _assemble, _cut, _pair_layout, aj_pairs
+from .tensor import BElement, _assemble, _cut, _pair_layout
 from .tensor import multiply_B  # unused here, but perfbench/tracing.py binds it by name
 
 A_NORM_MODEL = "max-block-operator-norm"
@@ -34,12 +34,12 @@ A_NORM_MODEL = "max-block-operator-norm"
 # Working set of one audit sample: 12 complex entries per entry of an N x N
 # matrix (the draws, the block matrices and their products, the stacked
 # norms) plus 100 bytes per ordered block pair for the index arrays of
-# tensor._pair_layout.  A child process's peak RSS (wait4, one BLAS thread),
-# the interpreter included, on one-sample audits at the largest admitted
-# sizes: 207 MiB at (1182,), 223 MiB at (591, 591), 221 MiB at (394, 394,
-# 394), 242 MiB at (30,) * 39, 227 MiB at (10,) * 112, 241 MiB at (3,) * 383,
-# 232 MiB at (2,) * 556 and 236 MiB at (1,) * 958, about 35 bytes per pair
-# over the entries on blocks of 1.
+# tensor._pair_layout and of the draws.  A child process's peak RSS (wait4,
+# one BLAS thread), the interpreter included, on one-sample audits at the
+# largest admitted sizes: 207 MiB at (1182,), 212 MiB at (591, 591), 207 MiB
+# at (394, 394, 394), 211 MiB at (30,) * 39, 198 MiB at (10,) * 112, 216 MiB
+# at (3,) * 383, 216 MiB at (2,) * 556 and 237 MiB at (1,) * 958, 79 bytes
+# per pair over the entries on blocks of 1, where each entry is a pair.
 _AUDIT_ARRAYS = 12
 _PAIR_BYTES = 100
 
@@ -127,13 +127,13 @@ class NormReport:
 
 def b_norm(x: BElement) -> NormReport:
     """Pair norm of an extension element: algebra part plus l1 tensor part."""
-    groups = _cut(x.spec, x.u.matrix)[1]
-    norms = _nuclear_norms(groups)
-    nonzero = np.zeros(norms.shape, dtype=bool)
-    for places, stack in groups:
-        nonzero[places] = stack.any(axis=(1, 2))
-    pairs, values = aj_pairs(x.spec), norms.tolist()
-    per_pair = {pairs[p]: values[p] for p in np.flatnonzero(nonzero).tolist()}
+    k = x.spec.num_blocks
+    # the nonzero pairs' places in aj_pairs, where (i, j) is i (k - 1) + j - (j > i)
+    places = np.array([i * (k - 1) + j - (j > i) for i, j in x.u.terms], dtype=np.intp)
+    present = np.zeros(k * (k - 1), dtype=bool)
+    present[places] = True
+    norms = _nuclear_norms(_cut(x.spec, x.u.matrix, present)[1])
+    per_pair = dict(zip(x.u.terms, norms[places].tolist()))
     u_l1 = float(_key_order_sum(norms))
     an = a_norm(x.a)
     return NormReport(a_norm=an, u_l1=u_l1, total=an + u_l1, per_pair=per_pair)
@@ -189,14 +189,11 @@ def _draw_groups(spec: AlgebraSpec, reals: np.ndarray) -> list[tuple[np.ndarray,
     """A stack of tensors from its (count, 2 (N^2 - dim)) real draws, as
     `sampling.random_aj` draws one sample: pair by pair in aj_pairs order,
     all real parts, then all imaginary parts; in tensor._cut's form."""
-    layout = _pair_layout(spec)
-    sizes = np.zeros(spec.num_blocks * (spec.num_blocks - 1), dtype=np.intp)
-    for places, r, c, _, _ in layout:
-        sizes[places] = r * c
+    dims = np.array(spec.block_dims)
+    sizes = np.outer(dims, dims)[~np.eye(len(dims), dtype=bool)]  # in aj_pairs order
     firsts, groups = 2 * (np.cumsum(sizes) - sizes), []
-    for places, r, c, _, _ in layout:
-        # each pair's real parts, and then its imaginary parts, are one
-        # window of r c draws; one gather per part, with O(pairs) indices
+    for places, r, c, _, _ in _pair_layout(spec):
+        # a pair's real parts, then its imaginary parts, are windows of r c draws
         windows, first = sliding_window_view(reals, r * c, axis=1), firsts[places]
         values = np.multiply(1j, windows[:, first + r * c])
         values += windows[:, first]

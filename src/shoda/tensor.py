@@ -21,16 +21,14 @@ off-diagonal tensor part and multiplies by
 Block i of x is the diagonal coordinate (i, i), so the algebra acts on
 tensors through the same pairing: placing every coordinate block at its
 block pair in one N x N matrix (N the sum of the block sizes) identifies the
-extension with M_N, and the product is the matmul of the two images.  An
-off-diagonal tensor is held as that N x N matrix with zero diagonal blocks,
-so the extension's arithmetic is array arithmetic.  This module owns the
-block layout: _assemble places coordinate blocks, _cut reads them back, the
-diagonal ones as one view per run of equal blocks and the off-diagonal ones
-gathered once per block shape, and extension_to_matrix and
+extension with M_N, and the product is the matmul of the two images; a
+tensor is held as its image, with zero diagonal blocks.  This module owns
+the block layout: _assemble places coordinate blocks, _cut reads them back,
+the diagonal ones as one view per run of equal blocks and the off-diagonal
+ones gathered once per block shape, and extension_to_matrix and
 matrix_to_extension are the identification.  The socle-plus-tensor algebra
-A_J' needs no type of its own, because in finite dimensions the socle is
-the whole algebra and the isomorphism A_J' -> B is the identity on
-coordinates.
+A_J' needs no type of its own: in finite dimensions the socle is the whole
+algebra and the isomorphism A_J' -> B is the identity on coordinates.
 """
 
 from __future__ import annotations
@@ -57,9 +55,8 @@ class AJElement:
     matrix: np.ndarray
 
     def __init__(self, spec: AlgebraSpec, terms=None, matrix=None):
-        """The tensor with these coordinate matrices keyed by block pair
-        (absent pairs are zero), placed into one matrix, or with this matrix,
-        kept without a copy."""
+        """The tensor with these coordinate matrices keyed by block pair,
+        placed into one matrix, or with this matrix, kept without a copy."""
         if matrix is None:
             dims, rows = spec.block_dims, _block_slices(spec.block_dims)
             matrix = np.zeros((spec.matrix_size,) * 2, dtype=complex)
@@ -67,9 +64,7 @@ class AJElement:
                 if i == j:
                     raise ValueError("diagonal pairs do not belong to the off-diagonal part")
                 if np.shape(m) != (dims[i], dims[j]):
-                    raise ValueError(
-                        f"pair ({i}, {j}) needs shape ({dims[i]}, {dims[j]}), got {np.shape(m)}"
-                    )
+                    raise ValueError(f"pair ({i}, {j}) needs shape ({dims[i]}, {dims[j]}), got {np.shape(m)}")
                 matrix[rows[i], rows[j]] = m
         matrix.setflags(write=False)
         object.__setattr__(self, "spec", spec)
@@ -78,12 +73,11 @@ class AJElement:
     @functools.cached_property
     def terms(self) -> dict[tuple[int, int], np.ndarray]:
         """The nonzero coordinate matrices as read-only views of matrix,
-        keyed by block pair in aj_pairs order."""
+        keyed by block pair in aj_pairs order; the diagonal blocks are zero."""
         rows = _block_slices(self.spec.block_dims)
-        starts = [r.start for r in rows]
-        nonzero = np.logical_or.reduceat(self.matrix != 0, starts, axis=0)
-        nonzero = np.logical_or.reduceat(nonzero, starts, axis=1)
-        np.fill_diagonal(nonzero, False)
+        starts = np.array([r.start for r in rows])
+        nonzero = np.logical_or.reduceat(self.matrix.view(float) != 0, starts, axis=0)  # re, im columns
+        nonzero = np.logical_or.reduceat(nonzero, 2 * starts, axis=1)
         pairs = zip(*(axis.tolist() for axis in np.nonzero(nonzero)))
         return {(i, j): self.matrix[rows[i], rows[j]] for i, j in pairs}
 
@@ -108,9 +102,8 @@ def _block_slices(dims: tuple[int, ...]) -> tuple[slice, ...]:
 @functools.lru_cache(maxsize=8)
 def _pair_layout(spec: AlgebraSpec) -> tuple[tuple[np.ndarray, int, int, np.ndarray, np.ndarray], ...]:
     """The pairs of aj_pairs grouped by block shape, in order of first
-    appearance, each group of r x c blocks as (places in aj_pairs, r, c,
-    first rows, first columns), the last two of each block in the N x N
-    matrix; O(pairs) integers, none per entry."""
+    appearance, each group of r x c blocks as (places in aj_pairs, r, c, the
+    first row and the first column of each block in the N x N matrix)."""
     dims = np.array(spec.block_dims)
     k, base, starts = len(dims), dims.max() + 1, np.cumsum(dims) - dims
     i, j = np.repeat(np.arange(k), k - 1), np.tile(np.arange(k - 1), k)
@@ -158,12 +151,16 @@ def _assemble(spec: AlgebraSpec, runs, groups=()) -> np.ndarray:
     return out
 
 
-def _cut(spec: AlgebraSpec, mat: np.ndarray) -> tuple[list[np.ndarray], list[tuple[np.ndarray, np.ndarray]]]:
+def _cut(spec: AlgebraSpec, mat: np.ndarray, present=None) -> tuple[list[np.ndarray], list[tuple[np.ndarray, np.ndarray]]]:
     """The diagonal blocks of a C-contiguous (..., N, N) block matrix as
     _diagonal_runs views, and its off-diagonal coordinate blocks gathered
-    per shape group of _pair_layout as (places, (..., P, r, c) stack)."""
-    groups = [(places, _windows(mat, r, c)[..., rows, cols, :, :]) for places, r, c, rows, cols in _pair_layout(spec)]
-    return _diagonal_runs(spec, mat), groups
+    per shape group of _pair_layout as (places, (..., P, r, c) stack); with
+    a boolean mask over aj_pairs, only the pairs it marks, and no empty
+    group."""
+    layout = _pair_layout(spec)
+    keep = [slice(None) if present is None else present[p] for p, *_ in layout]
+    return _diagonal_runs(spec, mat), [(p[m], _windows(mat, r, c)[..., rows[m], cols[m], :, :])
+                                       for (p, r, c, rows, cols), m in zip(layout, keep) if p[m].size]
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,8 +185,7 @@ class BElement:
         return BElement(self.a - other.a, AJElement(self.spec, matrix=self.u.matrix - other.u.matrix))
 
     def __rmul__(self, scalar) -> "BElement":
-        scalar = complex(scalar)
-        return BElement(scalar * self.a, AJElement(self.spec, matrix=scalar * self.u.matrix))
+        return BElement(complex(scalar) * self.a, AJElement(self.spec, matrix=complex(scalar) * self.u.matrix))
 
     def __mul__(self, other):
         if isinstance(other, BElement):
@@ -206,9 +202,8 @@ def extension_to_matrix(x: BElement) -> np.ndarray:
 
 
 def matrix_to_extension(spec: AlgebraSpec, mat: np.ndarray) -> BElement:
-    """The extension element with this full-matrix image: the matrix is
-    copied once, its diagonal runs read into the algebra part and zeroed,
-    and the rest kept as the tensor part."""
+    """The extension element with this full-matrix image: one copy of mat,
+    its diagonal runs read into the algebra part and zeroed."""
     size = spec.matrix_size
     if np.shape(mat) != (size, size):
         raise ValueError(f"expected a {size} x {size} matrix, got {np.shape(mat)}")

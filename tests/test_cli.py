@@ -489,6 +489,28 @@ def test_check_refuses_a_witness_report_over_budget(tmp_path, capsys):
     assert report["error"] == "TooLarge" and "witness report" in report["detail"]
 
 
+@pytest.mark.parametrize("dims", [[2] * 92434, [1, 2] * 50000])
+def test_check_budget_counts_the_blocks_of_its_witness(tmp_path, capsys, dims):
+    # about 1500 bytes of report per block beside its entries: by entries
+    # alone both specs fit, and their reports peaked at 325 and 272 MiB
+    spec = tmp_path / "many.json"
+    spec.write_text(json.dumps({"blocks": dims}))
+    assert main(["check", str(spec)]) == 1
+    report = _strict_json(capsys.readouterr().out)
+    assert report["error"] == "TooLarge" and "witness report" in report["detail"]
+
+
+def test_path_refuses_a_block_over_its_working_set(tmp_path, capsys):
+    # nine n x n arrays of [1448] need 288 MiB; it peaked 261 MiB over start-up
+    spec = tmp_path / "spec1448.json"
+    spec.write_text(json.dumps({"blocks": [1448]}))
+    start = time.perf_counter()
+    assert main(["path", str(spec), "--samples", "2"]) == 1
+    assert time.perf_counter() - start < 1.0
+    report = _strict_json(capsys.readouterr().out)
+    assert report["error"] == "TooLarge" and "path sample" in report["detail"]
+
+
 def test_check_at_large_tol_reports_square_corners(tmp_path, capsys):
     # the dense rank cut over the n^2 x n^2 corner used to report a corner of
     # dimension 3 here, and the criteria disagreed with exit 1
@@ -739,7 +761,7 @@ def test_completeness_checks_within_budget_succeed(tmp_path, blocks):
 # smallest single block each command refuses as over its memory budget
 _REFUSED_BLOCK = {
     "complete": 87, "info": 1235, "check": 1235, "decompose": 432, "norm-audit": 1183,
-    "path": 1449,
+    "path": 1366,
 }
 
 _JSON = st.recursive(
