@@ -492,7 +492,7 @@ def test_check_refuses_a_witness_report_over_budget(tmp_path, capsys):
 @pytest.mark.parametrize("dims", [[2] * 92434, [1, 2] * 50000])
 def test_check_budget_counts_the_blocks_of_its_witness(tmp_path, capsys, dims):
     # about 1500 bytes of report per block beside its entries: by entries
-    # alone both specs fit, and their reports peaked at 325 and 272 MiB
+    # alone both specs fit, and their reports peaked at 324 and 272 MiB
     spec = tmp_path / "many.json"
     spec.write_text(json.dumps({"blocks": dims}))
     assert main(["check", str(spec)]) == 1

@@ -328,7 +328,7 @@ def test_a_term_written_after_construction_leaves_the_element_alone(spec23):
 
 
 # ---------------------------------------------------------------------------
-# the array arithmetic against the per-pair dict arithmetic it replaced
+# the array arithmetic against a per-pair dict reference
 
 
 def _dict_terms(u):
