@@ -118,10 +118,11 @@ def _pairing_residual(spec: AlgebraSpec, rng: np.random.Generator) -> float:
     (a (x) b)(c (x) d) = Tr(bc) a (x) d, formed with the algebra's multiply
     and trace, on seeded elementary tensors: a, c in the minimal left ideals
     (column 0) of drawn blocks i, j and b, d in the right ideals (row 0) of
-    blocks j, l, c in b's block so that Tr(bc) is not 0."""
+    blocks j, l, c in b's block so that Tr(bc) is generically not 0."""
 
     def ideal(block: int, column: bool) -> Element:
-        n, z = spec.block_dims[block], rng.normal(size=(2, spec.block_dims[block]))
+        n = spec.block_dims[block]
+        z = rng.normal(size=(2, n))
         vector = np.zeros(spec.dim, dtype=complex)
         vector[spec.offset(block) + np.arange(n) * (n if column else 1)] = z[0] + 1j * z[1]
         return Element(spec, vector=vector)
