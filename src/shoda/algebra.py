@@ -54,12 +54,12 @@ _CHUNK_BYTES = 2**20
 # Working set of a path in complex entries: per coordinate of the algebra for
 # the endpoints, their checks and SVDs, and per entry of the arc's block for
 # each sample of a stack.  A child process's peak RSS (wait4, one BLAS
-# thread) over start-up with two samples gave 8.4 entries per coordinate on
-# [1448] and 8.45 on [1365], the largest block admitted (270 MiB with the
-# interpreter).  Blocks cost nothing beyond their entries: two random
-# endpoints and two samples peak at 121 MiB on (1,) * 1864135 and 111 MiB on
-# (2,) * 466033, the most blocks admitted, the interpreter included.
-_PATH_ARRAYS = 9
+# thread), the interpreter included, with two samples gave 9.5 entries per
+# coordinate on [1365] (270 MiB) and 9.65 on [1295], the largest block
+# admitted (247 MiB, also with three).  Blocks cost nothing beyond their
+# entries: two random endpoints and two samples peak at 112 MiB on
+# (1,) * 1677721 and 103 MiB on (2,) * 419430, the most blocks admitted.
+_PATH_ARRAYS = 10
 
 
 def _require_budget(what: str, nbytes: int):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import _COMPLEX_BYTES, AlgebraSpec, Element, _chunk_size, _require_budget, frobenius, multiply, trace
+from .algebra import _COMPLEX_BYTES, AlgebraSpec, Element, _chunk_size, _require_budget
 from .errors import NumericalFailure
 from .structure import (
     RECORD,
@@ -35,11 +35,15 @@ from .tensor import AJElement, BElement, aj_zero, extension_to_matrix, multiply_
 _CHECK_PAIRS = 100
 # seeded pairs of elementary tensors checked against the trace pairing
 _PAIRING_CHECKS = 8
+# complex entries per coordinate that one seeded pair holds at once, with the
+# slot terms of the table product; tracemalloc gave 8.03 at (19, 20) and (86,)
+_PAIR_ENTRIES = 9
 # complete() counts this many bytes per structure-constant record (N**3 of
 # them) against the memory budget, so N <= 86.  A child process's peak RSS
-# (getrusage, one BLAS thread), the interpreter included, over the record
-# count was 409 bytes at (86,), 400 at (43, 43), (2,) * 43 and (1,) * 86, and
-# 407 at (87,), which peaked at 255.5 MiB.
+# (wait4, one BLAS thread), the interpreter included, over the record count
+# was 400 bytes (242.5 MiB) at (86,), (43, 43), (2,) * 43 and (1,) * 86, and
+# 398 at (87,) with the guard lifted (250 MiB), the same with the product
+# summed by slots as by one scatter: the slots are made after the radical.
 _RECORD_BYTES = 410
 
 
@@ -113,34 +117,47 @@ def _basis_residual(alg: StructureConstantAlgebra, rows: np.ndarray, cols: np.nd
     return float(np.abs(diff).max(initial=0.0))
 
 
+def _random_residual(alg: StructureConstantAlgebra, positions: tuple, rng: np.random.Generator) -> float:
+    """Worst relative gap between the table's product and the matrix product
+    of the witness images over _CHECK_PAIRS seeded pairs, in stacks."""
+    d = alg.dim
+    chunk = _chunk_size(_PAIR_ENTRIES * d * _COMPLEX_BYTES)
+    worst = 0.0
+    for lo in range(0, _CHECK_PAIRS, chunk):
+        draw = rng.normal(size=(min(chunk, _CHECK_PAIRS - lo), 4, d))
+        x, y = draw[:, 0] + 1j * draw[:, 1], draw[:, 2] + 1j * draw[:, 3]
+        lhs = _place(positions, alg.product(x, y))
+        rhs = _place(positions, x) @ _place(positions, y)
+        gap = np.abs(lhs - rhs).max(axis=(1, 2))
+        worst = max(worst, float((gap / (1.0 + np.linalg.norm(lhs, axis=(1, 2)))).max()))
+    return worst
+
+
 def _pairing_residual(spec: AlgebraSpec, rng: np.random.Generator) -> float:
     """Worst relative gap between multiply_B and the paper's product
-    (a (x) b)(c (x) d) = Tr(bc) a (x) d, formed with the algebra's multiply
-    and trace, on seeded elementary tensors: a, c in the minimal left ideals
-    (column 0) of drawn blocks i, j and b, d in the right ideals (row 0) of
-    blocks j, l, c in b's block so that Tr(bc) is generically not 0."""
+    (a (x) b)(c (x) d) = Tr(bc) a (x) d on seeded elementary tensors, formed
+    and compared in coordinates: a, c in the minimal left ideals (column 0)
+    of drawn blocks i, j and b, d in the right ideals (row 0) of blocks j, l,
+    so that Tr(bc) = b . c is generically not 0.  a (x) b is outer(a, b) in
+    block i of the algebra part if i == j, else the tensor term (i, j)."""
+    dims = spec.block_dims
+    keys = rng.integers(spec.num_blocks, size=(_PAIRING_CHECKS, 3)).tolist()
+    z = rng.normal(size=(2, _PAIRING_CHECKS, 4, max(dims)))
 
-    def ideal(block: int, column: bool) -> Element:
-        n = spec.block_dims[block]
-        z = rng.normal(size=(2, n))
+    def tensor(i: int, j: int, m: np.ndarray) -> BElement:
+        if i != j:
+            return BElement(spec.zero(), AJElement(spec, {(i, j): m}))
         vector = np.zeros(spec.dim, dtype=complex)
-        vector[spec.offset(block) + np.arange(n) * (n if column else 1)] = z[0] + 1j * z[1]
-        return Element(spec, vector=vector)
-
-    def tensor(a: Element, i: int, b: Element, j: int) -> BElement:
-        # ab in the algebra when i == j, else (column of a)(row of b) at (i, j)
-        if i == j:
-            return BElement(multiply(a, b), aj_zero(spec))
-        return BElement(spec.zero(), AJElement(spec, {(i, j): np.outer(a.block(i)[:, 0], b.block(j)[0])}))
+        vector[spec.offset(i) : spec.offset(i) + m.size] = m.ravel()
+        return BElement(Element(spec, vector=vector), aj_zero(spec))
 
     worst = 0.0
-    for _ in range(_PAIRING_CHECKS):
-        i, j, l = rng.integers(spec.num_blocks, size=3).tolist()
-        a, b, c, d = ideal(i, True), ideal(j, False), ideal(j, True), ideal(l, False)
-        want = complex(trace(multiply(b, c))) * tensor(a, i, d, l)
-        gap = multiply_B(tensor(a, i, b, j), tensor(c, j, d, l)) - want
-        scale = 1.0 + frobenius(want.a) + np.linalg.norm(want.u.matrix)
-        worst = max(worst, max(np.abs(gap.a.vector).max(), np.abs(gap.u.matrix).max()) / scale)
+    for (i, j, l), (a, b, c, d) in zip(keys, z[0] + 1j * z[1]):
+        a, b, c, d = a[: dims[i]], b[: dims[j]], c[: dims[j]], d[: dims[l]]
+        got = multiply_B(tensor(i, j, np.outer(a, b)), tensor(j, l, np.outer(c, d)))
+        want = tensor(i, l, (b @ c) * np.outer(a, d))
+        gap = max(np.abs(got.a.vector - want.a.vector).max(), np.abs(got.u.matrix - want.u.matrix).max())
+        worst = max(worst, gap / (1.0 + np.linalg.norm(want.a.vector) + np.linalg.norm(want.u.matrix)))
     return float(worst)
 
 
@@ -189,19 +206,8 @@ def complete(spec: AlgebraSpec, tol: float = 1e-9, seed: int = 42) -> Completion
     positions = extension_positions(spec)
     basis_residual = _basis_residual(alg, *positions)
 
-    # seeded pairs in stacks, each pair about four complex entries per record
-    # and nine per coordinate
     rng = np.random.default_rng(seed)
-    chunk = _chunk_size((4 * alg.table.size + 9 * d) * _COMPLEX_BYTES)
-    random_residual = 0.0
-    for lo in range(0, _CHECK_PAIRS, chunk):
-        draw = rng.normal(size=(min(chunk, _CHECK_PAIRS - lo), 4, d))
-        x, y = draw[:, 0] + 1j * draw[:, 1], draw[:, 2] + 1j * draw[:, 3]
-        lhs = _place(positions, alg.product(x, y))
-        rhs = _place(positions, x) @ _place(positions, y)
-        worst = np.abs(lhs - rhs).max(axis=(1, 2))
-        denom = 1.0 + np.linalg.norm(lhs, axis=(1, 2))
-        random_residual = max(random_residual, float((worst / denom).max()))
+    random_residual = _random_residual(alg, positions, rng)
     residual = _pairing_residual(spec, rng)
     if residual > tol:
         raise NumericalFailure(f"multiply_B is off the trace pairing by {residual}")

@@ -10,6 +10,7 @@ component of their sparse systems at a time.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 from itertools import combinations
@@ -79,15 +80,30 @@ class StructureConstantAlgebra:
         t = self.table
         return _accumulate((t["a"] * d + t["b"]) * d + t["c"], t["v"], d**3).reshape(d, d, d)
 
-    def product(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Product of coordinate vectors.  Leading axes of x and y index a
-        stack; each pair's records are summed in the same order as alone."""
+    @functools.cached_property
+    def _slots(self) -> np.ndarray:
+        """The records as (K, d) slots: column c holds the records of output
+        coordinate c in record order, padded to the largest count K with a
+        zero record."""
         t, d = self.table, self.dim
-        values = t["v"] * x[..., t["a"]] * y[..., t["b"]]
-        lead = values.shape[:-1]
-        count = int(np.prod(lead))
-        index = np.arange(count)[:, None] * d + t["c"]
-        return _accumulate(index.ravel(), values.ravel(), count * d).reshape(lead + (d,))
+        pos, counts = _positions(t["c"], d)
+        index = np.full((counts.max(initial=0), d), t.size)
+        index[pos, t["c"]] = np.arange(t.size)
+        return np.append(t, np.zeros(1, RECORD))[index]
+
+    @functools.cached_property
+    def _radicals(self) -> dict:
+        """radical's bases of this table, keyed by tol."""
+        return {}
+
+    def product(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Product of coordinate vectors, summed slot by slot: each output
+        coordinate adds its records' terms in record order, as alone for
+        each pair of a stack indexed by the leading axes of x and y."""
+        out = np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
+        for s in self._slots:
+            out += s["v"] * x.take(s["a"], axis=-1) * y.take(s["b"], axis=-1)
+        return out
 
 
 def _accumulate(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
@@ -218,10 +234,14 @@ def radical(alg: StructureConstantAlgebra, tol: float = 1e-9) -> np.ndarray:
     trace-form Gram matrix G[a, b] = trace(L_a L_b), one connected component
     at a time.  The rank split over all blocks' singular values must show a
     clean gap (factor 1000) between kept and discarded ones, otherwise the
-    decision would be unreliable and IllConditioned is raised.
+    decision would be unreliable and IllConditioned is raised.  The basis is
+    read-only and kept on the table, so a second call with the same tol
+    returns it again.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if tol in alg._radicals:
+        return alg._radicals[tol]
     d = alg.dim
     t = alg.table
     # G[a, b] sums table[a, e, c] table[b, c, e]: records (a, e, c) and
@@ -236,7 +256,9 @@ def radical(alg: StructureConstantAlgebra, tol: float = 1e-9) -> np.ndarray:
     _log_solve("radical", components, "gap", gap, _GAP_FACTOR)
     if gap < _GAP_FACTOR:
         raise IllConditioned(f"singular values cluster at the threshold: {kept.min()} vs {null_max}")
-    return _null_space(parts, d, thr)
+    basis = alg._radicals[tol] = _null_space(parts, d, thr)
+    basis.setflags(write=False)
+    return basis
 
 
 def quotient(

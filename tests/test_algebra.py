@@ -468,16 +468,16 @@ def test_path_chunks_stay_small():
     # most of 1000 samples of an N = 8 spec per chunk, one at a time when a
     # sample is large, and none at all over the budget
     assert 64 <= shoda.algebra._path_chunk(AlgebraSpec((8,))) <= 1000
-    assert shoda.algebra._path_chunk(AlgebraSpec((1365,))) == 1
-    for dims in [(1366,), (1448,), (30000,), (1100, 1100)]:
+    assert shoda.algebra._path_chunk(AlgebraSpec((1295,))) == 1
+    for dims in [(1296,), (1365,), (1448,), (30000,), (1100, 1100)]:
         with pytest.raises(TooLarge):
             shoda.algebra._path_chunk(AlgebraSpec(dims))
 
 
 def test_path_budget_counts_each_block():
-    # many tiny blocks cost no more than their entries: 9 complex entries per
-    # coordinate admit (1,) * 1864135 and (2,) * 466033, and not one block more
-    for n, most in ((1, 1864135), (2, 466033)):
+    # many tiny blocks cost no more than their entries: 10 complex entries per
+    # coordinate admit (1,) * 1677721 and (2,) * 419430, and not one block more
+    for n, most in ((1, 1677721), (2, 419430)):
         assert shoda.algebra._path_chunk(AlgebraSpec((n,) * most)) >= 1
         with pytest.raises(TooLarge):
             shoda.algebra._path_chunk(AlgebraSpec((n,) * (most + 1)))

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -8,7 +9,7 @@ import shoda.completion
 import shoda.tensor
 from shoda import AlgebraSpec, build_B, complete, multiply
 from shoda.algebra import Element
-from shoda.completion import _basis_residual, _place, extension_positions
+from shoda.completion import _PAIR_ENTRIES, _basis_residual, _place, _random_residual, extension_positions
 from shoda.errors import NumericalFailure, TooLarge
 from shoda.oracles import _naive_b_basis, compress
 from shoda.sampling import random_b, random_element
@@ -142,11 +143,11 @@ def test_extension_product_matches_matrix_product(dims):
         assert np.abs(lhs - rhs).max() < 1e-10 * (1 + np.abs(lhs).max())
 
 
-def test_complete_catches_a_layout_that_swaps_two_pairs(monkeypatch):
-    # the tensor pairs (0, 1) and (1, 0) of (2, 2) trade places in M_N, on
-    # the way in and on the way out, so the maps still round-trip and
-    # multiply_B is still a matmul; only the trace pairing tells
-    spec = AlgebraSpec((2, 2))
+def _swap_two_pairs(monkeypatch, modules):
+    """Make the layout of (2, 2) trade the tensor pairs (0, 1) and (1, 0) in
+    M_N on the way in and on the way out, in each of the modules' names of
+    the two maps, so the maps still round-trip and multiply_B is still a
+    matmul."""
 
     def swap(mat):
         out = np.array(mat)
@@ -154,10 +155,30 @@ def test_complete_catches_a_layout_that_swaps_two_pairs(monkeypatch):
         return out
 
     to_matrix, to_extension = extension_to_matrix, matrix_to_extension
-    monkeypatch.setattr(shoda.tensor, "extension_to_matrix", lambda x: swap(to_matrix(x)))
-    monkeypatch.setattr(shoda.tensor, "matrix_to_extension", lambda spec, m: to_extension(spec, swap(m)))
+    for module in modules:
+        monkeypatch.setattr(module, "extension_to_matrix", lambda x: swap(to_matrix(x)), raising=False)
+        monkeypatch.setattr(module, "matrix_to_extension", lambda spec, m: to_extension(spec, swap(m)), raising=False)
+    spec = AlgebraSpec((2, 2))
     mat = np.arange(16.0).reshape(4, 4)
-    assert np.array_equal(shoda.tensor.extension_to_matrix(shoda.tensor.matrix_to_extension(spec, mat)), mat)
+    for module in modules:
+        assert np.array_equal(module.extension_to_matrix(module.matrix_to_extension(spec, mat)), mat)
+    return spec
+
+
+def test_complete_catches_a_layout_that_swaps_two_pairs(monkeypatch):
+    # only the trace pairing tells
+    spec = _swap_two_pairs(monkeypatch, [shoda.tensor])
+    with pytest.raises(NumericalFailure, match="trace pairing"):
+        complete(spec)
+
+
+def test_complete_catches_the_swap_in_the_names_completion_imports(monkeypatch):
+    # the same swap in shoda.completion's names of the maps too (its
+    # multiply_B is shoda.tensor's, which reads the swapped maps), so placing
+    # the operands or reading the product back through them would round-trip;
+    # the pairing check forms both from coordinates and still tells
+    assert shoda.completion.multiply_B is multiply_B
+    spec = _swap_two_pairs(monkeypatch, [shoda.tensor, shoda.completion])
     with pytest.raises(NumericalFailure, match="trace pairing"):
         complete(spec)
 
@@ -258,6 +279,24 @@ def test_witness_images_check_the_budget(monkeypatch, spec23):
     monkeypatch.setattr(shoda.algebra, "_BUDGET_BYTES", 2 * 25**2 * 16 - 1)
     with pytest.raises(TooLarge, match="witness images"):
         result.witness_images
+
+
+def test_one_chunk_of_table_pairs_stays_in_its_model(monkeypatch):
+    # each seeded pair holds at most _PAIR_ENTRIES complex entries per
+    # coordinate at once, so one chunk at (19, 20) stays within about 1 MiB
+    spec = AlgebraSpec((19, 20))
+    alg, positions = build_B(spec), extension_positions(spec)
+    model = _PAIR_ENTRIES * alg.dim * 16
+    chunk = shoda.algebra._chunk_size(model)
+    monkeypatch.setattr(shoda.completion, "_CHECK_PAIRS", chunk)
+    alg._slots  # the table's own layout, kept with it
+    tracemalloc.start()
+    try:
+        assert _random_residual(alg, positions, np.random.default_rng(0)) < 1e-12
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chunk > 1 and peak <= chunk * model <= shoda.algebra._CHUNK_BYTES
 
 
 def test_complete_thirty_two():

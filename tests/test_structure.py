@@ -74,6 +74,61 @@ def test_stacked_product_equals_each_product(dims):
         assert stacked[k].tobytes() == alg.product(x[k], y[k]).tobytes()
 
 
+def _bincount_product(alg: StructureConstantAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The product as one scatter of all record terms, real and imaginary
+    parts by np.bincount, each coordinate's terms added in record order."""
+    t, d = alg.table, alg.dim
+    values = t["v"] * x[..., t["a"]] * y[..., t["b"]]
+    lead = values.shape[:-1]
+    index = (np.arange(int(np.prod(lead)))[:, None] * d + t["c"]).ravel()
+    size = int(np.prod(lead)) * d
+    real = np.bincount(index, weights=values.real.ravel(), minlength=size)
+    imag = np.bincount(index, weights=values.imag.ravel(), minlength=size)
+    return (real + 1j * imag).reshape(lead + (d,))
+
+
+def _random_table(rng, d: int, records: int, crowd: bool = False) -> StructureConstantAlgebra:
+    """Records with complex constants on output coordinates 2 and up, so
+    that coordinate 1 has none; with crowd=True nine in ten go to 0."""
+    table = np.zeros(records, dtype=shoda.structure.RECORD)
+    table["a"], table["b"] = rng.integers(d, size=(2, records))
+    table["c"] = np.where(rng.random(records) < (0.9 if crowd else 0.0), 0, rng.integers(2, d, size=records))
+    table["v"] = rng.normal(size=records) + 1j * rng.normal(size=records)
+    return StructureConstantAlgebra(table, np.ones(d))
+
+
+_PRODUCT_TABLES = {
+    **{str(dims): lambda rng, dims=dims: build_B(AlgebraSpec(dims))
+       for dims in [(5, 5), (4, 6), (3, 3, 4), (1,) * 8, (4, 4), (5, 3), (2, 3, 3)]},
+    "dense": lambda rng: StructureConstantAlgebra(
+        rng.normal(size=(7, 7, 7)) + 1j * rng.normal(size=(7, 7, 7)), np.ones(7)),
+    "empty coordinate": lambda rng: _random_table(rng, 9, 200),
+    "crowded": lambda rng: _random_table(rng, 9, 200, crowd=True),
+}
+
+
+@pytest.mark.parametrize("name", list(_PRODUCT_TABLES))
+def test_slot_product_equals_the_bincount_scatter(name):
+    # each coordinate adds its terms in record order, so the bits match
+    rng = np.random.default_rng(35)
+    alg = _PRODUCT_TABLES[name](rng)
+    draw = rng.normal(size=(4, 5, alg.dim))
+    x, y = draw[0] + 1j * draw[1], draw[2] + 1j * draw[3]
+    stacked = alg.product(x, y)
+    assert stacked.tobytes() == _bincount_product(alg, x, y).tobytes()
+    for k in range(len(x)):
+        assert stacked[k].tobytes() == alg.product(x[k], y[k]).tobytes()
+
+
+def test_slots_pad_each_coordinate_to_the_largest_count():
+    alg = _random_table(np.random.default_rng(1), 9, 200, crowd=True)
+    slots, counts = alg._slots, np.bincount(alg.table["c"], minlength=9)
+    assert slots.shape == (counts.max(), 9) and counts[1] == 0
+    assert np.count_nonzero(slots["v"]) == alg.table.size
+    # build_B's table has N records per coordinate and no padding
+    assert build_B(AlgebraSpec((2, 3)))._slots.shape == (5, 25)
+
+
 def test_table_records_must_index_the_unit_coordinates():
     alg = build_B(AlgebraSpec((2, 3)))
     table = alg.table.copy()
@@ -151,6 +206,14 @@ def test_radical_of_triangular_control():
     vec = np.abs(rad[0])
     assert vec[1] > 0.99
     assert vec[0] < 1e-12 and vec[2] < 1e-12
+
+
+def test_radical_is_computed_once_per_table_and_tol():
+    alg = upper_triangular_2x2()
+    first = radical(alg)
+    assert radical(alg) is first and not first.flags.writeable
+    assert radical(alg, tol=1e-6) is not first
+    assert radical(upper_triangular_2x2()) is not first
 
 
 def test_radical_refuses_blurred_rank_gap():
