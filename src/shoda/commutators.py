@@ -17,28 +17,24 @@ given tolerance; it raises NumericalFailure rather than being reported.
 Decomposition of a traceless matrix follows the classical constructive
 route (Fillmore; Albert and Muckenhoupt): a similarity takes it to zero
 diagonal, after which divided differences against diag(0, 1, ..., n-1)
-finish the job.  The similarity is one loop of blocked Householder steps:
-like LAPACK's blocked reductions (Schreiber and Van Loan's compact WY form),
-one reflector for b columns zeroes b diagonal entries of the r x r trailing
-block at once, b up to r / 3.  A dense input takes O(log n) steps of matrix
-products; a degenerate one (a Jordan block, a rank-one matrix) keeps b near
-1 and takes up to n - 1 steps of O(n^2) work.  Either way a decomposition
-costs O(n^3) time and a fixed number of n x n arrays, checked against the
-memory budget before anything is allocated.  A step pivots on the standard
-vector e_j with the largest off-diagonal column norm among those at least
-twice |a_jj| and at least |a|_F / (4 sqrt(r)), which keeps the similarity
-well conditioned without a random draw, and blocks it with the other
-standard vectors that pass the same gates; when none qualifies, and at every
-step of a retry, it takes the best of 16 seeded random unit vectors.
-Diagonal inputs skip the similarity and use the shift / partial-sum factors
-directly, which keeps integer inputs exactly decomposed.
+finish the job.  The similarity is unitary, as Fillmore ("On similarity
+and the diagonal of a matrix", 1969) shows it can be, and halves: each
+level gives every traceless block of size s one closed-form rotation, with
+a common angle and phase on all pairs of coordinates (j, ceil(s/2) + j),
+that leaves both halves traceless, so ceil(log2 n) levels reach blocks of
+one coordinate.  A level acts on stacks of equal-size blocks with a fixed
+number of numpy calls, and S is assembled from the last level up in O(n^2);
+S^-1 = S^H, so nothing is inverted and cond(S) = 1.  A decomposition costs
+O(n^3) time in the products that form its factors and a fixed number of
+n x n arrays, checked against the memory budget before anything is
+allocated.  Diagonal inputs skip the similarity and use the shift /
+partial-sum factors directly, which keeps integer inputs exactly decomposed.
 In a multi-block algebra the per-block traces certify elements that are not
 commutators; those decompose after passing to the completed algebra.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -203,273 +199,263 @@ def _diagonal_shift_factors(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.eye(n, k=1, dtype=complex), np.diag(partial, k=-1)
 
 
-def _pick_pivot(
-    a: np.ndarray,
-    rng: np.random.Generator,
-    standard: bool = True,
-    gates: Optional[np.ndarray] = None,
-) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """A unit vector v with {v, a v} independent, and a v; None when a is scalar.
-
-    a is a contiguous complex block, traceless up to rounding; its diagonal
-    is zeroed for one pass and then restored.  A step on v
-    multiplies the condition of the similarity by about |v^H a v| / beta,
-    with beta the part of a v orthogonal to v.  The standard vector e_j has
-    beta_j, the off-diagonal norm of column j, and v^H a v = a_jj, so e_j
-    qualifies when beta_j >= 2 |a_jj| and beta_j >= |a|_F / (4 sqrt(r));
-    the one with the largest beta_j is taken.  When none qualifies, or when
-    standard is False, the best of 16 random unit vectors is taken, v^H a v
-    being near 0 for them since a is traceless, scored by beta / |a|_F,
-    unless even that scores at most 1e-10.  A block within 1e-13 of scalar
-    gives None.  gates, when given, is a (2, r) array that receives beta_j
-    where e_j qualifies and 0 elsewhere, and the floor
-    max(2 |a_jj|, |a|_F / (4 sqrt(r))) of each e_j.
-    """
-    r = a.shape[0]
-    # exact off-diagonal column norms: zero the diagonal for one pass
-    on_diagonal = a.reshape(-1)[:: r + 1]
-    diagonal = on_diagonal.copy()
-    on_diagonal[:] = 0.0
-    parts = a.view(np.float64)
-    column_sq = np.einsum("ij,ij->j", parts, parts)
-    on_diagonal[:] = diagonal
-    column_sq = column_sq[0::2] + column_sq[1::2]
-    off_sq = column_sq.sum()
-    scale = math.sqrt(off_sq + np.vdot(diagonal, diagonal).real)
-    shifted = diagonal - diagonal.sum() / r
-    if math.sqrt(off_sq + np.vdot(shifted, shifted).real) <= 1e-13 * max(scale, 1.0):
-        return None
-    eligible, floor = np.empty((2, r)) if gates is None else gates
-    np.maximum(2.0 * np.abs(diagonal), scale / (4.0 * math.sqrt(r)), out=floor)
-    beta = np.sqrt(column_sq)
-    np.multiply(beta, beta >= floor, out=eligible)
-    if standard:
-        j = int(eligible.argmax())
-        if eligible[j] > 0.0:
-            v = np.zeros(r, dtype=complex)
-            v[j] = 1.0
-            return v, a[:, j].copy()
-    draws = rng.normal(size=(16, 2, r))
-    trial = (draws[:, 0] + 1j * draws[:, 1]).T
-    trial /= np.linalg.norm(trial, axis=0)
-    images = a @ trial
-    residual = images - trial * np.einsum("ij,ij->j", trial.conj(), images)
-    scores = np.linalg.norm(residual, axis=0) / scale
-    best = int(np.argmax(scores))
-    if scores[best] <= 1e-10:
-        return None
-    return trial[:, best], images[:, best]
+def _rotate(x: np.ndarray, z: np.ndarray, c: np.ndarray, sw: np.ndarray):
+    """(x, z) <- (c x + sw z, c z - conj(sw) x) in place."""
+    rotated = c * x
+    rotated += sw * z
+    z *= c
+    z -= sw.conj() * x
+    x[...] = rotated
 
 
-def _compact_wy(h: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(R, V, T) with x = Q [R; 0] and Q = I - V T V^H from the Householder
-    QR (h, tau) = np.linalg.qr(x, mode="raw"), where h is stored transposed.
-
-    T comes by the forward recursion over the reflectors of LAPACK's geqrf,
-    which stays finite when a reflector is the identity (tau = 0)."""
-    b = len(tau)
-    v = h.T.copy()
-    head = v[:b]  # R on and above the diagonal, V below it
-    upper = np.arange(b)[:, None] <= np.arange(b)
-    r = np.where(upper, head, 0.0)
-    np.copyto(head, np.eye(b), where=upper)
-    gram = v.conj().T @ v
-    t = np.diag(tau)
-    for i in range(1, b):
-        t[:i, i] = -tau[i] * (t[:i, :i] @ gram[:i, i])
-    return r, v, t
+def _dot(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    return np.einsum("...i,...i->...", x, z)
 
 
-# float64 entries of the scratch of _subtract_product (300 KB, and at most
-# one n x n complex array): a chunk of the product is subtracted while it is
-# still in cache
-_CHUNK_ENTRIES = 38400
-# inner dimensions up to which _subtract_product multiplies in real arithmetic
-_REAL_K = 4
+def _unit_solutions(c: np.ndarray, y: np.ndarray, noise: float) -> tuple[np.ndarray, np.ndarray]:
+    """Real unit vectors u with c . u = y for complex c (..., 3) and y (...),
+    and the squared norm of the minimum-norm solution u0 (inf where none
+    exists); a unit solution exists exactly where that is at most 1.
+
+    c . u = y is two real equations L u = (Re y, Im y), L = [Re c; Im c].
+    Gram-Schmidt on the rows, the larger first, gives orthonormal e1, e2
+    with u0 = z1 e1 + z2 e2, and u adds sqrt(1 - |u0|^2) e1 x e2.  A second
+    row within noise of the span of the first counts as zero, which leaves a
+    residual of at most twice noise; e2 is then e_3 (e_1 when e1 is near e_3)
+    orthogonalized, so that a real L gives a real u."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # multiplying both sides by -i swaps the rows, up to sign
+        turn = np.where(_dot(c.imag, c.imag) > _dot(c.real, c.real), -1j, 1.0)
+        c, y = c * turn[..., None], y * turn
+        norm = np.sqrt(_dot(c.real, c.real))
+        e1, z1 = c.real / norm[..., None], y.real / norm
+        g = _dot(c.imag, e1)
+        q, y2 = c.imag - g[..., None] * e1, y.imag - g * z1
+        rank_one = _dot(q, q) <= noise**2
+        infeasible = rank_one & (np.abs(y2) > noise)
+        fallback = np.where(e1[..., 2:] ** 2 <= 0.5, np.eye(3)[2], np.eye(3)[0])
+        q = np.where(rank_one[..., None], fallback, q)
+        # a second pass keeps e2 orthogonal to e1 when the rows are close
+        g = _dot(q, e1)
+        q, y2 = q - g[..., None] * e1, np.where(rank_one, 0.0, y2 - g * z1)
+        norm = np.sqrt(_dot(q, q))
+        e2, z2 = q / norm[..., None], y2 / norm
+        slack = np.where(infeasible, np.inf, z1**2 + z2**2)
+        normal = e1[..., [1, 2, 0]] * e2[..., [2, 0, 1]] - e1[..., [2, 0, 1]] * e2[..., [1, 2, 0]]
+        lift = np.sqrt(np.maximum(1.0 - slack, 0.0))
+        u = z1[..., None] * e1 + z2[..., None] * e2 + lift[..., None] * normal
+    return u, slack
 
 
-def _subtract_product(
-    source: np.ndarray, x: np.ndarray, y: np.ndarray, out: np.ndarray, scratch: np.ndarray
-):
-    """out = source - x @ y for complex x (m, k) and y (k, p), with source
-    and out (possibly the same array) of contiguous rows, a chunk of rows at
-    a time through the float64 buffer scratch.  Up to k = _REAL_K the product
-    is the real product [Re x, Im x] [y; i y] on float64 views: BLAS runs
-    complex products with k = 1 several times slower (2-4x at 150 x 300),
-    and up to k = 4 the real one is about as fast or faster.  It copies x
-    and y, which costs little memory only while k is small."""
-    if x.shape[1] <= _REAL_K:
-        x = np.concatenate((x.real, x.imag), axis=1)
-        y = np.concatenate((y, 1j * y)).view(np.float64)
-        source, out = source.view(np.float64), out.view(np.float64)
-    else:
-        scratch = scratch.view(complex)
-    width = y.shape[1]
-    chunk = max(1, len(scratch) // width)
-    for lo in range(0, len(x), chunk):
-        hi = min(lo + chunk, len(x))
-        product = scratch[: (hi - lo) * width].reshape(hi - lo, width)
-        np.matmul(x[lo:hi], y, out=product)
-        np.subtract(source[lo:hi], product, out=out[lo:hi])
+def _odd_rotation(a: np.ndarray, top: np.ndarray, noise: float):
+    """(cos, sw, r, slack) of _halve for a stack of odd blocks: for each
+    block, over the choices r of the unpaired top coordinate, the unit
+    solution of c . u = -x_rr/2 with the smallest minimum-norm solution,
+    whose squared norm slack is at most 1 where the block is solvable.
+    Candidate r swaps r with h - 1, which then pairs with h + r."""
+    k, s = a.shape[:2]
+    h = (s + 1) // 2
+    p = s - h
+    lower = a[:, h:, :p].diagonal(axis1=1, axis2=2)
+    upper = a[:, :p, h:].diagonal(axis1=1, axis2=2)
+    zero = np.zeros((k, 1))
+    low = lower.sum(axis=1)[:, None] + np.concatenate([a[:, h:, p] - lower, zero], axis=1)
+    up = upper.sum(axis=1)[:, None] + np.concatenate([a[:, p, h:] - upper, zero], axis=1)
+    half = a.diagonal(axis1=1, axis2=2)[:, :h] / 2
+    c = np.stack([top[:, None] - half, (low + up) / 2, 0.5j * (low - up)], axis=-1)
+    u, slack = _unit_solutions(c, -half, noise)
+    r = slack.argmin(axis=1)
+    u, slack = u[np.arange(k), r], slack[np.arange(k), r]
+    angle = 0.5 * np.arctan2(np.hypot(u[:, 1], u[:, 2]), u[:, 0])
+    return np.cos(angle), np.sin(angle) * np.exp(1j * np.arctan2(u[:, 2], u[:, 1])), r, slack
 
 
-def _conjugate(
-    a: np.ndarray, v: np.ndarray, t: np.ndarray, drop: int, out: np.ndarray, scratch: np.ndarray
-) -> np.ndarray:
-    """Write rows and columns drop: of Q^H a Q into out for Q = I - V T V^H,
-    as one product of rank 2b; return T^H V^H, with which Q^H acts on
-    further rows."""
-    b = len(t)
-    vh = v.conj().T
-    th_vh = t.conj().T @ vh
-    # Q^H a Q = a - [V, Y - V T^H V^H Y] [T^H V^H a; T V^H] with Y = a V
-    w = np.empty((len(v), 2 * b), dtype=complex)
-    z = np.empty((2 * b, len(v)), dtype=complex)
-    w[:, :b] = v
-    y = a @ v
-    np.subtract(y, v @ (th_vh @ y), out=w[:, b:])
-    del y
-    np.matmul(th_vh, a, out=z[:b])
-    np.matmul(t, vh, out=z[b:])
-    _subtract_product(a[drop:, drop:], w[drop:], z[:, drop:], out, scratch)
-    return th_vh
+def _even_rotation(top: np.ndarray, low: np.ndarray, up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cos, sw) of _halve for even blocks, in closed form, from the top
+    traces and the sums a = low, b = up: with t = top / |top|, the phase
+    w of conj(g), g = conj(t) a - t conj(b), makes
+    conj(t) (w a + conj(w) b) a real mu, and 2 theta = atan2(2 |top|, -mu)
+    then zeroes top cos 2 theta + sin 2 theta (w a + conj(w) b) / 2.  A zero
+    top trace gives the identity."""
+    size = np.abs(top)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        unit = top / size
+        w = np.exp(-1j * np.angle(unit.conj() * low - unit * up.conj()))
+        mu = np.where(size > 0.0, (unit.conj() * (w * low + w.conj() * up)).real, -1.0)
+    angle = 0.5 * np.arctan2(2.0 * size, -mu)
+    return np.cos(angle), np.sin(angle) * w
 
 
-def _to_front(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Places and sources of the indices that move when block goes to the
-    front in order and the leading indices it displaces go to the places
-    block vacates; at most 2 len(block) move."""
-    front = block.tolist()
-    b, inside = len(front), set(front)
-    places = list(range(b)) + [j for j in front if j >= b]
-    sources = front + [i for i in range(b) if i not in inside]
-    moved = [(p, s) for p, s in zip(places, sources) if p != s]
-    places, sources = np.array(moved, dtype=np.intp).reshape(-1, 2).T
-    return places, sources
+def _mixers(a: np.ndarray) -> np.ndarray:
+    """Unitary pre-mixes M (k, s, s) for odd blocks a (k, s, s) that no
+    pair rotation halves.  For s = 3 M rotates coordinates 0 and 1 to the
+    mean d of their diagonal entries.  The rotation of the pair (0, 2) then
+    reaches every point of the segment from d to the third entry -2d, and
+    the target -d for entry 0 lies a third of the way from -2d: the halving
+    exists.  For larger s M is the unitary DFT, which makes a diagonal
+    block's diagonal constant."""
+    k, s = a.shape[:2]
+    if s > 3:
+        return np.broadcast_to(np.fft.fft(np.eye(s), norm="ortho"), (k, s, s))
+    cos, sw = _even_rotation((a[:, 0, 0] - a[:, 1, 1]) / 2, a[:, 1, 0], a[:, 0, 1])
+    mix = np.zeros((k, 3, 3), dtype=complex)
+    mix[:, 0, 0] = mix[:, 1, 1] = cos
+    mix[:, 0, 1], mix[:, 1, 0], mix[:, 2, 2] = sw, -sw.conj(), 1.0
+    return mix
 
 
-def _front_block(
-    a: np.ndarray, block: np.ndarray, floors: np.ndarray
-) -> tuple[tuple[np.ndarray, np.ndarray], list[tuple[np.ndarray, np.ndarray]]]:
-    """Swap the standard vectors block to the front of a and return the raw
-    QR of a[b:, :b] with the swaps made, as (places, sources) pairs.
+def _halve(a: np.ndarray, noise: float):
+    """Rotate each traceless block of the stack a (k, s, s), in place, so
+    that its leading h = ceil(s/2) coordinates are traceless too; return the
+    rotation and the views of the two halves.  The rotation is
+    (cos, sw, moved, r, mixed, mix): the rotation
+    [[cos, sw], [-conj(sw), cos]] of block i on every pair (j, h + j),
+    j < s - h, after the blocks `moved` swapped coordinates r and h - 1 and
+    the blocks `mixed` were conjugated by the unitaries mix (_mixers).
+    Blocks whose top trace is within noise of 0 are left as they are.
 
-    |R_ii| must reach floors[i].  When it does not, the passing candidates
-    are swapped to the front of that layout and the QR taken once more; when
-    that fails too, or none passed, the block is its first vector alone,
-    first in the first layout, where R_00 is its whole off-diagonal column.
-    """
-    tried, swaps = len(block), []
-    while True:
-        b = len(block)
-        places, sources = _to_front(block)
-        if len(places):
-            a[places] = a[sources]
-            a[:, places] = a[:, sources]
-            swaps.append((places, sources))
-        qr = np.linalg.qr(a[b:, :b], mode="raw")
-        if b == 1:
-            return qr, swaps
-        passed = np.abs(qr[0].diagonal()) >= floors
-        if passed.all():
-            return qr, swaps
-        if b == tried and passed.any():
-            block, floors = np.flatnonzero(passed), floors[passed]
-            continue
-        if b < tried and len(places):
-            swaps.pop()
-            a[:, sources] = a[:, places]
-            a[sources] = a[places]
-        block = np.zeros(1, dtype=np.intp)
+    The rotation [[cos t, sin t w], [-sin t conj(w), cos t]], w = e^(i phi),
+    makes the top trace
+    x_rr/2 + (tr - x_rr/2) cos 2t + sin 2t (w a + conj(w) b) / 2, with tr the
+    top trace, a and b the sums of x_{h+j,j} and x_{j,h+j}, and x_rr the
+    unpaired top entry h - 1 (0 for even s).  That is x_rr/2 + c . u for u =
+    (cos 2t, sin 2t cos phi, sin 2t sin phi) on the unit sphere, so the
+    rotation is a unit solution of c . u = -x_rr/2: for even s a null vector
+    of the real 2 x 3 matrix [Re c; Im c], which always exists and
+    _even_rotation gives in closed form; for odd s, over the choices of the
+    unpaired coordinate r, the one with the smallest minimum-norm solution.
+    When no r has one (diag(1, w, w^2) with w^3 = 1 has none) the block is
+    pre-mixed and solved again."""
+    k, s = a.shape[:2]
+    h = (s + 1) // 2
+    p = s - h
+    r = moved = mixed = np.zeros(0, dtype=np.intp)
+    mix = np.zeros((0, s, s), dtype=complex)
+    for attempt in range(2):
+        top = a.diagonal(axis1=1, axis2=2)[:, :h].sum(axis=1)
+        active = np.abs(top) > noise
+        if not active.any():
+            return (np.ones(k), np.zeros(k, dtype=complex), moved, r, mixed, mix), (
+                a[:, :h, :h], a[:, h:, h:])
+        if p == h:
+            low = a[:, h:, :h].diagonal(axis1=1, axis2=2).sum(axis=1)
+            up = a[:, :h, h:].diagonal(axis1=1, axis2=2).sum(axis=1)
+            cos, sw = _even_rotation(top, low, up)
+            break
+        cos, sw, unpaired, slack = _odd_rotation(a, top, noise)
+        failed = np.flatnonzero(active & ~(slack <= 1.0))
+        if not len(failed):
+            moved = np.flatnonzero(active & (unpaired < p))
+            r = unpaired[moved]
+            break
+        if attempt:
+            raise NumericalFailure(f"no traceless halving of a block of size {s}")
+        mixed, mix = failed, _mixers(a[failed])
+        a[mixed] = mix @ a[mixed] @ mix.conj().swapaxes(1, 2)
+    if len(moved):
+        a[moved, r], a[moved, p] = a[moved, p], a[moved, r]
+        a[moved, :, r], a[moved, :, p] = a[moved, :, p], a[moved, :, r]
+    cos, sw = np.where(active, cos, 1.0), np.where(active, sw, 0.0)
+    c, w = cos[:, None, None], sw[:, None, None]
+    _rotate(a[:, :p], a[:, h:], c, w)
+    _rotate(a[:, :, :p], a[:, :, h:], c, w.conj())
+    return (cos, sw, moved, r, mixed, mix), (a[:, :h, :h], a[:, h:, h:])
+
+
+def _unhalve(top: np.ndarray, bottom: np.ndarray, halving) -> np.ndarray:
+    """The blocks V (k, s, s) of a level from those of its halves, top
+    (k, h, h) and bottom (k, s - h, s - h), and the level's rotation as
+    _halve returned it: V = diag(top, bottom) U, where U is the rotation
+    after the swaps after the pre-mixes."""
+    cos, sw, moved, r, mixed, mix = halving
+    k, h = top.shape[:2]
+    p = bottom.shape[1]
+    c, w = cos[:, None, None], sw[:, None, None]
+    v = np.zeros((k, h + p, h + p), dtype=complex)
+    v[:, :h, :h] = top
+    v[:, :h, :p] *= c
+    np.multiply(top[:, :, :p], w, out=v[:, :h, h:])
+    np.multiply(bottom, -w.conj(), out=v[:, h:, :p])
+    np.multiply(bottom, c, out=v[:, h:, h:])
+    if len(moved):
+        v[moved, :, r], v[moved, :, p] = v[moved, :, p], v[moved, :, r]
+    if len(mixed):
+        v[mixed] = v[mixed] @ mix
+    return v
 
 
 def _zero_diagonal_similarity(
     m: np.ndarray, rng: np.random.Generator, standard: bool = True
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Invertible S and its inverse such that S m S^{-1} has (numerically)
-    zero diagonal.
+    """Unitary S and S^-1 = S^H such that S m S^H has (numerically) zero
+    diagonal, for a traceless m.
 
-    One loop over k on a contiguous copy a of the r x r trailing block
-    t[k:, k:] of t = S m S^{-1}; each step zeroes the leading b diagonal
-    entries of a and drops them.  _pick_pivot gives the first pivot e_j; the
-    block J is j followed by the other standard vectors that pass its gates,
-    in decreasing beta, at most r // 3 of them, and at most 2 b after a block
-    of b fell short.  With J swapped to the front and the QR factorization
-    a[J^c, J] = Q [R; 0], column i of diag(I, Q)^H a diag(I, Q) holds
-    a_{j_i j_i} at row i, R_ii at row b + i and zeros below it, so |R_ii|
-    takes the role of beta_j and must pass the same gates (_front_block).
-    The factors P_i = [[1, p0_i], [0, p1_i]] on the pairs (i, b + i), with
-    (p0_i, p1_i) proportional to (a_{j_i j_i}, R_ii), then zero the entries
-    (i, i) together.  Q is compact WY, I - V T V^H, so a step is a few products of
-    rank 2b, and a dense input takes O(log n) steps.  A random pivot v (when
-    no standard vector qualifies, and at every step when standard is False)
-    is a block of one whose Q comes from the QR of [v, a v].  The rows of S
-    and of S^{-H} take the same swaps, Q^H and factors, so S is never
-    inverted.  The loop stops early when no pivot is found; in particular a
-    scalar trailing block, being traceless, is already zero.
+    Each level halves every block: _halve rotates a traceless block of size s
+    so that its leading ceil(s/2) coordinates are traceless, and both halves
+    go on as blocks of the next level, so ceil(log2 n) levels leave blocks of
+    one coordinate, each with zero diagonal.  Only the diagonal blocks of
+    S m S^H are kept, as one stack per block size, and the rotations of each
+    level act on them with a few stacked numpy calls.  S is then built from
+    the last level up: the product of the rotations of the levels from l on
+    is block-diagonal on the blocks of level l, so each level costs O(n s)
+    for its block size s and S costs O(n^2).  Attempt 0 (standard) starts
+    from m itself; a retry first conjugates m by a random permutation and
+    random phases drawn from rng, so that it never repeats attempt 0.
     """
     n = m.shape[0]
-    # the trailing block alternates between two flat buffers, so that it is
-    # contiguous at every size
-    flat = (np.array(m, dtype=complex).reshape(-1), np.empty(n * n, dtype=complex))
-    a, free = flat[0].reshape(n, n), 1
-    # the rows of S beside those of S^-H, so that one Q^H updates both
-    both = np.hstack([np.eye(n, dtype=complex)] * 2)
-    gates = np.empty((2, n))
-    scratch = np.empty(max(min(_CHUNK_ENTRIES, 2 * n * n), 4 * n))
-    k, cap = 0, n
-    while k < n - 1:
-        r = n - k
-        eligible, floor = gate = gates[:, :r]
-        pivot = _pick_pivot(a, rng, standard, gate)
-        if pivot is None:
-            break
-        count = np.count_nonzero(eligible) if standard else 0
-        if count:
-            block = np.argsort(-eligible, kind="stable")[: min(count, cap, max(1, r // 3))]
-            (h, tau), swaps = _front_block(a, block, floor[block])
-            below, v, t = _compact_wy(h, tau)
-            b = lo = len(tau)
-            cap = 2 * b if b < len(block) else n
-            for places, sources in swaps:
-                both[k + places] = both[k + sources]
-            c0 = a.diagonal()[:b]
-        else:
-            # [v, a v] = Q R: column 0 of Q^H a Q is (R_01, R_11, 0, ...) / R_00
-            rv, v, t = _compact_wy(*np.linalg.qr(np.stack(pivot, axis=1), mode="raw"))
-            c0, below = rv[0, 1:] / rv[0, 0], rv[1:, 1:] / rv[0, 0]
-            b, lo = 1, 0
-        # (p0, p1) = c / |c| for c = (a_jj, R_ii) zeroes (i, i) of P^-1 a P
-        c1 = below.diagonal().real
-        norm = np.hypot(np.abs(c0), c1)
-        p0, p1 = c0 / norm, c1 / norm
-        # rows and columns b: of Q^H a Q, then of P^-1 . P
-        kept = flat[free][: (r - b) ** 2].reshape(r - b, r - b)
-        th_vh = _conjugate(a[lo:, lo:], v, t, b - lo, kept, scratch)
-        kept[:, :b] *= p1
-        kept[:b, :b] += below * p0
-        kept[:b] /= p1[:, None]
-        a, free = kept, 1 - free
-        rows = both[k + lo :]
-        _subtract_product(rows, v, th_vh @ rows, rows, scratch)
-        # rows of S: P^-1 on the pairs;  rows of S^-H: P^H
-        lead, pair = both[k : k + b], both[k + b : k + 2 * b]
-        lead[:, :n] -= (p0 / p1)[:, None] * pair[:, :n]
-        pair[:, :n] /= p1[:, None]
-        pair[:, n:] *= p1[:, None]
-        pair[:, n:] += p0.conj()[:, None] * lead[:, n:]
-        k += b
-    np.conjugate(both[:, n:], out=both[:, n:])
-    return both[:, :n], both[:, n:].T
+    # S does not depend on the scale of m: a power of two brings the entries
+    # to at most 1 exactly
+    a = np.array(m, dtype=complex)
+    a *= 2.0 ** -np.frexp(np.abs(a.view(float)).max())[1]
+    if not standard:
+        order, phases = rng.permutation(n), np.exp(2j * np.pi * rng.random(n))
+        a = (phases[:, None] * a * phases.conj())[np.ix_(order, order)]
+    noise = 16 * np.finfo(float).eps * np.linalg.norm(a)
+    # each level: (size, count, rotation, where the halves went) per stack
+    levels, stacks = [], {n: a[None]}
+    while stacks:
+        level, halves = [], {}
+        for s, a in stacks.items():
+            if s == 1:
+                level.append((s, len(a), None, None))
+                continue
+            halving, pair = _halve(a, noise)
+            slots = []
+            for half in pair:
+                parts = halves.setdefault(half.shape[1], [])
+                slots.append(sum(map(len, parts)))
+                parts.append(half)
+            level.append((s, len(a), halving, slots))
+        levels.append(level)
+        stacks = {s: np.concatenate(parts) for s, parts in halves.items()}
+    below = {}
+    for level in reversed(levels):
+        above = {}
+        for s, k, halving, slots in level:
+            if halving is None:
+                above[s] = np.ones((k, 1, 1), dtype=complex)
+                continue
+            h = (s + 1) // 2
+            top = below[h][slots[0] : slots[0] + k]
+            bottom = below[s - h][slots[1] : slots[1] + k]
+            above[s] = _unhalve(top, bottom, halving)
+        below = above
+    sim = below[n][0]
+    if not standard:
+        sim = sim[:, np.argsort(order)] * phases
+    inverse = np.empty_like(sim)
+    np.conjugate(sim.T, out=inverse)
+    return sim, inverse
 
 
 # the decomposition's measured peak, in n x n complex arrays, the input
-# included.  Besides the input, tracemalloc saw 7.7 (n = 128) and 6.9
-# (n = 256) arrays on the single-block path and 8.6 and 7.9 on the
-# completion path, where the similarity's two buffers, [S | S^-H], the N x N
-# image and the temporaries of the first block step meet; a child process's
-# peak RSS at n = 1295, the largest size admitted, was 8.6 and 8.9 arrays,
-# the interpreter included (one BLAS thread)
+# included.  Besides the input, tracemalloc saw 4.0 arrays (n = 128 and 256)
+# on the single-block path, set by the products that form the factors (the
+# similarity alone holds 2.6), and 6.0 on the completion path (two blocks).
+# A child process's peak RSS (wait4, one BLAS thread, the interpreter
+# included) at n = 1295, the largest size admitted, was 7.5 arrays on one
+# block, 8.5 on two blocks and 9.1 on (5,) * 259 in the completion, so nine
+# would not do
 _DECOMPOSE_ARRAYS = 10
 # similarities with a larger condition number are refused
 _COND_LIMIT = 1e8
@@ -478,8 +464,10 @@ _COND_LIMIT = 1e8
 def _decompose_matrix(
     m: np.ndarray, rng: np.random.Generator, standard: bool = True
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Factors (a, b) with a b - b a = m for a traceless square matrix;
-    standard is passed to _pick_pivot."""
+    """Factors (a, b) with a b - b a = m for a traceless square matrix.
+    standard is passed to _zero_diagonal_similarity: True for its
+    deterministic attempt, False for a retry that first conjugates m by a
+    random permutation and random phases from rng."""
     n = m.shape[0]
     if not np.any(m):
         return np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex)
@@ -520,10 +508,11 @@ def _require_traceless(t: Element, tol: float):
 def _best_witness(
     m: np.ndarray, seed_base: int, witness_of: Callable[..., CommutatorWitness], accept: float
 ) -> CommutatorWitness:
-    """Decompose the matrix m with up to four pivot seeds, seed_base onward.
+    """Decompose the matrix m in up to four attempts, seeded seed_base onward.
 
-    Attempt 0 pivots on standard vectors where they qualify; the retries
-    take random pivots at every step, so that none repeats attempt 0.
+    Attempt 0 takes the deterministic similarity (standard=True); each retry
+    first conjugates m by a random permutation and random phases drawn from
+    its seed, so that none repeats attempt 0.
 
     witness_of(fa, fb) lifts each attempt's factors into the caller's algebra
     and scores them; the first witness with residual at most accept is
@@ -552,7 +541,7 @@ def commutator_decompose(t: Element, tol: float = 1e-9) -> CommutatorWitness:
 
     Multi-block algebras are rejected; use the per-block trace certificate
     and, for certified elements, the decomposition in the completion.
-    Ill-conditioned similarities are retried with fresh pivot seeds.
+    Refused attempts are retried with fresh seeds.
     """
     if t.spec.num_blocks != 1:
         raise NotShodaComplete(

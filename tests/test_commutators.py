@@ -22,7 +22,7 @@ from shoda.algebra import _block_ranks, allclose
 from shoda.commutators import (
     _corner_dim,
     _ideal_dim,
-    _pick_pivot,
+    _odd_rotation,
     _require_decomposable_size,
     _zero_diagonal_similarity,
     certifies_non_commutator,
@@ -239,88 +239,10 @@ def test_decomposition_size_guard():
 # the zero-diagonal similarity
 
 
-def _reference_pivot(m, rng, standard=True):
-    """The pivot rule scored one vector at a time."""
-    n = m.shape[0]
-    scale = np.linalg.norm(m)
-
-    def orthogonal_part(v: np.ndarray) -> float:
-        mv = m @ v
-        return float(np.linalg.norm(mv - (v.conj() @ mv) * v))
-
-    best, best_beta = None, 0.0
-    for j in range(n if standard else 0):
-        v = np.zeros(n, dtype=complex)
-        v[j] = 1.0
-        beta = orthogonal_part(v)
-        if beta >= 2.0 * abs(m[j, j]) and beta >= scale / (4.0 * np.sqrt(n)) and beta > best_beta:
-            best, best_beta = v, beta
-    if best is not None:
-        return best
-    best_score = 0.0
-    for _ in range(16):
-        v = rng.normal(size=n) + 1j * rng.normal(size=n)
-        v /= np.linalg.norm(v)
-        score = orthogonal_part(v) / scale
-        if score > best_score:
-            best, best_score = v, score
-    return best
-
-
 def _random_traceless_matrix(n, seed):
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return m - np.trace(m) / n * np.eye(n)
-
-
-def _off_diagonal_column_norms(m):
-    return np.linalg.norm(m - np.diag(np.diag(m)), axis=0)
-
-
-def test_pivot_takes_the_largest_passing_standard_vector():
-    m = _random_traceless_matrix(40, 4)
-    expected = _reference_pivot(m, np.random.default_rng(9))
-    v, mv = _pick_pivot(m, np.random.default_rng(9))
-    # the largest off-diagonal column passes both gates here, and it is not the first
-    assert np.flatnonzero(expected).tolist() == [int(np.argmax(_off_diagonal_column_norms(m)))]
-    assert np.flatnonzero(expected)[0] > 0
-    assert np.array_equal(v, expected)
-    assert np.allclose(mv, m @ v, rtol=0.0, atol=1e-15)
-    # retries take the random rule on the same block
-    expected = _reference_pivot(m, np.random.default_rng(9), standard=False)
-    v, mv = _pick_pivot(m, np.random.default_rng(9), standard=False)
-    assert np.allclose(v, expected, rtol=0.0, atol=1e-14)
-    assert np.allclose(mv, m @ v, rtol=0.0, atol=1e-12)
-
-
-def test_pivot_takes_the_best_random_vector_on_a_near_diagonal_block():
-    noise = _random_traceless_matrix(40, 4)
-    m = np.diag(np.resize([1.0, -1.0], 40)) + 0.12 * (noise - np.diag(np.diag(noise)))
-    # every column passes the norm floor, and only the diagonal gate refuses it
-    off_diagonal = _off_diagonal_column_norms(m)
-    assert np.all(off_diagonal >= np.linalg.norm(m) / (4.0 * np.sqrt(40)))
-    assert np.all(off_diagonal < 2.0 * np.abs(np.diag(m)))
-    expected = _reference_pivot(m, np.random.default_rng(9))
-    v, mv = _pick_pivot(m, np.random.default_rng(9))
-    assert np.count_nonzero(v) == 40
-    assert np.allclose(v, expected, rtol=0.0, atol=1e-14)
-    assert np.allclose(mv, m @ v, rtol=0.0, atol=1e-12)
-
-
-def test_similarity_stops_when_the_trailing_block_is_scalar(monkeypatch):
-    # after one step the trailing 4 x 4 block is zero: the pass ends there
-    m = np.zeros((5, 5), dtype=complex)
-    m[:2, :2] = [[1.0, 2.0], [3.0, -1.0]]
-    pivots = []
-
-    def recording_pivot(*args):
-        pivots.append(_pick_pivot(*args))
-        return pivots[-1]
-
-    monkeypatch.setattr(shoda.commutators, "_pick_pivot", recording_pivot)
-    sim, sim_inv = _zero_diagonal_similarity(m, np.random.default_rng(0))
-    assert len(pivots) == 2 and pivots[-1] is None
-    assert np.abs(np.diag(sim @ m @ sim_inv)).max() <= 1e-12 * np.linalg.norm(m)
 
 
 @pytest.mark.parametrize("n", [2, 3, 17, 300])
@@ -394,19 +316,78 @@ def test_similarity_is_well_conditioned(monkeypatch, family, n):
     assert np.linalg.norm(a @ b - b @ a - m) <= 1e-12 * max(1.0, np.linalg.norm(m))
 
 
-def test_similarity_blocks_a_dense_input_in_few_steps(monkeypatch):
-    # one pivot per zeroed entry would take 127 steps
-    m = _random_traceless_matrix(128, 7)
-    pivots = []
+_FAMILIES = [
+    "gaussian", "upper_triangular", "jordan", "cyclic_shift", "rank_one", "real",
+    "two_scalar_blocks", "diagonal_small_noise", "diagonal_large_noise", "block_diagonal",
+]
 
-    def counting_pivot(*args):
-        pivots.append(None)
-        return _pick_pivot(*args)
 
-    monkeypatch.setattr(shoda.commutators, "_pick_pivot", counting_pivot)
-    sim, sim_inv = _zero_diagonal_similarity(m, np.random.default_rng(0))
-    assert len(pivots) <= 20
+def _assert_unitary_zero_diagonal(m, sim, sim_inv):
+    n = m.shape[0]
+    assert np.array_equal(sim_inv, sim.conj().T)
+    assert np.abs(sim @ sim_inv - np.eye(n)).max() <= 1e-13
     assert np.abs(np.diag(sim @ m @ sim_inv)).max() <= 1e-12 * np.linalg.norm(m)
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 128, 300])
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_similarity_is_unitary(family, n):
+    m = _traceless_family(family, n)
+    for standard in (True, False):
+        sim, sim_inv = _zero_diagonal_similarity(m, np.random.default_rng(0), standard)
+        _assert_unitary_zero_diagonal(m, sim, sim_inv)
+
+
+@pytest.mark.parametrize("n", [17, 128])
+@pytest.mark.parametrize("family", ["jordan", "cyclic_shift"])
+def test_similarity_leaves_a_balanced_zero_diagonal_alone(family, n):
+    # every top half of every level is already traceless: no rotation
+    m = _traceless_family(family, n)
+    sim, sim_inv = _zero_diagonal_similarity(m, np.random.default_rng(0))
+    assert np.array_equal(sim, np.eye(n)) and np.array_equal(sim_inv, np.eye(n))
+
+
+@pytest.mark.parametrize("s", [3, 7])
+def test_similarity_pre_mixes_a_block_no_pair_rotation_can_split(s):
+    # diag(1, w, ..., w^(s-1)), w^s = 1: whichever top coordinate stays
+    # unpaired, no common rotation of the other top coordinates with the
+    # bottom ones makes the top traceless, so the block is pre-mixed first
+    # (s = 3 by the rotation of coordinates 0 and 1 to their mean, s = 7 by
+    # its DFT)
+    roots = np.diag(np.exp(2j * np.pi * np.arange(s) / s))
+    top = np.array([np.trace(roots[: (s + 1) // 2, : (s + 1) // 2])])
+    _, _, _, slack = _odd_rotation(roots[None], top, 1e-15)
+    assert not slack[0] <= 1.0
+    m = roots + 1e-8 * _random_traceless_matrix(s, 8)
+    for standard in (True, False):
+        sim, sim_inv = _zero_diagonal_similarity(m, np.random.default_rng(0), standard)
+        _assert_unitary_zero_diagonal(m, sim, sim_inv)
+
+
+def test_three_by_three_blocks_always_split_after_the_pre_mix():
+    # without the pre-mix about one random normal 3 x 3 block in five has no
+    # traceless pair rotation; after it every block has one, with room
+    rng = np.random.default_rng(3)
+    g = rng.normal(size=(2000, 3, 3)) + 1j * rng.normal(size=(2000, 3, 3))
+    q, _ = np.linalg.qr(g)
+    eig = rng.normal(size=(2000, 3)) + 1j * rng.normal(size=(2000, 3))
+    eig -= eig.mean(axis=1, keepdims=True)
+    a = q @ (eig[:, :, None] * q.conj().swapaxes(1, 2))
+    _, _, _, slack = _odd_rotation(a, np.trace(a[:, :2, :2], axis1=1, axis2=2), 1e-14)
+    assert np.mean(~(slack <= 1.0)) > 0.1
+    mix = shoda.commutators._mixers(a)
+    a = mix @ a @ mix.conj().swapaxes(1, 2)
+    _, _, _, slack = _odd_rotation(a, np.trace(a[:, :2, :2], axis1=1, axis2=2), 1e-14)
+    assert slack.max() <= 1.0 / 9.0 + 1e-9
+
+
+@pytest.mark.parametrize("family", ["gaussian", "diagonal_small_noise", "real", "rank_one"])
+def test_similarity_splits_odd_blocks_at_every_level(family):
+    # 75 -> 38, 37 -> 19, 19, 19, 18 -> ... -> 3, 2: every level but the last
+    # has blocks of odd size, each with one unpaired coordinate
+    m = _traceless_family(family, 75)
+    sim, sim_inv = _zero_diagonal_similarity(m, np.random.default_rng(0))
+    _assert_unitary_zero_diagonal(m, sim, sim_inv)
 
 
 def test_a_retry_is_not_a_copy_of_the_refused_attempt(monkeypatch):
@@ -487,6 +468,25 @@ def test_certified_witness_decomposes_in_completion(spec23):
     comm = multiply_B(witness.a, witness.b) - multiply_B(witness.b, witness.a)
     target = BElement(t, aj_zero(spec23))
     assert b_norm(target - comm).total < 1e-9
+
+
+def test_odd_completion_with_unequal_block_traces_decomposes(spec23):
+    # N = 5: the similarity splits 5 -> 3, 2 -> 2, 1, 1, 1, with odd blocks
+    # at the first two levels; the blocks are not scalar and their traces are
+    # 3 and -3
+    rng = np.random.default_rng(23)
+    x2, x3 = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for n in (2, 3))
+    x2 += (3.0 - np.trace(x2)) / 2 * np.eye(2)
+    x3 += (-3.0 - np.trace(x3)) / 3 * np.eye(3)
+    t = Element(spec23, (x2, x3))
+    assert certifies_non_commutator(t)
+    witness = decompose_in_completion(t)
+    assert witness.residual <= 1e-12 * frobenius(t)
+    # the dense picture: the N x N images commute to the image of t
+    a, b = extension_to_matrix(witness.a), extension_to_matrix(witness.b)
+    image = np.zeros((5, 5), dtype=complex)
+    image[:2, :2], image[2:, 2:] = x2, x3
+    assert np.linalg.norm(a @ b - b @ a - image) <= 1e-12 * frobenius(t)
 
 
 def test_zero_decomposes_to_zero_in_completion(spec23):
