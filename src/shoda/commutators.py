@@ -278,10 +278,9 @@ def _even_rotation(top: np.ndarray, low: np.ndarray, up: np.ndarray) -> tuple[np
     then zeroes top cos 2 theta + sin 2 theta (w a + conj(w) b) / 2.  A zero
     top trace gives the identity."""
     size = np.abs(top)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        unit = top / size
-        w = np.exp(-1j * np.angle(unit.conj() * low - unit * up.conj()))
-        mu = np.where(size > 0.0, (unit.conj() * (w * low + w.conj() * up)).real, -1.0)
+    unit = top / np.where(size > 0.0, size, 1.0)
+    w = np.exp(-1j * np.angle(unit.conj() * low - unit * up.conj()))
+    mu = np.where(size > 0.0, (unit.conj() * (w * low + w.conj() * up)).real, -1.0)
     angle = 0.5 * np.arctan2(2.0 * size, -mu)
     return np.cos(angle), np.sin(angle) * w
 

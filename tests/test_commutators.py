@@ -379,6 +379,9 @@ def test_three_by_three_blocks_always_split_after_the_pre_mix():
     a = mix @ a @ mix.conj().swapaxes(1, 2)
     _, _, _, slack = _odd_rotation(a, np.trace(a[:, :2, :2], axis1=1, axis2=2), 1e-14)
     assert slack.max() <= 1.0 / 9.0 + 1e-9
+    # entries 0 and 1 already at their mean: the pre-mix is the identity
+    equal = np.array([[[1.0, 2.0, 3.0], [0.5, 1.0, 1j], [2.0, 1.0, -2.0]]])
+    assert np.array_equal(shoda.commutators._mixers(equal)[0], np.eye(3))
 
 
 @pytest.mark.parametrize("family", ["gaussian", "diagonal_small_noise", "real", "rank_one"])
