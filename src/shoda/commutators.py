@@ -402,8 +402,8 @@ def _zero_diagonal_similarity(
     random phases drawn from rng, so that it never repeats attempt 0.
     """
     n = m.shape[0]
-    # S does not depend on the scale of m: a power of two brings the entries
-    # to at most 1 exactly
+    # S does not depend on the scale of m: a power of two, exactly, brings the
+    # real and imaginary parts below 1
     a = np.array(m, dtype=complex)
     a *= 2.0 ** -np.frexp(np.abs(a.view(float)).max())[1]
     if not standard:
