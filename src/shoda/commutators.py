@@ -22,9 +22,13 @@ and the diagonal of a matrix", 1969) shows it can be, and halves: each
 level gives every traceless block of size s one closed-form rotation, with
 a common angle and phase on all pairs of coordinates (j, ceil(s/2) + j),
 that leaves both halves traceless, so ceil(log2 n) levels reach blocks of
-one coordinate.  A level acts on stacks of equal-size blocks with a fixed
-number of numpy calls, and S is assembled from the last level up in O(n^2);
-S^-1 = S^H, so nothing is inverted and cond(S) = 1.  A decomposition costs
+one coordinate.  An odd block that no such rotation halves is first
+conjugated by the similarity of its top half less the mean, which makes
+every top entry equal and so a halving exist: the similarity cannot fail,
+and a decomposition is one attempt whose residual is checked.  A level acts
+on stacks of equal-size blocks with a fixed number of numpy calls, and S is
+assembled from the last level up in O(n^2); S^-1 = S^H, so nothing is
+inverted and cond(S) = 1.  A decomposition costs
 O(n^3) time in the products that form its factors and a fixed number of
 n x n arrays, checked against the memory budget before anything is
 allocated.  Diagonal inputs skip the similarity and use the shift /
@@ -36,7 +40,7 @@ commutators; those decompose after passing to the completed algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -286,20 +290,18 @@ def _even_rotation(top: np.ndarray, low: np.ndarray, up: np.ndarray) -> tuple[np
 
 
 def _mixers(a: np.ndarray) -> np.ndarray:
-    """Unitary pre-mixes M (k, s, s) for odd blocks a (k, s, s) that no
-    pair rotation halves.  For s = 3 M rotates coordinates 0 and 1 to the
-    mean d of their diagonal entries.  The rotation of the pair (0, 2) then
-    reaches every point of the segment from d to the third entry -2d, and
-    the target -d for entry 0 lies a third of the way from -2d: the halving
-    exists.  For larger s M is the unitary DFT, which makes a diagonal
-    block's diagonal constant."""
+    """Unitary pre-mixes M = diag(S, I) (k, s, s) for odd blocks a (k, s, s)
+    that no pair rotation halves.  S is the zero-diagonal similarity of the
+    top h = ceil(s/2) coordinates less their mean tau/h, so every top entry
+    of M a M^H is tau/h, x_rr among them, and u = (-1/(2h - 1), 0, 0) solves
+    c . u = -x_rr/2 (see _halve): the halving exists, with slack at most
+    1/(2h - 1)^2.  For s = 3 S rotates coordinates 0 and 1 to their mean."""
     k, s = a.shape[:2]
-    if s > 3:
-        return np.broadcast_to(np.fft.fft(np.eye(s), norm="ortho"), (k, s, s))
-    cos, sw = _even_rotation((a[:, 0, 0] - a[:, 1, 1]) / 2, a[:, 1, 0], a[:, 0, 1])
-    mix = np.zeros((k, 3, 3), dtype=complex)
-    mix[:, 0, 0] = mix[:, 1, 1] = cos
-    mix[:, 0, 1], mix[:, 1, 0], mix[:, 2, 2] = sw, -sw.conj(), 1.0
+    h = (s + 1) // 2
+    top = a[:, :h, :h] - np.trace(a[:, :h, :h], axis1=1, axis2=2)[:, None, None] / h * np.eye(h)
+    mix = np.zeros((k, s, s), dtype=complex)
+    mix[:, :h, :h] = _zero_diagonal_similarity(top)[0]
+    mix[:, h:, h:] = np.eye(s - h)
     return mix
 
 
@@ -324,7 +326,7 @@ def _halve(a: np.ndarray, noise: float):
     _even_rotation gives in closed form; for odd s, over the choices of the
     unpaired coordinate r, the one with the smallest minimum-norm solution.
     When no r has one (diag(1, w, w^2) with w^3 = 1 has none) the block is
-    pre-mixed and solved again."""
+    pre-mixed (_mixers), after which one always exists."""
     k, s = a.shape[:2]
     h = (s + 1) // 2
     p = s - h
@@ -383,11 +385,9 @@ def _unhalve(top: np.ndarray, bottom: np.ndarray, halving) -> np.ndarray:
     return v
 
 
-def _zero_diagonal_similarity(
-    m: np.ndarray, rng: np.random.Generator, standard: bool = True
-) -> tuple[np.ndarray, np.ndarray]:
+def _zero_diagonal_similarity(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unitary S and S^-1 = S^H such that S m S^H has (numerically) zero
-    diagonal, for a traceless m.
+    diagonal, for a traceless m (n, n), or for each of a stack m (k, n, n).
 
     Each level halves every block: _halve rotates a traceless block of size s
     so that its leading ceil(s/2) coordinates are traceless, and both halves
@@ -397,21 +397,18 @@ def _zero_diagonal_similarity(
     level act on them with a few stacked numpy calls.  S is then built from
     the last level up: the product of the rotations of the levels from l on
     is block-diagonal on the blocks of level l, so each level costs O(n s)
-    for its block size s and S costs O(n^2).  Attempt 0 (standard) starts
-    from m itself; a retry first conjugates m by a random permutation and
-    random phases drawn from rng, so that it never repeats attempt 0.
+    for its block size s and S costs O(n^2).  The pre-mix of an odd block
+    calls this function on half the block, so the calls nest at most
+    log2(n) deep.
     """
-    n = m.shape[0]
+    n = m.shape[-1]
     # S does not depend on the scale of m: a power of two, exactly, brings the
     # real and imaginary parts below 1
     a = np.array(m, dtype=complex)
     a *= 2.0 ** -np.frexp(np.abs(a.view(float)).max())[1]
-    if not standard:
-        order, phases = rng.permutation(n), np.exp(2j * np.pi * rng.random(n))
-        a = (phases[:, None] * a * phases.conj())[np.ix_(order, order)]
     noise = 16 * np.finfo(float).eps * np.linalg.norm(a)
     # each level: (size, count, rotation, where the halves went) per stack
-    levels, stacks = [], {n: a[None]}
+    levels, stacks = [], {n: a.reshape(-1, n, n)}
     while stacks:
         level, halves = [], {}
         for s, a in stacks.items():
@@ -439,11 +436,9 @@ def _zero_diagonal_similarity(
             bottom = below[s - h][slots[1] : slots[1] + k]
             above[s] = _unhalve(top, bottom, halving)
         below = above
-    sim = below[n][0]
-    if not standard:
-        sim = sim[:, np.argsort(order)] * phases
+    sim = below[n].reshape(m.shape)
     inverse = np.empty_like(sim)
-    np.conjugate(sim.T, out=inverse)
+    np.conjugate(sim.swapaxes(-1, -2), out=inverse)
     return sim, inverse
 
 
@@ -456,30 +451,17 @@ def _zero_diagonal_similarity(
 # block, 8.5 on two blocks and 9.1 on (5,) * 259 in the completion, so nine
 # would not do
 _DECOMPOSE_ARRAYS = 10
-# similarities with a larger condition number are refused
-_COND_LIMIT = 1e8
 
 
-def _decompose_matrix(
-    m: np.ndarray, rng: np.random.Generator, standard: bool = True
-) -> tuple[np.ndarray, np.ndarray]:
-    """Factors (a, b) with a b - b a = m for a traceless square matrix.
-    standard is passed to _zero_diagonal_similarity: True for its
-    deterministic attempt, False for a retry that first conjugates m by a
-    random permutation and random phases from rng."""
+def _decompose_matrix(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Factors (a, b) with a b - b a = m for a traceless square matrix."""
     n = m.shape[0]
     if not np.any(m):
         return np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex)
     off_mass = np.linalg.norm(m - np.diag(np.diag(m)))
     if off_mass <= 1e-12 * np.linalg.norm(m):
         return _diagonal_shift_factors(m)
-    sim, sim_inv = _zero_diagonal_similarity(m, rng, standard)
-    # |S|_F |S^-1|_F bounds cond_2(S) from above; the SVD settles the rest
-    if (
-        np.linalg.norm(sim) * np.linalg.norm(sim_inv) > _COND_LIMIT
-        and np.linalg.cond(sim) > _COND_LIMIT
-    ):
-        raise NumericalFailure("zero-diagonal similarity is ill-conditioned")
+    sim, sim_inv = _zero_diagonal_similarity(m)
     # b = S^-1 (F / (i - j)) S with F = S m S^-1 of zero diagonal, and
     # a = S^-1 diag(0, ..., n-1) S, with at most two products alive at once
     b = sim @ m @ sim_inv
@@ -504,35 +486,17 @@ def _require_traceless(t: Element, tol: float):
         raise NotTraceless(f"trace is {trace(t)}")
 
 
-def _best_witness(
-    m: np.ndarray, seed_base: int, witness_of: Callable[..., CommutatorWitness], accept: float
-) -> CommutatorWitness:
-    """Decompose the matrix m in up to four attempts, seeded seed_base onward.
+def _residual(m: np.ndarray, fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
+    """m - (fa fb - fb fa), formed in place in one array."""
+    r = fb @ fa
+    r -= fa @ fb
+    r += m
+    return r
 
-    Attempt 0 takes the deterministic similarity (standard=True); each retry
-    first conjugates m by a random permutation and random phases drawn from
-    its seed, so that none repeats attempt 0.
 
-    witness_of(fa, fb) lifts each attempt's factors into the caller's algebra
-    and scores them; the first witness with residual at most accept is
-    returned.  Ill-conditioned attempts are skipped, and NumericalFailure is
-    raised when no attempt meets accept.
-    """
-    best: Optional[CommutatorWitness] = None
-    for attempt in range(4):
-        rng = np.random.default_rng(seed_base + attempt)
-        try:
-            fa, fb = _decompose_matrix(m, rng, standard=attempt == 0)
-        except NumericalFailure:
-            continue
-        witness = witness_of(fa, fb)
-        if best is None or witness.residual < best.residual:
-            best = witness
-        if witness.residual <= accept:
-            return witness
-    if best is None:
-        raise NumericalFailure("all decomposition attempts were ill-conditioned")
-    raise NumericalFailure(f"best witness residual {best.residual} exceeds {accept}")
+def _require_residual(residual: float, accept: float):
+    if not residual <= accept:
+        raise NumericalFailure(f"witness residual {residual} exceeds {accept}")
 
 
 def commutator_decompose(t: Element, tol: float = 1e-9) -> CommutatorWitness:
@@ -540,7 +504,6 @@ def commutator_decompose(t: Element, tol: float = 1e-9) -> CommutatorWitness:
 
     Multi-block algebras are rejected; use the per-block trace certificate
     and, for certified elements, the decomposition in the completion.
-    Refused attempts are retried with fresh seeds.
     """
     if t.spec.num_blocks != 1:
         raise NotShodaComplete(
@@ -553,19 +516,12 @@ def commutator_decompose(t: Element, tol: float = 1e-9) -> CommutatorWitness:
     if scale == 0.0:
         zero = t.spec.zero()
         return CommutatorWitness(a=zero, b=zero, residual=0.0)
-
-    def witness_of(fa: np.ndarray, fb: np.ndarray) -> CommutatorWitness:
-        # the residual is scored in place and released before the factors
-        # are copied
-        r = fb @ fa
-        r -= fa @ fb
-        r += t.blocks[0]
-        residual = float(np.linalg.norm(r))
-        del r
-        a, b = (Element(t.spec, vector=f.reshape(-1)) for f in (fa, fb))
-        return CommutatorWitness(a=a, b=b, residual=residual)
-
-    return _best_witness(t.blocks[0], 1000, witness_of, tol * max(1.0, scale))
+    fa, fb = _decompose_matrix(t.blocks[0])
+    # the residual is released before the factors are copied
+    residual = float(np.linalg.norm(_residual(t.blocks[0], fa, fb)))
+    _require_residual(residual, tol * max(1.0, scale))
+    a, b = (Element(t.spec, vector=f.reshape(-1)) for f in (fa, fb))
+    return CommutatorWitness(a=a, b=b, residual=residual)
 
 
 def decompose_in_completion(t: Element, tol: float = 1e-9) -> CommutatorWitness:
@@ -581,19 +537,13 @@ def decompose_in_completion(t: Element, tol: float = 1e-9) -> CommutatorWitness:
     if frobenius(t) == 0.0:
         zero = BElement(spec.zero(), aj_zero(spec))
         return CommutatorWitness(a=zero, b=zero, residual=0.0)
-
-    def witness_of(fa: np.ndarray, fb: np.ndarray) -> CommutatorWitness:
-        # the residual is released before the factors are copied
-        r = fb @ fa
-        r -= fa @ fb
-        r += full
-        residual = b_norm(matrix_to_extension(spec, r)).total
-        del r
-        a, b = matrix_to_extension(spec, fa), matrix_to_extension(spec, fb)
-        return CommutatorWitness(a=a, b=b, residual=residual)
-
     full = extension_to_matrix(BElement(t, aj_zero(spec)))
-    return _best_witness(full, 2000, witness_of, tol * max(1.0, frobenius(t)))
+    fa, fb = _decompose_matrix(full)
+    # the residual is released before the factors are copied
+    residual = b_norm(matrix_to_extension(spec, _residual(full, fa, fb))).total
+    _require_residual(residual, tol * max(1.0, frobenius(t)))
+    a, b = matrix_to_extension(spec, fa), matrix_to_extension(spec, fb)
+    return CommutatorWitness(a=a, b=b, residual=residual)
 
 
 def random_commutator_search(

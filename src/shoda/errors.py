@@ -18,7 +18,8 @@ class TooLarge(AlgebraError):
 
 
 class NumericalFailure(AlgebraError):
-    """An eigensolver did not converge or a similarity became ill-conditioned."""
+    """An eigensolver or iteration did not converge, criteria that must agree
+    disagreed, or a checked residual exceeded its tolerance."""
 
 
 class NoSuchSpectralValue(AlgebraError):

@@ -445,7 +445,7 @@ def _strict_json(text: str):
 
 
 def test_witness_over_tol_is_exit_one(tmp_path, capsys):
-    # an exactly traceless integer element whose best witness has a residual
+    # an exactly traceless integer element whose witness has a residual
     # of about 1e-15: at --tol 1e-25 there is no checked certificate
     spec = tmp_path / "spec3.json"
     spec.write_text(json.dumps({"blocks": [3]}))
