@@ -387,7 +387,9 @@ def _unhalve(top: np.ndarray, bottom: np.ndarray, halving) -> np.ndarray:
 
 def _zero_diagonal_similarity(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unitary S and S^-1 = S^H such that S m S^H has (numerically) zero
-    diagonal, for a traceless m (n, n), or for each of a stack m (k, n, n).
+    diagonal, for a traceless m (n, n), or for each of a stack m (k, n, n);
+    a stack shares one scale and one noise level, as the blocks of one level
+    of a single matrix do.
 
     Each level halves every block: _halve rotates a traceless block of size s
     so that its leading ceil(s/2) coordinates are traceless, and both halves
