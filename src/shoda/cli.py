@@ -40,7 +40,7 @@ from .commutators import (
     infeasibility_certificate,
     is_shoda_complete,
 )
-from .completion import complete
+from .completion import build_B, complete
 from .errors import AlgebraError, NumericalFailure
 from .norms import A_NORM_MODEL, isometry_check, submultiplicativity_audit
 from .sampling import random_rank_one_projection
@@ -89,10 +89,13 @@ def _cmd_info(config: CliConfig) -> dict:
 
 # Peak memory per complex entry of a report written as [re, im] pairs: the
 # array, its nested lists and the indented JSON text.  A child process's peak
-# RSS (getrusage) over the entry count, the interpreter included, was 545
-# bytes for the table dump at N = 9 and 639 for the witness of `check` on
-# (362, 362).
+# RSS (getrusage) over the entry count, the interpreter included, was 639
+# bytes for the witness of `check` on (362, 362).
 _JSON_ENTRY_BYTES = 640
+# `complete --dump-table` per record of the N**3 it writes, so N <= 57: a child
+# process's peak RSS (wait4) over the records was 1397 bytes (246.8 MiB) at [57]
+# and 1376 (256.0 MiB) at [58], (29, 29) and (2,) * 29 with the guard lifted.
+_DUMP_RECORD_BYTES = 1400
 # `check`'s witness report per block beside its entries: a child process's
 # peak RSS (wait4) less _JSON_ENTRY_BYTES per entry was 1550 bytes per block
 # on (1,) * 60000 and 2020 on (2,) * 30000.  The most blocks admitted peak at
@@ -109,7 +112,7 @@ def _cmd_complete(config: CliConfig) -> dict:
     spec = _load_spec(config)
     if config.dump_table:
         _require_budget(f"the table dump of {spec.describe()}",
-                        spec.matrix_size**6 * _JSON_ENTRY_BYTES)
+                        spec.matrix_size**3 * _DUMP_RECORD_BYTES)
     result = complete(spec, config.tol, seed=config.seed)
     report = {
         "N": result.matrix_size,
@@ -118,13 +121,7 @@ def _cmd_complete(config: CliConfig) -> dict:
         "iso_residual": result.iso_residual,
     }
     if config.dump_table:
-        from .completion import build_B
-
-        table = build_B(spec).dense()
-        report["table"] = [
-            [[serialize.complex_to_pair(z) for z in row] for row in plane]
-            for plane in table
-        ]
+        report["table"] = serialize.table_to_json(build_B(spec))
     return report
 
 

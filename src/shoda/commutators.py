@@ -39,6 +39,7 @@ commutators; those decompose after passing to the completed algebra.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -47,6 +48,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .algebra import (
     _COMPLEX_BYTES,
+    _GRAM_SAFE_EXPONENT,
     AlgebraSpec,
     Element,
     _block_ranks,
@@ -192,7 +194,7 @@ def infeasibility_certificate(t: Element) -> np.ndarray:
 
 def certifies_non_commutator(t: Element, tol: float = 1e-9) -> bool:
     traces = infeasibility_certificate(t)
-    scale = 1.0 + frobenius(t)
+    scale = frobenius(t)
     return bool(abs(traces.sum()) <= tol * scale and np.any(np.abs(traces) > tol * scale))
 
 
@@ -458,8 +460,6 @@ _DECOMPOSE_ARRAYS = 10
 def _decompose_matrix(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Factors (a, b) with a b - b a = m for a traceless square matrix."""
     n = m.shape[0]
-    if not np.any(m):
-        return np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex)
     off_mass = np.linalg.norm(m - np.diag(np.diag(m)))
     if off_mass <= 1e-12 * np.linalg.norm(m):
         return _diagonal_shift_factors(m)
@@ -484,21 +484,28 @@ def _require_decomposable_size(n: int):
 
 
 def _require_traceless(t: Element, tol: float):
-    if abs(trace(t)) > tol * (1.0 + frobenius(t)):
+    if abs(trace(t)) > tol * frobenius(t):
         raise NotTraceless(f"trace is {trace(t)}")
 
 
-def _residual(m: np.ndarray, fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
-    """m - (fa fb - fb fa), formed in place in one array."""
+def _checked_factors(m: np.ndarray, norm, accept: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Factors (a, b) of m and the norm of their residual m - (a b - b a),
+    which must be at most accept.  When the largest modulus of m lies outside
+    2**-481 to 2**480, m is first scaled by the power of two that brings it
+    into [1/2, 1), exactly, so that no norm overflows, and b scaled back."""
+    e = int(np.frexp(np.abs(m).max())[1])
+    e = e if abs(e) > _GRAM_SAFE_EXPONENT else 0
+    m = np.ldexp(m.view(float), -e).view(complex) if e else m
+    fa, fb = _decompose_matrix(m)
+    # the residual, in place in one array, is gone before the factors are copied
     r = fb @ fa
     r -= fa @ fb
     r += m
-    return r
-
-
-def _require_residual(residual: float, accept: float):
+    residual = math.ldexp(norm(r), e)
     if not residual <= accept:
         raise NumericalFailure(f"witness residual {residual} exceeds {accept}")
+    np.ldexp(fb.view(float), e, out=fb.view(float))
+    return fa, fb, residual
 
 
 def commutator_decompose(t: Element, tol: float = 1e-9) -> CommutatorWitness:
@@ -518,10 +525,7 @@ def commutator_decompose(t: Element, tol: float = 1e-9) -> CommutatorWitness:
     if scale == 0.0:
         zero = t.spec.zero()
         return CommutatorWitness(a=zero, b=zero, residual=0.0)
-    fa, fb = _decompose_matrix(t.blocks[0])
-    # the residual is released before the factors are copied
-    residual = float(np.linalg.norm(_residual(t.blocks[0], fa, fb)))
-    _require_residual(residual, tol * max(1.0, scale))
+    fa, fb, residual = _checked_factors(t.blocks[0], np.linalg.norm, tol * max(1.0, scale))
     a, b = (Element(t.spec, vector=f.reshape(-1)) for f in (fa, fb))
     return CommutatorWitness(a=a, b=b, residual=residual)
 
@@ -539,11 +543,11 @@ def decompose_in_completion(t: Element, tol: float = 1e-9) -> CommutatorWitness:
     if frobenius(t) == 0.0:
         zero = BElement(spec.zero(), aj_zero(spec))
         return CommutatorWitness(a=zero, b=zero, residual=0.0)
-    full = extension_to_matrix(BElement(t, aj_zero(spec)))
-    fa, fb = _decompose_matrix(full)
-    # the residual is released before the factors are copied
-    residual = b_norm(matrix_to_extension(spec, _residual(full, fa, fb))).total
-    _require_residual(residual, tol * max(1.0, frobenius(t)))
+    fa, fb, residual = _checked_factors(
+        extension_to_matrix(BElement(t, aj_zero(spec))),
+        lambda r: b_norm(matrix_to_extension(spec, r)).total,
+        tol * max(1.0, frobenius(t)),
+    )
     a, b = matrix_to_extension(spec, fa), matrix_to_extension(spec, fb)
     return CommutatorWitness(a=a, b=b, residual=residual)
 

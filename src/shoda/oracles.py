@@ -4,9 +4,9 @@ Everything here works term by term on elementary tensors and raw block
 matrices, with no coordinate compression and no reuse of the main
 multiplication paths, so agreement between an oracle and the corresponding
 fast path is evidence, not circularity.  The dense solves (`dense_radical`,
-`dense_center`) and the dense completeness criteria (`dense_ideal_dim`,
-`dense_corner_dim`) span whole systems where the fast paths use components or
-block ranks.  Performance is a non-goal.
+`dense_center`, on `dense_table`) and the dense completeness criteria
+(`dense_ideal_dim`, `dense_corner_dim`) span whole systems where the fast
+paths use components or block ranks.  Performance is a non-goal.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Iterator
 import numpy as np
 
 from .algebra import AlgebraSpec, Element, multiply
-from .structure import StructureConstantAlgebra
+from .structure import StructureConstantAlgebra, records
 from .tensor import AJElement
 
 _ZERO_TOL = 1e-9
@@ -275,12 +275,20 @@ def block_algebra(spec: AlgebraSpec) -> StructureConstantAlgebra:
     """Structure constants of the block algebra itself on its matrix-unit basis."""
     basis = list(spec.basis())
     table = np.array([[multiply(x, y).vector for y in basis] for x in basis])
-    return StructureConstantAlgebra(table, spec.identity().vector)
+    return StructureConstantAlgebra(records(table), spec.identity().vector)
+
+
+def dense_table(alg: StructureConstantAlgebra) -> np.ndarray:
+    """The (d, d, d) table T[a, b, c] of alg's records, repeated keys added."""
+    d, t = alg.dim, alg.table
+    table = np.zeros((d, d, d), dtype=complex)
+    np.add.at(table, (t["a"], t["b"], t["c"]), t["v"])
+    return table
 
 
 def associativity_residual(alg: StructureConstantAlgebra) -> float:
     """Worst deviation between the two association orders over all basis triples."""
-    table = alg.dense()
+    table = dense_table(alg)
     worst = 0.0
     for a in range(alg.dim):
         left = np.einsum("bd,dce->bce", table[a], table)
@@ -304,7 +312,7 @@ def dense_radical(alg: StructureConstantAlgebra, tol: float = 1e-9) -> np.ndarra
     """Rows spanning the radical: the null space of the whole trace-form Gram
     matrix G[a, b] = sum over e, c of T[a, e, c] T[b, c, e], built from the
     dense table and cut at tol times its largest singular value."""
-    table = alg.dense()
+    table = dense_table(alg)
     _, s, vh = np.linalg.svd(np.einsum("aec,bce->ab", table, table))
     return vh[s <= tol * s[0]].conj()
 
@@ -313,7 +321,7 @@ def dense_center(alg: StructureConstantAlgebra, tol: float = 1e-9) -> np.ndarray
     """Rows spanning the centre: the null space of the whole commutator
     system, the matrices of z |-> z e_b - e_b z for every basis element e_b
     stacked, cut at tol times the larger of 1 and its largest singular value."""
-    table = alg.dense()
+    table = dense_table(alg)
     d = alg.dim
     # row (b, c), column a: (z e_b)_c has T[a, b, c], (e_b z)_c has T[b, a, c]
     system = (table.transpose(1, 2, 0) - table.transpose(0, 2, 1)).reshape(d * d, d)

@@ -1,9 +1,10 @@
-"""JSON forms for specs, elements, tensors and reports.
+"""JSON forms for specs, elements, tensors, structure constants and reports.
 
 Complex numbers are two-element [re, im] arrays; matrices are flat row-major
 lists of such pairs, with shapes recovered from the algebra spec; block pair
-keys are 1-based "i,j" strings.  The encoding is deterministic so that equal
-inputs produce byte-identical reports.
+keys are 1-based "i,j" strings; a table is its records [a, b, c, [re, im]].
+The encoding is deterministic so that equal inputs produce byte-identical
+reports.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import Any
 import numpy as np
 
 from .algebra import AlgebraSpec, Element
+from .structure import StructureConstantAlgebra
 from .tensor import AJElement, BElement
 
 
@@ -81,6 +83,11 @@ def aj_to_json(u: AJElement) -> dict:
 
 def b_to_json(x: BElement) -> dict:
     return {"a": element_to_json(x.a), "u": aj_to_json(x.u)}
+
+
+def table_to_json(alg: StructureConstantAlgebra) -> dict:
+    records = [[a, b, c, [v.real, v.imag]] for a, b, c, v in alg.table.tolist()]
+    return {"dim": alg.dim, "unit": matrix_to_flat(alg.unit), "records": records}
 
 
 def dumps(report: dict) -> str:

@@ -1,11 +1,11 @@
 """Generic finite-dimensional associative algebras given by structure constants.
 
-Used for the extension algebra and, in the tests, for the base block
-algebra and hand-built negative controls.  Provides the radical by the
-characteristic-zero trace-form criterion, quotients by a verified ideal,
-and Wedderburn identification of a semisimple table through its center.
-The radical, the centre and the central eigenvalues are solved one connected
-component of their sparse systems at a time.
+A table is a RECORD array, one record per nonzero constant, for the
+extension algebra and, in the tests, the base block algebra and hand-built
+negative controls.  Provides the radical by the characteristic-zero
+trace-form criterion, quotients by a verified ideal, and Wedderburn
+identification of a semisimple table through its center, each solved one
+connected component of its sparse system at a time.
 """
 
 from __future__ import annotations
@@ -35,13 +35,21 @@ _log = logging.getLogger("shoda")
 RECORD = np.dtype([("a", np.intp), ("b", np.intp), ("c", np.intp), ("v", complex)])
 
 
+def records(dense: np.ndarray) -> np.ndarray:
+    """The nonzeros of a dense (d, d, d) table[a, b, c] as a RECORD array."""
+    dense = np.asarray(dense, dtype=complex)
+    nonzero = np.nonzero(dense)
+    table = np.empty(nonzero[0].size, dtype=RECORD)
+    table["a"], table["b"], table["c"] = nonzero
+    table["v"] = dense[nonzero]
+    return table
+
+
 @dataclass(frozen=True, eq=False)
 class StructureConstantAlgebra:
     """Multiplication table as nonzeros: basis_a * basis_b = sum v basis_c over
-    the records (a, b, c, v) of table, a RECORD array; repeated keys add up.
-
-    A dense (d, d, d) array table[a, b, c] is accepted too and converted
-    through its nonzeros.  The dimension d is the length of unit.
+    the records (a, b, c, v) of table, a RECORD array (records() converts a
+    dense one); repeated keys add up.  The dimension d is the length of unit.
     """
 
     table: np.ndarray
@@ -54,17 +62,10 @@ class StructureConstantAlgebra:
         d = unit.size
         table = np.asarray(self.table)
         if table.dtype != RECORD:
-            dense = table.astype(complex)
-            if dense.shape != (d, d, d):
-                raise ValueError(f"table must be {d} x {d} x {d} like the unit, got {dense.shape}")
-            nonzero = np.nonzero(dense)
-            table = np.empty(nonzero[0].size, dtype=RECORD)
-            table["a"], table["b"], table["c"] = nonzero
-            table["v"] = dense[nonzero]
-        else:
-            table = table.reshape(-1).copy()
-            if table.size and not all(0 <= table[k].min() and table[k].max() < d for k in "abc"):
-                raise ValueError("table records index outside the unit's coordinates")
+            raise ValueError(f"table must be a RECORD array, got dtype {table.dtype}")
+        table = table.reshape(-1).copy()
+        if table.size and not all(0 <= table[k].min() and table[k].max() < d for k in "abc"):
+            raise ValueError("table records index outside the unit's coordinates")
         table.setflags(write=False)
         unit.setflags(write=False)
         object.__setattr__(self, "table", table)
@@ -73,12 +74,6 @@ class StructureConstantAlgebra:
     @property
     def dim(self) -> int:
         return self.unit.shape[0]
-
-    def dense(self) -> np.ndarray:
-        """The (d, d, d) table; it has d**3 entries, so make it only on request."""
-        d = self.dim
-        t = self.table
-        return _accumulate((t["a"] * d + t["b"]) * d + t["c"], t["v"], d**3).reshape(d, d, d)
 
     @functools.cached_property
     def _slots(self) -> np.ndarray:
@@ -266,37 +261,24 @@ def quotient(
 ) -> StructureConstantAlgebra:
     """Quotient by the span of radical_basis, on the orthogonal complement basis.
 
-    The basis must span a two-sided ideal; products of the candidate vectors
-    with every basis vector are checked to stay in the span.
+    The basis must span a two-sided ideal: two stacked products check that
+    the candidates times every basis vector, on either side, stay in the
+    span.  One more forms the table on the complement, kept as records.
     """
     radical_basis = np.asarray(radical_basis, dtype=complex)
     if radical_basis.size == 0:
         return alg
-    d = alg.dim
-    q_rad, _ = np.linalg.qr(radical_basis.T)
-    proj_rad = q_rad @ q_rad.conj().T
-
-    for r_vec in radical_basis:
-        for b in range(d):
-            e = np.zeros(d, dtype=complex)
-            e[b] = 1.0
-            for prod in (alg.product(r_vec, e), alg.product(e, r_vec)):
-                out = prod - proj_rad @ prod
-                if np.linalg.norm(out) > tol * (1.0 + np.linalg.norm(prod)):
-                    raise NotAnIdeal("candidate radical is not closed under multiplication")
-
-    # orthogonal complement of the radical span
-    u, s, vh = np.linalg.svd(radical_basis)
+    # rows: orthonormal bases of the radical span and of its complement
+    _, s, vh = np.linalg.svd(radical_basis)
     rank_r = int(np.sum(s > tol * s[0]))
-    comp = vh[rank_r:]  # rows: orthonormal basis, orthogonal to every radical vector
-    m = comp.shape[0]
-    table = np.zeros((m, m, m), dtype=complex)
-    for a in range(m):
-        for b in range(m):
-            prod = alg.product(comp[a], comp[b])
-            table[a, b] = comp.conj() @ prod
-    unit = comp.conj() @ alg.unit
-    return StructureConstantAlgebra(table, unit)
+    span, comp = vh[:rank_r], vh[rank_r:]
+    basis, candidates = np.eye(alg.dim), radical_basis[:, None]
+    prods = np.stack([alg.product(candidates, basis), alg.product(basis, candidates)])
+    out = prods - prods @ span.conj().T @ span
+    if np.any(np.linalg.norm(out, axis=-1) > tol * (1.0 + np.linalg.norm(prods, axis=-1))):
+        raise NotAnIdeal("candidate radical is not closed under multiplication")
+    table = alg.product(comp[:, None], comp) @ comp.conj().T
+    return StructureConstantAlgebra(records(table), comp.conj() @ alg.unit)
 
 
 def _center_basis(alg: StructureConstantAlgebra, tol: float) -> np.ndarray:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -17,7 +18,10 @@ from hypothesis import strategies as st
 import shoda.algebra
 import shoda.cli
 import shoda.commutators
+from shoda import AlgebraSpec, build_B, radical, wedderburn_identify
 from shoda.cli import CliConfig, main, run
+from shoda.oracles import dense_table
+from shoda.structure import RECORD, StructureConstantAlgebra
 from shoda.serialize import dumps, element_to_json
 
 
@@ -370,12 +374,20 @@ def test_main_prints_to_stdout(spec23_file, capsys):
 
 
 def test_dump_table_flag(tmp_path, capsys):
+    # the dump holds the N**3 records of the extension table, which rebuild
+    # into the same table: no radical and one component, M_5
     spec = tmp_path / "s.json"
-    spec.write_text(json.dumps({"blocks": [1, 1]}))
-    code, report = run(CliConfig(command="complete", spec_path=str(spec), dump_table=True))
-    assert code == 0
-    table = report["table"]
-    assert len(table) == 4 and len(table[0]) == 4 and len(table[0][0]) == 4
+    spec.write_text(json.dumps({"blocks": [1, 2, 2]}))
+    assert main(["complete", str(spec), "--dump-table"]) == 0
+    dump = _strict_json(capsys.readouterr().out)["table"]
+    assert dump["dim"] == 25 and len(dump["records"]) == 125
+    table = np.empty(125, dtype=RECORD)
+    for k, (a, b, c, (re, im)) in enumerate(dump["records"]):
+        table[k] = (a, b, c, complex(re, im))
+    alg = StructureConstantAlgebra(table, np.array(dump["unit"]).view(complex).ravel())
+    assert radical(alg).shape[0] == 0 and wedderburn_identify(alg) == [25]
+    assert np.array_equal(dense_table(alg), dense_table(build_B(AlgebraSpec((1, 2, 2)))))
+    assert np.array_equal(alg.unit, build_B(AlgebraSpec((1, 2, 2))).unit)
 
 
 def test_non_finite_element_is_exit_two(tmp_path, spec4_file, capsys):
@@ -537,9 +549,9 @@ def test_disagreeing_criteria_are_exit_one(monkeypatch, tmp_path, capsys):
 def test_dense_table_over_budget_is_exit_one(tmp_path, capsys):
     # these complete, but their table dumps are refused before the pipeline
     # runs: the budget counts the nested lists and the JSON text of every
-    # entry, so N = 8 is the largest table dumped
+    # record, so N = 57 is the largest table dumped
     spec = tmp_path / "big.json"
-    for blocks in ([4, 5], [17]):
+    for blocks in ([29, 29], [58]):
         spec.write_text(json.dumps({"blocks": blocks}))
         start = time.perf_counter()
         code = main(["complete", str(spec), "--dump-table"])
@@ -839,7 +851,7 @@ def test_cli_fuzz_exit_codes_and_strict_json(case):
 
 @pytest.mark.parametrize("blocks", [[2, 1], [2]])
 def test_a_huge_trace_is_not_traceless(tmp_path, blocks, capsys):
-    # the trace 1e200 is measured against 1 + |x|_F = 1e200, not against
+    # the trace 1e200 is measured against |x|_F = 1e200, not against
     # an overflowed |x|_F, so the element is refused as not traceless
     spec, element = tmp_path / "spec.json", tmp_path / "x.json"
     spec.write_text(json.dumps({"blocks": blocks}))
@@ -858,6 +870,59 @@ def test_riesz_of_a_huge_entry_overflows_nothing(tmp_path, capsys):
         assert main(["riesz", str(spec), str(element)]) == 0
     (projection,) = _strict_json(capsys.readouterr().out)["projections"]
     assert projection["eigenvalue"] == [1e200, 0.0] and projection["rank"] == 1
+
+
+def test_a_tiny_trace_is_not_traceless(tmp_path, capsys):
+    # the trace 1e-20 is all of |x|_F, so the gate, relative with no floor,
+    # refuses diag(1e-20, 0)
+    spec, element = tmp_path / "spec.json", tmp_path / "x.json"
+    spec.write_text(json.dumps({"blocks": [2]}))
+    element.write_text(json.dumps({"blocks": [[[1e-20, 0], [0, 0], [0, 0], [0, 0]]]}))
+    assert main(["decompose", str(spec), str(element)]) == 1
+    assert _strict_json(capsys.readouterr().out)["error"] == "NotTraceless"
+
+
+def test_a_tiny_witness_is_certified(tmp_path, spec23_file, capsys):
+    # block traces 6e-20 and -6e-20 of a witness of norm 1e-19 certify it
+    element = tmp_path / "x.json"
+    pairs = [[3e-20, 0], [0, 0], [0, 0], [3e-20, 0]], [[-2e-20 * (r == c), 0] for r in range(3) for c in range(3)]
+    element.write_text(json.dumps({"blocks": list(pairs)}))
+    assert main(["decompose", spec23_file, str(element)]) == 0
+    report = _strict_json(capsys.readouterr().out)
+    assert report["certified_non_commutator"] is True
+    assert report["decomposable_in_algebra"] is False
+
+
+# the CI's decompose inputs: a traceless [3] and the canonical witnesses of (2, 3) and (1, 2, 2)
+_CI_DECOMPOSE = {
+    "traceless": ([3], [[[1, 0], [2, 0], [0, 0], [0, 0], [3, 0], [1, -1], [4, 0], [0, 0], [-4, 0]]]),
+    "witness": ([2, 3], [[[3, 0], [0, 0], [0, 0], [3, 0]],
+                         [[-2, 0], [0, 0], [0, 0], [0, 0], [-2, 0], [0, 0], [0, 0], [0, 0], [-2, 0]]]),
+    "witness3": ([1, 2, 2], [[[4, 0]], [[-1, 0], [0, 0], [0, 0], [-1, 0]],
+                             [[-1, 0], [0, 0], [0, 0], [-1, 0]]]),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", list(_CI_DECOMPOSE))
+def test_decompose_gates_do_not_see_the_scale(tmp_path, name, capsys):
+    blocks, flats = _CI_DECOMPOSE[name]
+    spec, element = tmp_path / "spec.json", tmp_path / "x.json"
+    spec.write_text(json.dumps({"blocks": blocks}))
+
+    def outcome(e, flags):
+        scaled = [[[math.ldexp(re, e), math.ldexp(im, e)] for re, im in flat] for flat in flats]
+        element.write_text(json.dumps({"blocks": scaled}))
+        code = main(["decompose", str(spec), str(element)] + flags)
+        report = _strict_json(capsys.readouterr().out)
+        keys = ("error", "certified_non_commutator", "decomposable_in_algebra")
+        return code, {k: report[k] for k in keys if k in report}
+
+    for flags in ([], ["--in-completion"]) if len(blocks) > 1 else ([],):
+        unscaled = outcome(0, flags)
+        assert unscaled[0] == 0
+        for e in (-600, 600):
+            assert outcome(e, flags) == unscaled
 
 
 def test_path_endpoint_files_count_their_json(tmp_path, capsys):

@@ -22,13 +22,14 @@ from shoda.oracles import (
     compress,
     dense_center,
     dense_radical,
+    dense_table,
     elementary_tensor,
     exhaustive_basis_products,
     naive_tensor_multiply,
     sampled_rank,
 )
 from shoda.sampling import random_element
-from shoda.structure import StructureConstantAlgebra, _center_basis
+from shoda.structure import StructureConstantAlgebra, _center_basis, records
 from shoda.tensor import BElement
 
 from test_structure import upper_triangular_2x2
@@ -183,8 +184,47 @@ def _conjugated(alg: StructureConstantAlgebra, rng: np.random.Generator) -> Stru
     q2, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
     p = q1 @ np.diag(np.exp(rng.uniform(-1.0, 1.0, size=d))) @ q2
     inv = np.linalg.inv(p)
-    table = np.einsum("ai,bj,ijk,kc->abc", p, p, alg.dense(), inv)
-    return StructureConstantAlgebra(table, alg.unit @ inv)
+    table = np.einsum("ai,bj,ijk,kc->abc", p, p, dense_table(alg), inv)
+    return StructureConstantAlgebra(records(table), alg.unit @ inv)
+
+
+def _block_triangular(sizes: tuple[int, ...]) -> StructureConstantAlgebra:
+    """Block upper-triangular n x n matrices, diagonal blocks of the given
+    sizes, on their matrix units; the radical is the strictly upper blocks."""
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    units = [(r, c) for r in range(block.size) for c in range(block.size) if block[r] <= block[c]]
+    index = {u: i for i, u in enumerate(units)}
+    table = np.zeros((len(units),) * 3, dtype=complex)
+    for a, (r, c) in enumerate(units):
+        for b, (r2, c2) in enumerate(units):
+            if c == r2:
+                table[a, b, index[(r, c2)]] = 1.0
+    return StructureConstantAlgebra(records(table), np.array([float(r == c) for r, c in units]))
+
+
+_TRIANGULAR = {
+    "triangular": (upper_triangular_2x2, [1, 1]),
+    "(1, 2) seed 1": (lambda: _conjugated(_block_triangular((1, 2)), np.random.default_rng(1)), [1, 4]),
+    "(2, 1, 1) seed 2": (
+        lambda: _conjugated(_block_triangular((2, 1, 1)), np.random.default_rng(2)), [1, 1, 4]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_TRIANGULAR))
+def test_stacked_quotient_matches_a_dense_quotient(name):
+    make, components = _TRIANGULAR[name]
+    alg = make()
+    rad = radical(alg)
+    q = quotient(alg, rad)
+    # the reference on the same complement basis, each product by einsum on the dense table
+    _, s, vh = np.linalg.svd(rad)
+    comp = vh[int(np.sum(s > 1e-9 * s[0])):]
+    table = np.einsum("ai,bj,ijk,ck->abc", comp, comp, dense_table(alg), comp.conj())
+    assert q.dim == comp.shape[0] == sum(components)
+    assert np.abs(dense_table(q) - table).max() < 1e-12
+    assert np.abs(q.unit - comp.conj() @ alg.unit).max() < 1e-12
+    assert wedderburn_identify(q) == components
 
 
 @settings(max_examples=25, deadline=None)

@@ -10,8 +10,8 @@ from shoda import AlgebraSpec, build_B, multiply_B, quotient, radical, wedderbur
 from shoda.completion import _place, extension_positions
 from shoda.tensor import extension_to_matrix, matrix_to_extension
 from shoda.errors import NotAnIdeal, NotSemisimple, NumericalFailure
-from shoda.oracles import associativity_residual, block_algebra, unit_residual
-from shoda.structure import StructureConstantAlgebra, _center_basis, _components
+from shoda.oracles import associativity_residual, block_algebra, dense_table, unit_residual
+from shoda.structure import StructureConstantAlgebra, _center_basis, _components, records
 
 
 def upper_triangular_2x2() -> StructureConstantAlgebra:
@@ -26,7 +26,7 @@ def upper_triangular_2x2() -> StructureConstantAlgebra:
     unit = np.zeros(3, dtype=complex)
     unit[index[(0, 0)]] = 1.0
     unit[index[(1, 1)]] = 1.0
-    return StructureConstantAlgebra(table, unit)
+    return StructureConstantAlgebra(records(table), unit)
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +59,7 @@ def reference_table(spec: AlgebraSpec) -> np.ndarray:
 @pytest.mark.parametrize("dims", [(1,), (3,), (1, 1), (2, 3), (1, 1, 1), (2, 3, 3)])
 def test_extension_table_matches_multiply_B(dims):
     spec = AlgebraSpec(dims)
-    assert np.array_equal(build_B(spec).dense(), reference_table(spec))
+    assert np.array_equal(dense_table(build_B(spec)), reference_table(spec))
 
 
 @pytest.mark.parametrize("dims", [(2, 3), (1, 1, 1)])
@@ -101,7 +101,7 @@ _PRODUCT_TABLES = {
     **{str(dims): lambda rng, dims=dims: build_B(AlgebraSpec(dims))
        for dims in [(5, 5), (4, 6), (3, 3, 4), (1,) * 8, (4, 4), (5, 3), (2, 3, 3)]},
     "dense": lambda rng: StructureConstantAlgebra(
-        rng.normal(size=(7, 7, 7)) + 1j * rng.normal(size=(7, 7, 7)), np.ones(7)),
+        records(rng.normal(size=(7, 7, 7)) + 1j * rng.normal(size=(7, 7, 7))), np.ones(7)),
     "empty coordinate": lambda rng: _random_table(rng, 9, 200),
     "crowded": lambda rng: _random_table(rng, 9, 200, crowd=True),
 }
@@ -137,8 +137,17 @@ def test_table_records_must_index_the_unit_coordinates():
         StructureConstantAlgebra(table, alg.unit)
 
 
+def test_table_must_be_records():
+    # a dense table is converted by records(), never by the constructor
+    dense = dense_table(build_B(AlgebraSpec((1, 1))))
+    with pytest.raises(ValueError, match="RECORD"):
+        StructureConstantAlgebra(dense, np.ones(4))
+    assert not hasattr(StructureConstantAlgebra, "dense")
+    assert np.array_equal(dense_table(StructureConstantAlgebra(records(dense), np.ones(4))), dense)
+
+
 def test_extension_table_is_integer_structured():
-    table = build_B(AlgebraSpec((2, 2))).dense()
+    table = dense_table(build_B(AlgebraSpec((2, 2))))
     assert np.all(table.imag == 0.0)
     assert set(np.unique(table.real)) <= {0.0, 1.0}
 
@@ -226,7 +235,7 @@ def test_radical_refuses_blurred_rank_gap():
     for i, s in enumerate(scales):
         table[i, i, i] = s
     unit = 1.0 / scales
-    alg = StructureConstantAlgebra(table, unit.astype(complex))
+    alg = StructureConstantAlgebra(records(table), unit.astype(complex))
     with pytest.raises(IllConditioned):
         radical(alg, tol=1e-9)
 
@@ -341,5 +350,5 @@ def test_block_algebra_matches_extension_for_single_block():
     base = block_algebra(spec)
     ext = build_B(spec)
     assert base.dim == ext.dim == 9
-    assert np.array_equal(base.dense(), ext.dense())
+    assert np.array_equal(dense_table(base), dense_table(ext))
     assert np.array_equal(base.unit, ext.unit)
