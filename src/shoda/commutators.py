@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -488,12 +488,13 @@ def _require_traceless(t: Element, tol: float):
         raise NotTraceless(f"trace is {trace(t)}")
 
 
-def _checked_factors(m: np.ndarray, norm, accept: float) -> tuple[np.ndarray, np.ndarray, float]:
+def _checked_factors(m: np.ndarray, scale: float, norm: Callable[[np.ndarray], float],
+                     accept: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Factors (a, b) of m and the norm of their residual m - (a b - b a),
-    which must be at most accept.  When the largest modulus of m lies outside
-    2**-481 to 2**480, m is first scaled by the power of two that brings it
-    into [1/2, 1), exactly, so that no norm overflows, and b scaled back."""
-    e = int(np.frexp(np.abs(m).max())[1])
+    which must be at most accept.  When scale, |m|_F, lies outside 2**-481 to
+    2**480, m is first scaled exactly by the power of two that brings it into
+    [1/2, 1), so that no norm overflows, and b and the residual scaled back."""
+    e = math.frexp(scale)[1]
     e = e if abs(e) > _GRAM_SAFE_EXPONENT else 0
     m = np.ldexp(m.view(float), -e).view(complex) if e else m
     fa, fb = _decompose_matrix(m)
@@ -504,7 +505,8 @@ def _checked_factors(m: np.ndarray, norm, accept: float) -> tuple[np.ndarray, np
     residual = math.ldexp(norm(r), e)
     if not residual <= accept:
         raise NumericalFailure(f"witness residual {residual} exceeds {accept}")
-    np.ldexp(fb.view(float), e, out=fb.view(float))
+    if e:
+        np.ldexp(fb.view(float), e, out=fb.view(float))
     return fa, fb, residual
 
 
@@ -525,7 +527,7 @@ def commutator_decompose(t: Element, tol: float = 1e-9) -> CommutatorWitness:
     if scale == 0.0:
         zero = t.spec.zero()
         return CommutatorWitness(a=zero, b=zero, residual=0.0)
-    fa, fb, residual = _checked_factors(t.blocks[0], np.linalg.norm, tol * max(1.0, scale))
+    fa, fb, residual = _checked_factors(t.blocks[0], scale, np.linalg.norm, tol * max(1.0, scale))
     a, b = (Element(t.spec, vector=f.reshape(-1)) for f in (fa, fb))
     return CommutatorWitness(a=a, b=b, residual=residual)
 
@@ -539,15 +541,13 @@ def decompose_in_completion(t: Element, tol: float = 1e-9) -> CommutatorWitness:
     """
     _require_decomposable_size(t.spec.matrix_size)
     _require_traceless(t, tol)
-    spec = t.spec
-    if frobenius(t) == 0.0:
+    spec, scale = t.spec, frobenius(t)
+    if scale == 0.0:
         zero = BElement(spec.zero(), aj_zero(spec))
         return CommutatorWitness(a=zero, b=zero, residual=0.0)
-    fa, fb, residual = _checked_factors(
-        extension_to_matrix(BElement(t, aj_zero(spec))),
-        lambda r: b_norm(matrix_to_extension(spec, r)).total,
-        tol * max(1.0, frobenius(t)),
-    )
+    full = extension_to_matrix(BElement(t, aj_zero(spec)))  # the entries of t: |full|_F = scale
+    norm = lambda r: b_norm(matrix_to_extension(spec, r)).total  # noqa: E731
+    fa, fb, residual = _checked_factors(full, scale, norm, tol * max(1.0, scale))
     a, b = matrix_to_extension(spec, fa), matrix_to_extension(spec, fb)
     return CommutatorWitness(a=a, b=b, residual=residual)
 

@@ -4,8 +4,8 @@ A table is a RECORD array, one record per nonzero constant, for the
 extension algebra and, in the tests, the base block algebra and hand-built
 negative controls.  Provides the radical by the characteristic-zero
 trace-form criterion, quotients by a verified ideal, and Wedderburn
-identification of a semisimple table through its center, each solved one
-connected component of its sparse system at a time.
+identification of a semisimple table through its center; the radical, the
+centre and the central eigenvalues are solved one component at a time.
 """
 
 from __future__ import annotations
