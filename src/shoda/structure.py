@@ -273,10 +273,11 @@ def quotient(
     rank_r = int(np.sum(s > tol * s[0]))
     span, comp = vh[:rank_r], vh[rank_r:]
     basis, candidates = np.eye(alg.dim), radical_basis[:, None]
-    prods = np.stack([alg.product(candidates, basis), alg.product(basis, candidates)])
-    out = prods - prods @ span.conj().T @ span
-    if np.any(np.linalg.norm(out, axis=-1) > tol * (1.0 + np.linalg.norm(prods, axis=-1))):
-        raise NotAnIdeal("candidate radical is not closed under multiplication")
+    for x, y in ((candidates, basis), (basis, candidates)):
+        prods = alg.product(x, y)
+        out = prods - prods @ span.conj().T @ span
+        if np.any(np.linalg.norm(out, axis=-1) > tol * (1.0 + np.linalg.norm(prods, axis=-1))):
+            raise NotAnIdeal("candidate radical is not closed under multiplication")
     table = alg.product(comp[:, None], comp) @ comp.conj().T
     return StructureConstantAlgebra(records(table), comp.conj() @ alg.unit)
 

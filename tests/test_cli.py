@@ -21,8 +21,8 @@ import shoda.commutators
 from shoda import AlgebraSpec, build_B, radical, wedderburn_identify
 from shoda.cli import CliConfig, main, run
 from shoda.oracles import dense_table
-from shoda.structure import RECORD, StructureConstantAlgebra
 from shoda.serialize import dumps, element_to_json
+from shoda.structure import RECORD, StructureConstantAlgebra
 
 
 @pytest.fixture
@@ -883,10 +883,11 @@ def test_a_tiny_trace_is_not_traceless(tmp_path, capsys):
 
 
 def test_a_tiny_witness_is_certified(tmp_path, spec23_file, capsys):
-    # block traces 6e-20 and -6e-20 of a witness of norm 1e-19 certify it
+    # (3e-20 I, -2e-20 I): block traces of 6e-20 against a norm of 5.5e-20
     element = tmp_path / "x.json"
-    pairs = [[3e-20, 0], [0, 0], [0, 0], [3e-20, 0]], [[-2e-20 * (r == c), 0] for r in range(3) for c in range(3)]
-    element.write_text(json.dumps({"blocks": list(pairs)}))
+    blocks = [[[3e-20 if r == c else 0, 0] for r in range(2) for c in range(2)],
+              [[-2e-20 if r == c else 0, 0] for r in range(3) for c in range(3)]]
+    element.write_text(json.dumps({"blocks": blocks}))
     assert main(["decompose", spec23_file, str(element)]) == 0
     report = _strict_json(capsys.readouterr().out)
     assert report["certified_non_commutator"] is True
