@@ -7,8 +7,10 @@ computes the radical (verified zero, not assumed), identifies the Wedderburn
 structure, and checks the explicit isomorphism witness onto one full matrix
 block, kept as the matrix unit of each basis element: algebra block i sits
 at diagonal position i, the tensor pair (i, j) at off-diagonal position (i, j).
-It also checks multiply_B, the matmul of that picture, against the paper's
-trace-pairing product on seeded elementary tensors.
+The witness check compares every record with the product of the matrix
+units of its basis pair, exactly; by bilinearity that covers every pair of
+elements.  It also checks multiply_B, the matmul of that picture, against
+the paper's trace-pairing product on seeded elementary tensors.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import _COMPLEX_BYTES, AlgebraSpec, Element, _chunk_size, _require_budget
+from .algebra import _COMPLEX_BYTES, AlgebraSpec, Element, _require_budget
 from .errors import NumericalFailure
 from .structure import (
     RECORD,
@@ -31,19 +33,15 @@ from .structure import (
 )
 from .tensor import AJElement, BElement, aj_zero, extension_to_matrix, multiply_B
 
-# seeded random pairs checked against the witness on top of every basis pair
-_CHECK_PAIRS = 100
 # seeded pairs of elementary tensors checked against the trace pairing
 _PAIRING_CHECKS = 8
-# complex entries per coordinate that one seeded pair holds at once, with the
-# slot terms of the table product; tracemalloc gave 8.03 at (19, 20) and (86,)
-_PAIR_ENTRIES = 9
 # complete() counts this many bytes per structure-constant record (N**3 of
 # them) against the memory budget, so N <= 86.  A child process's peak RSS
 # (wait4, one BLAS thread), the interpreter included, over the record count
-# was 400 bytes (242.5 MiB) at (86,), (43, 43), (2,) * 43 and (1,) * 86, and
-# 398 at (87,) with the guard lifted (250 MiB), the same with the product
-# summed by slots as by one scatter: the slots are made after the radical.
+# was 401 to 411 bytes (243 to 249 MiB) at (86,), (43, 43), (2,) * 43 and
+# (1,) * 86.  The peak is the centre solve's in wedderburn_identify, whose
+# arrays sit on the heap; tracemalloc reads 198.6 MiB there at (86,), and the
+# 6 MiB spread is how much freed heap the allocator can reuse.
 _RECORD_BYTES = 410
 
 
@@ -117,22 +115,6 @@ def _basis_residual(alg: StructureConstantAlgebra, rows: np.ndarray, cols: np.nd
     return float(np.abs(diff).max(initial=0.0))
 
 
-def _random_residual(alg: StructureConstantAlgebra, positions: tuple, rng: np.random.Generator) -> float:
-    """Worst relative gap between the table's product and the matrix product
-    of the witness images over _CHECK_PAIRS seeded pairs, in stacks."""
-    d = alg.dim
-    chunk = _chunk_size(_PAIR_ENTRIES * d * _COMPLEX_BYTES)
-    worst = 0.0
-    for lo in range(0, _CHECK_PAIRS, chunk):
-        draw = rng.normal(size=(min(chunk, _CHECK_PAIRS - lo), 4, d))
-        x, y = draw[:, 0] + 1j * draw[:, 1], draw[:, 2] + 1j * draw[:, 3]
-        lhs = _place(positions, alg.product(x, y))
-        rhs = _place(positions, x) @ _place(positions, y)
-        gap = np.abs(lhs - rhs).max(axis=(1, 2))
-        worst = max(worst, float((gap / (1.0 + np.linalg.norm(lhs, axis=(1, 2)))).max()))
-    return worst
-
-
 def _pairing_residual(spec: AlgebraSpec, rng: np.random.Generator) -> float:
     """Worst relative gap between multiply_B and the paper's product
     (a (x) b)(c (x) d) = Tr(bc) a (x) d on seeded elementary tensors, formed
@@ -204,15 +186,10 @@ def complete(spec: AlgebraSpec, tol: float = 1e-9, seed: int = 42) -> Completion
     components = wedderburn_identify(alg, tol, seed=seed)
 
     positions = extension_positions(spec)
-    basis_residual = _basis_residual(alg, *positions)
-
-    rng = np.random.default_rng(seed)
-    random_residual = _random_residual(alg, positions, rng)
-    residual = _pairing_residual(spec, rng)
+    iso_residual = _basis_residual(alg, *positions)
+    residual = _pairing_residual(spec, np.random.default_rng(seed))
     if residual > tol:
         raise NumericalFailure(f"multiply_B is off the trace pairing by {residual}")
-
-    iso_residual = max(basis_residual, random_residual)
     if not iso_residual <= tol:
         raise NumericalFailure(f"the witness is off the table by {iso_residual}")
     return CompletionResult(

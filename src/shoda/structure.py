@@ -17,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .algebra import _cluster
+from .algebra import _COMPLEX_BYTES, _cluster, _require_budget
 from .errors import (
     IllConditioned,
     NonSquareComponent,
@@ -27,6 +27,14 @@ from .errors import (
 )
 
 _GAP_FACTOR = 1e3
+# quotient() counts this many complex entries per k d**2 for the closure check
+# of k candidates in dimension d, and per m**2 d for the table on a complement
+# of dimension m.  Its tracemalloc peaks, the table's slots made beforehand
+# (about one more copy of its records, once per table), were 2.0-2.7 of either
+# unit on block upper-triangular tables of matrix units up to d = 192, where
+# they were 85 and 98 MiB, and 4.3-5.2 on such tables on a random unitary
+# basis (every record nonzero, d <= 31).
+_QUOTIENT_ENTRIES = 6
 
 _log = logging.getLogger("shoda")
 
@@ -256,6 +264,14 @@ def radical(alg: StructureConstantAlgebra, tol: float = 1e-9) -> np.ndarray:
     return basis
 
 
+def _in_span(prods: np.ndarray, span: np.ndarray, tol: float) -> bool:
+    """Whether each row of prods lies in the span of the orthonormal rows of
+    span, within tol relative to its norm; prods is overwritten."""
+    bound = tol * (1.0 + np.linalg.norm(prods, axis=-1))
+    prods -= prods @ span.conj().T @ span
+    return not np.any(np.linalg.norm(prods, axis=-1) > bound)
+
+
 def quotient(
     alg: StructureConstantAlgebra, radical_basis: np.ndarray, tol: float = 1e-9
 ) -> StructureConstantAlgebra:
@@ -272,11 +288,14 @@ def quotient(
     _, s, vh = np.linalg.svd(radical_basis)
     rank_r = int(np.sum(s > tol * s[0]))
     span, comp = vh[:rank_r], vh[rank_r:]
-    basis, candidates = np.eye(alg.dim), radical_basis[:, None]
+    d, k, m = alg.dim, len(radical_basis), len(comp)
+    _require_budget(f"the closure check of {k} candidates in dimension {d}",
+                    _QUOTIENT_ENTRIES * k * d * d * _COMPLEX_BYTES)
+    _require_budget(f"the complement table of dimension {m} in dimension {d}",
+                    _QUOTIENT_ENTRIES * m * m * d * _COMPLEX_BYTES)
+    basis, candidates = np.eye(d), radical_basis[:, None]
     for x, y in ((candidates, basis), (basis, candidates)):
-        prods = alg.product(x, y)
-        out = prods - prods @ span.conj().T @ span
-        if np.any(np.linalg.norm(out, axis=-1) > tol * (1.0 + np.linalg.norm(prods, axis=-1))):
+        if not _in_span(alg.product(x, y), span, tol):
             raise NotAnIdeal("candidate radical is not closed under multiplication")
     table = alg.product(comp[:, None], comp) @ comp.conj().T
     return StructureConstantAlgebra(records(table), comp.conj() @ alg.unit)

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shoda.algebra
 import shoda.structure
 from shoda import AlgebraSpec, build_B, multiply_B, quotient, radical, wedderburn_identify
 from shoda.completion import _place, extension_positions
 from shoda.tensor import extension_to_matrix, matrix_to_extension
-from shoda.errors import NotAnIdeal, NotSemisimple, NumericalFailure
+from shoda.errors import NotAnIdeal, NotSemisimple, NumericalFailure, TooLarge
 from shoda.oracles import associativity_residual, block_algebra, dense_table, unit_residual
 from shoda.structure import StructureConstantAlgebra, _center_basis, _components, records
 
@@ -97,9 +98,9 @@ def _random_table(rng, d: int, records: int, crowd: bool = False) -> StructureCo
     return StructureConstantAlgebra(table, np.ones(d))
 
 
+_BLOCK_SPECS = [(5, 5), (4, 6), (3, 3, 4), (1,) * 8, (4, 4), (5, 3), (2, 3, 3)]
 _PRODUCT_TABLES = {
-    **{str(dims): lambda rng, dims=dims: build_B(AlgebraSpec(dims))
-       for dims in [(5, 5), (4, 6), (3, 3, 4), (1,) * 8, (4, 4), (5, 3), (2, 3, 3)]},
+    **{str(dims): lambda rng, dims=dims: build_B(AlgebraSpec(dims)) for dims in _BLOCK_SPECS},
     "dense": lambda rng: StructureConstantAlgebra(
         records(rng.normal(size=(7, 7, 7)) + 1j * rng.normal(size=(7, 7, 7))), np.ones(7)),
     "empty coordinate": lambda rng: _random_table(rng, 9, 200),
@@ -118,6 +119,19 @@ def test_slot_product_equals_the_bincount_scatter(name):
     assert stacked.tobytes() == _bincount_product(alg, x, y).tobytes()
     for k in range(len(x)):
         assert stacked[k].tobytes() == alg.product(x[k], y[k]).tobytes()
+
+
+@pytest.mark.parametrize("dims", _BLOCK_SPECS, ids=str)
+def test_table_product_matches_the_witness(dims):
+    # the extension's product, placed by the witness, is the matrix product
+    # of the placed operands on seeded pairs
+    spec = AlgebraSpec(dims)
+    alg, positions = build_B(spec), extension_positions(spec)
+    draw = np.random.default_rng(42).normal(size=(4, 20, alg.dim))
+    x, y = draw[0] + 1j * draw[1], draw[2] + 1j * draw[3]
+    lhs = _place(positions, alg.product(x, y))
+    rhs = _place(positions, x) @ _place(positions, y)
+    assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(rhs).max()
 
 
 def test_slots_pad_each_coordinate_to_the_largest_count():
@@ -278,6 +292,29 @@ def test_quotient_rejects_non_ideal():
     candidate[0, 0] = 1.0
     with pytest.raises(NotAnIdeal):
         quotient(alg, candidate)
+
+
+def test_quotient_checks_the_budget_before_any_product(monkeypatch):
+    # the triangular control: k = 1 candidate in dimension d = 3, and a
+    # complement of dimension m = 2
+    alg = upper_triangular_2x2()
+    rad = radical(alg)
+    closure = shoda.structure._QUOTIENT_ENTRIES * 1 * 3**2 * 16
+    complement = shoda.structure._QUOTIENT_ENTRIES * 2**2 * 3 * 16
+    product, calls = StructureConstantAlgebra.product, []
+
+    def counting(self, x, y):
+        calls.append(x.shape)
+        return product(self, x, y)
+
+    monkeypatch.setattr(StructureConstantAlgebra, "product", counting)
+    for budget, what in [(closure - 1, "closure check"), (complement - 1, "complement table")]:
+        monkeypatch.setattr(shoda.algebra, "_BUDGET_BYTES", budget)
+        with pytest.raises(TooLarge, match=what):
+            quotient(alg, rad)
+    assert calls == []
+    monkeypatch.setattr(shoda.algebra, "_BUDGET_BYTES", max(closure, complement))
+    assert quotient(alg, rad).dim == 2 and len(calls) == 3
 
 
 # ---------------------------------------------------------------------------
