@@ -29,11 +29,11 @@ from .errors import (
 _GAP_FACTOR = 1e3
 # quotient() counts this many complex entries per k d**2 for the closure check
 # of k candidates in dimension d, and per m**2 d for the table on a complement
-# of dimension m.  Its tracemalloc peaks, the table's slots made beforehand
-# (about one more copy of its records, once per table), were 2.0-2.7 of either
-# unit on block upper-triangular tables of matrix units up to d = 192, where
-# they were 85 and 98 MiB, and 4.3-5.2 on such tables on a random unitary
-# basis (every record nonzero, d <= 31).
+# of dimension m.  tracemalloc peaks were 2.0-2.7 of either unit on block
+# upper-triangular tables of matrix units up to d = 192 (85 and 98 MiB there)
+# and 4.3-5.2 on such tables on a random unitary basis, every record nonzero
+# (d <= 31).  The table's slot layout, about one more copy of its records made
+# once per table, is not counted.
 _QUOTIENT_ENTRIES = 6
 
 _log = logging.getLogger("shoda")
