@@ -139,6 +139,19 @@ def b_norm(x: BElement) -> NormReport:
     return NormReport(a_norm=an, u_l1=u_l1, total=an + u_l1, per_pair=per_pair)
 
 
+def _b_norm_bound(spec: AlgebraSpec, mat: np.ndarray) -> float:
+    """Upper bound of b_norm of the element with this N x N image, with no SVD:
+    |r_ii|_2 <= |r_ii|_F and |r_ij|_* <= sqrt(min(n_i, n_j)) |r_ij|_F, the
+    moduli scaled exactly by a power of two so that no square overflows."""
+    dims = np.array(spec.block_dims)
+    starts, squares = np.cumsum(dims) - dims, np.abs(mat)
+    e = np.frexp(squares.max())[1]
+    np.square(np.ldexp(squares, -e, out=squares), out=squares)
+    frob = np.ldexp(np.sqrt(np.add.reduceat(np.add.reduceat(squares, starts), starts, axis=1)), e)
+    weights = np.sqrt(np.minimum.outer(dims, dims)) * ~np.eye(len(dims), dtype=bool)
+    return float(frob.diagonal().max() + np.sum(weights * frob))
+
+
 def _ratio(product_norm, left, right) -> np.ndarray:
     """product / (left right) elementwise, and 0 where a factor norm is 0."""
     nonzero = (left != 0.0) & (right != 0.0)

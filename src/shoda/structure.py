@@ -35,6 +35,9 @@ _GAP_FACTOR = 1e3
 # (d <= 31).  The table's slot layout, about one more copy of its records made
 # once per table, is not counted.
 _QUOTIENT_ENTRIES = 6
+# bytes per index pair of _join: radical's join and components peaked at 112.0-113.3 per
+# pair (tracemalloc) on tables filling the cube, d = 19 to 48, and on complete()'s at N = 86
+_JOIN_PAIR_BYTES = 120
 
 _log = logging.getLogger("shoda")
 
@@ -117,10 +120,11 @@ def _accumulate(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
 
 
 def _join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every index pair (i, j) with left[i] == right[j], for integer keys."""
+    """Every index pair (i, j) with left[i] == right[j], for integer keys (TooLarge over the budget)."""
     order = np.argsort(right, kind="stable")
     lo = np.searchsorted(right, left, side="left", sorter=order)
     counts = np.searchsorted(right, left, side="right", sorter=order) - lo
+    _require_budget(f"a join of {counts.sum()} index pairs", _JOIN_PAIR_BYTES * int(counts.sum()))
     i = np.repeat(np.arange(left.size), counts)
     # the k-th match of left[i] is the k-th of its run of equal keys in right
     run_start = np.repeat(lo - np.cumsum(counts) + counts, counts)

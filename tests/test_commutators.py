@@ -20,7 +20,9 @@ from shoda import (
 )
 from shoda.algebra import _block_ranks, allclose
 from shoda.commutators import (
+    _commutator,
     _corner_dim,
+    _diagonal_shift_factors,
     _ideal_dim,
     _odd_rotation,
     _require_decomposable_size,
@@ -215,6 +217,34 @@ def test_decompose_random_traceless_in_m5():
         comm = multiply(witness.a, witness.b) - multiply(witness.b, witness.a)
         assert frobenius(t - comm) < 1e-9 * frobenius(t)
         assert abs(trace(comm)) < 1e-10 * (1 + frobenius(t))
+
+
+def _bidiagonal_inputs():
+    rng = np.random.default_rng(43)
+    for n in (2, 5, 32, 256):
+        # a scalar witness of (n, n), an integer diagonal, and a near-diagonal
+        # input whose off-diagonal mass is under the 1e-12 shortcut
+        yield np.diag(np.repeat([1.0, -1.0], n)).astype(complex)
+        d = rng.integers(-9, 10, size=n).astype(complex)
+        d[-1] -= d.sum()
+        yield np.diag(d)
+        m = np.diag(rng.normal(size=n) + 1j * rng.normal(size=n))
+        m -= np.trace(m) / n * np.eye(n)
+        yield m + 1e-14 * np.linalg.norm(m) / n * np.triu(rng.normal(size=(n, n)), 1)
+    # the witness of (1,) * 431, the most blocks a decompose report admits
+    yield np.diag(np.r_[430.0, -np.ones(430)]).astype(complex)
+
+
+def test_bidiagonal_commutator_equals_the_two_products():
+    # bit for bit, up to the sign of zero entries
+    for m in _bidiagonal_inputs():
+        fa, fb = shoda.commutators._decompose_matrix(m)
+        assert np.array_equal(fa, _diagonal_shift_factors(m)[0])
+        assert (_commutator(fa, fb) + 0.0).tobytes() == (fa @ fb - fb @ fa + 0.0).tobytes()
+    # factors of any other form take the products
+    fa, fb = _diagonal_shift_factors(np.diag([1.0, 2.0, -3.0]).astype(complex))
+    for a, b in [(fa, fb + np.diag([1.0, 2.0, 3.0])), (fa + np.eye(3, k=2), fb), (2 * fa, fb)]:
+        assert np.array_equal(_commutator(a, b), a @ b - b @ a)
 
 
 def test_decompose_rejects_nonzero_trace():
@@ -534,6 +564,9 @@ def test_decomposers_raise_when_every_attempt_fails(monkeypatch):
     x2, x3 = (np.diag(d) + np.triu(np.ones((len(d), len(d))), 1) for d in ([3.0, 0.0], [-1.0] * 3))
     u = Element(AlgebraSpec((2, 3)), (x2, x3))
     cases = [(commutator_decompose, t), (decompose_in_completion, u)]
+    # the (2, 3) scalar witness takes the shift / partial-sum factors, whose
+    # commutator is formed in O(N) from the factors themselves
+    witness = (decompose_in_completion, Element(AlgebraSpec((2, 3)), (3.0 * np.eye(2), -2.0 * np.eye(3))))
 
     def failing_similarity(m):
         raise NumericalFailure("no traceless halving of a block of size 5")
@@ -547,6 +580,6 @@ def test_decomposers_raise_when_every_attempt_fails(monkeypatch):
     monkeypatch.setattr(
         shoda.commutators, "_decompose_matrix", lambda m: tuple(f + 1e-3 for f in factors(m))
     )
-    for decompose, x in cases:
+    for decompose, x in [*cases, witness]:
         with pytest.raises(NumericalFailure, match="residual .* exceeds"):
             decompose(x)

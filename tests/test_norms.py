@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 import shoda.algebra
+import shoda.commutators
 import shoda.norms
 from shoda import AlgebraSpec, a_norm, b_norm, isometry_check, pair_nuclear_norm
 from shoda import submultiplicativity_audit
 from shoda.algebra import Element, block_operator_norm, multiply
 from shoda.errors import TooLarge
-from shoda.norms import A_NORM_MODEL, NormAudit, _audit_chunk, _ratio
+from shoda.norms import A_NORM_MODEL, NormAudit, _audit_chunk, _b_norm_bound, _ratio
 from shoda.sampling import random_aj, random_b, random_element
 from shoda.tensor import BElement, aj_zero, extension_to_matrix, matrix_to_extension, multiply_B
 
@@ -238,6 +239,40 @@ def test_b_norm_does_not_depend_on_how_the_element_was_built():
     for _ in range(200):
         z = random_b(spec, rng) + random_b(spec, rng)
         assert b_norm(z) == b_norm(matrix_to_extension(spec, extension_to_matrix(z)))
+
+
+@pytest.mark.parametrize("dims", [(1,), (2, 3), (1, 2, 1), (3,) * 5, (16,) * 4])
+def test_b_norm_bound_is_never_below_b_norm(dims):
+    # Gaussian images, residuals of decompositions in the completion, and
+    # both with random blocks zeroed.  Where the bound is attained (blocks
+    # of 1, rank-one pairs) both sides are the same number rounded along
+    # different routes, so they may differ in the last two bits
+    spec = AlgebraSpec(dims)
+    size, starts = spec.matrix_size, np.cumsum(dims) - dims
+    rng = np.random.default_rng(sum(dims))
+    for trial in range(40):
+        r = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        if trial % 2:
+            fa, fb = shoda.commutators._decompose_matrix(r - np.trace(r) / size * np.eye(size))
+            r -= np.trace(r) / size * np.eye(size) + fa @ fb - fb @ fa
+        if trial % 4 > 1:
+            for i, j in zip(*np.nonzero(rng.random((len(dims), len(dims))) < 0.5)):
+                r[starts[i] : starts[i] + dims[i], starts[j] : starts[j] + dims[j]] = 0.0
+        exact = b_norm(matrix_to_extension(spec, r)).total
+        assert _b_norm_bound(spec, r) >= exact * (1 - 2**-51)
+    assert _b_norm_bound(spec, np.zeros((size, size), dtype=complex)) == 0.0
+
+
+def test_b_norm_bound_is_the_frobenius_sum():
+    # (1, 2): |r_00| + |r_11 block|_F + |r_01|_F + |r_10|_F, each pair
+    # weighted by sqrt(min(1, 2)) = 1, and no square overflows at 2^600
+    spec = AlgebraSpec((1, 2))
+    r = np.arange(9.0).reshape(3, 3).astype(complex)
+    frob = [np.linalg.norm(r[:1, :1]), np.linalg.norm(r[1:, 1:]), np.linalg.norm(r[:1, 1:]), np.linalg.norm(r[1:, :1])]
+    expected = max(frob[:2]) + frob[2] + frob[3]
+    assert _b_norm_bound(spec, r) == pytest.approx(expected, rel=1e-15)
+    assert _b_norm_bound(spec, 2.0**600 * r) == pytest.approx(2.0**600 * expected, rel=1e-15)
+    assert _b_norm_bound(AlgebraSpec((2, 2)), np.ones((4, 4))) == pytest.approx(2 + 2 * np.sqrt(2) * 2)
 
 
 def test_zero_factor_convention(spec23):

@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -252,6 +253,22 @@ def test_radical_refuses_blurred_rank_gap():
     alg = StructureConstantAlgebra(records(table), unit.astype(complex))
     with pytest.raises(IllConditioned):
         radical(alg, tol=1e-9)
+
+
+def test_radical_refuses_a_join_over_the_budget():
+    # a table on a random basis fills the cube, so the Gram join has d^4
+    # pairs: at d = 43, 3.4e6 pairs of 120 bytes, over the 256 MiB budget;
+    # the refusal comes before anything of that size is allocated
+    d, rng = 43, np.random.default_rng(43)
+    alg = StructureConstantAlgebra(records(rng.normal(size=(d, d, d)) + 1j * rng.normal(size=(d, d, d))), np.ones(d))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match=f"a join of {d**4} index pairs"):
+            radical(alg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**24
 
 
 # ---------------------------------------------------------------------------
