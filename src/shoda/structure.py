@@ -35,9 +35,9 @@ _GAP_FACTOR = 1e3
 # (d <= 31).  The table's slot layout, about one more copy of its records made
 # once per table, is not counted.
 _QUOTIENT_ENTRIES = 6
-# bytes per index pair of _join: radical's join and components peaked at 112.0-113.3 per
-# pair (tracemalloc) on tables filling the cube, d = 19 to 48, and on complete()'s at N = 86
-_JOIN_PAIR_BYTES = 120
+# bytes per index pair of _join: radical peaked at 112-113 per pair (tracemalloc), and a child process
+# (wait4) at 238 MiB on a table filling the cube at d = 37 (d^4 pairs) and at 261 MiB at d = 38
+_JOIN_PAIR_BYTES = 130
 
 _log = logging.getLogger("shoda")
 
