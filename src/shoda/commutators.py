@@ -82,7 +82,7 @@ class ShodaReport:
 class CommutatorWitness:
     a: Union[Element, BElement]
     b: Union[Element, BElement]
-    # a Frobenius-based upper bound, in the algebra's norm (one block) or the extension norm
+    # Frobenius-based upper bound of the residual: algebra norm (one block) or extension norm
     residual: float
 
 

@@ -264,7 +264,7 @@ def test_b_norm_bound_is_never_below_b_norm(dims):
 
 
 def test_b_norm_bound_is_the_frobenius_sum():
-    # (1, 2): |r_00| + |r_11 block|_F + |r_01|_F + |r_10|_F, each pair
+    # (1, 2): max(|r_00|, |r_11 block|_F) + |r_01|_F + |r_10|_F, each pair
     # weighted by sqrt(min(1, 2)) = 1, and no square overflows at 2^600
     spec = AlgebraSpec((1, 2))
     r = np.arange(9.0).reshape(3, 3).astype(complex)

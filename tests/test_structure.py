@@ -256,7 +256,7 @@ def test_radical_refuses_blurred_rank_gap():
 
 
 def test_radical_refuses_a_join_over_the_budget():
-    # a table on a random basis fills the cube, so the Gram join has d^4
+    # a random table fills the cube, so the Gram join has d^4
     # pairs: at d = 43, 3.4e6 pairs of 130 bytes, over the 256 MiB budget;
     # the refusal comes before anything of that size is allocated
     d, rng = 43, np.random.default_rng(43)
